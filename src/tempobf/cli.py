@@ -216,13 +216,30 @@ def _alarm(seconds: float) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
+def _traced_peak(run: Callable[[], CountVector], limit: float) -> int:
+    """Peak bytes traced by tracemalloc over one more run under the same cap."""
+    tracemalloc.start()
+    try:
+        with _alarm(limit):
+            run()
+    except _BenchTimeout:
+        pass
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    return peak
+
+
 def run_bench(cfg: RunConfig) -> list[BenchReport]:
     """Load and sort once, then time each requested engine on the same graph.
 
     Preprocessing (parse, priority, adjacency sort) happens before any clock
-    starts.  Each engine runs once under tracemalloc; the cap from
-    cfg.timeout_secs (or the TEMPO_BF_TIMEOUT_SECS variable) applies per
-    engine, and a capped engine reports timed_out with no counts.
+    starts.  Each engine runs twice: once untraced for its wall time and
+    counts, then once under tracemalloc for its peak bytes, since tracing
+    slows pure-Python code several times over.  The cap from
+    cfg.timeout_secs (or the TEMPO_BF_TIMEOUT_SECS variable) applies to each
+    run; a capped engine reports timed_out with no counts, and the peak its
+    traced run reached by the cap.
     """
     g, priority = _load_sorted(cfg)
     runners: dict[str, Callable[[], CountVector]] = {
@@ -240,7 +257,6 @@ def run_bench(cfg: RunConfig) -> list[BenchReport]:
     for algo in cfg.algos or ("tbc", "tbc+", "tbc++"):
         counts: CountVector | None = None
         timed_out = False
-        tracemalloc.start()
         start = time.perf_counter()
         try:
             with _alarm(limit):
@@ -248,8 +264,7 @@ def run_bench(cfg: RunConfig) -> list[BenchReport]:
         except _BenchTimeout:
             timed_out = True
         seconds = time.perf_counter() - start
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = _traced_peak(runners[algo], limit)
         reports.append(BenchReport(algo, seconds, peak, counts, timed_out))
     return reports
 

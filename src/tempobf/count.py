@@ -11,13 +11,18 @@ other) and whether the wedges run in the same direction.
 Three engines share one answer:
 
 - count_baseline groups wedges per end vertex and tests every pair.
-- count_optimized prunes dead wedges, splits them per middle into forward
-  and backward subsets sorted by wedge priority (start timestamp descending,
-  arrival ascending), and cross-matches subsets mergesort-style, keeping
-  candidate wedges in per-start-timestamp buckets of arrival lists.
-- count_extreme is the same traversal with the buckets replaced by twin
-  ordered multisets, so each probe is rank arithmetic instead of a walk over
-  every live start timestamp.
+- count_optimized prunes dead wedges, splits each end vertex's survivors
+  into forward and backward wedges, and sweeps them once in wedge priority
+  (start timestamp descending, arrival ascending), keeping candidate wedges
+  in per-start-timestamp buckets of arrival lists.  The sweep counts every
+  pair of the end bucket; the same sweep over each middle's own wedges
+  counts the same-middle pairs, which come from parallel edges and are
+  never butterflies, and is subtracted.  This replaces the paper's
+  mergesort-style recursion over per-middle subsets, which re-indexed and
+  re-probed every wedge at each of its log k merge levels.
+- count_extreme is the same sweep with the buckets replaced by twin ordered
+  multisets, so each probe is rank arithmetic instead of a walk over every
+  live start timestamp.
 
 All engines enumerate wedges only toward strictly lower-priority middle and
 end vertices, so each butterfly is seen exactly once, from its max-priority
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from sortedcontainers import SortedList
 
@@ -146,34 +151,11 @@ def classify_type(w1: tuple[int, int], w2: tuple[int, int], start_in_upper: bool
 
 # --- wedge bookkeeping ------------------------------------------------------
 #
-# Normalized wedges are (t_s, t_a) with t_s < t_a <= t_s + delta; a backward
-# wedge stores its two timestamps swapped and is tracked in the backward
-# subset instead.  Wedge priority sorts by t_s descending, then t_a ascending.
-
-
-def _wedge_order(w: tuple) -> tuple[int, int]:
-    return (-w[0], w[1])
-
-
-def _merge_sorted(a: list, b: list) -> list:
-    """Merge two wedge-priority-sorted lists."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        wa, wb = a[i], b[j]
-        if wa[0] > wb[0] or (wa[0] == wb[0] and wa[1] <= wb[1]):
-            out.append(wa)
-            i += 1
-        else:
-            out.append(wb)
-            j += 1
-    out.extend(a[i:] if i < na else b[j:])
-    return out
+# Normalized wedges are (t_s, t_a, middle) with t_s < t_a <= t_s + delta; a
+# backward wedge stores its two timestamps swapped and is tracked in the
+# backward list instead.  Wedge priority sorts by t_s descending, then t_a
+# ascending; sweeps keep their lists in plain ascending tuple order and
+# consume them from the end, which visits start timestamps in that order.
 
 
 class TimestampIndex:
@@ -268,96 +250,65 @@ class TwinOrderedIndex:
         return len(self._arrivals), len(self._starts)
 
 
-# --- subset cross-matching --------------------------------------------------
-
-# for each of (fwd-left, bwd-left, fwd-right, bwd-right): (same-dir, other-dir)
-# partner slots on the opposite side
-_PARTNERS = ((2, 3), (3, 2), (0, 1), (1, 0))
+# --- end-bucket sweep --------------------------------------------------------
 
 
-def _cross_lists(left, right, delta, make_index, visit) -> None:
-    """Match every left wedge against every compatible right wedge.
+def _sweep(fwd: list, bwd: list, delta: int, fwd_idx, bwd_idx, visit) -> None:
+    """Probe every wedge against every indexed wedge of a larger start time.
 
-    All four lists are wedge-priority sorted.  Wedges are consumed in rounds
-    of equal start timestamp, largest first.  A round first expires index
+    Both lists are sorted ascending and consumed from the end in rounds of
+    equal start timestamp, largest first.  A round first expires index
     entries whose arrival exceeds round start + delta (they can never again
-    share a span with anything left), then probes the round's wedges against
-    the opposite side's indexes, and only then inserts them; wedges sharing
-    a start timestamp therefore never pair with each other.  Everything a
-    probe sees lies fully inside [round start, round start + delta], so no
-    span check is needed at match time.
+    share a span with anything left), then probes the round's wedges, each
+    against its own direction's index and the other one, and only then
+    inserts them, arrivals ascending; wedges sharing a start timestamp
+    therefore never pair with each other.  Everything a probe sees lies
+    fully inside [round start, round start + delta], so no span check is
+    needed at match time.  visit(wedge, same_idx, other_idx, backward) does
+    the probing.
     """
-    lists = (left[0], left[1], right[0], right[1])
-    if (not lists[0] and not lists[1]) or (not lists[2] and not lists[3]):
-        return
-    indexes = (make_index(0), make_index(1), make_index(2), make_index(3))
-    sizes = (len(lists[0]), len(lists[1]), len(lists[2]), len(lists[3]))
-    ptrs = [0, 0, 0, 0]
-    ends = [0, 0, 0, 0]
-    while True:
-        maxn = None
-        for k in range(4):
-            i = ptrs[k]
-            if i < sizes[k]:
-                ts = lists[k][i][0]
-                if maxn is None or ts > maxn:
-                    maxn = ts
-        if maxn is None:
-            break
-        bound = maxn + delta
-        for idx in indexes:
-            idx.delete_above(bound)
-        for k in range(4):
-            lst = lists[k]
-            i = ptrs[k]
-            n = sizes[k]
-            while i < n and lst[i][0] == maxn:
-                i += 1
-            ends[k] = i
-        for k in range(4):
-            a, b = ptrs[k], ends[k]
-            if a == b:
-                continue
-            same, diff = _PARTNERS[k]
-            same_idx = indexes[same]
-            diff_idx = indexes[diff]
-            lst = lists[k]
-            for i in range(a, b):
-                visit(lst[i], same_idx, diff_idx, k)
-        for k in range(4):
-            a, b = ptrs[k], ends[k]
-            if a < b:
-                idx = indexes[k]
-                lst = lists[k]
-                for i in range(a, b):
-                    idx.insert(lst[i])
-                ptrs[k] = b
+    i, j = len(fwd), len(bwd)
+    while i or j:
+        if j == 0 or (i and fwd[i - 1][0] >= bwd[j - 1][0]):
+            ts = fwd[i - 1][0]
+        else:
+            ts = bwd[j - 1][0]
+        bound = ts + delta
+        fwd_idx.delete_above(bound)
+        bwd_idx.delete_above(bound)
+        a, b = i, j
+        while a and fwd[a - 1][0] == ts:
+            a -= 1
+        while b and bwd[b - 1][0] == ts:
+            b -= 1
+        for k in range(a, i):
+            visit(fwd[k], fwd_idx, bwd_idx, False)
+        for k in range(b, j):
+            visit(bwd[k], bwd_idx, fwd_idx, True)
+        for k in range(a, i):
+            fwd_idx.insert(fwd[k])
+        for k in range(b, j):
+            bwd_idx.insert(bwd[k])
+        i, j = a, b
 
 
-def _recur(subsets, p, q, cross):
-    """Bottom-up pairing over subsets [p, q); returns their merged wedge sets.
-
-    Left and right halves are resolved recursively, cross-matched (only pairs
-    from different subsets, each exactly once), then merged in wedge priority
-    order for the caller's own cross step.
-    """
-    if p + 1 >= q:
-        return subsets[p]
-    mid = (p + q) // 2
-    left = _recur(subsets, p, mid, cross)
-    right = _recur(subsets, mid, q, cross)
-    cross(left, right)
-    return (
-        _merge_sorted(left[0], right[0]),
-        _merge_sorted(left[1], right[1]),
-    )
+def _sorted_union(bucket: dict) -> tuple[list, list]:
+    """All (forward, backward) wedges of a bucket, each list sorted ascending."""
+    fwd: list = []
+    bwd: list = []
+    for f, b in bucket.values():
+        fwd += f
+        bwd += b
+    fwd.sort()
+    bwd.sort()
+    return fwd, bwd
 
 
 def _counting_visit(acc: list[int], layer: int):
     off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
     off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
 
-    def visit(wedge, same_idx, diff_idx, _slot):
+    def visit(wedge, same_idx, diff_idx, _backward):
         pivot = wedge[1]
         same_idx.query_counts(pivot, acc, off_same)
         diff_idx.query_counts(pivot, acc, off_diff)
@@ -365,24 +316,43 @@ def _counting_visit(acc: list[int], layer: int):
     return visit
 
 
+def _count_bucket(bucket: dict, delta: int, index_class, visit_all, visit_same, min_group: int = 2) -> None:
+    """Sweep the whole bucket into visit_all and each group's own pairs into visit_same.
+
+    visit_all sees every distinct-start pair of the bucket, visit_same the
+    pairs inside one group; the cross-group pairs are their difference.
+    Groups of fewer than min_group wedges are known to hold no countable
+    pair and are not swept.
+    """
+    for fwd, bwd in bucket.values():
+        if len(fwd) + len(bwd) >= min_group:
+            fwd.sort()
+            bwd.sort()
+            _sweep(fwd, bwd, delta, index_class(), index_class(), visit_same)
+    fwd, bwd = _sorted_union(bucket)
+    _sweep(fwd, bwd, delta, index_class(), index_class(), visit_all)
+
+
 def combine(
-    subsets: list[tuple[list, list]],
+    bucket: dict[int, tuple[list, list]],
     delta: int,
     acc: list[int],
     start_in_upper: bool,
-    make_index: Callable[[int], object] | None = None,
+    index_class: type = TimestampIndex,
 ) -> None:
     """Count all distinct-middle wedge pairings of one end bucket into acc.
 
-    Each subset is the (forward, backward) wedge-list pair of one middle
-    vertex, both lists sorted by wedge priority.
+    The bucket maps each middle vertex to its (forward, backward) lists of
+    normalized (t_s, t_a, middle) wedges, in any order; the lists are sorted
+    in place.  One sweep counts every pair of the bucket, and one sweep per
+    middle holding two or more wedges counts the same-middle pairs, which
+    come from parallel edges and are subtracted.
     """
-    if len(subsets) < 2:
-        return
-    if make_index is None:
-        make_index = lambda slot: TimestampIndex()
-    visit = _counting_visit(acc, 0 if start_in_upper else 1)
-    _recur(subsets, 0, len(subsets), lambda L, R: _cross_lists(L, R, delta, make_index, visit))
+    layer = 0 if start_in_upper else 1
+    same = [0] * 6
+    _count_bucket(bucket, delta, index_class, _counting_visit(acc, layer), _counting_visit(same, layer))
+    for i in range(6):
+        acc[i] -= same[i]
 
 
 # --- engines ----------------------------------------------------------------
@@ -460,18 +430,21 @@ def count_baseline(
     return CountVector(acc)
 
 
-def _count_with_index(g, priority, delta, make_index) -> CountVector:
+def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int):
+    """Yield (layer bit, start, end, bucket) for every end bucket with two or more middles.
+
+    The bucket maps each middle vertex to its (forward, backward) lists of
+    normalized (t_s, t_a, middle) wedges.  Wedges whose two timestamps are
+    equal or more than delta apart are dropped on sight.
+    """
     _require_priority_layout(g)
-    acc = [0] * 6
     for layer, starts, mids, sprio, skeys, mkeys in _layer_passes(g, priority):
-        visit = _counting_visit(acc, layer)
         for s in range(len(starts)):
             ps = sprio[s]
             row = starts[s]
             cut = bisect_right(skeys[s], -ps)
             if cut >= len(row):
                 continue
-            # end vertex -> middle vertex -> (forward, backward) wedge lists
             ends: dict[int, dict[int, tuple[list, list]]] = {}
             for mi in range(cut, len(row)):
                 v, t1, _ = row[mi]
@@ -488,33 +461,35 @@ def _count_with_index(g, priority, delta, make_index) -> CountVector:
                     if pair is None:
                         by_mid[v] = pair = ([], [])
                     if d > 0:
-                        pair[0].append((t1, t2))
+                        pair[0].append((t1, t2, v))
                     else:
-                        pair[1].append((t2, t1))
-            for by_mid in ends.values():
-                if len(by_mid) < 2:
-                    continue
-                subsets = list(by_mid.values())
-                for fwd, bwd in subsets:
-                    fwd.sort(key=_wedge_order)
-                    bwd.sort(key=_wedge_order)
-                _recur(
-                    subsets,
-                    0,
-                    len(subsets),
-                    lambda L, R: _cross_lists(L, R, delta, make_index, visit),
-                )
-    return CountVector(acc)
+                        pair[1].append((t2, t1, v))
+            for end, by_mid in ends.items():
+                if len(by_mid) > 1:
+                    yield layer, s, end, by_mid
+
+
+def _count_with_index(g, priority, delta, index_class) -> CountVector:
+    every = [0] * 6
+    same = [0] * 6
+    visits = [(_counting_visit(every, layer), _counting_visit(same, layer)) for layer in (0, 1)]
+    for layer, _s, _end, bucket in _end_buckets(g, priority, delta):
+        visit_all, visit_same = visits[layer]
+        # a same-middle pair takes two edges on each leg with four distinct
+        # timestamps inside one delta span, so its middle holds all four
+        # wedges those edges cross into
+        _count_bucket(bucket, delta, index_class, visit_all, visit_same, min_group=4)
+    return CountVector(a - b for a, b in zip(every, same))
 
 
 def count_optimized(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int) -> CountVector:
-    """Prune dead wedges, then cross-match per-middle subsets with bucketed probes."""
-    return _count_with_index(g, priority, delta, lambda slot: TimestampIndex())
+    """Prune dead wedges, then sweep each end bucket with bucketed probes."""
+    return _count_with_index(g, priority, delta, TimestampIndex)
 
 
 def count_extreme(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int) -> CountVector:
-    """Same traversal as count_optimized with rank-arithmetic probes throughout."""
-    return _count_with_index(g, priority, delta, lambda slot: TwinOrderedIndex())
+    """Same sweep as count_optimized with rank-arithmetic probes throughout."""
+    return _count_with_index(g, priority, delta, TwinOrderedIndex)
 
 
 def count_sampled(

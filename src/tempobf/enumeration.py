@@ -13,11 +13,11 @@ from typing import Callable
 
 from .count import (
     CountVector,
-    _cross_lists,
+    _end_buckets,
     _layer_passes,
-    _recur,
     _require_priority_layout,
-    _wedge_order,
+    _sorted_union,
+    _sweep,
     classify_type,
 )
 from .graph import TemporalBipartiteGraph, VertexPriority
@@ -216,67 +216,35 @@ def enumerate_optimized(
     delta: int,
     sink: Sink,
 ) -> CountVector:
-    """Subset cross-matching with range-scan probes, emitting instances."""
-    _require_priority_layout(g)
+    """The counting sweep with range-scan probes, emitting instances.
+
+    Same-middle pairs, which come from parallel edges, are dropped as they
+    are reported instead of being counted and subtracted.
+    """
     acc = [0] * 6
-    make_index = lambda slot: _TraversalIndex(slot % 2 == 1)
-    for layer, starts, mids, sprio, skeys, mkeys in _layer_passes(g, priority):
+    for layer, s, end, bucket in _end_buckets(g, priority, delta):
         in_upper = layer == 0
         off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
         off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
-        for s in range(len(starts)):
-            ps = sprio[s]
-            row = starts[s]
-            cut = bisect_right(skeys[s], -ps)
-            if cut >= len(row):
-                continue
-            ends: dict[int, dict[int, tuple[list, list]]] = {}
-            for mi in range(cut, len(row)):
-                v, t1, _ = row[mi]
-                mrow = mids[v]
-                for wi in range(bisect_right(mkeys[v], -ps), len(mrow)):
-                    w, t2, _ = mrow[wi]
-                    d = t2 - t1
-                    if d == 0 or d > delta or -d > delta:
-                        continue
-                    by_mid = ends.get(w)
-                    if by_mid is None:
-                        ends[w] = by_mid = {}
-                    pair = by_mid.get(v)
-                    if pair is None:
-                        by_mid[v] = pair = ([], [])
-                    if d > 0:
-                        pair[0].append((t1, t2, v))
-                    else:
-                        pair[1].append((t2, t1, v))
-            for end, by_mid in ends.items():
-                if len(by_mid) < 2:
-                    continue
-                subsets = list(by_mid.values())
-                for fwd, bwd in subsets:
-                    fwd.sort(key=_wedge_order)
-                    bwd.sort(key=_wedge_order)
 
-                def visit(wedge, same_idx, diff_idx, slot, _s=s, _end=end, _in_upper=in_upper):
-                    ts, ta, mid = wedge
-                    cur_raw = (ta, ts) if slot % 2 else (ts, ta)
+        def visit(wedge, same_idx, diff_idx, backward):
+            ts, ta, mid = wedge
+            cur_raw = (ta, ts) if backward else (ts, ta)
 
-                    def report(type_index, ots, ota, omid, obackward):
-                        other_raw = (ota, ots) if obackward else (ots, ota)
-                        sink(
-                            _build_instance(
-                                type_index, _in_upper, _s, _end, mid, cur_raw, omid, other_raw
-                            )
-                        )
-                        acc[type_index] += 1
-
-                    same_idx.query_pairs(ta, off_same, report)
-                    diff_idx.query_pairs(ta, off_diff, report)
-
-                _recur(
-                    subsets,
-                    0,
-                    len(subsets),
-                    lambda L, R: _cross_lists(L, R, delta, make_index, visit),
+            def report(type_index, ots, ota, omid, obackward):
+                if omid == mid:
+                    return
+                other_raw = (ota, ots) if obackward else (ots, ota)
+                sink(
+                    _build_instance(
+                        type_index, in_upper, s, end, mid, cur_raw, omid, other_raw
+                    )
                 )
+                acc[type_index] += 1
+
+            same_idx.query_pairs(ta, off_same, report)
+            diff_idx.query_pairs(ta, off_diff, report)
+
+        fwd, bwd = _sorted_union(bucket)
+        _sweep(fwd, bwd, delta, _TraversalIndex(False), _TraversalIndex(True), visit)
     return CountVector(acc)

@@ -11,12 +11,13 @@ be counted independently per edge, in parallel, against one fixed graph.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
-from .count import CountVector, TimestampIndex, _counting_visit, _cross_lists, _wedge_order
+from .count import CountVector, classify_type
 from .graph import LAYOUT_TIME, TemporalBipartiteGraph, TemporalEdge, sort_adjacency_by_time
 
 __all__ = [
@@ -56,31 +57,28 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
     Every butterfly through e = (u, v, t) splits, seen from u, into the wedge
     through v whose first leg is e itself and a wedge through another middle,
     both ending at the opposite upper corner.  Both wedge families are read
-    off time-sorted adjacency inside [t - delta, t + delta] and cross-matched
-    per end vertex; only cross pairs are taken, so e is in every match.
+    off time-sorted adjacency inside [t - delta, t + delta] and grouped per
+    end vertex, and every via x other pair of one end is tested directly.
+    The via family is small, one wedge per edge at v inside the range, so
+    testing its pairs directly beats an indexed sweep, which would also
+    have to count, and then subtract, the pairs of two other-middle wedges.
     """
     _require_time_layout(g)
     if not g.has_edge(e):
         raise ValueError(f"edge {e} is not in the graph")
     u, v, t, _ = e
     acc = [0] * 6
-    via: dict[int, tuple[list, list]] = {}
+    # wedges as raw (start-edge t, arrival-edge t) pairs, keyed by end vertex
+    via: dict[int, list[tuple[int, int]]] = {}
     row = g.lower_adj[v]
     lo, hi = _time_range(row, t - delta, t + delta)
     for i in range(lo, hi):
         w, t2, _uid = row[i]
-        if w == u or t2 == t:
-            continue
-        pair = via.get(w)
-        if pair is None:
-            via[w] = pair = ([], [])
-        if t < t2:
-            pair[0].append((t, t2))
-        else:
-            pair[1].append((t2, t))
+        if w != u and t2 != t:
+            via.setdefault(w, []).append((t, t2))
     if not via:
         return CountVector.zeros()
-    other: dict[int, tuple[list, list]] = {}
+    other: dict[int, list[tuple[int, int]]] = {}
     urow = g.upper_adj[u]
     lo, hi = _time_range(urow, t - delta, t + delta)
     for i in range(lo, hi):
@@ -93,22 +91,14 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
             w, t2, _uid2 = xrow[j]
             if w == u or t2 == t or t2 == t1:
                 continue
-            if w not in via:
-                continue
-            pair = other.get(w)
-            if pair is None:
-                other[w] = pair = ([], [])
-            if t1 < t2:
-                pair[0].append((t1, t2))
-            else:
-                pair[1].append((t2, t1))
-    visit = _counting_visit(acc, 0)
-    make_index = lambda slot: TimestampIndex()
-    for w, other_pair in other.items():
-        via_pair = via[w]
-        for part in (*via_pair, *other_pair):
-            part.sort(key=_wedge_order)
-        _cross_lists(via_pair, other_pair, delta, make_index, visit)
+            if w in via:
+                other.setdefault(w, []).append((t1, t2))
+    for w, others in other.items():
+        for w1 in via[w]:
+            for w2 in others:
+                stamps = w1 + w2
+                if max(stamps) - min(stamps) <= delta and len(set(stamps)) == 4:
+                    acc[classify_type(w1, w2, True)] += 1
     return CountVector(acc)
 
 
@@ -123,7 +113,12 @@ def stream_delete(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge, live: 
     """Subtract the butterflies containing e from live, then remove e."""
     live.sub_(delta_count_edge(g, delta, e))
     g.remove_edge(e)
-    assert all(c >= 0 for c in live), "live counts went negative"
+    _check_live(live)
+
+
+def _check_live(live: CountVector) -> None:
+    if any(c < 0 for c in live):
+        raise ValueError(f"live counts went negative: {live.counts}; they did not match the graph")
 
 
 # --- batch path -------------------------------------------------------------
@@ -312,8 +307,10 @@ def batch_update(
     maximum-timestamp edge among the insertions, never both counted, so
     per-edge counting cannot double-count.  Insertions go into the graph
     before counting; deletions leave it only after counting is done.  The
-    counting phase is read-only on the graph and is split over workers, each
-    with its own accumulator, reduced deterministically at the end.
+    counting phase is read-only on the graph and is split into `workers`
+    slices, each with its own accumulator, reduced deterministically at the
+    end; the slices run on at most one thread per job and per CPU.  Raises
+    ValueError if live goes negative, which means it did not match the graph.
 
     Returns the inserted edge records.
     """
@@ -354,10 +351,11 @@ def batch_update(
                     added[i] += part[i]
         return removed, added
 
-    if workers == 1 or len(jobs) <= 1:
-        slices = [run_slice(0)] if jobs else []
+    threads = min(workers, len(jobs), os.cpu_count() or 1)
+    if threads <= 1:
+        slices = [run_slice(k) for k in range(workers)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             slices = list(pool.map(run_slice, range(workers)))
     removed_total = [0] * 6
     added_total = [0] * 6
@@ -369,7 +367,7 @@ def batch_update(
         g.remove_edge(e)
     live.add_(added_total)
     live.sub_(removed_total)
-    assert all(c >= 0 for c in live), "live counts went negative"
+    _check_live(live)
     if stats is not None:
         stats["removed"] = CountVector(removed_total)
         stats["added"] = CountVector(added_total)

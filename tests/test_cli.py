@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import tempobf
+import tempobf.cli
 from tempobf import RunConfig, gen_random_graph, load_edge_list, main, run_bench
 from conftest import F1, F2
 
@@ -216,6 +223,26 @@ class TestBench:
         counts = {tuple(r[3:]) for r in rows}
         assert len(counts) == 1
 
+    def test_seconds_come_untraced_and_peak_from_a_traced_run(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        triples = gen_random_graph(8, 8, 100, 200, seed=7)
+        path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in triples))
+        tracing = []
+        engine = tempobf.cli.count_extreme
+
+        def spy(*args):
+            tracing.append(tracemalloc.is_tracing())
+            return engine(*args)
+
+        monkeypatch.setattr(tempobf.cli, "count_extreme", spy)
+        (report,) = run_bench(RunConfig(input=str(path), delta=30, algos=("tbc++",)))
+        assert tracing == [False, True]
+        assert report.seconds > 0 and report.peak_bytes > 0
+        code, out, _ = run_cli(capsys, "bench", "--input", str(path), "--delta", "30", "--algos", "tbc++")
+        assert code == 0
+        _, seconds, peak = out.splitlines()[1].split("\t")[:3]
+        assert float(seconds) >= 0 and int(peak) > 0
+
     def test_timeout_marks_the_row(self, capsys, tmp_path):
         path = tmp_path / "g.txt"
         triples = gen_random_graph(10, 10, 3000, 50, seed=3)
@@ -250,6 +277,18 @@ class TestBench:
             main(list(argv))
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestModuleEntry:
+    def test_python_dash_m_prints_help(self):
+        src = str(Path(tempobf.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tempobf", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: tempobf")
 
 
 class TestGen:

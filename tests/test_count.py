@@ -18,6 +18,8 @@ from tempobf import (
     count_extreme,
     count_optimized,
     count_sampled,
+    enumerate_optimized,
+    null_sink,
     oracle_count,
     oracle_static_pairings,
 )
@@ -32,6 +34,17 @@ triples_strategy = st.lists(
     max_size=28,
 )
 delta_strategy = st.integers(0, 50)
+# four vertices a layer, 8 to 40 edges: most vertex pairs carry parallel
+# edges, so end buckets hold many same-middle wedge pairs to subtract
+parallel_triples_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 3).map("u{}".format),
+        st.integers(0, 3).map("v{}".format),
+        st.integers(0, 30),
+    ),
+    min_size=8,
+    max_size=40,
+)
 
 quadruple_strategy = st.lists(st.integers(0, 100), min_size=4, max_size=4, unique=True)
 
@@ -196,47 +209,73 @@ class TestIndexes:
             assert twin.start_counts() == (len(inserted), len(inserted))
 
 
+def bucket_of(groups):
+    """combine's input: middle m -> (forward, backward) lists of (lo, hi, m) wedges."""
+    return {
+        m: ([(lo, hi, m) for lo, hi in fwd], [(lo, hi, m) for lo, hi in bwd])
+        for m, (fwd, bwd) in enumerate(groups)
+    }
+
+
+def naive_combine(groups, delta, upper):
+    """Type every distinct-middle wedge pair directly; backward wedges run hi to lo."""
+    raws = [
+        (m, (lo, hi) if direction == 0 else (hi, lo))
+        for m, lists in enumerate(groups)
+        for direction, wedges in enumerate(lists)
+        for lo, hi in wedges
+    ]
+    acc = [0] * 6
+    for (m1, w1), (m2, w2) in combinations(raws, 2):
+        stamps = w1 + w2
+        if m1 != m2 and len(set(stamps)) == 4 and max(stamps) - min(stamps) <= delta:
+            acc[classify_type(w1, w2, upper)] += 1
+    return acc
+
+
 class TestCombine:
     def test_single_bucket_is_a_no_op(self):
+        # (1, 2) and (3, 4) through one middle come from parallel edges: no butterfly
         acc = [0] * 6
-        combine([([(1, 2)], [])], 10, acc, True)
+        combine(bucket_of([([(1, 2), (3, 4)], [])]), 10, acc, True)
         assert acc == [0] * 6
 
     def test_two_singleton_buckets_within_delta(self):
         acc = [0] * 6
-        combine([([(1, 2)], []), ([(3, 4)], [])], 10, acc, True)
+        combine(bucket_of([([(1, 2)], []), ([(3, 4)], [])]), 10, acc, True)
         assert acc == [1, 0, 0, 0, 0, 0]
 
     def test_two_singleton_buckets_beyond_delta(self):
         acc = [0] * 6
-        combine([([(1, 2)], []), ([(3, 4)], [])], 2, acc, True)
+        combine(bucket_of([([(1, 2)], []), ([(3, 4)], [])]), 2, acc, True)
         assert acc == [0] * 6
 
     def test_lower_layer_start_flips_types(self):
         acc = [0] * 6
-        combine([([(1, 2)], []), ([(3, 4)], [])], 10, acc, False)
+        combine(bucket_of([([(1, 2)], []), ([(3, 4)], [])]), 10, acc, False)
         assert acc == [0, 1, 0, 0, 0, 0]
 
     @PROPERTY_SETTINGS
     @given(
         st.lists(
             st.tuples(st.lists(wedge_strategy, max_size=4), st.lists(wedge_strategy, max_size=4)),
-            min_size=2,
+            min_size=1,
             max_size=4,
         ),
         st.integers(0, 40),
         st.booleans(),
     )
-    def test_index_choice_does_not_change_combine(self, subsets, delta, upper):
-        ordered = [
-            (sorted(fwd, key=lambda w: (-w[0], w[1])), sorted(bwd, key=lambda w: (-w[0], w[1])))
-            for fwd, bwd in subsets
+    def test_index_choice_does_not_change_combine(self, groups, delta, upper):
+        # combine takes wedges the engines keep: spans within delta
+        groups = [
+            ([w for w in fwd if w[1] - w[0] <= delta], [w for w in bwd if w[1] - w[0] <= delta])
+            for fwd, bwd in groups
         ]
-        flat_acc = [0] * 6
-        twin_acc = [0] * 6
-        combine(ordered, delta, flat_acc, upper, make_index=lambda slot: TimestampIndex())
-        combine(ordered, delta, twin_acc, upper, make_index=lambda slot: TwinOrderedIndex())
-        assert flat_acc == twin_acc
+        expected = naive_combine(groups, delta, upper)
+        for index_class in (TimestampIndex, TwinOrderedIndex):
+            acc = [0] * 6
+            combine(bucket_of(groups), delta, acc, upper, index_class)
+            assert acc == expected
 
 
 def exhaustive_census(triples, delta):
@@ -287,6 +326,16 @@ class TestEngines:
         oracle = oracle_count(build_plain(triples), delta)
         for got in all_engine_counts(triples, delta):
             assert got == oracle
+
+    @PROPERTY_SETTINGS
+    @given(parallel_triples_strategy, st.integers(0, 30))
+    def test_parallel_edges_agree_with_baseline_and_oracle(self, triples, delta):
+        g, priority = build_priority(triples)
+        expected = count_baseline(g, priority, delta)
+        assert expected == oracle_count(build_plain(triples), delta)
+        assert count_optimized(g, priority, delta) == expected
+        assert count_extreme(g, priority, delta) == expected
+        assert enumerate_optimized(g, priority, delta, null_sink) == expected
 
     @PROPERTY_SETTINGS
     @given(triples_strategy, delta_strategy)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+import tempobf.stream
 from tempobf import (
     CountVector,
     SlidingWindow,
@@ -94,6 +96,12 @@ class TestSingleEdgeStream:
             assert live == oracle_count(g, 3)
             assert all(c >= 0 for c in live)
         assert live == [0] * 6 and g.edge_count == 0
+
+    def test_live_below_zero_raises(self):
+        # live claims no butterflies, yet deleting a wing of F1 removes one
+        g = build_time(F1)
+        with pytest.raises(ValueError, match="negative"):
+            stream_delete(g, 3, g.edges()[0], CountVector.zeros())
 
     def test_uninvolved_edge_changes_nothing(self):
         g = build_time(F1 + (("u3", "v3", 2),))
@@ -194,6 +202,42 @@ class TestBatchUpdate:
         g = build_time(F1)
         with pytest.raises(ValueError, match="not in the graph"):
             batch_update(g, 3, [TemporalEdge(0, 0, 1, uid=50)], [], CountVector.zeros())
+
+    def test_live_below_zero_raises(self):
+        g = build_time(F1)
+        with pytest.raises(ValueError, match="negative"):
+            batch_update(g, 3, g.edges()[:2], [], CountVector.zeros())
+
+    def test_pool_is_capped_by_jobs_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs the slices inline and records the requested pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(tempobf.stream, "ThreadPoolExecutor", RecordingPool)
+        threads_before = threading.active_count()
+        insertions = [("u9", "v9", 9), ("u9", "v8", 10), ("u8", "v9", 11), ("u8", "v8", 12)]
+        for cpus, batch, expected in ((4, insertions, [4]), (4, insertions[:1], [3]), (None, insertions, [])):
+            sizes.clear()
+            monkeypatch.setattr(tempobf.stream.os, "cpu_count", lambda: cpus)
+            g = build_time(F1)
+            live = CountVector([0, 1, 0, 0, 0, 0])
+            batch_update(g, 3, g.edges()[:2], batch, live, workers=64)
+            assert sizes == expected
+            assert live == exact_counts(list(F1[2:]) + batch, 3)
+        assert threading.active_count() == threads_before
 
     def test_worker_count_validated(self):
         g = build_time(F1)
