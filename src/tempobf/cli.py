@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--window", type=int, required=True, help="window capacity in edges")
     p_stream.add_argument("--stride", type=int, default=None, help="edges per step (default 5%% of window)")
     p_stream.add_argument("--engine", choices=STREAM_ENGINES, default="stbc+")
-    p_stream.add_argument("--workers", type=int, default=1, help="threads inside batch updates")
+    p_stream.add_argument("--workers", type=int, default=1, help="slices of each batch update, run in turn on one thread")
 
     p_bench = sub.add_parser("bench", help="time engines on one graph")
     add_io(p_bench)

@@ -14,7 +14,7 @@ carries a layout tag and the engines check it before running.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -56,7 +56,10 @@ class TemporalBipartiteGraph:
     """Adjacency-list temporal bipartite multigraph.
 
     Each adjacency entry is a (neighbor, t, uid) tuple and every edge appears
-    in exactly two lists, one per endpoint.
+    in exactly two lists, one per endpoint.  In the time layout,
+    upper_times and lower_times hold each row's timestamps as plain ints,
+    parallel to upper_adj and lower_adj, so time ranges bisect at C speed;
+    they are not read in any other layout.
     """
 
     __slots__ = (
@@ -71,6 +74,8 @@ class TemporalBipartiteGraph:
         "_next_uid",
         "_upper_keys",
         "_lower_keys",
+        "upper_times",
+        "lower_times",
     )
 
     def __init__(self) -> None:
@@ -86,6 +91,9 @@ class TemporalBipartiteGraph:
         # parallel arrays of negated neighbor priorities, valid in priority layout
         self._upper_keys: list[list[int]] | None = None
         self._lower_keys: list[list[int]] | None = None
+        # parallel arrays of timestamps, valid in time layout
+        self.upper_times: list[list[int]] | None = None
+        self.lower_times: list[list[int]] | None = None
 
     @property
     def upper_count(self) -> int:
@@ -149,18 +157,16 @@ class TemporalBipartiteGraph:
         v = self._intern(str(v_token), self._lower_ids, self.lower_tokens, self.lower_adj)
         uid = self._next_uid
         self._next_uid = uid + 1
-        row = self.upper_adj[u]
-        row.insert(bisect_right(row, t, key=_entry_t), (v, t, uid))
-        row = self.lower_adj[v]
-        row.insert(bisect_right(row, t, key=_entry_t), (u, t, uid))
+        _insert_entry(self.upper_adj[u], _times_row(self.upper_times, u), (v, t, uid))
+        _insert_entry(self.lower_adj[v], _times_row(self.lower_times, v), (u, t, uid))
         self.edge_count += 1
         return TemporalEdge(u, v, t, uid)
 
     def remove_edge(self, e: TemporalEdge) -> None:
         if self.layout != LAYOUT_TIME:
             raise ValueError("remove_edge requires the time layout")
-        _remove_entry(self.upper_adj[e.u], e.v, e.t, e.uid)
-        _remove_entry(self.lower_adj[e.v], e.u, e.t, e.uid)
+        _remove_entry(self.upper_adj[e.u], self.upper_times[e.u], e.v, e.t, e.uid)
+        _remove_entry(self.lower_adj[e.v], self.lower_times[e.v], e.u, e.t, e.uid)
         self.edge_count -= 1
 
     def has_edge(self, e: TemporalEdge) -> bool:
@@ -168,27 +174,38 @@ class TemporalBipartiteGraph:
             return False
         row = self.upper_adj[e.u]
         if self.layout == LAYOUT_TIME:
-            i = bisect_right(row, e.t - 1, key=_entry_t)
-            while i < len(row) and row[i][1] == e.t:
-                if row[i][2] == e.uid:
-                    return True
-                i += 1
-            return False
+            return _find_entry(row, self.upper_times[e.u], e.t, e.uid) is not None
         return any(uid == e.uid for _, _, uid in row)
 
 
-def _entry_t(entry: tuple[int, int, int]) -> int:
-    return entry[1]
+def _times_row(times: list[list[int]], vid: int) -> list[int]:
+    """The timestamp row of vid, appending an empty one for a newly interned vertex."""
+    if vid == len(times):
+        times.append([])
+    return times[vid]
 
 
-def _remove_entry(row: list[tuple[int, int, int]], nbr: int, t: int, uid: int) -> None:
-    i = bisect_right(row, t - 1, key=_entry_t)
-    while i < len(row) and row[i][1] == t:
+def _insert_entry(row: list[tuple[int, int, int]], times: list[int], entry: tuple[int, int, int]) -> None:
+    i = bisect_right(times, entry[1])
+    row.insert(i, entry)
+    times.insert(i, entry[1])
+
+
+def _find_entry(row: list[tuple[int, int, int]], times: list[int], t: int, uid: int) -> int | None:
+    i = bisect_left(times, t)
+    while i < len(times) and times[i] == t:
         if row[i][2] == uid:
-            del row[i]
-            return
+            return i
         i += 1
-    raise KeyError(f"edge to {nbr} at t={t} (uid {uid}) not present")
+    return None
+
+
+def _remove_entry(row: list[tuple[int, int, int]], times: list[int], nbr: int, t: int, uid: int) -> None:
+    i = _find_entry(row, times, t, uid)
+    if i is None:
+        raise KeyError(f"edge to {nbr} at t={t} (uid {uid}) not present")
+    del row[i]
+    del times[i]
 
 
 def compute_vertex_priority(g: TemporalBipartiteGraph) -> VertexPriority:
@@ -223,15 +240,23 @@ def sort_adjacency_by_priority(g: TemporalBipartiteGraph, priority: VertexPriori
         row.sort(key=lambda e: (-up[e[0]], e[1], e[2]))
     g._upper_keys = [[-lp[e[0]] for e in row] for row in g.upper_adj]
     g._lower_keys = [[-up[e[0]] for e in row] for row in g.lower_adj]
+    g.upper_times = None
+    g.lower_times = None
     g.layout = LAYOUT_PRIORITY
 
 
 def sort_adjacency_by_time(g: TemporalBipartiteGraph) -> None:
-    """Order every adjacency list chronologically, arrival index as tie-break."""
+    """Order every adjacency list chronologically, arrival index as tie-break.
+
+    Also builds, per list, the parallel array of timestamps that the
+    streaming engines and mutations bisect.
+    """
     for row in g.upper_adj:
         row.sort(key=lambda e: (e[1], e[2]))
     for row in g.lower_adj:
         row.sort(key=lambda e: (e[1], e[2]))
+    g.upper_times = [[e[1] for e in row] for row in g.upper_adj]
+    g.lower_times = [[e[1] for e in row] for row in g.lower_adj]
     g._upper_keys = None
     g._lower_keys = None
     g.layout = LAYOUT_TIME

@@ -6,15 +6,20 @@ butterflies containing that edge.  The batch engine exploits that windows
 slide chronologically: a deleted edge only ever accounts for butterflies in
 which it is the strict minimum timestamp, an inserted edge for those where
 it is the strict maximum, so a whole stride of deletions and insertions can
-be counted independently per edge, in parallel, against one fixed graph.
+be counted independently per edge against one fixed graph.  Each such edge
+(u, v, t) expands its 2-paths u-x-w-v through whichever endpoint has fewer
+edges inside the edge's time range, the degree-priority idea of
+vertex-priority butterfly counting, and reads every range off per-row
+timestamp arrays with plain bisects.  The batch's edges are split into
+`workers` deterministic slices that run one after another on the calling
+thread: the counting is pure Python, so threads would only contend for the
+interpreter lock.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 from .count import CountVector, classify_type
@@ -42,13 +47,9 @@ def _require_time_layout(g: TemporalBipartiteGraph) -> None:
         raise ValueError("streaming requires time-sorted adjacency; call sort_adjacency_by_time")
 
 
-def _entry_t(entry: tuple[int, int, int]) -> int:
-    return entry[1]
-
-
-def _time_range(row: list[tuple[int, int, int]], lo: int, hi: int) -> tuple[int, int]:
-    """Index range of entries with lo <= t <= hi."""
-    return bisect_left(row, lo, key=_entry_t), bisect_right(row, hi, key=_entry_t)
+def _time_range(times: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Index range of a row's entries with lo <= t <= hi, from its timestamp array."""
+    return bisect_left(times, lo), bisect_right(times, hi)
 
 
 def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> CountVector:
@@ -71,7 +72,7 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
     # wedges as raw (start-edge t, arrival-edge t) pairs, keyed by end vertex
     via: dict[int, list[tuple[int, int]]] = {}
     row = g.lower_adj[v]
-    lo, hi = _time_range(row, t - delta, t + delta)
+    lo, hi = _time_range(g.lower_times[v], t - delta, t + delta)
     for i in range(lo, hi):
         w, t2, _uid = row[i]
         if w != u and t2 != t:
@@ -80,13 +81,13 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
         return CountVector.zeros()
     other: dict[int, list[tuple[int, int]]] = {}
     urow = g.upper_adj[u]
-    lo, hi = _time_range(urow, t - delta, t + delta)
+    lo, hi = _time_range(g.upper_times[u], t - delta, t + delta)
     for i in range(lo, hi):
         x, t1, _uid = urow[i]
         if x == v or t1 == t:
             continue
         xrow = g.lower_adj[x]
-        xlo, xhi = _time_range(xrow, max(t, t1) - delta, min(t, t1) + delta)
+        xlo, xhi = _time_range(g.lower_times[x], max(t, t1) - delta, min(t, t1) + delta)
         for j in range(xlo, xhi):
             w, t2, _uid2 = xrow[j]
             if w == u or t2 == t or t2 == t1:
@@ -110,53 +111,24 @@ def stream_insert(g: TemporalBipartiteGraph, delta: int, u_token: str, v_token: 
 
 
 def stream_delete(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge, live: CountVector) -> None:
-    """Subtract the butterflies containing e from live, then remove e."""
-    live.sub_(delta_count_edge(g, delta, e))
+    """Subtract the butterflies containing e from live, then remove e.
+
+    Raises ValueError, leaving graph and live untouched, if live would go
+    negative, which means it did not match the graph.
+    """
+    removed = delta_count_edge(g, delta, e)
+    _check_live(live, [0] * 6, removed)
+    live.sub_(removed)
     g.remove_edge(e)
-    _check_live(live)
 
 
-def _check_live(live: CountVector) -> None:
-    if any(c < 0 for c in live):
-        raise ValueError(f"live counts went negative: {live.counts}; they did not match the graph")
+def _check_live(live: CountVector, added: list[int], removed: list[int]) -> None:
+    after = [c + a - r for c, a, r in zip(live, added, removed)]
+    if any(c < 0 for c in after):
+        raise ValueError(f"live counts would go negative: {after}; they did not match the graph")
 
 
 # --- batch path -------------------------------------------------------------
-
-
-class SortedWedgeColumns:
-    """Per-end-vertex wedge store as four independently sorted columns.
-
-    Forward and backward wedges each keep their start timestamps and arrival
-    timestamps in two parallel-by-multiset ascending lists.  Columns are
-    filled unsorted and sorted lazily on first probe, so buckets that never
-    meet a partner wedge are never sorted.  Rank queries are binary searches.
-    """
-
-    __slots__ = ("fwd_starts", "fwd_arrivals", "bwd_starts", "bwd_arrivals", "_sorted")
-
-    def __init__(self) -> None:
-        self.fwd_starts: list[int] = []
-        self.fwd_arrivals: list[int] = []
-        self.bwd_starts: list[int] = []
-        self.bwd_arrivals: list[int] = []
-        self._sorted = False
-
-    def add(self, ts: int, ta: int) -> None:
-        if ts < ta:
-            self.fwd_starts.append(ts)
-            self.fwd_arrivals.append(ta)
-        else:
-            self.bwd_starts.append(ta)
-            self.bwd_arrivals.append(ts)
-
-    def ensure_sorted(self) -> None:
-        if not self._sorted:
-            self.fwd_starts.sort()
-            self.fwd_arrivals.sort()
-            self.bwd_starts.sort()
-            self.bwd_arrivals.sort()
-            self._sorted = True
 
 
 def _count_gt(col: list[int], x: int) -> int:
@@ -171,98 +143,94 @@ def _count_lt(col: list[int], x: int) -> int:
     return bisect_left(col, x)
 
 
-def _count_edge_as_minimum(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> list[int]:
-    """Counts of butterflies containing e in which e.t is the strict minimum.
+def _count_edge_extreme(
+    g: TemporalBipartiteGraph,
+    delta: int,
+    e: TemporalEdge,
+    as_max: bool,
+    from_upper: bool | None = None,
+) -> list[int]:
+    """Counts of butterflies containing e in which e.t is the strict extreme.
 
-    All other timestamps then lie in (t, t + delta], so the span bound holds
-    by construction and the via-v wedge is always forward.
+    As the minimum (as_max false) every other timestamp lies in
+    (t, t + delta], as the maximum in [t - delta, t), so the span bound
+    holds by construction.  A butterfly is e = (u, v), a 2-path u-x-w-v with
+    both legs in that range, and the edge (u, x) or (w, v) that closes it.
+    The 2-paths are expanded through whichever endpoint has fewer in-range
+    edges: its in-range neighbours are walked, each one's row is bisected,
+    and the other endpoint's in-range neighbours sit in a dict that the walk
+    looks up.  Each walked neighbour's 2-paths are ranked against its own
+    edges to that endpoint, the pivots, which close a wedge (t, pivot) that
+    is forward as the minimum and backward as the maximum.  Walking from u
+    sees the butterflies from v, a lower start vertex, which flips the type
+    index's low bit.  from_upper forces the direction (true: through u) so
+    that tests can run both.
     """
     u, v, t, _ = e
-    hi = t + delta
-    via: dict[int, list[int]] = {}
-    row = g.lower_adj[v]
-    for i in range(*_time_range(row, t + 1, hi)):
-        w, t2, _uid = row[i]
-        if w != u:
-            via.setdefault(w, []).append(t2)
+    lo, hi = (t - delta, t - 1) if as_max else (t + 1, t + delta)
+    upper_adj, upper_times = g.upper_adj, g.upper_times
+    lower_adj, lower_times = g.lower_adj, g.lower_times
     acc = [0] * 6
-    if not via:
+    vlo, vhi = _time_range(lower_times[v], lo, hi)
+    if vlo == vhi:
         return acc
-    other: dict[int, SortedWedgeColumns] = {}
-    urow = g.upper_adj[u]
-    for i in range(*_time_range(urow, t + 1, hi)):
-        x, t1, _uid = urow[i]
-        if x == v:
-            continue
-        xrow = g.lower_adj[x]
-        for j in range(*_time_range(xrow, t + 1, hi)):
-            w, t2, _uid2 = xrow[j]
-            if w == u or t2 == t1 or w not in via:
-                continue
-            cols = other.get(w)
-            if cols is None:
-                other[w] = cols = SortedWedgeColumns()
-            cols.add(t1, t2)
-    for w, cols in other.items():
-        cols.ensure_sorted()
-        fs, fa = cols.fwd_starts, cols.fwd_arrivals
-        bs, ba = cols.bwd_starts, cols.bwd_arrivals
-        for pivot in via[w]:
-            # via wedge (t, pivot) is forward; forward partners are same direction
-            acc[0] += _count_gt(fs, pivot)
-            acc[1] += _count_gt(fa, pivot) - _count_ge(fs, pivot)
-            acc[2] += _count_lt(fa, pivot)
-            acc[3] += _count_gt(bs, pivot)
-            acc[4] += _count_gt(ba, pivot) - _count_ge(bs, pivot)
-            acc[5] += _count_lt(ba, pivot)
-    return acc
-
-
-def _count_edge_as_maximum(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> list[int]:
-    """Counts of butterflies containing e in which e.t is the strict maximum.
-
-    Mirror image of the minimum path: ranges become [t - delta, t) and the
-    via-v wedge is always backward, which swaps the same-direction partner
-    subset and mirrors the rank arithmetic.
-    """
-    u, v, t, _ = e
-    lo = t - delta
-    via: dict[int, list[int]] = {}
-    row = g.lower_adj[v]
-    for i in range(*_time_range(row, lo, t - 1)):
-        w, t2, _uid = row[i]
+    ulo, uhi = _time_range(upper_times[u], lo, hi)
+    # in-range neighbours of each endpoint, the other endpoint excluded, with their edges' timestamps
+    near_v: dict[int, list[int]] = {}
+    for w, tw, _uid in lower_adj[v][vlo:vhi]:
         if w != u:
-            via.setdefault(w, []).append(t2)
-    acc = [0] * 6
-    if not via:
+            near_v.setdefault(w, []).append(tw)
+    near_u: dict[int, list[int]] = {}
+    for x, tx, _uid in upper_adj[u][ulo:uhi]:
+        if x != v:
+            near_u.setdefault(x, []).append(tx)
+    if not near_v or not near_u:
         return acc
-    other: dict[int, SortedWedgeColumns] = {}
-    urow = g.upper_adj[u]
-    for i in range(*_time_range(urow, lo, t - 1)):
-        x, t1, _uid = urow[i]
-        if x == v:
+    if from_upper is None:
+        from_upper = uhi - ulo <= vhi - vlo
+    if from_upper:
+        walk, look, rows, times = near_u, near_v, lower_adj, lower_times
+    else:
+        walk, look, rows, times = near_v, near_u, upper_adj, upper_times
+    for y, pivots in walk.items():
+        # wedges endpoint-z-y: ts on the looked-up edge, ta on y's; sorted columns per direction
+        fs, fa, bs, ba = [], [], [], []
+        a, b = _time_range(times[y], lo, hi)
+        for z, ta, _uid in rows[y][a:b]:
+            starts = look.get(z)
+            if starts is not None:
+                for ts in starts:
+                    if ts < ta:
+                        fs.append(ts)
+                        fa.append(ta)
+                    elif ts > ta:
+                        bs.append(ta)
+                        ba.append(ts)
+        if not fs and not bs:
             continue
-        xrow = g.lower_adj[x]
-        for j in range(*_time_range(xrow, lo, t - 1)):
-            w, t2, _uid2 = xrow[j]
-            if w == u or t2 == t1 or w not in via:
-                continue
-            cols = other.get(w)
-            if cols is None:
-                other[w] = cols = SortedWedgeColumns()
-            cols.add(t1, t2)
-    for w, cols in other.items():
-        cols.ensure_sorted()
-        fs, fa = cols.fwd_starts, cols.fwd_arrivals
-        bs, ba = cols.bwd_starts, cols.bwd_arrivals
-        for pivot in via[w]:
-            # via wedge (pivot, t) is backward; backward partners are same direction
-            acc[0] += _count_lt(ba, pivot)
-            acc[1] += _count_gt(ba, pivot) - _count_ge(bs, pivot)
-            acc[2] += _count_gt(bs, pivot)
-            acc[3] += _count_lt(fa, pivot)
-            acc[4] += _count_gt(fa, pivot) - _count_ge(fs, pivot)
-            acc[5] += _count_gt(fs, pivot)
+        fs.sort()
+        fa.sort()
+        bs.sort()
+        ba.sort()
+        for pivot in pivots:
+            if as_max:
+                # wedge (pivot, t) is backward; backward partners are same direction
+                acc[0] += _count_lt(ba, pivot)
+                acc[1] += _count_gt(ba, pivot) - _count_ge(bs, pivot)
+                acc[2] += _count_gt(bs, pivot)
+                acc[3] += _count_lt(fa, pivot)
+                acc[4] += _count_gt(fa, pivot) - _count_ge(fs, pivot)
+                acc[5] += _count_gt(fs, pivot)
+            else:
+                # wedge (t, pivot) is forward; forward partners are same direction
+                acc[0] += _count_gt(fs, pivot)
+                acc[1] += _count_gt(fa, pivot) - _count_ge(fs, pivot)
+                acc[2] += _count_lt(fa, pivot)
+                acc[3] += _count_gt(bs, pivot)
+                acc[4] += _count_gt(ba, pivot) - _count_ge(bs, pivot)
+                acc[5] += _count_lt(ba, pivot)
+    if from_upper:
+        return [acc[k ^ 1] for k in range(6)]
     return acc
 
 
@@ -309,8 +277,10 @@ def batch_update(
     before counting; deletions leave it only after counting is done.  The
     counting phase is read-only on the graph and is split into `workers`
     slices, each with its own accumulator, reduced deterministically at the
-    end; the slices run on at most one thread per job and per CPU.  Raises
-    ValueError if live goes negative, which means it did not match the graph.
+    end; the slices run one after another on the calling thread.  Raises
+    ValueError if live would go negative, which means it did not match the
+    graph; the inserted edges are then removed again, so graph and live are
+    left as they were.
 
     Returns the inserted edge records.
     """
@@ -335,42 +305,33 @@ def batch_update(
             raise ValueError("insertion batch is not a newest-timestamp suffix of the stream")
     inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]
 
-    jobs: list[tuple[TemporalEdge, int]] = [(e, -1) for e in deletions] + [(e, 1) for e in inserted]
-
-    def run_slice(k: int) -> tuple[list[int], list[int]]:
-        removed = [0] * 6
-        added = [0] * 6
-        for e, sign in jobs[k::workers]:
-            if sign < 0:
-                part = _count_edge_as_minimum(g, delta, e)
-                for i in range(6):
-                    removed[i] += part[i]
-            else:
-                part = _count_edge_as_maximum(g, delta, e)
-                for i in range(6):
-                    added[i] += part[i]
-        return removed, added
-
-    threads = min(workers, len(jobs), os.cpu_count() or 1)
-    if threads <= 1:
-        slices = [run_slice(k) for k in range(workers)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slices = list(pool.map(run_slice, range(workers)))
-    removed_total = [0] * 6
-    added_total = [0] * 6
-    for removed, added in slices:
+    jobs: list[tuple[TemporalEdge, bool]] = [(e, False) for e in deletions] + [(e, True) for e in inserted]
+    removed = [0] * 6
+    added = [0] * 6
+    for k in range(workers):
+        part_removed = [0] * 6
+        part_added = [0] * 6
+        for e, as_max in jobs[k::workers]:
+            part = _count_edge_extreme(g, delta, e, as_max)
+            acc = part_added if as_max else part_removed
+            for i in range(6):
+                acc[i] += part[i]
         for i in range(6):
-            removed_total[i] += removed[i]
-            added_total[i] += added[i]
+            removed[i] += part_removed[i]
+            added[i] += part_added[i]
+    try:
+        _check_live(live, added, removed)
+    except ValueError:
+        for e in reversed(inserted):
+            g.remove_edge(e)
+        raise
     for e in deletions:
         g.remove_edge(e)
-    live.add_(added_total)
-    live.sub_(removed_total)
-    _check_live(live)
+    live.add_(added)
+    live.sub_(removed)
     if stats is not None:
-        stats["removed"] = CountVector(removed_total)
-        stats["added"] = CountVector(added_total)
+        stats["removed"] = CountVector(removed)
+        stats["added"] = CountVector(added)
     return inserted
 
 

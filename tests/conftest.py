@@ -40,6 +40,15 @@ def build_time(triples):
     return g
 
 
+def assert_times_match_rows(g):
+    """The time layout's timestamp arrays mirror its adjacency rows."""
+    assert len(g.upper_times) == len(g.upper_adj)
+    assert len(g.lower_times) == len(g.lower_adj)
+    for times, adj in ((g.upper_times, g.upper_adj), (g.lower_times, g.lower_adj)):
+        for row_times, row in zip(times, adj):
+            assert row_times == [t for _, t, _ in row]
+
+
 def build_plain(triples):
     return TemporalBipartiteGraph.from_edges(triples)
 

@@ -20,7 +20,8 @@ from tempobf import (
     sort_adjacency_by_time,
 )
 from tempobf.graph import LAYOUT_PRIORITY, LAYOUT_TIME, LAYOUT_UNSORTED
-from conftest import PROPERTY_SETTINGS, build_priority, build_time, random_triples
+from tempobf import CountVector, batch_update, delta_count_edge, stream_delete, stream_insert
+from conftest import PROPERTY_SETTINGS, assert_times_match_rows, build_priority, build_time, random_triples
 
 triples_strategy = st.lists(
     st.tuples(
@@ -228,3 +229,55 @@ class TestStreamingMutation:
         for adj in (g.upper_adj, g.lower_adj):
             for row in adj:
                 assert all(row[i][1] <= row[i + 1][1] for i in range(len(row) - 1))
+
+
+class TestTimestampArrays:
+    """In the time layout each row's timestamps are mirrored as plain ints."""
+
+    @PROPERTY_SETTINGS
+    @given(triples_strategy, st.integers(0, 2**32 - 1))
+    def test_arrays_track_rows_through_inserts_and_removes(self, triples, seed):
+        rng = random.Random(seed)
+        g = build_time(triples)
+        assert_times_match_rows(g)
+        live = g.edges()
+        for _ in range(30):
+            if live and rng.random() < 0.4:
+                g.remove_edge(live.pop(rng.randrange(len(live))))
+            elif live and rng.random() < 0.3:
+                # duplicate of a live edge: same endpoints and timestamp
+                e = rng.choice(live)
+                live.append(g.insert_edge(g.upper_tokens[e.u], g.lower_tokens[e.v], e.t))
+            else:
+                live.append(g.insert_edge(f"u{rng.randrange(10)}", f"v{rng.randrange(10)}", rng.randint(0, 50)))
+            assert_times_match_rows(g)
+        assert all(g.has_edge(e) for e in live)
+
+    @pytest.mark.parametrize("leave", ["add_edge", "priority"])
+    def test_leaving_the_time_layout_disables_streaming(self, leave):
+        g = build_time([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "y", 4)])
+        e = g.edges()[0]
+        if leave == "add_edge":
+            g.add_edge("c", "z", 5)
+            assert g.layout == LAYOUT_UNSORTED
+        else:
+            sort_adjacency_by_priority(g, compute_vertex_priority(g))
+            assert g.layout == LAYOUT_PRIORITY
+            assert g.upper_times is None and g.lower_times is None
+        live = CountVector([0, 1, 0, 0, 0, 0])
+        with pytest.raises(ValueError, match="time layout"):
+            g.insert_edge("a", "z", 9)
+        with pytest.raises(ValueError, match="time layout"):
+            g.remove_edge(e)
+        with pytest.raises(ValueError, match="time"):
+            delta_count_edge(g, 3, e)
+        with pytest.raises(ValueError, match="time"):
+            stream_insert(g, 3, "a", "z", 9, live)
+        with pytest.raises(ValueError, match="time"):
+            stream_delete(g, 3, e, live)
+        with pytest.raises(ValueError, match="time"):
+            batch_update(g, 3, [e], [], live)
+        assert live == [0, 1, 0, 0, 0, 0]
+        sort_adjacency_by_time(g)
+        assert_times_match_rows(g)
+        assert g.has_edge(e)

@@ -8,7 +8,6 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-import tempobf.stream
 from tempobf import (
     CountVector,
     SlidingWindow,
@@ -25,7 +24,8 @@ from tempobf import (
     stream_delete,
     stream_insert,
 )
-from conftest import F1, PROPERTY_SETTINGS, build_plain, build_priority, build_time
+from tempobf.stream import _count_edge_extreme
+from conftest import F1, PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time
 
 triples_strategy = st.lists(
     st.tuples(
@@ -102,6 +102,16 @@ class TestSingleEdgeStream:
         g = build_time(F1)
         with pytest.raises(ValueError, match="negative"):
             stream_delete(g, 3, g.edges()[0], CountVector.zeros())
+
+    def test_negative_live_leaves_state_untouched(self):
+        g = build_time(F1)
+        live = CountVector.zeros()
+        edges_before = g.edges()
+        with pytest.raises(ValueError, match="negative"):
+            stream_delete(g, 3, edges_before[0], live)
+        assert g.edge_count == 4
+        assert g.edges() == edges_before
+        assert live == [0] * 6
 
     def test_uninvolved_edge_changes_nothing(self):
         g = build_time(F1 + (("u3", "v3", 2),))
@@ -208,36 +218,30 @@ class TestBatchUpdate:
         with pytest.raises(ValueError, match="negative"):
             batch_update(g, 3, g.edges()[:2], [], CountVector.zeros())
 
-    def test_pool_is_capped_by_jobs_and_cpus(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Runs the slices inline and records the requested pool size."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(tempobf.stream, "ThreadPoolExecutor", RecordingPool)
+    def test_sixty_four_slices_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self)))
         threads_before = threading.active_count()
         insertions = [("u9", "v9", 9), ("u9", "v8", 10), ("u8", "v9", 11), ("u8", "v8", 12)]
-        for cpus, batch, expected in ((4, insertions, [4]), (4, insertions[:1], [3]), (None, insertions, [])):
-            sizes.clear()
-            monkeypatch.setattr(tempobf.stream.os, "cpu_count", lambda: cpus)
-            g = build_time(F1)
-            live = CountVector([0, 1, 0, 0, 0, 0])
-            batch_update(g, 3, g.edges()[:2], batch, live, workers=64)
-            assert sizes == expected
-            assert live == exact_counts(list(F1[2:]) + batch, 3)
+        g = build_time(F1)
+        live = CountVector([0, 1, 0, 0, 0, 0])
+        batch_update(g, 3, g.edges()[:2], insertions, live, workers=64)
+        assert started == []
         assert threading.active_count() == threads_before
+        assert live == exact_counts(list(F1[2:]) + insertions, 3) == [0, 1, 0, 0, 0, 0]
+
+    def test_negative_live_leaves_state_untouched(self):
+        # deleting F1's two oldest wings removes its butterfly, which a zero live cannot hold
+        g = build_time(F1)
+        live = CountVector.zeros()
+        edges_before = g.edges()
+        with pytest.raises(ValueError, match="negative"):
+            batch_update(g, 3, edges_before[:2], [("u9", "v9", 9), ("u1", "v9", 10)], live)
+        assert g.edge_count == 4
+        assert g.edges() == edges_before
+        assert live == [0] * 6
+        assert_times_match_rows(g)
 
     def test_worker_count_validated(self):
         g = build_time(F1)
@@ -348,3 +352,52 @@ class TestSlidingWindow:
                 taken = min(len(triples), (step + 1) * stride)
                 expected = exact_counts(triples[max(0, taken - window):taken], delta)
                 assert live == expected
+
+
+def hub_triples(hub_upper: bool):
+    """Chronological edges whose few hub vertices sit in one layer."""
+    hub = st.integers(0, 1)
+    spoke = st.integers(0, 5)
+    ends = st.tuples(hub, spoke) if hub_upper else st.tuples(spoke, hub)
+    edge = st.tuples(ends, st.integers(0, 30)).map(lambda p: (f"u{p[0][0]}", f"v{p[0][1]}", p[1]))
+    return st.lists(edge, max_size=24).map(lambda ts: sorted(ts, key=lambda e: e[2]))
+
+
+def extreme_by_oracle(g, delta, e, as_max):
+    """Butterflies through e with e.t the strict extreme, by exhaustive search."""
+    keep = [
+        (g.upper_tokens[f.u], g.lower_tokens[f.v], f.t)
+        for f in g.edges()
+        if (f.t < e.t if as_max else f.t > e.t)
+    ]
+    sub = build_plain([(g.upper_tokens[e.u], g.lower_tokens[e.v], e.t)] + keep)
+    return oracle_contains(sub, delta, sub.edges()[0])
+
+
+class TestExpansionDirections:
+    """Both ways of expanding an edge's 2-paths give the same counts."""
+
+    @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), delta=st.integers(0, 30))
+    def test_directions_agree_per_edge(self, hub_upper, data, delta):
+        triples = data.draw(hub_triples(hub_upper))
+        g = build_time(triples)
+        for e in g.edges():
+            for as_max in (False, True):
+                through_u = _count_edge_extreme(g, delta, e, as_max, from_upper=True)
+                through_v = _count_edge_extreme(g, delta, e, as_max, from_upper=False)
+                assert through_u == through_v == _count_edge_extreme(g, delta, e, as_max)
+                assert through_u == extreme_by_oracle(g, delta, e, as_max)
+
+    @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), delta=st.integers(0, 30), window=st.integers(1, 12), stride=st.integers(1, 12))
+    def test_sliding_window_matches_recounts(self, hub_upper, data, delta, window, stride):
+        triples = data.draw(hub_triples(hub_upper))
+        stride = min(stride, window)
+        emissions = []
+        run_sliding_window(triples, delta, window, stride, engine="stbc+", sink=lambda *a: emissions.append(a))
+        for step, _, _, live in emissions:
+            taken = min(len(triples), (step + 1) * stride)
+            assert live == exact_counts(triples[max(0, taken - window):taken], delta)
