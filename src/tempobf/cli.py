@@ -153,24 +153,36 @@ def cmd_count(cfg: RunConfig) -> int:
     return 0
 
 
+class _LimitReached(Exception):
+    """Raised by the enumerate sink once --limit instance lines are written."""
+
+
 def cmd_enumerate(cfg: RunConfig) -> int:
     with _open_out(cfg.output) as out:
         emitted = 0
 
         def sink(inst: ButterflyInstance) -> None:
             nonlocal emitted
-            if cfg.limit is None or emitted < cfg.limit:
-                out.write(inst.format_line(g))
-                out.write("\n")
-                emitted += 1
+            out.write(inst.format_line(g))
+            out.write("\n")
+            emitted += 1
+            if emitted == cfg.limit:
+                raise _LimitReached
 
         if cfg.algo == "oracle":
             g = load_edge_list(cfg.input if cfg.input != "-" else sys.stdin)
-            tallies = oracle_enumerate(g, cfg.delta, sink)
+            run = lambda: oracle_enumerate(g, cfg.delta, sink)
+            tally = lambda: oracle_count(g, cfg.delta)
         else:
             g, priority = _load_sorted(cfg)
             engine = {"tbe": enumerate_baseline, "tbe+": enumerate_optimized}[cfg.algo]
-            tallies = engine(g, priority, cfg.delta, sink)
+            run = lambda: engine(g, priority, cfg.delta, sink)
+            tally = lambda: count_extreme(g, priority, cfg.delta)
+        # an engine stopped at --limit has partial tallies; count them instead
+        try:
+            tallies = tally() if cfg.limit == 0 else run()
+        except _LimitReached:
+            tallies = tally()
         write_counts(out, tallies, cfg.fmt)
     return 0
 

@@ -385,11 +385,39 @@ def count_baseline(
     inspected, which equals the number of static 2x2 biclique edge choices
     because each is examined from exactly one start vertex.
     """
-    _require_priority_layout(g)
     acc = [0] * 6
     pairs_examined = 0
+    for in_upper, _fixed, wedges in _wedges_by_end(g, priority, delta, prefilter):
+        n = len(wedges)
+        for i in range(n - 1):
+            t1a, t1b, m1 = wedges[i]
+            for j in range(i + 1, n):
+                t2a, t2b, m2 = wedges[j]
+                if m1 == m2:
+                    continue
+                pairs_examined += 1
+                stamps = (t1a, t1b, t2a, t2b)
+                if max(stamps) - min(stamps) > delta:
+                    continue
+                if t1a == t1b or t1a == t2a or t1a == t2b or t1b == t2a or t1b == t2b or t2a == t2b:
+                    continue
+                acc[classify_type((t1a, t1b), (t2a, t2b), in_upper)] += 1
+    if stats is not None:
+        stats["pairs_examined"] = pairs_examined
+    return CountVector(acc)
+
+
+def _wedges_by_end(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int, prefilter: bool):
+    """Yield (start in upper layer, corner pair, wedges) per start and end vertex.
+
+    The corner pair is (start, end) sorted, and each wedge is (t, t',
+    middle) with t and t' the timestamps of its edges to the smaller and
+    the larger corner; flipping both wedges of a pair leaves its type
+    unchanged.  With prefilter set, wedges whose two timestamps are equal
+    or more than delta apart are dropped.
+    """
+    _require_priority_layout(g)
     for layer, starts, mids, sprio, skeys, mkeys in _layer_passes(g, priority):
-        in_upper = layer == 0
         for s in range(len(starts)):
             ps = sprio[s]
             row = starts[s]
@@ -409,25 +437,9 @@ def count_baseline(
                     bucket = buckets.get(w)
                     if bucket is None:
                         buckets[w] = bucket = []
-                    bucket.append((t1, t2, v))
-            for wedges in buckets.values():
-                n = len(wedges)
-                for i in range(n - 1):
-                    t1a, t1b, m1 = wedges[i]
-                    for j in range(i + 1, n):
-                        t2a, t2b, m2 = wedges[j]
-                        if m1 == m2:
-                            continue
-                        pairs_examined += 1
-                        stamps = (t1a, t1b, t2a, t2b)
-                        if max(stamps) - min(stamps) > delta:
-                            continue
-                        if t1a == t1b or t1a == t2a or t1a == t2b or t1b == t2a or t1b == t2b or t2a == t2b:
-                            continue
-                        acc[classify_type((t1a, t1b), (t2a, t2b), in_upper)] += 1
-    if stats is not None:
-        stats["pairs_examined"] = pairs_examined
-    return CountVector(acc)
+                    bucket.append((t1, t2, v) if s < w else (t2, t1, v))
+            for end, wedges in buckets.items():
+                yield layer == 0, ((s, end) if s < end else (end, s)), wedges
 
 
 def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int):

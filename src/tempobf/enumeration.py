@@ -3,21 +3,22 @@
 Both engines walk the same wedges as their counting counterparts but hand
 every surviving pair to a sink as a concrete ButterflyInstance instead of
 bumping a counter.  Emission order is an engine detail; compare multisets.
+
+An end bucket's start and end vertices, sorted, are the corner pair of
+their layer.  Wedges keep their two timestamps ordered by that pair, so a
+pair of wedges becomes an instance by one comparison of their middles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .count import (
     CountVector,
     _end_buckets,
-    _layer_passes,
-    _require_priority_layout,
     _sorted_union,
     _sweep,
+    _wedges_by_end,
     classify_type,
 )
 from .graph import TemporalBipartiteGraph, VertexPriority
@@ -27,13 +28,14 @@ __all__ = ["ButterflyInstance", "enumerate_baseline", "enumerate_optimized", "nu
 Sink = Callable[["ButterflyInstance"], None]
 
 
-@dataclass(frozen=True)
-class ButterflyInstance:
+class ButterflyInstance(NamedTuple):
     """One temporal butterfly in canonical corner order.
 
     upper and lower hold the internal corner ids of their layer, ascending.
     For upper (u, w) and lower (v, x), stamps holds the timestamps of edges
-    (u,v), (w,v), (u,x), (w,x) in that order.
+    (u,v), (w,v), (u,x), (w,x) in that order.  An instance is a tuple: it
+    unpacks as (type_index, upper, lower, stamps) and equals the plain
+    4-tuple of those values.
     """
 
     type_index: int
@@ -79,39 +81,21 @@ def null_sink(_inst: ButterflyInstance) -> None:
     """Discard instances; tallies are still returned by the engines."""
 
 
-def _build_instance(
-    type_index: int,
-    start_in_upper: bool,
-    start: int,
-    end: int,
-    mid1: int,
-    raw1: tuple[int, int],
-    mid2: int,
-    raw2: tuple[int, int],
-) -> ButterflyInstance:
-    """Canonicalize a wedge pair; raw wedges are (start-edge t, arrival-edge t)."""
-    if start_in_upper:
-        stamp_of = {
-            (start, mid1): raw1[0],
-            (end, mid1): raw1[1],
-            (start, mid2): raw2[0],
-            (end, mid2): raw2[1],
-        }
-        uppers = (start, end)
-        lowers = (mid1, mid2)
-    else:
-        stamp_of = {
-            (mid1, start): raw1[0],
-            (mid1, end): raw1[1],
-            (mid2, start): raw2[0],
-            (mid2, end): raw2[1],
-        }
-        uppers = (mid1, mid2)
-        lowers = (start, end)
-    u, w = sorted(uppers)
-    v, x = sorted(lowers)
-    stamps = (stamp_of[(u, v)], stamp_of[(w, v)], stamp_of[(u, x)], stamp_of[(w, x)])
-    return ButterflyInstance(type_index, (u, w), (v, x), stamps)
+# the named tuple's own __new__ is a Python function; this skips it
+_new = tuple.__new__
+
+
+def _instance(type_index, in_upper, fixed, mid, c0, c1, omid, o0, o1) -> ButterflyInstance:
+    """Canonical instance of two distinct-middle wedges of one end bucket.
+
+    fixed is the bucket's sorted (start, end) pair; (c0, c1) are the stamps
+    of (fixed[0], mid) and (fixed[1], mid), and (o0, o1) those of omid.
+    """
+    if omid < mid:
+        mid, c0, c1, omid, o0, o1 = omid, o0, o1, mid, c0, c1
+    if in_upper:
+        return _new(ButterflyInstance, (type_index, fixed, (mid, omid), (c0, c1, o0, o1)))
+    return _new(ButterflyInstance, (type_index, (mid, omid), fixed, (c0, o0, c1, o1)))
 
 
 def enumerate_baseline(
@@ -121,64 +105,53 @@ def enumerate_baseline(
     sink: Sink,
 ) -> CountVector:
     """Per-end wedge grouping with an exhaustive pair test, emitting instances."""
-    _require_priority_layout(g)
     acc = [0] * 6
-    for layer, starts, mids, sprio, skeys, mkeys in _layer_passes(g, priority):
-        in_upper = layer == 0
-        for s in range(len(starts)):
-            ps = sprio[s]
-            row = starts[s]
-            cut = bisect_right(skeys[s], -ps)
-            if cut >= len(row):
-                continue
-            buckets: dict[int, list[tuple[int, int, int]]] = {}
-            for mi in range(cut, len(row)):
-                v, t1, _ = row[mi]
-                mrow = mids[v]
-                for wi in range(bisect_right(mkeys[v], -ps), len(mrow)):
-                    w, t2, _ = mrow[wi]
-                    buckets.setdefault(w, []).append((t1, t2, v))
-            for end, wedges in buckets.items():
-                n = len(wedges)
-                for i in range(n - 1):
-                    t1a, t1b, m1 = wedges[i]
-                    for j in range(i + 1, n):
-                        t2a, t2b, m2 = wedges[j]
-                        if m1 == m2:
-                            continue
-                        stamps = (t1a, t1b, t2a, t2b)
-                        if max(stamps) - min(stamps) > delta:
-                            continue
-                        if len(set(stamps)) != 4:
-                            continue
-                        type_index = classify_type((t1a, t1b), (t2a, t2b), in_upper)
-                        sink(
-                            _build_instance(
-                                type_index, in_upper, s, end, m1, (t1a, t1b), m2, (t2a, t2b)
-                            )
-                        )
-                        acc[type_index] += 1
+    for in_upper, fixed, wedges in _wedges_by_end(g, priority, delta, True):
+        n = len(wedges)
+        for i in range(n - 1):
+            t1a, t1b, m1 = wedges[i]
+            for j in range(i + 1, n):
+                t2a, t2b, m2 = wedges[j]
+                if m1 == m2:
+                    continue
+                stamps = (t1a, t1b, t2a, t2b)
+                if max(stamps) - min(stamps) > delta:
+                    continue
+                if len(set(stamps)) != 4:
+                    continue
+                type_index = classify_type((t1a, t1b), (t2a, t2b), in_upper)
+                sink(_instance(type_index, in_upper, fixed, m1, t1a, t1b, m2, t2a, t2b))
+                acc[type_index] += 1
     return CountVector(acc)
 
 
 class _TraversalIndex:
-    """Start-keyed arrival lists that report matches by bounded range scans.
+    """Start-keyed arrival lists that emit matches by bounded range scans.
 
-    Entries carry their middle vertex.  A probe reports buckets starting
+    Entries are (arrival, middle, c0, c1), c0 and c1 being the wedge's
+    timestamps ordered by the bucket's sorted corner pair: (t_s, t_a) unless
+    swap is set.  A probe pairs the probing wedge with buckets starting
     after its arrival whole (non-overlap), and splits earlier buckets by
-    scanning backward from the top while arrivals exceed the probe's arrival
-    (intersecting) and forward from the bottom while they fall short of it
-    (covering), stopping as soon as the constraint fails.
+    scanning backward from the top while arrivals exceed the probe's
+    arrival (intersecting) and forward from the bottom while they fall
+    short of it (covering), stopping as soon as the constraint fails.  Each
+    distinct-middle pair goes to sink as an instance and is tallied in acc.
     """
 
-    __slots__ = ("_buckets", "backward")
+    __slots__ = ("_buckets", "swap", "in_upper", "fixed", "sink", "acc")
 
-    def __init__(self, backward: bool) -> None:
-        self._buckets: dict[int, list[tuple[int, int]]] = {}
-        self.backward = backward
+    def __init__(self, swap: bool, in_upper: bool, fixed: tuple[int, int], sink: Sink, acc: list[int]) -> None:
+        self._buckets: dict[int, list[tuple[int, int, int, int]]] = {}
+        self.swap = swap
+        self.in_upper = in_upper
+        self.fixed = fixed
+        self.sink = sink
+        self.acc = acc
 
     def insert(self, wedge: tuple) -> None:
-        self._buckets.setdefault(wedge[0], []).append((wedge[1], wedge[2]))
+        ts, ta, mid = wedge
+        entry = (ta, mid, ta, ts) if self.swap else (ta, mid, ts, ta)
+        self._buckets.setdefault(ts, []).append(entry)
 
     def delete_above(self, bound: int) -> None:
         dead = []
@@ -190,24 +163,43 @@ class _TraversalIndex:
         for ts in dead:
             del self._buckets[ts]
 
-    def query_pairs(self, pivot: int, offsets: tuple[int, int, int], report) -> None:
-        """report(type_index, other_ts, other_ta, other_mid, other_backward)."""
+    def query_pairs(self, pivot: int, offsets: tuple[int, int, int], mid: int, c0: int, c1: int) -> None:
+        """Emit wedge (pivot, mid, c0, c1) paired with every matching entry."""
         o_non, o_int, o_cov = offsets
-        backward = self.backward
+        in_upper, fixed, sink, acc = self.in_upper, self.fixed, self.sink, self.acc
         for ts, arrivals in self._buckets.items():
             if ts > pivot:
-                for ta, mid in arrivals:
-                    report(o_non, ts, ta, mid, backward)
+                for _, omid, o0, o1 in arrivals:
+                    if omid != mid:
+                        sink(_instance(o_non, in_upper, fixed, mid, c0, c1, omid, o0, o1))
+                        acc[o_non] += 1
             elif ts < pivot:
                 i = len(arrivals) - 1
                 while i >= 0 and arrivals[i][0] > pivot:
-                    ta, mid = arrivals[i]
-                    report(o_int, ts, ta, mid, backward)
+                    _, omid, o0, o1 = arrivals[i]
+                    if omid != mid:
+                        sink(_instance(o_int, in_upper, fixed, mid, c0, c1, omid, o0, o1))
+                        acc[o_int] += 1
                     i -= 1
-                for ta, mid in arrivals:
+                for ta, omid, o0, o1 in arrivals:
                     if ta >= pivot:
                         break
-                    report(o_cov, ts, ta, mid, backward)
+                    if omid != mid:
+                        sink(_instance(o_cov, in_upper, fixed, mid, c0, c1, omid, o0, o1))
+                        acc[o_cov] += 1
+
+
+def _emitting_visit(layer: int):
+    off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
+    off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
+
+    def visit(wedge, same_idx, diff_idx, _backward):
+        ts, ta, mid = wedge
+        c0, c1 = (ta, ts) if same_idx.swap else (ts, ta)
+        same_idx.query_pairs(ta, off_same, mid, c0, c1)
+        diff_idx.query_pairs(ta, off_diff, mid, c0, c1)
+
+    return visit
 
 
 def enumerate_optimized(
@@ -222,29 +214,13 @@ def enumerate_optimized(
     are reported instead of being counted and subtracted.
     """
     acc = [0] * 6
+    visits = (_emitting_visit(0), _emitting_visit(1))
     for layer, s, end, bucket in _end_buckets(g, priority, delta):
-        in_upper = layer == 0
-        off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
-        off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
-
-        def visit(wedge, same_idx, diff_idx, backward):
-            ts, ta, mid = wedge
-            cur_raw = (ta, ts) if backward else (ts, ta)
-
-            def report(type_index, ots, ota, omid, obackward):
-                if omid == mid:
-                    return
-                other_raw = (ota, ots) if obackward else (ots, ota)
-                sink(
-                    _build_instance(
-                        type_index, in_upper, s, end, mid, cur_raw, omid, other_raw
-                    )
-                )
-                acc[type_index] += 1
-
-            same_idx.query_pairs(ta, off_same, report)
-            diff_idx.query_pairs(ta, off_diff, report)
-
+        flip = s > end
+        fixed = (end, s) if flip else (s, end)
         fwd, bwd = _sorted_union(bucket)
-        _sweep(fwd, bwd, delta, _TraversalIndex(False), _TraversalIndex(True), visit)
+        # a forward wedge's (t_s, t_a) stamp its edges to start and to end
+        fwd_idx = _TraversalIndex(flip, layer == 0, fixed, sink, acc)
+        bwd_idx = _TraversalIndex(not flip, layer == 0, fixed, sink, acc)
+        _sweep(fwd, bwd, delta, fwd_idx, bwd_idx, visits[layer])
     return CountVector(acc)

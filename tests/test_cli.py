@@ -138,6 +138,36 @@ class TestEnumerate:
         assert len(out.splitlines()) == 7
 
     @pytest.mark.parametrize("algo", ["tbe", "tbe+", "oracle"])
+    @pytest.mark.parametrize("limit", [0, 1, 2])
+    def test_limit_prints_a_prefix_and_the_full_tallies(self, capsys, f2_file, algo, limit):
+        argv = ("enumerate", "--input", f2_file, "--delta", "10", "--algo", algo)
+        _, full, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--limit", str(limit))
+        assert code == 0
+        lines = full.splitlines()
+        assert len(lines) == 8
+        assert out.splitlines() == lines[:limit] + lines[-6:]
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_limit_stops_building_instances(self, capsys, f2_file, monkeypatch, limit):
+        built = []
+
+        def recording(g, priority, delta, sink):
+            def record(inst):
+                built.append(inst)
+                sink(inst)
+
+            return tempobf.enumerate_optimized(g, priority, delta, record)
+
+        monkeypatch.setattr(tempobf.cli, "enumerate_optimized", recording)
+        code, out, _ = run_cli(
+            capsys, "enumerate", "--input", f2_file, "--delta", "10", "--limit", str(limit)
+        )
+        assert code == 0
+        assert len(built) == limit
+        assert out.splitlines()[limit:] == ["T0\t0", "T1\t1", "T2\t0", "T3\t0", "T4\t1", "T5\t0"]
+
+    @pytest.mark.parametrize("algo", ["tbe", "tbe+", "oracle"])
     def test_engines_emit_the_same_instance_multiset(self, capsys, f2_file, algo):
         code, out, _ = run_cli(
             capsys, "enumerate", "--input", f2_file, "--delta", "10", "--algo", algo

@@ -116,38 +116,105 @@ def _oracle_instances(triples, delta):
     return seen
 
 
+def traversal_index(swap, in_upper=True, fixed=(0, 1)):
+    """An index with a recording sink; returns (index, instances, tallies)."""
+    seen, acc = [], [0] * 6
+    return _TraversalIndex(swap, in_upper, fixed, seen.append, acc), seen, acc
+
+
 class TestTraversalIndex:
+    # each probe is the wedge through middle 100 with ordered stamps (1, pivot)
+
     def test_bounded_scans_split_a_bucket(self):
-        idx = _TraversalIndex(backward=False)
+        idx, seen, acc = traversal_index(swap=False)
         for wedge in ((3, 5, 101), (3, 9, 102), (3, 12, 103)):
             idx.insert(wedge)
-        calls = []
-        idx.query_pairs(7, (0, 1, 2), lambda *args: calls.append(args))
+        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
         # top-down while above the pivot, then bottom-up while below it
-        assert calls == [
-            (1, 3, 12, 103, False),
-            (1, 3, 9, 102, False),
-            (2, 3, 5, 101, False),
+        assert seen == [
+            (1, (0, 1), (100, 103), (1, 7, 3, 12)),
+            (1, (0, 1), (100, 102), (1, 7, 3, 9)),
+            (2, (0, 1), (100, 101), (1, 7, 3, 5)),
         ]
+        assert acc == [0, 2, 1, 0, 0, 0]
 
     def test_bucket_above_pivot_reports_whole(self):
-        idx = _TraversalIndex(backward=True)
+        idx, seen, acc = traversal_index(swap=True)
         idx.insert((10, 12, 7))
-        calls = []
-        idx.query_pairs(7, (0, 1, 2), lambda *args: calls.append(args))
-        assert calls == [(0, 10, 12, 7, True)]
+        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
+        # a swapped entry orders its stamps (t_a, t_s); middle 7 comes first
+        assert seen == [(0, (0, 1), (7, 100), (12, 10, 1, 7))]
+        assert acc == [1, 0, 0, 0, 0, 0]
 
     def test_empty_index_reports_nothing(self):
-        idx = _TraversalIndex(backward=False)
-        calls = []
-        idx.query_pairs(7, (0, 1, 2), lambda *args: calls.append(args))
-        assert calls == []
+        idx, seen, acc = traversal_index(swap=False)
+        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
+        assert seen == []
+        assert acc == [0] * 6
 
     def test_expiry_matches_counting_index(self):
-        idx = _TraversalIndex(backward=False)
+        idx, seen, acc = traversal_index(swap=False)
         idx.insert((2, 5, 1))
         idx.insert((3, 9, 2))
         idx.delete_above(6)
-        calls = []
-        idx.query_pairs(4, (0, 1, 2), lambda *args: calls.append(args))
-        assert calls == [(1, 2, 5, 1, False)]
+        idx.query_pairs(4, (0, 1, 2), 100, 1, 4)
+        assert seen == [(1, (0, 1), (1, 100), (2, 5, 1, 4))]
+        assert acc == [0, 1, 0, 0, 0, 0]
+
+    def test_same_middle_entries_are_skipped(self):
+        idx, seen, acc = traversal_index(swap=False, in_upper=False)
+        idx.insert((10, 12, 100))
+        idx.insert((10, 13, 101))
+        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
+        # a lower start interleaves the stamps: (a0, b0, a1, b1)
+        assert seen == [(0, (100, 101), (0, 1), (1, 10, 7, 13))]
+        assert acc == [1, 0, 0, 0, 0, 0]
+
+
+def canonical_case(start_upper, start_first, probe_low_mid, stamps):
+    """A 2x2 biclique whose start corner, corner ids and probing wedge are chosen.
+
+    Start s and end e share a layer, middles m0 and m1 (ids 0 and 1) the
+    other; two pendant edges make s the max-priority corner.  stamps gives
+    the (s, e) timestamps of the wedge through m0 and of the one through
+    m1; probe_low_mid False hands m0 the other wedge's pair, so the wedge
+    holding the earliest stamp, which probes the other, runs through m1.
+    """
+    low, high = stamps if probe_low_mid else stamps[::-1]
+    first, second = ("s", "e") if start_first else ("e", "s")
+    t = {("s", "m0"): low[0], ("e", "m0"): low[1], ("s", "m1"): high[0], ("e", "m1"): high[1]}
+    pairs = [(first, "m0"), (second, "m0"), (first, "m1"), (second, "m1"), ("s", "z0"), ("s", "z1")]
+    times = [t.get(p, 100 + i) for i, p in enumerate(pairs)]
+    if start_upper:
+        return [(a, b, ti) for (a, b), ti in zip(pairs, times)]
+    return [(b, a, ti) for (a, b), ti in zip(pairs, times)]
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("start_upper", [True, False], ids=["upper-start", "lower-start"])
+    @pytest.mark.parametrize("start_first", [True, False], ids=["start-id-low", "start-id-high"])
+    @pytest.mark.parametrize("probe_low_mid", [True, False], ids=["mid-lt-omid", "mid-gt-omid"])
+    @pytest.mark.parametrize(
+        "stamps", [((1, 3), (2, 4)), ((1, 4), (3, 2))], ids=["same-direction", "mixed-direction"]
+    )
+    def test_engines_match_the_oracle(self, start_upper, start_first, probe_low_mid, stamps):
+        triples = canonical_case(start_upper, start_first, probe_low_mid, stamps)
+        g, priority = build_priority(triples)
+        upper_layer = (g.upper_tokens, priority.upper)
+        lower_layer = (g.lower_tokens, priority.lower)
+        tokens, ranks = upper_layer if start_upper else lower_layer
+        mid_tokens = (lower_layer if start_upper else upper_layer)[0]
+        # the case is what it says: s holds the top rank, ids and the
+        # earliest stamp's middle are as chosen
+        assert ranks[tokens.index("s")] == g.upper_count + g.lower_count
+        assert (tokens.index("s") < tokens.index("e")) == start_first
+        assert mid_tokens[:2] == ["m0", "m1"]
+        earliest = min(triples, key=lambda e: e[2])
+        assert ("m0" in earliest) == probe_low_mid
+        reference = _oracle_instances(triples, 10)
+        assert len(reference) == 1
+        for engine in ENGINES:
+            _, seen = collect(engine, g, priority, 10)
+            assert Counter(seen) == Counter(reference)
+            for inst in seen:
+                inst.check(g, 10)
