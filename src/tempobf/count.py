@@ -264,8 +264,8 @@ def _sweep(fwd: list, bwd: list, delta: int, fwd_idx, bwd_idx, visit) -> None:
     inserts them, arrivals ascending; wedges sharing a start timestamp
     therefore never pair with each other.  Everything a probe sees lies
     fully inside [round start, round start + delta], so no span check is
-    needed at match time.  visit(wedge, same_idx, other_idx, backward) does
-    the probing.
+    needed at match time.  visit(wedge, same_idx, other_idx) does the
+    probing.
     """
     i, j = len(fwd), len(bwd)
     while i or j:
@@ -282,9 +282,9 @@ def _sweep(fwd: list, bwd: list, delta: int, fwd_idx, bwd_idx, visit) -> None:
         while b and bwd[b - 1][0] == ts:
             b -= 1
         for k in range(a, i):
-            visit(fwd[k], fwd_idx, bwd_idx, False)
+            visit(fwd[k], fwd_idx, bwd_idx)
         for k in range(b, j):
-            visit(bwd[k], bwd_idx, fwd_idx, True)
+            visit(bwd[k], bwd_idx, fwd_idx)
         for k in range(a, i):
             fwd_idx.insert(fwd[k])
         for k in range(b, j):
@@ -308,7 +308,7 @@ def _counting_visit(acc: list[int], layer: int):
     off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
     off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
 
-    def visit(wedge, same_idx, diff_idx, _backward):
+    def visit(wedge, same_idx, diff_idx):
         pivot = wedge[1]
         same_idx.query_counts(pivot, acc, off_same)
         diff_idx.query_counts(pivot, acc, off_diff)

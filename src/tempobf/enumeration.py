@@ -193,7 +193,7 @@ def _emitting_visit(layer: int):
     off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
     off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
 
-    def visit(wedge, same_idx, diff_idx, _backward):
+    def visit(wedge, same_idx, diff_idx):
         ts, ta, mid = wedge
         c0, c1 = (ta, ts) if same_idx.swap else (ts, ta)
         same_idx.query_pairs(ta, off_same, mid, c0, c1)

@@ -6,10 +6,10 @@ butterflies containing that edge.  The batch engine exploits that windows
 slide chronologically: a deleted edge only ever accounts for butterflies in
 which it is the strict minimum timestamp, an inserted edge for those where
 it is the strict maximum, so a whole stride of deletions and insertions can
-be counted independently per edge against one fixed graph.  Each such edge
-(u, v, t) expands its 2-paths u-x-w-v through whichever endpoint has fewer
-edges inside the edge's time range, the degree-priority idea of
-vertex-priority butterfly counting, and reads every range off per-row
+be counted independently per edge against one fixed graph.  Both engines
+expand an edge (u, v, t)'s 2-paths u-x-w-v the same way: through whichever
+endpoint has fewer edges inside the edge's time range, the degree-priority
+idea of vertex-priority butterfly counting, reading every range off per-row
 timestamp arrays with plain bisects.  The batch's edges are split into
 `workers` deterministic slices that run one after another on the calling
 thread: the counting is pure Python, so threads would only contend for the
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .count import CountVector, classify_type
@@ -52,54 +54,75 @@ def _time_range(times: list[int], lo: int, hi: int) -> tuple[int, int]:
     return bisect_left(times, lo), bisect_right(times, hi)
 
 
+def _expansion(
+    g: TemporalBipartiteGraph,
+    e: TemporalEdge,
+    lo: int,
+    hi: int,
+    from_upper: bool | None = None,
+) -> tuple[dict[int, list[int]], dict[int, list[int]], list, list[list[int]], bool]:
+    """How to expand e's 2-paths u-x-w-v whose two legs lie in [lo, hi].
+
+    Each endpoint's in-range neighbours, the other endpoint left out, map to
+    the timestamps of their edges to it.  The endpoint with fewer in-range
+    edges is walked (u on a tie, the degree-priority idea of vertex-priority
+    butterfly counting): the caller bisects each walked neighbour's row and
+    looks the far ends up in the other endpoint's dict.  from_upper forces
+    the direction (true: through u) so that tests can run both.  Returns the
+    dict to walk, the dict to look up, the walked neighbours' adjacency rows
+    and timestamp arrays, and from_upper.  The walk comes back empty once
+    either endpoint has no in-range neighbour; v is checked first, so u's
+    range is skipped when v's is empty.
+    """
+    u, v, _t, _ = e
+    vlo, vhi = _time_range(g.lower_times[v], lo, hi)
+    near_v: dict[int, list[int]] = {}
+    for w, tw, _uid in g.lower_adj[v][vlo:vhi]:
+        if w != u:
+            near_v.setdefault(w, []).append(tw)
+    if not near_v:
+        return {}, {}, [], [], False
+    ulo, uhi = _time_range(g.upper_times[u], lo, hi)
+    near_u: dict[int, list[int]] = {}
+    for x, tx, _uid in g.upper_adj[u][ulo:uhi]:
+        if x != v:
+            near_u.setdefault(x, []).append(tx)
+    if not near_u:
+        return {}, {}, [], [], False
+    if from_upper is None:
+        from_upper = uhi - ulo <= vhi - vlo
+    if from_upper:
+        return near_u, near_v, g.lower_adj, g.lower_times, True
+    return near_v, near_u, g.upper_adj, g.upper_times, False
+
+
 def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> CountVector:
     """Exact per-type counts of the butterflies containing edge e.
 
-    Every butterfly through e = (u, v, t) splits, seen from u, into the wedge
-    through v whose first leg is e itself and a wedge through another middle,
-    both ending at the opposite upper corner.  Both wedge families are read
-    off time-sorted adjacency inside [t - delta, t + delta] and grouped per
-    end vertex, and every via x other pair of one end is tested directly.
-    The via family is small, one wedge per edge at v inside the range, so
-    testing its pairs directly beats an indexed sweep, which would also
-    have to count, and then subtract, the pairs of two other-middle wedges.
+    A butterfly through e = (u, v, t) is e, a 2-path u-x-w-v and the edge
+    (u, x) or (w, v) that closes it, every timestamp inside
+    [t - delta, t + delta].  The 2-paths are expanded through whichever
+    endpoint has fewer edges in that range, as the batch engine does, and
+    each (closing edge, 2-path) pair is tested directly for four distinct
+    timestamps and the span bound.  The pair is two wedges off the endpoint
+    not walked, (t, closing edge) through the walked one and the 2-path's
+    own, so its type is read from that endpoint's layer.
     """
     _require_time_layout(g)
     if not g.has_edge(e):
         raise ValueError(f"edge {e} is not in the graph")
-    u, v, t, _ = e
+    t = e.t
+    lo, hi = t - delta, t + delta
+    walk, look, rows, times, from_upper = _expansion(g, e, lo, hi)
     acc = [0] * 6
-    # wedges as raw (start-edge t, arrival-edge t) pairs, keyed by end vertex
-    via: dict[int, list[tuple[int, int]]] = {}
-    row = g.lower_adj[v]
-    lo, hi = _time_range(g.lower_times[v], t - delta, t + delta)
-    for i in range(lo, hi):
-        w, t2, _uid = row[i]
-        if w != u and t2 != t:
-            via.setdefault(w, []).append((t, t2))
-    if not via:
-        return CountVector.zeros()
-    other: dict[int, list[tuple[int, int]]] = {}
-    urow = g.upper_adj[u]
-    lo, hi = _time_range(g.upper_times[u], t - delta, t + delta)
-    for i in range(lo, hi):
-        x, t1, _uid = urow[i]
-        if x == v or t1 == t:
-            continue
-        xrow = g.lower_adj[x]
-        xlo, xhi = _time_range(g.lower_times[x], max(t, t1) - delta, min(t, t1) + delta)
-        for j in range(xlo, xhi):
-            w, t2, _uid2 = xrow[j]
-            if w == u or t2 == t or t2 == t1:
-                continue
-            if w in via:
-                other.setdefault(w, []).append((t1, t2))
-    for w, others in other.items():
-        for w1 in via[w]:
-            for w2 in others:
-                stamps = w1 + w2
-                if max(stamps) - min(stamps) <= delta and len(set(stamps)) == 4:
-                    acc[classify_type(w1, w2, True)] += 1
+    for y, pivots in walk.items():
+        a, b = _time_range(times[y], lo, hi)
+        for z, ta, _uid in rows[y][a:b]:
+            for ts in look.get(z, ()):
+                for pivot in pivots:
+                    stamps = (t, pivot, ts, ta)
+                    if max(stamps) - min(stamps) <= delta and len(set(stamps)) == 4:
+                        acc[classify_type((t, pivot), (ts, ta), not from_upper)] += 1
     return CountVector(acc)
 
 
@@ -154,44 +177,17 @@ def _count_edge_extreme(
 
     As the minimum (as_max false) every other timestamp lies in
     (t, t + delta], as the maximum in [t - delta, t), so the span bound
-    holds by construction.  A butterfly is e = (u, v), a 2-path u-x-w-v with
-    both legs in that range, and the edge (u, x) or (w, v) that closes it.
-    The 2-paths are expanded through whichever endpoint has fewer in-range
-    edges: its in-range neighbours are walked, each one's row is bisected,
-    and the other endpoint's in-range neighbours sit in a dict that the walk
-    looks up.  Each walked neighbour's 2-paths are ranked against its own
-    edges to that endpoint, the pivots, which close a wedge (t, pivot) that
-    is forward as the minimum and backward as the maximum.  Walking from u
-    sees the butterflies from v, a lower start vertex, which flips the type
-    index's low bit.  from_upper forces the direction (true: through u) so
-    that tests can run both.
+    holds by construction.  The 2-paths over that range come from
+    `_expansion`.  Each walked neighbour's 2-paths are ranked against its
+    own edges to the walked endpoint, the pivots, which close a wedge
+    (t, pivot) that is forward as the minimum and backward as the maximum.
+    Walking from u sees the butterflies from v, a lower start vertex, which
+    flips the type index's low bit.  from_upper is passed to `_expansion`.
     """
-    u, v, t, _ = e
+    t = e.t
     lo, hi = (t - delta, t - 1) if as_max else (t + 1, t + delta)
-    upper_adj, upper_times = g.upper_adj, g.upper_times
-    lower_adj, lower_times = g.lower_adj, g.lower_times
     acc = [0] * 6
-    vlo, vhi = _time_range(lower_times[v], lo, hi)
-    if vlo == vhi:
-        return acc
-    ulo, uhi = _time_range(upper_times[u], lo, hi)
-    # in-range neighbours of each endpoint, the other endpoint excluded, with their edges' timestamps
-    near_v: dict[int, list[int]] = {}
-    for w, tw, _uid in lower_adj[v][vlo:vhi]:
-        if w != u:
-            near_v.setdefault(w, []).append(tw)
-    near_u: dict[int, list[int]] = {}
-    for x, tx, _uid in upper_adj[u][ulo:uhi]:
-        if x != v:
-            near_u.setdefault(x, []).append(tx)
-    if not near_v or not near_u:
-        return acc
-    if from_upper is None:
-        from_upper = uhi - ulo <= vhi - vlo
-    if from_upper:
-        walk, look, rows, times = near_u, near_v, lower_adj, lower_times
-    else:
-        walk, look, rows, times = near_v, near_u, upper_adj, upper_times
+    walk, look, rows, times, from_upper = _expansion(g, e, lo, hi, from_upper)
     for y, pivots in walk.items():
         # wedges endpoint-z-y: ts on the looked-up edge, ta on y's; sorted columns per direction
         fs, fa, bs, ba = [], [], [], []
@@ -234,30 +230,6 @@ def _count_edge_extreme(
     return acc
 
 
-def _min_live_t(g: TemporalBipartiteGraph, skip_uids: set[int]) -> int | None:
-    best = None
-    for row in g.upper_adj:
-        for nbr, t, uid in row:
-            if uid in skip_uids:
-                continue
-            if best is None or t < best:
-                best = t
-            break
-    return best
-
-
-def _max_live_t(g: TemporalBipartiteGraph, skip_uids: set[int]) -> int | None:
-    best = None
-    for row in g.upper_adj:
-        for nbr, t, uid in reversed(row):
-            if uid in skip_uids:
-                continue
-            if best is None or t > best:
-                best = t
-            break
-    return best
-
-
 def batch_update(
     g: TemporalBipartiteGraph,
     delta: int,
@@ -287,20 +259,22 @@ def batch_update(
     _require_time_layout(g)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    del_uids = {e.uid for e in deletions}
     for batch, what in ((deletions, "deletion"), (insertions, "insertion")):
         ts = [e[2] if what == "insertion" else e.t for e in batch]
         if any(a > b for a, b in zip(ts, ts[1:])):
             raise ValueError(f"{what} batch is not chronologically ordered")
     if deletions:
+        if len({e.uid for e in deletions}) != len(deletions):
+            raise ValueError("deletion batch names an edge twice")
         for e in deletions:
             if not g.has_edge(e):
                 raise ValueError(f"deletion batch edge {e} is not in the graph")
-        floor = _min_live_t(g, del_uids)
-        if floor is not None and deletions[-1].t > floor:
+        # with the deletions distinct and in the graph, every edge older than the newest one must be among them
+        last = deletions[-1].t
+        if sum(map(bisect_left, g.upper_times, repeat(last))) != bisect_left([e.t for e in deletions], last):
             raise ValueError("deletion batch is not an oldest-timestamp prefix of the graph")
     if insertions:
-        ceil = _max_live_t(g, set())
+        ceil = max(map(itemgetter(-1), filter(None, g.upper_times)), default=None)
         if ceil is not None and insertions[0][2] < ceil:
             raise ValueError("insertion batch is not a newest-timestamp suffix of the stream")
     inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]

@@ -243,6 +243,17 @@ class TestBatchUpdate:
         assert live == [0] * 6
         assert_times_match_rows(g)
 
+    def test_edge_deleted_twice_rejected_before_any_change(self):
+        g = build_time(F1)
+        live = CountVector([5] * 6)
+        edges_before = g.edges()
+        e = edges_before[0]
+        with pytest.raises(ValueError, match="twice"):
+            batch_update(g, 3, [e, e], [("u3", "v3", 9)], live)
+        assert g.edges() == edges_before
+        assert g.edge_count == 4
+        assert live == [5] * 6
+
     def test_worker_count_validated(self):
         g = build_time(F1)
         with pytest.raises(ValueError, match="workers"):
@@ -389,6 +400,7 @@ class TestExpansionDirections:
                 through_v = _count_edge_extreme(g, delta, e, as_max, from_upper=False)
                 assert through_u == through_v == _count_edge_extreme(g, delta, e, as_max)
                 assert through_u == extreme_by_oracle(g, delta, e, as_max)
+            assert delta_count_edge(g, delta, e) == oracle_contains(g, delta, e)
 
     @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
     @PROPERTY_SETTINGS
@@ -396,8 +408,9 @@ class TestExpansionDirections:
     def test_sliding_window_matches_recounts(self, hub_upper, data, delta, window, stride):
         triples = data.draw(hub_triples(hub_upper))
         stride = min(stride, window)
-        emissions = []
-        run_sliding_window(triples, delta, window, stride, engine="stbc+", sink=lambda *a: emissions.append(a))
-        for step, _, _, live in emissions:
-            taken = min(len(triples), (step + 1) * stride)
-            assert live == exact_counts(triples[max(0, taken - window):taken], delta)
+        for engine in ("stbc", "stbc+"):
+            emissions = []
+            run_sliding_window(triples, delta, window, stride, engine=engine, sink=lambda *a: emissions.append(a))
+            for step, _, _, live in emissions:
+                taken = min(len(triples), (step + 1) * stride)
+                assert live == exact_counts(triples[max(0, taken - window):taken], delta)
