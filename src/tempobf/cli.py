@@ -451,6 +451,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if a not in BENCH_ALGOS:
                 parser.error(f"unknown engine {a!r}; choose from {', '.join(BENCH_ALGOS)}")
         cfg.algos = algos
+        if not 0 <= args.timeout_secs < float("inf"):
+            parser.error(f"--timeout-secs must be non-negative and finite, got {args.timeout_secs}")
         cfg.timeout_secs = args.timeout_secs
     elif args.command == "gen":
         if args.upper < 1 or args.lower < 1:

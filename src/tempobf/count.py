@@ -24,10 +24,14 @@ Three engines share one answer:
   multisets, so each probe is rank arithmetic instead of a walk over every
   live start timestamp.
 
-All engines enumerate wedges only toward strictly lower-priority middle and
-end vertices, so each butterfly is seen exactly once, from its max-priority
-corner.  count_sampled runs count_extreme on an edge-sampled subgraph and
-rescales, giving unbiased estimates.
+All engines take their wedges from one walk, _end_buckets.  Every
+adjacency row is ordered by neighbor priority descending, and the walk
+reads it from its tail, stopping at the first neighbor that does not rank
+below the start vertex.  Wedges thus run only toward strictly lower-priority
+middle and end vertices, so each butterfly is seen exactly once, from its
+max-priority corner.  count_baseline asks the walk to keep dead wedges as
+well; the others drop them on sight.  count_sampled runs count_extreme on an
+edge-sampled subgraph and rescales, giving unbiased estimates.
 """
 
 from __future__ import annotations
@@ -363,31 +367,23 @@ def _require_priority_layout(g: TemporalBipartiteGraph) -> None:
         raise ValueError("engine requires priority-sorted adjacency; call sort_adjacency_by_priority")
 
 
-def _layer_passes(g: TemporalBipartiteGraph, priority: VertexPriority):
-    """(layer bit, start adjacency, middle adjacency, start prios, key arrays)."""
-    yield 0, g.upper_adj, g.lower_adj, priority.upper, g._upper_keys, g._lower_keys
-    yield 1, g.lower_adj, g.upper_adj, priority.lower, g._lower_keys, g._upper_keys
-
-
 def count_baseline(
     g: TemporalBipartiteGraph,
     priority: VertexPriority,
     delta: int,
-    prefilter: bool = False,
     stats: dict | None = None,
 ) -> CountVector:
-    """Group wedges per end vertex and test every distinct-middle pair.
+    """Group every wedge per end vertex and test every distinct-middle pair.
 
-    With prefilter set, wedges whose two timestamps are equal or more than
-    delta apart are dropped on sight; they can never be part of a butterfly,
-    so the counts are unchanged either way.  When a stats dict is passed,
+    Dead wedges (equal stamps, or more than delta apart) are kept and
+    rejected pair by pair.  When a stats dict is passed,
     stats["pairs_examined"] receives the number of distinct-middle pairs
     inspected, which equals the number of static 2x2 biclique edge choices
     because each is examined from exactly one start vertex.
     """
     acc = [0] * 6
     pairs_examined = 0
-    for in_upper, _fixed, wedges in _wedges_by_end(g, priority, delta, prefilter):
+    for in_upper, _fixed, wedges in _corner_wedges(g, priority, delta, raw=True):
         n = len(wedges)
         for i in range(n - 1):
             t1a, t1b, m1 = wedges[i]
@@ -407,64 +403,33 @@ def count_baseline(
     return CountVector(acc)
 
 
-def _wedges_by_end(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int, prefilter: bool):
-    """Yield (start in upper layer, corner pair, wedges) per start and end vertex.
-
-    The corner pair is (start, end) sorted, and each wedge is (t, t',
-    middle) with t and t' the timestamps of its edges to the smaller and
-    the larger corner; flipping both wedges of a pair leaves its type
-    unchanged.  With prefilter set, wedges whose two timestamps are equal
-    or more than delta apart are dropped.
-    """
-    _require_priority_layout(g)
-    for layer, starts, mids, sprio, skeys, mkeys in _layer_passes(g, priority):
-        for s in range(len(starts)):
-            ps = sprio[s]
-            row = starts[s]
-            cut = bisect_right(skeys[s], -ps)
-            if cut >= len(row):
-                continue
-            buckets: dict[int, list[tuple[int, int, int]]] = {}
-            for mi in range(cut, len(row)):
-                v, t1, _ = row[mi]
-                mrow = mids[v]
-                for wi in range(bisect_right(mkeys[v], -ps), len(mrow)):
-                    w, t2, _ = mrow[wi]
-                    if prefilter:
-                        d = t2 - t1
-                        if d == 0 or d > delta or -d > delta:
-                            continue
-                    bucket = buckets.get(w)
-                    if bucket is None:
-                        buckets[w] = bucket = []
-                    bucket.append((t1, t2, v) if s < w else (t2, t1, v))
-            for end, wedges in buckets.items():
-                yield layer == 0, ((s, end) if s < end else (end, s)), wedges
-
-
-def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int):
+def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int, raw: bool = False):
     """Yield (layer bit, start, end, bucket) for every end bucket with two or more middles.
 
     The bucket maps each middle vertex to its (forward, backward) lists of
-    normalized (t_s, t_a, middle) wedges.  Wedges whose two timestamps are
-    equal or more than delta apart are dropped on sight.
+    normalized (t_s, t_a, middle) wedges.  Rows are ordered by neighbor
+    priority descending, so each is walked from its tail and left at the
+    first neighbor whose priority is not below the start's.  Wedges whose
+    two timestamps are equal or more than delta apart are dropped on sight,
+    unless raw is set: then they are kept, equal stamps as backward.
     """
     _require_priority_layout(g)
-    for layer, starts, mids, sprio, skeys, mkeys in _layer_passes(g, priority):
-        for s in range(len(starts)):
+    limit = float("inf") if raw else delta
+    for layer, starts, mids, sprio, mprio in (
+        (0, g.upper_adj, g.lower_adj, priority.upper, priority.lower),
+        (1, g.lower_adj, g.upper_adj, priority.lower, priority.upper),
+    ):
+        for s, row in enumerate(starts):
             ps = sprio[s]
-            row = starts[s]
-            cut = bisect_right(skeys[s], -ps)
-            if cut >= len(row):
-                continue
             ends: dict[int, dict[int, tuple[list, list]]] = {}
-            for mi in range(cut, len(row)):
-                v, t1, _ = row[mi]
-                mrow = mids[v]
-                for wi in range(bisect_right(mkeys[v], -ps), len(mrow)):
-                    w, t2, _ = mrow[wi]
+            for v, t1, _ in reversed(row):
+                if mprio[v] >= ps:
+                    break
+                for w, t2, _ in reversed(mids[v]):
+                    if sprio[w] >= ps:
+                        break
                     d = t2 - t1
-                    if d == 0 or d > delta or -d > delta:
+                    if (d == 0 and not raw) or d > limit or -d > limit:
                         continue
                     by_mid = ends.get(w)
                     if by_mid is None:
@@ -479,6 +444,25 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
             for end, by_mid in ends.items():
                 if len(by_mid) > 1:
                     yield layer, s, end, by_mid
+
+
+def _corner_wedges(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int, raw: bool):
+    """Yield (start in upper layer, corner pair, wedges) per end bucket of _end_buckets.
+
+    The corner pair is (start, end) sorted, and each wedge is (t, t',
+    middle) with t and t' the timestamps of its edges to the smaller and
+    the larger corner; flipping both wedges of a pair leaves its type
+    unchanged.
+    """
+    for layer, s, end, bucket in _end_buckets(g, priority, delta, raw):
+        flip = s > end
+        wedges: list = []
+        for fwd, bwd in bucket.values():
+            # forward wedges hold (start, end) stamps, backward ones (end, start)
+            kept, swapped = (bwd, fwd) if flip else (fwd, bwd)
+            wedges += kept
+            wedges += [(ta, ts, mid) for ts, ta, mid in swapped]
+        yield layer == 0, ((end, s) if flip else (s, end)), wedges
 
 
 def _count_with_index(g, priority, delta, index_class) -> CountVector:
@@ -520,6 +504,7 @@ def count_sampled(
     """
     if not 0 < sample_p <= 1:
         raise ValueError(f"sample_p must be in (0, 1], got {sample_p}")
+    _require_priority_layout(g)
     if sample_p == 1:
         return CountVector(float(c) for c in count_extreme(g, priority, delta))
     rng = random.Random(seed)

@@ -15,10 +15,10 @@ from typing import Callable, NamedTuple
 
 from .count import (
     CountVector,
+    _corner_wedges,
     _end_buckets,
     _sorted_union,
     _sweep,
-    _wedges_by_end,
     classify_type,
 )
 from .graph import TemporalBipartiteGraph, VertexPriority
@@ -106,7 +106,7 @@ def enumerate_baseline(
 ) -> CountVector:
     """Per-end wedge grouping with an exhaustive pair test, emitting instances."""
     acc = [0] * 6
-    for in_upper, fixed, wedges in _wedges_by_end(g, priority, delta, True):
+    for in_upper, fixed, wedges in _corner_wedges(g, priority, delta, raw=False):
         n = len(wedges)
         for i in range(n - 1):
             t1a, t1b, m1 = wedges[i]

@@ -59,7 +59,8 @@ class TemporalBipartiteGraph:
     in exactly two lists, one per endpoint.  In the time layout,
     upper_times and lower_times hold each row's timestamps as plain ints,
     parallel to upper_adj and lower_adj, so time ranges bisect at C speed;
-    they are not read in any other layout.
+    they are not read in any other layout.  The priority layout keeps
+    nothing beside its rows: their order alone marks the priority cut.
     """
 
     __slots__ = (
@@ -72,8 +73,6 @@ class TemporalBipartiteGraph:
         "edge_count",
         "layout",
         "_next_uid",
-        "_upper_keys",
-        "_lower_keys",
         "upper_times",
         "lower_times",
     )
@@ -88,9 +87,6 @@ class TemporalBipartiteGraph:
         self.edge_count = 0
         self.layout = LAYOUT_UNSORTED
         self._next_uid = 0
-        # parallel arrays of negated neighbor priorities, valid in priority layout
-        self._upper_keys: list[list[int]] | None = None
-        self._lower_keys: list[list[int]] | None = None
         # parallel arrays of timestamps, valid in time layout
         self.upper_times: list[list[int]] | None = None
         self.lower_times: list[list[int]] | None = None
@@ -124,8 +120,6 @@ class TemporalBipartiteGraph:
         self.lower_adj[v].append((u, t, uid))
         self.edge_count += 1
         self.layout = LAYOUT_UNSORTED
-        self._upper_keys = None
-        self._lower_keys = None
         return TemporalEdge(u, v, t, uid)
 
     @classmethod
@@ -228,9 +222,8 @@ def compute_vertex_priority(g: TemporalBipartiteGraph) -> VertexPriority:
 def sort_adjacency_by_priority(g: TemporalBipartiteGraph, priority: VertexPriority) -> None:
     """Order every adjacency list by neighbor priority descending, then time.
 
-    Also builds, per list, the parallel array of negated neighbor priorities
-    that the engines binary-search to find where strictly lower priorities
-    begin.
+    The engines walk each list from its tail, where the lowest priorities
+    sit, and stop at the first neighbor that does not rank below the start.
     """
     lp = priority.lower
     up = priority.upper
@@ -238,8 +231,6 @@ def sort_adjacency_by_priority(g: TemporalBipartiteGraph, priority: VertexPriori
         row.sort(key=lambda e: (-lp[e[0]], e[1], e[2]))
     for row in g.lower_adj:
         row.sort(key=lambda e: (-up[e[0]], e[1], e[2]))
-    g._upper_keys = [[-lp[e[0]] for e in row] for row in g.upper_adj]
-    g._lower_keys = [[-up[e[0]] for e in row] for row in g.lower_adj]
     g.upper_times = None
     g.lower_times = None
     g.layout = LAYOUT_PRIORITY
@@ -257,8 +248,6 @@ def sort_adjacency_by_time(g: TemporalBipartiteGraph) -> None:
         row.sort(key=lambda e: (e[1], e[2]))
     g.upper_times = [[e[1] for e in row] for row in g.upper_adj]
     g.lower_times = [[e[1] for e in row] for row in g.lower_adj]
-    g._upper_keys = None
-    g._lower_keys = None
     g.layout = LAYOUT_TIME
 
 

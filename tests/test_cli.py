@@ -308,6 +308,15 @@ class TestBench:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("secs", ["-5", "nan", "inf"])
+    def test_bad_timeout_rejected(self, capsys, monkeypatch, secs):
+        # a negative cap must not fall back to the environment variable
+        monkeypatch.setenv("TEMPO_BF_TIMEOUT_SECS", "0.05")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--input", "x", "--delta", "3", "--timeout-secs", secs])
+        assert exc.value.code == 2
+        assert "--timeout-secs must be non-negative and finite" in capsys.readouterr().err
+
 
 class TestModuleEntry:
     def test_python_dash_m_prints_help(self):

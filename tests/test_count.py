@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, groupby
 
 import pytest
@@ -14,16 +15,18 @@ from tempobf import (
     TwinOrderedIndex,
     classify_type,
     combine,
+    compute_vertex_priority,
     count_baseline,
     count_extreme,
     count_optimized,
     count_sampled,
+    enumerate_baseline,
     enumerate_optimized,
     null_sink,
     oracle_count,
     oracle_static_pairings,
 )
-from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority
+from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority, build_time
 
 triples_strategy = st.lists(
     st.tuples(
@@ -314,11 +317,22 @@ class TestEngines:
         for engine in (count_baseline, count_optimized, count_extreme):
             assert engine(g, p, 3) == [0] * 6
 
-    def test_engine_requires_priority_layout(self):
-        g = build_plain(F1)
-        p = None
+    @pytest.mark.parametrize("build", [build_plain, build_time], ids=["unsorted", "time"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda g, p: count_baseline(g, p, 3), id="count_baseline"),
+            pytest.param(lambda g, p: count_optimized(g, p, 3), id="count_optimized"),
+            pytest.param(lambda g, p: count_extreme(g, p, 3), id="count_extreme"),
+            pytest.param(lambda g, p: count_sampled(g, p, 3, 0.5), id="count_sampled"),
+            pytest.param(lambda g, p: enumerate_baseline(g, p, 3, null_sink), id="enumerate_baseline"),
+            pytest.param(lambda g, p: enumerate_optimized(g, p, 3, null_sink), id="enumerate_optimized"),
+        ],
+    )
+    def test_engine_requires_priority_layout(self, run, build):
+        g = build(F1)
         with pytest.raises(ValueError, match="priority"):
-            count_baseline(g, p, 3)
+            run(g, compute_vertex_priority(g))
 
     @PROPERTY_SETTINGS
     @given(triples_strategy, delta_strategy)
@@ -335,15 +349,11 @@ class TestEngines:
         assert expected == oracle_count(build_plain(triples), delta)
         assert count_optimized(g, priority, delta) == expected
         assert count_extreme(g, priority, delta) == expected
-        assert enumerate_optimized(g, priority, delta, null_sink) == expected
-
-    @PROPERTY_SETTINGS
-    @given(triples_strategy, delta_strategy)
-    def test_prefilter_toggle_is_sound(self, triples, delta):
-        g, priority = build_priority(triples)
-        assert count_baseline(g, priority, delta, prefilter=True) == count_baseline(
-            g, priority, delta, prefilter=False
-        )
+        baseline: list = []
+        optimized: list = []
+        assert enumerate_baseline(g, priority, delta, baseline.append) == expected
+        assert enumerate_optimized(g, priority, delta, optimized.append) == expected
+        assert Counter(baseline) == Counter(optimized)
 
     @PROPERTY_SETTINGS
     @given(st.lists(st.tuples(st.integers(0, 3).map("u{}".format), st.integers(0, 3).map("v{}".format), st.integers(0, 30)), max_size=12), delta_strategy)
