@@ -206,6 +206,24 @@ class _BenchTimeout(Exception):
     pass
 
 
+def _env_timeout() -> float:
+    """The cap in TEMPO_BF_TIMEOUT_SECS, 0 when unset or empty.
+
+    Raises ValueError unless the value is a finite, non-negative number of
+    seconds, the rule --timeout-secs follows.
+    """
+    raw = os.environ.get(TIMEOUT_ENV_VAR, "")
+    if not raw:
+        return 0.0
+    try:
+        secs = float(raw)
+    except ValueError:
+        secs = float("nan")
+    if not 0 <= secs < float("inf"):
+        raise ValueError(f"{TIMEOUT_ENV_VAR} must be non-negative and finite, got {raw!r}")
+    return secs
+
+
 @contextmanager
 def _alarm(seconds: float) -> Iterator[None]:
     """Raise _BenchTimeout in the protected block after the given wall time.
@@ -264,7 +282,7 @@ def run_bench(cfg: RunConfig) -> list[BenchReport]:
     }
     limit = cfg.timeout_secs
     if limit <= 0:
-        limit = float(os.environ.get(TIMEOUT_ENV_VAR, 0) or 0)
+        limit = _env_timeout()
     reports = []
     for algo in cfg.algos or ("tbc", "tbc+", "tbc++"):
         counts: CountVector | None = None
@@ -453,6 +471,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg.algos = algos
         if not 0 <= args.timeout_secs < float("inf"):
             parser.error(f"--timeout-secs must be non-negative and finite, got {args.timeout_secs}")
+        if args.timeout_secs == 0:
+            try:
+                _env_timeout()
+            except ValueError as exc:
+                parser.error(str(exc))
         cfg.timeout_secs = args.timeout_secs
     elif args.command == "gen":
         if args.upper < 1 or args.lower < 1:

@@ -26,11 +26,16 @@ Three engines share one answer:
 
 All engines take their wedges from one walk, _end_buckets.  Every
 adjacency row is ordered by neighbor priority descending, and the walk
-reads it from its tail, stopping at the first neighbor that does not rank
-below the start vertex.  Wedges thus run only toward strictly lower-priority
-middle and end vertices, so each butterfly is seen exactly once, from its
-max-priority corner.  count_baseline asks the walk to keep dead wedges as
-well; the others drop them on sight.  count_sampled runs count_extreme on an
+reads each start vertex's row from its tail, stopping at the first neighbor
+that does not rank below the start vertex.  Wedges thus run only toward
+strictly lower-priority middle and end vertices, so each butterfly is seen
+exactly once, from its max-priority corner.  On the middle vertex's row
+the walk reads only the delta window around the first edge's stamp,
+bisected from the row's time view, and skips ends that do not rank below
+the start; a row whose stamps all fall inside the window is walked up to
+its priority cut instead, as the start's row is.  count_baseline asks the
+walk to keep dead wedges as well, so it always walks the priority cut; the
+others drop them on sight.  count_sampled runs count_extreme on an
 edge-sampled subgraph and rescales, giving unbiased estimates.
 """
 
@@ -43,6 +48,7 @@ from typing import Iterable, Iterator, Sequence
 from sortedcontainers import SortedList
 
 from .graph import (
+    _STAMP,
     LAYOUT_PRIORITY,
     TemporalBipartiteGraph,
     VertexPriority,
@@ -408,16 +414,21 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
 
     The bucket maps each middle vertex to its (forward, backward) lists of
     normalized (t_s, t_a, middle) wedges.  Rows are ordered by neighbor
-    priority descending, so each is walked from its tail and left at the
-    first neighbor whose priority is not below the start's.  Wedges whose
-    two timestamps are equal or more than delta apart are dropped on sight,
-    unless raw is set: then they are kept, equal stamps as backward.
+    priority descending, so the start's row is walked from its tail and left
+    at the first middle whose priority is not below the start's.  A middle's
+    row is walked the same way when raw is set or when every stamp in it
+    lies within delta of the first edge's stamp t1.  Otherwise only its
+    [t1 - delta, t1 + delta] slice is walked, bisected from the row's time
+    view, and ends whose priority is not below the start's are skipped.
+    Wedges whose two timestamps are equal or more than delta apart are
+    dropped on sight, unless raw is set: then they are kept, equal stamps as
+    backward.
     """
     _require_priority_layout(g)
     limit = float("inf") if raw else delta
-    for layer, starts, mids, sprio, mprio in (
-        (0, g.upper_adj, g.lower_adj, priority.upper, priority.lower),
-        (1, g.lower_adj, g.upper_adj, priority.lower, priority.upper),
+    for layer, starts, mids, views, sprio, mprio in (
+        (0, g.upper_adj, g.lower_adj, g.lower_times, priority.upper, priority.lower),
+        (1, g.lower_adj, g.upper_adj, g.upper_times, priority.lower, priority.upper),
     ):
         for s, row in enumerate(starts):
             ps = sprio[s]
@@ -425,9 +436,18 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
             for v, t1, _ in reversed(row):
                 if mprio[v] >= ps:
                     break
-                for w, t2, _ in reversed(mids[v]):
+                view = views[v]
+                cut = raw or (t1 - view[0][1] <= delta and view[-1][1] - t1 <= delta)
+                if cut:
+                    entries = reversed(mids[v])
+                else:
+                    lo = bisect_left(view, t1 - delta, key=_STAMP)
+                    entries = view[lo:bisect_right(view, t1 + delta, lo, key=_STAMP)]
+                for w, t2, _ in entries:
                     if sprio[w] >= ps:
-                        break
+                        if cut:
+                            break
+                        continue
                     d = t2 - t1
                     if (d == 0 and not raw) or d > limit or -d > limit:
                         continue

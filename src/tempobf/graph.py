@@ -8,7 +8,9 @@ appearance, and the original tokens are kept for output.
 
 The counting engines and the streaming engines want different adjacency
 layouts (neighbor-priority order versus chronological order), so the graph
-carries a layout tag and the engines check it before running.
+carries a layout tag and the engines check it before running.  Both layouts
+keep a chronological copy of every row beside it: the time layout its
+timestamps, the priority layout its entries.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 LAYOUT_UNSORTED = "unsorted"
@@ -58,9 +61,11 @@ class TemporalBipartiteGraph:
     Each adjacency entry is a (neighbor, t, uid) tuple and every edge appears
     in exactly two lists, one per endpoint.  In the time layout,
     upper_times and lower_times hold each row's timestamps as plain ints,
-    parallel to upper_adj and lower_adj, so time ranges bisect at C speed;
-    they are not read in any other layout.  The priority layout keeps
-    nothing beside its rows: their order alone marks the priority cut.
+    parallel to upper_adj and lower_adj, so time ranges bisect at C speed.
+    In the priority layout they hold each row's time view: the same entry
+    tuples ordered by (t, uid), so the counting engines can bisect a delta
+    window of a row whose own order marks the priority cut.  They are not
+    read in the unsorted layout.
     """
 
     __slots__ = (
@@ -87,9 +92,10 @@ class TemporalBipartiteGraph:
         self.edge_count = 0
         self.layout = LAYOUT_UNSORTED
         self._next_uid = 0
-        # parallel arrays of timestamps, valid in time layout
-        self.upper_times: list[list[int]] | None = None
-        self.lower_times: list[list[int]] | None = None
+        # timestamps of each row in the time layout, its time view in the
+        # priority layout
+        self.upper_times: list[list[int]] | list[list[tuple[int, int, int]]] | None = None
+        self.lower_times: list[list[int]] | list[list[tuple[int, int, int]]] | None = None
 
     @property
     def upper_count(self) -> int:
@@ -166,10 +172,12 @@ class TemporalBipartiteGraph:
     def has_edge(self, e: TemporalEdge) -> bool:
         if e.u >= self.upper_count:
             return False
-        row = self.upper_adj[e.u]
         if self.layout == LAYOUT_TIME:
-            return _find_entry(row, self.upper_times[e.u], e.t, e.uid) is not None
-        return any(uid == e.uid for _, _, uid in row)
+            return _find_entry(self.upper_adj[e.u], self.upper_times[e.u], e.t, e.uid) is not None
+        if self.layout == LAYOUT_PRIORITY:
+            view = self.upper_times[e.u]
+            return _find_entry(view, view, e.t, e.uid, _STAMP) is not None
+        return any(uid == e.uid for _, _, uid in self.upper_adj[e.u])
 
 
 def _times_row(times: list[list[int]], vid: int) -> list[int]:
@@ -185,9 +193,28 @@ def _insert_entry(row: list[tuple[int, int, int]], times: list[int], entry: tupl
     times.insert(i, entry[1])
 
 
-def _find_entry(row: list[tuple[int, int, int]], times: list[int], t: int, uid: int) -> int | None:
-    i = bisect_left(times, t)
-    while i < len(times) and times[i] == t:
+_STAMP = itemgetter(1)
+_UID = itemgetter(2)
+
+
+def _sort_by_time(row: list[tuple[int, int, int]]) -> None:
+    """Order a row by (t, uid) with two C-keyed stable sorts.
+
+    Rows not yet sorted are in arrival order, which the first sort then
+    confirms in one linear pass.
+    """
+    row.sort(key=_UID)
+    row.sort(key=_STAMP)
+
+
+def _find_entry(row: list[tuple[int, int, int]], stamps: list, t: int, uid: int, key=None) -> int | None:
+    """Index of the entry (t, uid) in a row ordered by (t, uid), or None.
+
+    stamps is bisected for t: the row's timestamp array, or the row itself
+    with key reading each entry's stamp.
+    """
+    i = bisect_left(stamps, t, key=key)
+    while i < len(row) and row[i][1] == t:
         if row[i][2] == uid:
             return i
         i += 1
@@ -224,16 +251,27 @@ def sort_adjacency_by_priority(g: TemporalBipartiteGraph, priority: VertexPriori
 
     The engines walk each list from its tail, where the lowest priorities
     sit, and stop at the first neighbor that does not rank below the start.
+    Each row is first ordered by (t, uid) and copied as its time view into
+    upper_times or lower_times; a stable sort by neighbor priority then
+    gives the row its final (priority descending, t, uid) order.
     """
-    lp = priority.lower
-    up = priority.upper
-    for row in g.upper_adj:
-        row.sort(key=lambda e: (-lp[e[0]], e[1], e[2]))
-    for row in g.lower_adj:
-        row.sort(key=lambda e: (-up[e[0]], e[1], e[2]))
-    g.upper_times = None
-    g.lower_times = None
+    g.upper_times = _sort_rows_by_priority(g.upper_adj, priority.lower)
+    g.lower_times = _sort_rows_by_priority(g.lower_adj, priority.upper)
     g.layout = LAYOUT_PRIORITY
+
+
+def _sort_rows_by_priority(
+    adj: list[list[tuple[int, int, int]]], nbr_priority: list[int]
+) -> list[list[tuple[int, int, int]]]:
+    """Priority-sort every row of one layer in place; return the rows' time views."""
+    for row in adj:
+        _sort_by_time(row)
+    views = [row[:] for row in adj]
+    key = lambda e: nbr_priority[e[0]]
+    for row in adj:
+        # reverse=True keeps equal keys in their (t, uid) order
+        row.sort(key=key, reverse=True)
+    return views
 
 
 def sort_adjacency_by_time(g: TemporalBipartiteGraph) -> None:
@@ -242,10 +280,9 @@ def sort_adjacency_by_time(g: TemporalBipartiteGraph) -> None:
     Also builds, per list, the parallel array of timestamps that the
     streaming engines and mutations bisect.
     """
-    for row in g.upper_adj:
-        row.sort(key=lambda e: (e[1], e[2]))
-    for row in g.lower_adj:
-        row.sort(key=lambda e: (e[1], e[2]))
+    for adj in (g.upper_adj, g.lower_adj):
+        for row in adj:
+            _sort_by_time(row)
     g.upper_times = [[e[1] for e in row] for row in g.upper_adj]
     g.lower_times = [[e[1] for e in row] for row in g.lower_adj]
     g.layout = LAYOUT_TIME

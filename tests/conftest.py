@@ -12,6 +12,7 @@ from tempobf import (
     sort_adjacency_by_priority,
     sort_adjacency_by_time,
 )
+from tempobf.graph import LAYOUT_PRIORITY, LAYOUT_TIME
 
 # one 2x2 biclique whose four stamps climb 1..4; butterfly span 3
 F1 = (("u1", "v1", 1), ("u1", "v2", 2), ("u2", "v1", 3), ("u2", "v2", 4))
@@ -41,12 +42,20 @@ def build_time(triples):
 
 
 def assert_times_match_rows(g):
-    """The time layout's timestamp arrays mirror its adjacency rows."""
+    """The chronological copy of every row matches the row.
+
+    In the time layout it is the row's timestamps, in order; in the priority
+    layout it is the row's time view, exactly its entries in (t, uid) order.
+    """
+    assert g.layout in (LAYOUT_TIME, LAYOUT_PRIORITY)
     assert len(g.upper_times) == len(g.upper_adj)
     assert len(g.lower_times) == len(g.lower_adj)
     for times, adj in ((g.upper_times, g.upper_adj), (g.lower_times, g.lower_adj)):
         for row_times, row in zip(times, adj):
-            assert row_times == [t for _, t, _ in row]
+            if g.layout == LAYOUT_TIME:
+                assert row_times == [t for _, t, _ in row]
+            else:
+                assert row_times == sorted(row, key=lambda e: (e[1], e[2]))
 
 
 def build_plain(triples):

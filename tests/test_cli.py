@@ -317,6 +317,14 @@ class TestBench:
         assert exc.value.code == 2
         assert "--timeout-secs must be non-negative and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("secs", ["-5", "nan", "inf", "abc"])
+    def test_bad_timeout_env_var_rejected(self, capsys, monkeypatch, secs):
+        monkeypatch.setenv("TEMPO_BF_TIMEOUT_SECS", secs)
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--input", "x", "--delta", "3"])
+        assert exc.value.code == 2
+        assert "TEMPO_BF_TIMEOUT_SECS must be non-negative and finite" in capsys.readouterr().err
+
 
 class TestModuleEntry:
     def test_python_dash_m_prints_help(self):

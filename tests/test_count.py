@@ -24,6 +24,7 @@ from tempobf import (
     enumerate_optimized,
     null_sink,
     oracle_count,
+    oracle_enumerate,
     oracle_static_pairings,
 )
 from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority, build_time
@@ -48,6 +49,31 @@ parallel_triples_strategy = st.lists(
     min_size=8,
     max_size=40,
 )
+
+
+@st.composite
+def cut_row_triples_strategy(draw):
+    """Parallel-edge graphs with stamps in 0..1000 around one to four burst centers.
+
+    Burst centers spread over 0..1000 against delta at most 60, so most
+    delta windows cover only part of a row, while each burst still holds
+    butterflies.
+    """
+    centers = draw(st.lists(st.integers(0, 1000), min_size=1, max_size=4))
+    edges = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3).map("u{}".format),
+                st.integers(0, 3).map("v{}".format),
+                st.sampled_from(centers),
+                st.integers(-30, 30),
+            ),
+            min_size=8,
+            max_size=40,
+        )
+    )
+    return [(u, v, min(1000, max(0, c + offset))) for u, v, c, offset in edges]
+
 
 quadruple_strategy = st.lists(st.integers(0, 100), min_size=4, max_size=4, unique=True)
 
@@ -354,6 +380,58 @@ class TestEngines:
         assert enumerate_baseline(g, priority, delta, baseline.append) == expected
         assert enumerate_optimized(g, priority, delta, optimized.append) == expected
         assert Counter(baseline) == Counter(optimized)
+
+    @PROPERTY_SETTINGS
+    @given(cut_row_triples_strategy(), st.data())
+    def test_windows_that_cut_rows_agree_with_oracle(self, triples, data):
+        # half the draws take delta from the gaps between stamps, so wedges
+        # sit right on a window's edge
+        gaps = sorted({abs(a[2] - b[2]) for a in triples for b in triples if abs(a[2] - b[2]) <= 60})
+        delta = data.draw(st.one_of(st.integers(0, 60), st.sampled_from(gaps)), label="delta")
+        g, priority = build_priority(triples)
+        oracle: list = []
+        expected = oracle_enumerate(build_plain(triples), delta, oracle.append)
+        assert expected == oracle_count(build_plain(triples), delta)
+        for got in all_engine_counts(triples, delta):
+            assert got == expected
+        emitted: list = []
+        assert enumerate_optimized(g, priority, delta, emitted.append) == expected
+        assert Counter(emitted) == Counter(oracle)
+
+    @pytest.mark.parametrize(
+        "stamps, total",
+        [
+            pytest.param((500, 503, 510, 506), 1, id="wedge-span-equals-delta"),
+            pytest.param((500, 503, 511, 506), 0, id="wedge-span-delta-plus-one"),
+            pytest.param((510, 503, 500, 506), 1, id="backward-wedge-span-equals-delta"),
+            pytest.param((511, 503, 500, 506), 0, id="backward-wedge-span-delta-plus-one"),
+            pytest.param((500, 505, 510, 505), 0, id="equal-stamps"),
+        ],
+    )
+    def test_window_boundaries_on_cut_rows(self, stamps, total):
+        # stamps of (u1, v1), (u1, v2), (u2, v1), (u2, v2); u1 ranks highest,
+        # so both wedges start there and the one through v1 spans
+        # |stamps[2] - stamps[0]|.  Leaf edges at 0 and 1000 put both middle
+        # rows beyond the delta window on either side.
+        delta = 10
+        corners = [("u1", "v1", stamps[0]), ("u1", "v2", stamps[1]), ("u2", "v1", stamps[2]), ("u2", "v2", stamps[3])]
+        leaves = [("u1", "x0", 0), ("u1", "x1", 1000), ("u1", "x2", 1000)]
+        leaves += [("y0", "v1", 0), ("y1", "v1", 1000), ("y2", "v2", 0), ("y3", "v2", 1000)]
+        g, priority = build_priority(corners + leaves)
+        u1, u2, v1, v2 = 0, 1, 0, 1
+        assert (g.upper_tokens[u2], g.lower_tokens[v2]) == ("u2", "v2")
+        assert priority.upper[u1] > max(priority.upper[u2], priority.lower[v1], priority.lower[v2])
+        for v in (v1, v2):
+            view = g.lower_times[v]
+            assert view[0][1] < 500 - delta and view[-1][1] > 511 + delta
+        assert oracle_count(build_plain(corners + leaves), delta).total() == total
+        for got in (
+            count_baseline(g, priority, delta),
+            count_optimized(g, priority, delta),
+            count_extreme(g, priority, delta),
+            enumerate_optimized(g, priority, delta, null_sink),
+        ):
+            assert got.total() == total
 
     @PROPERTY_SETTINGS
     @given(st.lists(st.tuples(st.integers(0, 3).map("u{}".format), st.integers(0, 3).map("v{}".format), st.integers(0, 30)), max_size=12), delta_strategy)

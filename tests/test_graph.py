@@ -33,6 +33,11 @@ triples_strategy = st.lists(
 )
 
 
+def _graph(built):
+    """The graph of build_time's or build_priority's result."""
+    return built[0] if isinstance(built, tuple) else built
+
+
 class TestParsing:
     def test_two_lines(self):
         g = load_edge_list(io.StringIO("a x 15\na y 18\n"))
@@ -174,12 +179,30 @@ class TestLayouts:
         assert [uid for _, _, uid in g.upper_adj[0]] == [0, 1, 2]
 
     @PROPERTY_SETTINGS
+    @given(triples_strategy, triples_strategy, st.sampled_from(["plain", "time", "priority"]))
+    def test_priority_rows_and_time_views_from_any_prior_layout(self, triples, more, before):
+        # rows that were already sorted, or that grew after a sort, still
+        # end in (priority descending, t, uid) order with matching views
+        g = TemporalBipartiteGraph.from_edges(triples)
+        if before == "time":
+            sort_adjacency_by_time(g)
+        elif before == "priority":
+            sort_adjacency_by_priority(g, compute_vertex_priority(g))
+        for u, v, t in more:
+            g.add_edge(u, v, t)
+        priority = compute_vertex_priority(g)
+        sort_adjacency_by_priority(g, priority)
+        assert_times_match_rows(g)
+        for adj, nbr_priority in ((g.upper_adj, priority.lower), (g.lower_adj, priority.upper)):
+            for row in adj:
+                assert row == sorted(row, key=lambda e: (-nbr_priority[e[0]], e[1], e[2]))
+
+    @PROPERTY_SETTINGS
     @given(triples_strategy)
     def test_layouts_preserve_edge_multiset(self, triples):
         reference = Counter((u, v, t) for u, v, t in triples)
         for build in (build_priority, build_time):
-            built = build(triples)
-            g = built[0] if isinstance(built, tuple) else built
+            g = _graph(build(triples))
             seen = Counter((g.upper_tokens[e.u], g.lower_tokens[e.v], e.t) for e in g.edges())
             assert seen == reference
 
@@ -210,9 +233,24 @@ class TestStreamingMutation:
         with pytest.raises(KeyError):
             g.remove_edge(TemporalEdge(0, 0, 1, uid=7))
 
-    def test_has_edge_unknown_vertex(self):
-        g = build_time([("a", "x", 1)])
+    @pytest.mark.parametrize("build", [build_time, build_priority])
+    def test_has_edge_unknown_vertex(self, build):
+        g = _graph(build([("a", "x", 1)]))
         assert not g.has_edge(TemporalEdge(5, 0, 1, uid=0))
+
+    @pytest.mark.parametrize("build", [build_time, build_priority])
+    def test_has_edge_present_absent_and_duplicates(self, build):
+        g = _graph(build([("a", "x", 5), ("b", "x", 3), ("a", "y", 5), ("a", "x", 5), ("a", "x", 2)]))
+        edges = g.edges()
+        assert all(g.has_edge(e) for e in edges)
+        first, dup = edges[0], edges[3]
+        assert (first.u, first.v, first.t) == (dup.u, dup.v, dup.t) and first.uid != dup.uid
+        # right endpoints and stamp, uid of no edge or of another edge
+        assert not g.has_edge(first._replace(uid=9))
+        assert not g.has_edge(first._replace(uid=edges[1].uid))
+        # right uid, wrong stamp
+        assert not g.has_edge(dup._replace(t=4))
+        assert not g.has_edge(dup._replace(t=6))
 
     @PROPERTY_SETTINGS
     @given(triples_strategy, st.integers(0, 2**32 - 1))
@@ -263,7 +301,7 @@ class TestTimestampArrays:
         else:
             sort_adjacency_by_priority(g, compute_vertex_priority(g))
             assert g.layout == LAYOUT_PRIORITY
-            assert g.upper_times is None and g.lower_times is None
+            assert_times_match_rows(g)
         live = CountVector([0, 1, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="time layout"):
             g.insert_edge("a", "z", 9)
