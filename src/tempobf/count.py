@@ -11,18 +11,20 @@ other) and whether the wedges run in the same direction.
 Three engines share one answer:
 
 - count_baseline groups wedges per end vertex and tests every pair.
-- count_optimized prunes dead wedges, splits each end vertex's survivors
-  into forward and backward wedges, and sweeps them once in wedge priority
-  (start timestamp descending, arrival ascending), keeping candidate wedges
-  in per-start-timestamp buckets of arrival lists.  The sweep counts every
-  pair of the end bucket; the same sweep over each middle's own wedges
-  counts the same-middle pairs, which come from parallel edges and are
-  never butterflies, and is subtracted.  This replaces the paper's
-  mergesort-style recursion over per-middle subsets, which re-indexed and
-  re-probed every wedge at each of its log k merge levels.
-- count_extreme is the same sweep with the buckets replaced by twin ordered
-  multisets, so each probe is rank arithmetic instead of a walk over every
-  live start timestamp.
+- count_optimized prunes dead wedges and tests each pair of a small end
+  bucket as count_baseline does: most hold too few wedges to repay
+  indexes.  A larger bucket is split into forward and backward wedges and
+  swept once in wedge priority (start timestamp descending, arrival
+  ascending), keeping candidate wedges in per-start-timestamp buckets of
+  arrival lists.  The sweep counts every pair of the end bucket; the same
+  sweep over each middle's own wedges counts the same-middle pairs, which
+  come from parallel edges and are never butterflies, and is subtracted.
+  This replaces the paper's mergesort-style recursion over per-middle
+  subsets, which re-indexed and re-probed every wedge at each of its log k
+  merge levels.
+- count_extreme is the same with the sweep's buckets replaced by twin
+  ordered multisets, so each probe is rank arithmetic instead of a walk
+  over every live start timestamp.
 
 All engines take their wedges from one walk, _end_buckets.  Every
 adjacency row is ordered by neighbor priority descending, and the walk
@@ -43,6 +45,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from sortedcontainers import SortedList
@@ -302,15 +306,35 @@ def _sweep(fwd: list, bwd: list, delta: int, fwd_idx, bwd_idx, visit) -> None:
         i, j = a, b
 
 
-def _sorted_union(bucket: dict) -> tuple[list, list]:
-    """All (forward, backward) wedges of a bucket, each list sorted ascending."""
-    fwd: list = []
-    bwd: list = []
-    for f, b in bucket.values():
-        fwd += f
-        bwd += b
-    fwd.sort()
-    bwd.sort()
+# the largest end bucket that is paired directly instead of swept
+_SMALL_BUCKET = 16
+_MID = itemgetter(2)
+
+
+def _pairs(wedges: list, delta: int, in_upper: bool) -> Iterator[tuple[int, tuple, tuple]]:
+    """Yield (type, wedge, later wedge) for every butterfly among one bucket's wedges.
+
+    Wedges may be raw or in corner order: flipping both wedges of a pair
+    leaves its type unchanged.
+    """
+    n = len(wedges)
+    for i in range(n - 1):
+        w1 = wedges[i]
+        a1, b1, m1 = w1
+        for j in range(i + 1, n):
+            w2 = wedges[j]
+            a2, b2, m2 = w2
+            if m1 == m2 or a1 == b1 or a2 == b2 or a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+                continue
+            if max(a1, b1, a2, b2) - min(a1, b1, a2, b2) > delta:
+                continue
+            yield classify_type((a1, b1), (a2, b2), in_upper), w1, w2
+
+
+def _split(wedges: list) -> tuple[list, list]:
+    """A bucket's (forward, backward) normalized wedges, each list sorted ascending."""
+    fwd = sorted(w for w in wedges if w[0] < w[1])
+    bwd = sorted((t2, t1, m) for t1, t2, m in wedges if t2 < t1)
     return fwd, bwd
 
 
@@ -326,21 +350,23 @@ def _counting_visit(acc: list[int], layer: int):
     return visit
 
 
-def _count_bucket(bucket: dict, delta: int, index_class, visit_all, visit_same, min_group: int = 2) -> None:
-    """Sweep the whole bucket into visit_all and each group's own pairs into visit_same.
+def _count_bucket(wedges, delta, layer, index_class, acc, same, min_run) -> None:
+    """Tally one end bucket's butterflies as acc less same.
 
-    visit_all sees every distinct-start pair of the bucket, visit_same the
-    pairs inside one group; the cross-group pairs are their difference.
-    Groups of fewer than min_group wedges are known to hold no countable
-    pair and are not swept.
+    A small bucket's go straight into acc.  A large bucket is swept whole
+    into acc, and each middle's run of min_run or more wedges into same;
+    shorter runs are known to hold no countable pair.
     """
-    for fwd, bwd in bucket.values():
-        if len(fwd) + len(bwd) >= min_group:
-            fwd.sort()
-            bwd.sort()
-            _sweep(fwd, bwd, delta, index_class(), index_class(), visit_same)
-    fwd, bwd = _sorted_union(bucket)
-    _sweep(fwd, bwd, delta, index_class(), index_class(), visit_all)
+    if len(wedges) <= _SMALL_BUCKET:
+        for type_index, _, _ in _pairs(wedges, delta, layer == 0):
+            acc[type_index] += 1
+        return
+    _sweep(*_split(wedges), delta, index_class(), index_class(), _counting_visit(acc, layer))
+    visit_same = _counting_visit(same, layer)
+    for _, run in groupby(wedges, _MID):
+        run = list(run)
+        if len(run) >= min_run:
+            _sweep(*_split(run), delta, index_class(), index_class(), visit_same)
 
 
 def combine(
@@ -353,14 +379,17 @@ def combine(
     """Count all distinct-middle wedge pairings of one end bucket into acc.
 
     The bucket maps each middle vertex to its (forward, backward) lists of
-    normalized (t_s, t_a, middle) wedges, in any order; the lists are sorted
-    in place.  One sweep counts every pair of the bucket, and one sweep per
-    middle holding two or more wedges counts the same-middle pairs, which
-    come from parallel edges and are subtracted.
+    normalized (t_s, t_a, middle) wedges, in any order, and is not
+    modified.  The wedges are laid out as one flat bucket and counted as
+    the engines count theirs, except that any middle may hold a same-middle
+    pair here, so every middle with two or more wedges is swept for them.
     """
-    layer = 0 if start_in_upper else 1
+    wedges: list = []
+    for fwd, bwd in bucket.values():
+        wedges += fwd
+        wedges += [(ta, ts, mid) for ts, ta, mid in bwd]
     same = [0] * 6
-    _count_bucket(bucket, delta, index_class, _counting_visit(acc, layer), _counting_visit(same, layer))
+    _count_bucket(wedges, delta, 0 if start_in_upper else 1, index_class, acc, same, min_run=2)
     for i in range(6):
         acc[i] -= same[i]
 
@@ -389,50 +418,45 @@ def count_baseline(
     """
     acc = [0] * 6
     pairs_examined = 0
-    for in_upper, _fixed, wedges in _corner_wedges(g, priority, delta, raw=True):
-        n = len(wedges)
-        for i in range(n - 1):
-            t1a, t1b, m1 = wedges[i]
-            for j in range(i + 1, n):
-                t2a, t2b, m2 = wedges[j]
-                if m1 == m2:
-                    continue
-                pairs_examined += 1
-                stamps = (t1a, t1b, t2a, t2b)
-                if max(stamps) - min(stamps) > delta:
-                    continue
-                if t1a == t1b or t1a == t2a or t1a == t2b or t1b == t2a or t1b == t2b or t2a == t2b:
-                    continue
-                acc[classify_type((t1a, t1b), (t2a, t2b), in_upper)] += 1
+    for layer, _s, _end, wedges in _end_buckets(g, priority, delta, raw=True):
+        # each wedge pairs with every earlier wedge before its middle's run
+        first = 0
+        for k in range(1, len(wedges)):
+            if wedges[k][2] != wedges[k - 1][2]:
+                first = k
+            pairs_examined += first
+        for type_index, _, _ in _pairs(wedges, delta, layer == 0):
+            acc[type_index] += 1
     if stats is not None:
         stats["pairs_examined"] = pairs_examined
     return CountVector(acc)
 
 
 def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int, raw: bool = False):
-    """Yield (layer bit, start, end, bucket) for every end bucket with two or more middles.
+    """Yield (layer bit, start, end, wedges) for every end bucket with two or more middles.
 
-    The bucket maps each middle vertex to its (forward, backward) lists of
-    normalized (t_s, t_a, middle) wedges.  Rows are ordered by neighbor
-    priority descending, so the start's row is walked from its tail and left
-    at the first middle whose priority is not below the start's.  A middle's
-    row is walked the same way when raw is set or when every stamp in it
-    lies within delta of the first edge's stamp t1.  Otherwise only its
-    [t1 - delta, t1 + delta] slice is walked, bisected from the row's time
-    view, and ends whose priority is not below the start's are skipped.
-    Wedges whose two timestamps are equal or more than delta apart are
-    dropped on sight, unless raw is set: then they are kept, equal stamps as
-    backward.
+    wedges lists the bucket's raw (t1, t2, middle) wedges, t1 and t2 the
+    stamps of the edges to start and to end.  The walk finishes one middle
+    before the next, so each middle's wedges form one run, and the bucket
+    has two middles or more iff its first and last wedges differ in middle.
+    Rows are ordered by neighbor priority descending, so the start's row is
+    walked from its tail and left at the first middle whose priority is not
+    below the start's.  A middle's row is walked the same way when raw is
+    set or when every stamp in it lies within delta of the first edge's
+    stamp t1.  Otherwise only its [t1 - delta, t1 + delta] slice is walked,
+    bisected from the row's time view, and ends whose priority is not below
+    the start's are skipped.  Either way every wedge reached spans at most
+    delta, and those with equal stamps are dropped, unless raw is set: then
+    every wedge of the priority cut is kept.
     """
     _require_priority_layout(g)
-    limit = float("inf") if raw else delta
     for layer, starts, mids, views, sprio, mprio in (
         (0, g.upper_adj, g.lower_adj, g.lower_times, priority.upper, priority.lower),
         (1, g.lower_adj, g.upper_adj, g.upper_times, priority.lower, priority.upper),
     ):
         for s, row in enumerate(starts):
             ps = sprio[s]
-            ends: dict[int, dict[int, tuple[list, list]]] = {}
+            ends: dict[int, list] = {}
             for v, t1, _ in reversed(row):
                 if mprio[v] >= ps:
                     break
@@ -448,53 +472,22 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
                         if cut:
                             break
                         continue
-                    d = t2 - t1
-                    if (d == 0 and not raw) or d > limit or -d > limit:
+                    if t2 == t1 and not raw:
                         continue
-                    by_mid = ends.get(w)
-                    if by_mid is None:
-                        ends[w] = by_mid = {}
-                    pair = by_mid.get(v)
-                    if pair is None:
-                        by_mid[v] = pair = ([], [])
-                    if d > 0:
-                        pair[0].append((t1, t2, v))
-                    else:
-                        pair[1].append((t2, t1, v))
-            for end, by_mid in ends.items():
-                if len(by_mid) > 1:
-                    yield layer, s, end, by_mid
-
-
-def _corner_wedges(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int, raw: bool):
-    """Yield (start in upper layer, corner pair, wedges) per end bucket of _end_buckets.
-
-    The corner pair is (start, end) sorted, and each wedge is (t, t',
-    middle) with t and t' the timestamps of its edges to the smaller and
-    the larger corner; flipping both wedges of a pair leaves its type
-    unchanged.
-    """
-    for layer, s, end, bucket in _end_buckets(g, priority, delta, raw):
-        flip = s > end
-        wedges: list = []
-        for fwd, bwd in bucket.values():
-            # forward wedges hold (start, end) stamps, backward ones (end, start)
-            kept, swapped = (bwd, fwd) if flip else (fwd, bwd)
-            wedges += kept
-            wedges += [(ta, ts, mid) for ts, ta, mid in swapped]
-        yield layer == 0, ((end, s) if flip else (s, end)), wedges
+                    ends.setdefault(w, []).append((t1, t2, v))
+            for end, wedges in ends.items():
+                if wedges[0][2] != wedges[-1][2]:
+                    yield layer, s, end, wedges
 
 
 def _count_with_index(g, priority, delta, index_class) -> CountVector:
     every = [0] * 6
     same = [0] * 6
-    visits = [(_counting_visit(every, layer), _counting_visit(same, layer)) for layer in (0, 1)]
-    for layer, _s, _end, bucket in _end_buckets(g, priority, delta):
-        visit_all, visit_same = visits[layer]
-        # a same-middle pair takes two edges on each leg with four distinct
-        # timestamps inside one delta span, so its middle holds all four
-        # wedges those edges cross into
-        _count_bucket(bucket, delta, index_class, visit_all, visit_same, min_group=4)
+    # a same-middle pair takes two edges on each leg with four distinct
+    # timestamps inside one delta span, so its middle holds all four
+    # wedges those edges cross into
+    for layer, _s, _end, wedges in _end_buckets(g, priority, delta):
+        _count_bucket(wedges, delta, layer, index_class, every, same, min_run=4)
     return CountVector(a - b for a, b in zip(every, same))
 
 

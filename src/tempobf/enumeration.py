@@ -3,6 +3,8 @@
 Both engines walk the same wedges as their counting counterparts but hand
 every surviving pair to a sink as a concrete ButterflyInstance instead of
 bumping a counter.  Emission order is an engine detail; compare multisets.
+enumerate_baseline pairs the wedges of every end bucket directly, and
+enumerate_optimized those of small buckets only, sweeping the rest.
 
 An end bucket's start and end vertices, sorted, are the corner pair of
 their layer.  Wedges keep their two timestamps ordered by that pair, so a
@@ -14,10 +16,11 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .count import (
+    _SMALL_BUCKET,
     CountVector,
-    _corner_wedges,
     _end_buckets,
-    _sorted_union,
+    _pairs,
+    _split,
     _sweep,
     classify_type,
 )
@@ -105,24 +108,7 @@ def enumerate_baseline(
     sink: Sink,
 ) -> CountVector:
     """Per-end wedge grouping with an exhaustive pair test, emitting instances."""
-    acc = [0] * 6
-    for in_upper, fixed, wedges in _corner_wedges(g, priority, delta, raw=False):
-        n = len(wedges)
-        for i in range(n - 1):
-            t1a, t1b, m1 = wedges[i]
-            for j in range(i + 1, n):
-                t2a, t2b, m2 = wedges[j]
-                if m1 == m2:
-                    continue
-                stamps = (t1a, t1b, t2a, t2b)
-                if max(stamps) - min(stamps) > delta:
-                    continue
-                if len(set(stamps)) != 4:
-                    continue
-                type_index = classify_type((t1a, t1b), (t2a, t2b), in_upper)
-                sink(_instance(type_index, in_upper, fixed, m1, t1a, t1b, m2, t2a, t2b))
-                acc[type_index] += 1
-    return CountVector(acc)
+    return _enumerate(g, priority, delta, sink, float("inf"))
 
 
 class _TraversalIndex:
@@ -208,19 +194,36 @@ def enumerate_optimized(
     delta: int,
     sink: Sink,
 ) -> CountVector:
-    """The counting sweep with range-scan probes, emitting instances.
+    """Pairing of small end buckets, the counting sweep with range-scan probes for the rest.
 
-    Same-middle pairs, which come from parallel edges, are dropped as they
-    are reported instead of being counted and subtracted.
+    The sweep drops same-middle pairs, which come from parallel edges, as
+    they are reported instead of counting and subtracting them.
+    """
+    return _enumerate(g, priority, delta, sink, _SMALL_BUCKET)
+
+
+def _enumerate(g, priority, delta, sink, largest_paired) -> CountVector:
+    """Pair each end bucket of at most largest_paired wedges, sweep the rest.
+
+    Wedges are first put in corner order: (c0, c1, middle), stamping the
+    edges to the smaller and the larger corner.
     """
     acc = [0] * 6
     visits = (_emitting_visit(0), _emitting_visit(1))
-    for layer, s, end, bucket in _end_buckets(g, priority, delta):
-        flip = s > end
-        fixed = (end, s) if flip else (s, end)
-        fwd, bwd = _sorted_union(bucket)
-        # a forward wedge's (t_s, t_a) stamp its edges to start and to end
-        fwd_idx = _TraversalIndex(flip, layer == 0, fixed, sink, acc)
-        bwd_idx = _TraversalIndex(not flip, layer == 0, fixed, sink, acc)
-        _sweep(fwd, bwd, delta, fwd_idx, bwd_idx, visits[layer])
+    for layer, s, end, wedges in _end_buckets(g, priority, delta):
+        in_upper = layer == 0
+        if s > end:
+            fixed = (end, s)
+            wedges = [(t2, t1, mid) for t1, t2, mid in wedges]
+        else:
+            fixed = (s, end)
+        if len(wedges) <= largest_paired:
+            for type_index, (c0, c1, mid), (o0, o1, omid) in _pairs(wedges, delta, in_upper):
+                sink(_instance(type_index, in_upper, fixed, mid, c0, c1, omid, o0, o1))
+                acc[type_index] += 1
+            continue
+        # a forward wedge normalizes to (c0, c1), a backward one to (c1, c0)
+        fwd_idx = _TraversalIndex(False, in_upper, fixed, sink, acc)
+        bwd_idx = _TraversalIndex(True, in_upper, fixed, sink, acc)
+        _sweep(*_split(wedges), delta, fwd_idx, bwd_idx, visits[layer])
     return CountVector(acc)

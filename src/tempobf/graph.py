@@ -163,21 +163,32 @@ class TemporalBipartiteGraph:
         return TemporalEdge(u, v, t, uid)
 
     def remove_edge(self, e: TemporalEdge) -> None:
+        """Delete e from both its rows, or raise KeyError and delete nothing."""
         if self.layout != LAYOUT_TIME:
             raise ValueError("remove_edge requires the time layout")
-        _remove_entry(self.upper_adj[e.u], self.upper_times[e.u], e.v, e.t, e.uid)
-        _remove_entry(self.lower_adj[e.v], self.lower_times[e.v], e.u, e.t, e.uid)
+        found = []
+        for adj, times, vid, nbr in (
+            (self.upper_adj, self.upper_times, e.u, e.v),
+            (self.lower_adj, self.lower_times, e.v, e.u),
+        ):
+            i = _find_entry(adj[vid], times[vid], nbr, e.t, e.uid) if 0 <= vid < len(adj) else None
+            if i is None:
+                raise KeyError(f"edge {e} not present")
+            found.append((adj[vid], times[vid], i))
+        for row, times, i in found:
+            del row[i]
+            del times[i]
         self.edge_count -= 1
 
     def has_edge(self, e: TemporalEdge) -> bool:
-        if e.u >= self.upper_count:
+        if not (0 <= e.u < self.upper_count and 0 <= e.v < self.lower_count):
             return False
         if self.layout == LAYOUT_TIME:
-            return _find_entry(self.upper_adj[e.u], self.upper_times[e.u], e.t, e.uid) is not None
+            return _find_entry(self.upper_adj[e.u], self.upper_times[e.u], e.v, e.t, e.uid) is not None
         if self.layout == LAYOUT_PRIORITY:
             view = self.upper_times[e.u]
-            return _find_entry(view, view, e.t, e.uid, _STAMP) is not None
-        return any(uid == e.uid for _, _, uid in self.upper_adj[e.u])
+            return _find_entry(view, view, e.v, e.t, e.uid, _STAMP) is not None
+        return (e.v, e.t, e.uid) in self.upper_adj[e.u]
 
 
 def _times_row(times: list[list[int]], vid: int) -> list[int]:
@@ -207,8 +218,8 @@ def _sort_by_time(row: list[tuple[int, int, int]]) -> None:
     row.sort(key=_STAMP)
 
 
-def _find_entry(row: list[tuple[int, int, int]], stamps: list, t: int, uid: int, key=None) -> int | None:
-    """Index of the entry (t, uid) in a row ordered by (t, uid), or None.
+def _find_entry(row: list[tuple[int, int, int]], stamps: list, nbr: int, t: int, uid: int, key=None) -> int | None:
+    """Index of the entry (nbr, t, uid) in a row ordered by (t, uid), or None.
 
     stamps is bisected for t: the row's timestamp array, or the row itself
     with key reading each entry's stamp.
@@ -216,17 +227,9 @@ def _find_entry(row: list[tuple[int, int, int]], stamps: list, t: int, uid: int,
     i = bisect_left(stamps, t, key=key)
     while i < len(row) and row[i][1] == t:
         if row[i][2] == uid:
-            return i
+            return i if row[i][0] == nbr else None
         i += 1
     return None
-
-
-def _remove_entry(row: list[tuple[int, int, int]], times: list[int], nbr: int, t: int, uid: int) -> None:
-    i = _find_entry(row, times, t, uid)
-    if i is None:
-        raise KeyError(f"edge to {nbr} at t={t} (uid {uid}) not present")
-    del row[i]
-    del times[i]
 
 
 def compute_vertex_priority(g: TemporalBipartiteGraph) -> VertexPriority:

@@ -27,6 +27,7 @@ from tempobf import (
     oracle_enumerate,
     oracle_static_pairings,
 )
+from tempobf.count import _SMALL_BUCKET, _end_buckets
 from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority, build_time
 
 triples_strategy = st.lists(
@@ -284,12 +285,14 @@ class TestCombine:
         combine(bucket_of([([(1, 2)], []), ([(3, 4)], [])]), 10, acc, False)
         assert acc == [0, 1, 0, 0, 0, 0]
 
+    # up to 72 wedges a bucket, so draws fall on both sides of the size at
+    # which a bucket is swept instead of paired directly
     @PROPERTY_SETTINGS
     @given(
         st.lists(
-            st.tuples(st.lists(wedge_strategy, max_size=4), st.lists(wedge_strategy, max_size=4)),
+            st.tuples(st.lists(wedge_strategy, max_size=6), st.lists(wedge_strategy, max_size=6)),
             min_size=1,
-            max_size=4,
+            max_size=6,
         ),
         st.integers(0, 40),
         st.booleans(),
@@ -359,6 +362,29 @@ class TestEngines:
         g = build(F1)
         with pytest.raises(ValueError, match="priority"):
             run(g, compute_vertex_priority(g))
+
+    def test_hub_buckets_on_both_sides_of_the_pair_threshold(self):
+        # three hubs share all eight lower vertices through parallel edges,
+        # so their end buckets are swept; the leaves' are paired directly
+        rng = random.Random(0)
+        triples = []
+        for hub in ("h0", "h1", "h2"):
+            for k in range(8):
+                triples += [(hub, f"v{k}", rng.randrange(80)) for _ in range(rng.randint(1, 4))]
+        for leaf in range(6):
+            triples += [(f"u{leaf}", f"v{k}", rng.randrange(80)) for k in rng.sample(range(8), 3)]
+        delta = 30
+        g, priority = build_priority(triples)
+        sizes = [len(wedges) for *_, wedges in _end_buckets(g, priority, delta)]
+        assert min(sizes) <= _SMALL_BUCKET < max(sizes)
+        oracle: list = []
+        expected = oracle_enumerate(build_plain(triples), delta, oracle.append)
+        assert expected.total() > 0
+        assert count_optimized(g, priority, delta) == expected
+        assert count_extreme(g, priority, delta) == expected
+        emitted: list = []
+        assert enumerate_optimized(g, priority, delta, emitted.append) == expected
+        assert Counter(emitted) == Counter(oracle)
 
     @PROPERTY_SETTINGS
     @given(triples_strategy, delta_strategy)

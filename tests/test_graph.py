@@ -21,7 +21,7 @@ from tempobf import (
 )
 from tempobf.graph import LAYOUT_PRIORITY, LAYOUT_TIME, LAYOUT_UNSORTED
 from tempobf import CountVector, batch_update, delta_count_edge, stream_delete, stream_insert
-from conftest import PROPERTY_SETTINGS, assert_times_match_rows, build_priority, build_time, random_triples
+from conftest import PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time, random_triples
 
 triples_strategy = st.lists(
     st.tuples(
@@ -34,7 +34,7 @@ triples_strategy = st.lists(
 
 
 def _graph(built):
-    """The graph of build_time's or build_priority's result."""
+    """The graph of a build_* helper's result."""
     return built[0] if isinstance(built, tuple) else built
 
 
@@ -232,6 +232,34 @@ class TestStreamingMutation:
         g = build_time([("a", "x", 1)])
         with pytest.raises(KeyError):
             g.remove_edge(TemporalEdge(0, 0, 1, uid=7))
+
+    @pytest.mark.parametrize(
+        "absent",
+        [
+            pytest.param(TemporalEdge(0, 1, 1, uid=0), id="wrong-lower-endpoint"),
+            pytest.param(TemporalEdge(-1, 1, 2, uid=1), id="negative-upper-id"),
+            pytest.param(TemporalEdge(1, -1, 2, uid=1), id="negative-lower-id"),
+        ],
+    )
+    def test_remove_absent_edge_changes_no_row(self, absent):
+        # uid 0 is (a, x) at t=1 and uid 1 is (b, y) at t=2: each absent edge
+        # matches a real one in all but one endpoint
+        g = build_time([("a", "x", 1), ("b", "y", 2)])
+        rows = ([r[:] for r in g.upper_adj], [r[:] for r in g.lower_adj])
+        with pytest.raises(KeyError):
+            g.remove_edge(absent)
+        assert (g.upper_adj, g.lower_adj) == rows
+        assert g.edge_count == 2
+        assert_times_match_rows(g)
+
+    @pytest.mark.parametrize("build", [build_time, build_priority, build_plain])
+    def test_has_edge_checks_both_endpoints(self, build):
+        g = _graph(build([("a", "x", 1), ("b", "y", 2)]))
+        assert g.has_edge(TemporalEdge(0, 0, 1, uid=0)) and g.has_edge(TemporalEdge(1, 1, 2, uid=1))
+        # wrong lower endpoint, then a negative id on either side
+        assert not g.has_edge(TemporalEdge(0, 1, 1, uid=0))
+        assert not g.has_edge(TemporalEdge(-1, 1, 2, uid=1))
+        assert not g.has_edge(TemporalEdge(1, -1, 2, uid=1))
 
     @pytest.mark.parametrize("build", [build_time, build_priority])
     def test_has_edge_unknown_vertex(self, build):

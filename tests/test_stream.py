@@ -213,6 +213,26 @@ class TestBatchUpdate:
         with pytest.raises(ValueError, match="not in the graph"):
             batch_update(g, 3, [TemporalEdge(0, 0, 1, uid=50)], [], CountVector.zeros())
 
+    @pytest.mark.parametrize(
+        "absent",
+        [
+            pytest.param(TemporalEdge(0, 1, 1, uid=0), id="wrong-lower-endpoint"),
+            pytest.param(TemporalEdge(-1, 1, 4, uid=3), id="negative-upper-id"),
+            pytest.param(TemporalEdge(0, -1, 1, uid=0), id="negative-lower-id"),
+        ],
+    )
+    def test_deletion_with_a_wrong_endpoint_rejected_before_any_change(self, absent):
+        # each absent edge shares its stamp and uid with a real F1 edge
+        g = build_time(F1)
+        live = CountVector([0, 1, 0, 0, 0, 0])
+        edges_before = g.edges()
+        with pytest.raises(ValueError, match="not in the graph"):
+            batch_update(g, 3, [absent], [("u9", "v9", 9)], live)
+        assert g.edges() == edges_before
+        assert g.edge_count == 4
+        assert live == [0, 1, 0, 0, 0, 0]
+        assert_times_match_rows(g)
+
     def test_live_below_zero_raises(self):
         g = build_time(F1)
         with pytest.raises(ValueError, match="negative"):
