@@ -308,7 +308,6 @@ def _sweep(fwd: list, bwd: list, delta: int, fwd_idx, bwd_idx, visit) -> None:
 
 # the largest end bucket that is paired directly instead of swept
 _SMALL_BUCKET = 16
-_MID = itemgetter(2)
 
 
 def _pairs(wedges: list, delta: int, in_upper: bool) -> Iterator[tuple[int, tuple, tuple]]:
@@ -363,7 +362,7 @@ def _count_bucket(wedges, delta, layer, index_class, acc, same, min_run) -> None
         return
     _sweep(*_split(wedges), delta, index_class(), index_class(), _counting_visit(acc, layer))
     visit_same = _counting_visit(same, layer)
-    for _, run in groupby(wedges, _MID):
+    for _, run in groupby(wedges, itemgetter(2)):
         run = list(run)
         if len(run) >= min_run:
             _sweep(*_split(run), delta, index_class(), index_class(), visit_same)
