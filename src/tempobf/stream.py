@@ -1,19 +1,25 @@
 """Streaming maintenance of temporal butterfly counts over an edge stream.
 
-Two engines keep a sliding window's six counters current.  The single-edge
-engine recomputes, per inserted or deleted edge, the exact counts of the
-butterflies containing that edge.  The batch engine exploits that windows
-slide chronologically: a deleted edge only ever accounts for butterflies in
-which it is the strict minimum timestamp, an inserted edge for those where
-it is the strict maximum, so a whole stride of deletions and insertions can
-be counted independently per edge against one fixed graph.  Both engines
-expand an edge (u, v, t)'s 2-paths u-x-w-v the same way: through whichever
-endpoint has fewer edges inside the edge's time range, the degree-priority
-idea of vertex-priority butterfly counting, reading every range off per-row
-timestamp arrays with plain bisects.  The batch's edges are split into
-`workers` deterministic slices that run one after another on the calling
-thread: the counting is pure Python, so threads would only contend for the
-interpreter lock.
+Two engines keep a sliding window's six counters current.  Both rest on
+windows sliding chronologically: a deleted edge only ever accounts for
+butterflies in which it is the strict minimum timestamp, an inserted edge
+for those where it is the strict maximum.  The single-edge engine counts
+each edge that way as it arrives or is evicted; the public `stream_insert`,
+`stream_delete` and `delta_count_edge` take arbitrary timestamps and count
+every butterfly through the edge.  The batch engine counts a whole stride
+of deletions and insertions independently per edge against one fixed
+graph.  Every counter expands an edge (u, v, t)'s 2-paths u-x-w-v the same
+way: through whichever endpoint has fewer edges inside the edge's time
+range, the degree-priority idea of vertex-priority butterfly counting,
+reading every range off per-row timestamp arrays with plain bisects.  The
+batch engine splits each batch into runs, stretches whose stamps lie within
+delta of the run's first, and builds each looked-up endpoint's neighbour
+map once per run over the run's span: [first - delta, last - 1] for
+insertions, [first + 1, last + delta] for deletions, at most twice one
+edge's range.  The batch's edges are split into `workers` deterministic
+slices, which share the runs' maps and run one after another on the
+calling thread: the counting is pure Python, so threads would only contend
+for the interpreter lock.
 """
 
 from __future__ import annotations
@@ -59,41 +65,57 @@ def _expansion(
     e: TemporalEdge,
     lo: int,
     hi: int,
+    looks: dict[tuple[bool, int], dict[int, list[int]]],
+    span: tuple[int, int],
     from_upper: bool | None = None,
-) -> tuple[dict[int, list[int]], dict[int, list[int]], list, list[list[int]], bool]:
+) -> tuple[dict[int, list[int]], dict[int, list[int]], list, list[list[int]], bool, int]:
     """How to expand e's 2-paths u-x-w-v whose two legs lie in [lo, hi].
 
-    Each endpoint's in-range neighbours, the other endpoint left out, map to
-    the timestamps of their edges to it.  The endpoint with fewer in-range
-    edges is walked (u on a tie, the degree-priority idea of vertex-priority
-    butterfly counting): the caller bisects each walked neighbour's row and
-    looks the far ends up in the other endpoint's dict.  from_upper forces
-    the direction (true: through u) so that tests can run both.  Returns the
-    dict to walk, the dict to look up, the walked neighbours' adjacency rows
-    and timestamp arrays, and from_upper.  The walk comes back empty once
-    either endpoint has no in-range neighbour; v is checked first, so u's
-    range is skipped when v's is empty.
+    Both endpoints' rows are bisected for [lo, hi], and the one with fewer
+    in-range edges is walked (u on a tie, the degree-priority idea of
+    vertex-priority butterfly counting); from_upper forces the direction
+    (true: through u) so that tests can run both.  The walked endpoint's
+    in-range neighbours, the other endpoint left out, map to the timestamps
+    of their edges to it.  The caller bisects each walked neighbour's row
+    and looks the far ends up in the other endpoint's map, taken from looks
+    by (is upper, vertex) and built there on first use over span, a range
+    holding [lo, hi].  The batch engine shares looks and span across a run
+    of edges, so a hub pays its in-range degree once per run, not once per
+    edge; per-edge callers pass a fresh dict and span (lo, hi).  A shared
+    map may hold the walked endpoint and stamps outside [lo, hi], so the
+    caller skips the walked endpoint's id as a far end and keeps a stamp
+    only inside [lo, hi].  Both checks run only on look-ups that hit, most
+    of which miss: that is why this pays where a persistent index, filtered
+    on every look-up, did not.  Returns the map to walk, the map to look
+    up, the walked neighbours' adjacency rows and timestamp arrays,
+    from_upper and the walked endpoint's id; the walk is empty when the
+    walked endpoint has no in-range neighbour but the other endpoint.
     """
     u, v, _t, _ = e
-    vlo, vhi = _time_range(g.lower_times[v], lo, hi)
-    near_v: dict[int, list[int]] = {}
-    for w, tw, _uid in g.lower_adj[v][vlo:vhi]:
-        if w != u:
-            near_v.setdefault(w, []).append(tw)
-    if not near_v:
-        return {}, {}, [], [], False
     ulo, uhi = _time_range(g.upper_times[u], lo, hi)
-    near_u: dict[int, list[int]] = {}
-    for x, tx, _uid in g.upper_adj[u][ulo:uhi]:
-        if x != v:
-            near_u.setdefault(x, []).append(tx)
-    if not near_u:
-        return {}, {}, [], [], False
+    vlo, vhi = _time_range(g.lower_times[v], lo, hi)
     if from_upper is None:
         from_upper = uhi - ulo <= vhi - vlo
     if from_upper:
-        return near_u, near_v, g.lower_adj, g.lower_times, True
-    return near_v, near_u, g.upper_adj, g.upper_times, False
+        me, other, walked = u, v, g.upper_adj[u][ulo:uhi]
+        rows, times, far_row, far_times = g.lower_adj, g.lower_times, g.lower_adj[v], g.lower_times[v]
+    else:
+        me, other, walked = v, u, g.lower_adj[v][vlo:vhi]
+        rows, times, far_row, far_times = g.upper_adj, g.upper_times, g.upper_adj[u], g.upper_times[u]
+    walk: dict[int, list[int]] = {}
+    for x, tx, _uid in walked:
+        if x != other:
+            walk.setdefault(x, []).append(tx)
+    if not walk:
+        return {}, {}, rows, times, from_upper, me
+    key = (not from_upper, other)
+    look = looks.get(key)
+    if look is None:
+        look = looks[key] = {}
+        a, b = _time_range(far_times, *span)
+        for w, tw, _uid in far_row[a:b]:
+            look.setdefault(w, []).append(tw)
+    return walk, look, rows, times, from_upper, me
 
 
 def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> CountVector:
@@ -113,12 +135,16 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
         raise ValueError(f"edge {e} is not in the graph")
     t = e.t
     lo, hi = t - delta, t + delta
-    walk, look, rows, times, from_upper = _expansion(g, e, lo, hi)
+    walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, {}, (lo, hi))
     acc = [0] * 6
     for y, pivots in walk.items():
         a, b = _time_range(times[y], lo, hi)
         for z, ta, _uid in rows[y][a:b]:
-            for ts in look.get(z, ()):
+            starts = look.get(z)
+            if starts is None or z == skip:
+                continue
+            # the map spans [lo, hi] itself, so its stamps need no filter
+            for ts in starts:
                 for pivot in pivots:
                     stamps = (t, pivot, ts, ta)
                     if max(stamps) - min(stamps) <= delta and len(set(stamps)) == 4:
@@ -171,6 +197,8 @@ def _count_edge_extreme(
     delta: int,
     e: TemporalEdge,
     as_max: bool,
+    looks: dict[tuple[bool, int], dict[int, list[int]]] | None = None,
+    span: tuple[int, int] | None = None,
     from_upper: bool | None = None,
 ) -> list[int]:
     """Counts of butterflies containing e in which e.t is the strict extreme.
@@ -178,24 +206,30 @@ def _count_edge_extreme(
     As the minimum (as_max false) every other timestamp lies in
     (t, t + delta], as the maximum in [t - delta, t), so the span bound
     holds by construction.  The 2-paths over that range come from
-    `_expansion`.  Each walked neighbour's 2-paths are ranked against its
-    own edges to the walked endpoint, the pivots, which close a wedge
-    (t, pivot) that is forward as the minimum and backward as the maximum.
-    Walking from u sees the butterflies from v, a lower start vertex, which
-    flips the type index's low bit.  from_upper is passed to `_expansion`.
+    `_expansion`, with looks and span shared across a batch run or, when
+    looks is None, fresh for this edge.  Each walked neighbour's 2-paths
+    are ranked against its own edges to the walked endpoint, the pivots,
+    which close a wedge (t, pivot) that is forward as the minimum and
+    backward as the maximum.  Walking from u sees the butterflies from v, a
+    lower start vertex, which flips the type index's low bit.  from_upper
+    is passed to `_expansion`.
     """
     t = e.t
     lo, hi = (t - delta, t - 1) if as_max else (t + 1, t + delta)
+    if looks is None:
+        looks, span = {}, (lo, hi)
     acc = [0] * 6
-    walk, look, rows, times, from_upper = _expansion(g, e, lo, hi, from_upper)
+    walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, looks, span, from_upper)
     for y, pivots in walk.items():
         # wedges endpoint-z-y: ts on the looked-up edge, ta on y's; sorted columns per direction
         fs, fa, bs, ba = [], [], [], []
         a, b = _time_range(times[y], lo, hi)
         for z, ta, _uid in rows[y][a:b]:
             starts = look.get(z)
-            if starts is not None:
+            if starts is not None and z != skip:
                 for ts in starts:
+                    if ts < lo or ts > hi:
+                        continue
                     if ts < ta:
                         fs.append(ts)
                         fa.append(ta)
@@ -247,12 +281,19 @@ def batch_update(
     maximum-timestamp edge among the insertions, never both counted, so
     per-edge counting cannot double-count.  Insertions go into the graph
     before counting; deletions leave it only after counting is done.  The
-    counting phase is read-only on the graph and is split into `workers`
-    slices, each with its own accumulator, reduced deterministically at the
-    end; the slices run one after another on the calling thread.  Raises
-    ValueError if live would go negative, which means it did not match the
-    graph; the inserted edges are then removed again, so graph and live are
-    left as they were.
+    counting phase is read-only on the graph.  Each batch is cut into runs
+    whose stamps lie within delta of the run's first; a run's edges share
+    one map per looked-up endpoint, built on first use over the run's span,
+    [first - delta, last - 1] for insertions and [first + 1, last + delta]
+    for deletions, which holds every range of the run and is at most twice
+    as wide as one.  A shared map holds stamps outside some edge's range,
+    so each hit is filtered to that range; misses, most look-ups, pay
+    nothing.  The maps die with the batch.  The edges are split into
+    `workers` slices, each with its own accumulator and all sharing the
+    runs' maps, reduced deterministically at the end; the slices run one
+    after another on the calling thread.  Raises ValueError if live would
+    go negative, which means it did not match the graph; the inserted edges
+    are then removed again, so graph and live are left as they were.
 
     Returns the inserted edge records.
     """
@@ -279,14 +320,24 @@ def batch_update(
             raise ValueError("insertion batch is not a newest-timestamp suffix of the stream")
     inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]
 
-    jobs: list[tuple[TemporalEdge, bool]] = [(e, False) for e in deletions] + [(e, True) for e in inserted]
+    # cut each batch into runs; a run's edges share its span and looks dict
+    jobs: list[tuple[TemporalEdge, bool, dict, tuple[int, int]]] = []
+    for batch, as_max in ((deletions, False), (inserted, True)):
+        stamps = [e.t for e in batch]
+        i = 0
+        while i < len(batch):
+            j = bisect_right(stamps, stamps[i] + delta, i)
+            span = (stamps[i] - delta, stamps[j - 1] - 1) if as_max else (stamps[i] + 1, stamps[j - 1] + delta)
+            looks: dict = {}
+            jobs.extend((e, as_max, looks, span) for e in batch[i:j])
+            i = j
     removed = [0] * 6
     added = [0] * 6
     for k in range(workers):
         part_removed = [0] * 6
         part_added = [0] * 6
-        for e, as_max in jobs[k::workers]:
-            part = _count_edge_extreme(g, delta, e, as_max)
+        for e, as_max, looks, span in jobs[k::workers]:
+            part = _count_edge_extreme(g, delta, e, as_max, looks, span)
             acc = part_added if as_max else part_removed
             for i in range(6):
                 acc[i] += part[i]
@@ -333,10 +384,25 @@ class SlidingWindow:
         self.live = CountVector.zeros()
 
     def advance_single(self, chunk: list[tuple[str, str, int]]) -> None:
+        """Insert then evict one edge at a time.
+
+        The stream is chronological and a butterfly's stamps are distinct,
+        so an inserted edge is the strict maximum of every butterfly it
+        completes and the oldest live edge the strict minimum of every one
+        it leaves: each is counted by its extreme alone.
+        """
+        g, delta, live = self.graph, self.delta, self.live
         for u, v, t in chunk:
-            self.buffer.append(stream_insert(self.graph, self.delta, u, v, t, self.live))
+            e = g.insert_edge(u, v, t)
+            live.add_(_count_edge_extreme(g, delta, e, True))
+            self.buffer.append(e)
         while len(self.buffer) > self.window:
-            stream_delete(self.graph, self.delta, self.buffer.popleft(), self.live)
+            e = self.buffer[0]
+            removed = _count_edge_extreme(g, delta, e, False)
+            _check_live(live, [0] * 6, removed)
+            live.sub_(removed)
+            g.remove_edge(e)
+            self.buffer.popleft()
 
     def advance_batch(self, chunk: list[tuple[str, str, int]], workers: int) -> None:
         excess = len(self.buffer) + len(chunk) - self.window

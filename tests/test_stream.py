@@ -190,6 +190,28 @@ class TestBatchUpdate:
         assert live == before
         assert oracle_count(g, 4) == before
 
+    def test_runs_share_hub_maps_within_their_spans(self):
+        # every edge joins hub a or b to a spoke, one per time unit; at delta 10 the
+        # insertion splits into runs from 1, 12, 23, 34 and 45, the deletion of the
+        # 30 oldest into runs from 1, 12 and 23, and each run's map of a hub holds
+        # parallel hub-spoke edges outside most of the run's edges' own ranges
+        delta = 10
+        batch = [("b" if t % 3 == 0 else "a", "xyz"[t % 4 % 3], t) for t in range(1, 46)]
+        g = TemporalBipartiteGraph()
+        sort_adjacency_by_time(g)
+        live = CountVector.zeros()
+        stats: dict = {}
+        batch_update(g, delta, [], batch, live, stats=stats)
+        full = oracle_count(g, delta)
+        assert full.total() > 0
+        assert stats["added"] == full
+        assert live == full
+        batch_update(g, delta, g.edges()[:30], [], live, stats=stats)
+        rest = oracle_count(build_plain(batch[30:]), delta)
+        assert rest.total() > 0
+        assert stats["removed"] == full - rest
+        assert live == rest == oracle_count(g, delta)
+
     def test_non_prefix_deletion_rejected(self):
         g = build_time(F1)
         with pytest.raises(ValueError, match="oldest-timestamp prefix"):
@@ -355,6 +377,18 @@ class TestSlidingWindow:
             SlidingWindow(-1, window=4, stride=1)
         with pytest.raises(ValueError, match="engine"):
             run_sliding_window([], 3, window=4, stride=1, engine="fast")
+
+    def test_single_edge_eviction_checks_live_before_any_change(self):
+        win = SlidingWindow(3, window=4, stride=1)
+        win.advance_single(list(F1))
+        assert win.live == [0, 1, 0, 0, 0, 0]
+        win.live = CountVector.zeros()
+        oldest = win.buffer[0]
+        with pytest.raises(ValueError, match="negative"):
+            win.advance_single([("u3", "v3", 5)])
+        assert win.buffer[0] == oldest and len(win.buffer) == 5
+        assert win.graph.has_edge(oldest)
+        assert win.live == [0] * 6
 
     def test_sink_is_optional(self):
         run_sliding_window(list(F1), 3, window=2, stride=1)
