@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations, groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import tempobf
 from tempobf import (
     CountVector,
     TimestampIndex,
@@ -212,9 +217,13 @@ class TestIndexes:
         assert acc == [0, 1, 0, 0, 0, 0]
 
     @PROPERTY_SETTINGS
-    @given(st.lists(wedge_strategy, max_size=30), st.integers(0, 40))
+    @given(st.lists(wedge_strategy, max_size=200), st.integers(0, 40))
     def test_indexes_agree_with_naive_recount(self, wedges, delta):
-        """Engine-shaped rounds: expire, probe, insert, descending start times."""
+        """Engine-shaped rounds: expire, probe, insert, descending start times.
+
+        Up to 200 wedges over 31 start and 38 arrival stamps, so rounds
+        insert, expire and probe among many equal starts and arrivals.
+        """
         wedges.sort(key=lambda w: (-w[0], w[1]))
         flat = TimestampIndex()
         twin = TwinOrderedIndex()
@@ -334,6 +343,26 @@ class TestEngines:
         assert engine(g1, p1, 2) == [0] * 6
         g2, p2 = build_priority(F2)
         assert engine(g2, p2, 10) == [0, 1, 0, 0, 1, 0]
+
+    def test_counts_without_third_party_modules(self):
+        # a None entry in sys.modules makes any import of that name fail
+        script = (
+            "import sys\n"
+            "sys.modules['sortedcontainers'] = None\n"
+            "from tempobf import TemporalBipartiteGraph, compute_vertex_priority, count_extreme,"
+            " oracle_count, sort_adjacency_by_priority\n"
+            f"g = TemporalBipartiteGraph.from_edges({F1!r})\n"
+            "p = compute_vertex_priority(g)\n"
+            "expected = oracle_count(g, 3)\n"
+            "sort_adjacency_by_priority(g, p)\n"
+            "assert count_extreme(g, p, 3) == expected == [0, 1, 0, 0, 0, 0]\n"
+        )
+        src = str(Path(tempobf.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_all_equal_timestamps_count_nothing(self):
         g, p = build_priority([("u1", "v1", 5), ("u1", "v2", 5), ("u2", "v1", 5), ("u2", "v2", 5)])
