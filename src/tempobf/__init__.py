@@ -10,7 +10,6 @@ from .count import (
     TimestampIndex,
     TwinOrderedIndex,
     classify_type,
-    combine,
     count_baseline,
     count_extreme,
     count_optimized,
@@ -58,7 +57,6 @@ __all__ = [
     "VertexPriority",
     "batch_update",
     "classify_type",
-    "combine",
     "compute_vertex_priority",
     "count_baseline",
     "count_extreme",

@@ -28,16 +28,16 @@ Three engines share one answer:
   proportion to the live index; measured, a balanced tree overtakes
   them at 15k-50k live wedges in one bucket.
 
-All engines take their wedges from one walk, _end_buckets.  Every
-adjacency row is ordered by neighbor priority descending, and the walk
-reads each start vertex's row from its tail, stopping at the first neighbor
-that does not rank below the start vertex.  Wedges thus run only toward
-strictly lower-priority middle and end vertices, so each butterfly is seen
-exactly once, from its max-priority corner.  On the middle vertex's row
-the walk reads only the delta window around the first edge's stamp,
-bisected from the row's time view, and skips ends that do not rank below
-the start; a row whose stamps all fall inside the window is walked up to
-its priority cut instead, as the start's row is.  count_baseline asks the
+All engines take their wedges from one walk, _end_buckets.  It reads each
+start vertex's priority row, ordered by neighbor priority descending, from
+its tail, stopping at the first neighbor that does not rank below the start
+vertex.  Wedges thus run only toward strictly lower-priority middle and end
+vertices, so each butterfly is seen exactly once, from its max-priority
+corner.  On the middle vertex it reads only the slice of its time row
+inside the delta window around the first edge's stamp, bisected from the
+row's int stamps, and skips ends that do not rank below the start; a middle
+whose stamps all fall inside the window is walked along its priority row up
+to the cut instead, as the start's is.  count_baseline asks the
 walk to keep dead wedges as well, so it always walks the priority cut; the
 others drop them on sight.  count_sampled runs count_extreme on an
 edge-sampled subgraph and rescales, giving unbiased estimates.
@@ -52,8 +52,6 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .graph import (
-    _STAMP,
-    LAYOUT_PRIORITY,
     TemporalBipartiteGraph,
     VertexPriority,
     compute_vertex_priority,
@@ -65,7 +63,6 @@ __all__ = [
     "classify_type",
     "TimestampIndex",
     "TwinOrderedIndex",
-    "combine",
     "count_baseline",
     "count_optimized",
     "count_extreme",
@@ -259,10 +256,6 @@ class TwinOrderedIndex:
         acc[o_int] += bisect_left(starts, pivot) - bisect_right(arrivals, (pivot,) + self._HI)
         acc[o_cov] += bisect_left(arrivals, (pivot,) + self._LO)
 
-    def start_counts(self) -> tuple[int, int]:
-        """(arrival side size, start side size); equal at every quiescent point."""
-        return len(self._arrivals), len(self._starts)
-
 
 # --- end-bucket sweep --------------------------------------------------------
 
@@ -368,37 +361,12 @@ def _count_bucket(wedges, delta, layer, index_class, acc, same, min_run) -> None
             _sweep(*_split(run), delta, index_class(), index_class(), visit_same)
 
 
-def combine(
-    bucket: dict[int, tuple[list, list]],
-    delta: int,
-    acc: list[int],
-    start_in_upper: bool,
-    index_class: type = TimestampIndex,
-) -> None:
-    """Count all distinct-middle wedge pairings of one end bucket into acc.
-
-    The bucket maps each middle vertex to its (forward, backward) lists of
-    normalized (t_s, t_a, middle) wedges, in any order, and is not
-    modified.  The wedges are laid out as one flat bucket and counted as
-    the engines count theirs, except that any middle may hold a same-middle
-    pair here, so every middle with two or more wedges is swept for them.
-    """
-    wedges: list = []
-    for fwd, bwd in bucket.values():
-        wedges += fwd
-        wedges += [(ta, ts, mid) for ts, ta, mid in bwd]
-    same = [0] * 6
-    _count_bucket(wedges, delta, 0 if start_in_upper else 1, index_class, acc, same, min_run=2)
-    for i in range(6):
-        acc[i] -= same[i]
-
-
 # --- engines ----------------------------------------------------------------
 
 
 def _require_priority_layout(g: TemporalBipartiteGraph) -> None:
-    if g.layout != LAYOUT_PRIORITY:
-        raise ValueError("engine requires priority-sorted adjacency; call sort_adjacency_by_priority")
+    if g.upper_prio is None:
+        raise ValueError("engine requires priority rows; call sort_adjacency_by_priority")
 
 
 def count_baseline(
@@ -438,20 +406,20 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
     stamps of the edges to start and to end.  The walk finishes one middle
     before the next, so each middle's wedges form one run, and the bucket
     has two middles or more iff its first and last wedges differ in middle.
-    Rows are ordered by neighbor priority descending, so the start's row is
-    walked from its tail and left at the first middle whose priority is not
-    below the start's.  A middle's row is walked the same way when raw is
-    set or when every stamp in it lies within delta of the first edge's
-    stamp t1.  Otherwise only its [t1 - delta, t1 + delta] slice is walked,
-    bisected from the row's time view, and ends whose priority is not below
-    the start's are skipped.  Either way every wedge reached spans at most
-    delta, and those with equal stamps are dropped, unless raw is set: then
-    every wedge of the priority cut is kept.
+    The start's priority row is walked from its tail and left at the first
+    middle whose priority is not below the start's.  A middle's priority
+    row is walked the same way when raw is set or when every stamp of the
+    middle lies within delta of the first edge's stamp t1.  Otherwise only
+    the [t1 - delta, t1 + delta] slice of its time row is walked, bisected
+    from its int stamps, and ends whose priority is not below the start's
+    are skipped.  Either way every wedge reached spans at most delta, and
+    those with equal stamps are dropped, unless raw is set: then every
+    wedge of the priority cut is kept.
     """
     _require_priority_layout(g)
-    for layer, starts, mids, views, sprio, mprio in (
-        (0, g.upper_adj, g.lower_adj, g.lower_times, priority.upper, priority.lower),
-        (1, g.lower_adj, g.upper_adj, g.upper_times, priority.lower, priority.upper),
+    for layer, starts, mid_prio, mid_rows, mid_stamps, sprio, mprio in (
+        (0, g.upper_prio, g.lower_prio, g.lower_adj, g.lower_times, priority.upper, priority.lower),
+        (1, g.lower_prio, g.upper_prio, g.upper_adj, g.upper_times, priority.lower, priority.upper),
     ):
         for s, row in enumerate(starts):
             ps = sprio[s]
@@ -459,13 +427,13 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
             for v, t1, _ in reversed(row):
                 if mprio[v] >= ps:
                     break
-                view = views[v]
-                cut = raw or (t1 - view[0][1] <= delta and view[-1][1] - t1 <= delta)
+                stamps = mid_stamps[v]
+                cut = raw or (t1 - stamps[0] <= delta and stamps[-1] - t1 <= delta)
                 if cut:
-                    entries = reversed(mids[v])
+                    entries = reversed(mid_prio[v])
                 else:
-                    lo = bisect_left(view, t1 - delta, key=_STAMP)
-                    entries = view[lo:bisect_right(view, t1 + delta, lo, key=_STAMP)]
+                    lo = bisect_left(stamps, t1 - delta)
+                    entries = mid_rows[v][lo:bisect_right(stamps, t1 + delta, lo)]
                 for w, t2, _ in entries:
                     if sprio[w] >= ps:
                         if cut:

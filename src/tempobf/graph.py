@@ -6,11 +6,12 @@ parallel edges with different (or even equal) timestamps are allowed.  Input
 tokens are interned to dense per-layer internal ids in order of first
 appearance, and the original tokens are kept for output.
 
-The counting engines and the streaming engines want different adjacency
-layouts (neighbor-priority order versus chronological order), so the graph
-carries a layout tag and the engines check it before running.  Both layouts
-keep a chronological copy of every row beside it: the time layout its
-timestamps, the priority layout its entries.
+A sorted graph keeps every adjacency row in (t, uid) order, its time rows,
+with each row's stamps as a plain int array beside it; the streaming
+engines mutate these.  The counting engines also need each row in
+neighbor-priority order, so sort_adjacency_by_priority adds priority rows
+beside the time rows.  Any later mutation drops the priority rows, and the
+counting engines refuse a graph without them.
 """
 
 from __future__ import annotations
@@ -20,11 +21,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
-
-LAYOUT_UNSORTED = "unsorted"
-LAYOUT_PRIORITY = "priority"
-LAYOUT_TIME = "time"
-
 
 class GraphParseError(ValueError):
     """Raised for malformed edge-list input; the message names the line."""
@@ -59,13 +55,13 @@ class TemporalBipartiteGraph:
     """Adjacency-list temporal bipartite multigraph.
 
     Each adjacency entry is a (neighbor, t, uid) tuple and every edge appears
-    in exactly two lists, one per endpoint.  In the time layout,
-    upper_times and lower_times hold each row's timestamps as plain ints,
-    parallel to upper_adj and lower_adj, so time ranges bisect at C speed.
-    In the priority layout they hold each row's time view: the same entry
-    tuples ordered by (t, uid), so the counting engines can bisect a delta
-    window of a row whose own order marks the priority cut.  They are not
-    read in the unsorted layout.
+    in exactly two rows, one per endpoint.  Rows grow in arrival order under
+    add_edge.  Once sorted, upper_adj and lower_adj are time rows, ordered
+    by (t, uid), and upper_times and lower_times hold each row's stamps as
+    plain ints, so time ranges bisect at C speed; they are None while the
+    rows are unsorted.  upper_prio and lower_prio, when not None, hold the
+    same entries per row in (neighbor priority descending, t, uid) order:
+    the priority rows the counting engines walk.
     """
 
     __slots__ = (
@@ -76,10 +72,11 @@ class TemporalBipartiteGraph:
         "upper_adj",
         "lower_adj",
         "edge_count",
-        "layout",
         "_next_uid",
         "upper_times",
         "lower_times",
+        "upper_prio",
+        "lower_prio",
     )
 
     def __init__(self) -> None:
@@ -90,12 +87,11 @@ class TemporalBipartiteGraph:
         self.upper_adj: list[list[tuple[int, int, int]]] = []
         self.lower_adj: list[list[tuple[int, int, int]]] = []
         self.edge_count = 0
-        self.layout = LAYOUT_UNSORTED
         self._next_uid = 0
-        # timestamps of each row in the time layout, its time view in the
-        # priority layout
-        self.upper_times: list[list[int]] | list[list[tuple[int, int, int]]] | None = None
-        self.lower_times: list[list[int]] | list[list[tuple[int, int, int]]] | None = None
+        self.upper_times: list[list[int]] | None = None
+        self.lower_times: list[list[int]] | None = None
+        self.upper_prio: list[list[tuple[int, int, int]]] | None = None
+        self.lower_prio: list[list[tuple[int, int, int]]] | None = None
 
     @property
     def upper_count(self) -> int:
@@ -117,7 +113,7 @@ class TemporalBipartiteGraph:
         return vid
 
     def add_edge(self, u_token: str, v_token: str, t: int) -> TemporalEdge:
-        """Append one edge during construction; invalidates any sorted layout."""
+        """Append one edge during construction; leaves the rows unsorted."""
         u = self._intern(str(u_token), self._upper_ids, self.upper_tokens, self.upper_adj)
         v = self._intern(str(v_token), self._lower_ids, self.lower_tokens, self.lower_adj)
         uid = self._next_uid
@@ -125,7 +121,8 @@ class TemporalBipartiteGraph:
         self.upper_adj[u].append((v, t, uid))
         self.lower_adj[v].append((u, t, uid))
         self.edge_count += 1
-        self.layout = LAYOUT_UNSORTED
+        if self.upper_times is not None:
+            self.upper_times = self.lower_times = self.upper_prio = self.lower_prio = None
         return TemporalEdge(u, v, t, uid)
 
     @classmethod
@@ -147,12 +144,13 @@ class TemporalBipartiteGraph:
         out.sort(key=lambda e: e.uid)
         return out
 
-    # Streaming mutation; both require and preserve the chronological layout.
+    # Streaming mutation; both require and preserve sorted time rows, and
+    # drop the priority rows, which they would leave stale.
 
     def insert_edge(self, u_token: str, v_token: str, t: int) -> TemporalEdge:
-        """Insert one edge keeping both adjacency lists time sorted."""
-        if self.layout != LAYOUT_TIME:
-            raise ValueError("insert_edge requires the time layout; call sort_adjacency_by_time first")
+        """Insert one edge keeping both time rows sorted."""
+        if self.upper_times is None:
+            raise ValueError("insert_edge requires time-sorted rows; call sort_adjacency_by_time first")
         u = self._intern(str(u_token), self._upper_ids, self.upper_tokens, self.upper_adj)
         v = self._intern(str(v_token), self._lower_ids, self.lower_tokens, self.lower_adj)
         uid = self._next_uid
@@ -160,12 +158,13 @@ class TemporalBipartiteGraph:
         _insert_entry(self.upper_adj[u], _times_row(self.upper_times, u), (v, t, uid))
         _insert_entry(self.lower_adj[v], _times_row(self.lower_times, v), (u, t, uid))
         self.edge_count += 1
+        self.upper_prio = self.lower_prio = None
         return TemporalEdge(u, v, t, uid)
 
     def remove_edge(self, e: TemporalEdge) -> None:
         """Delete e from both its rows, or raise KeyError and delete nothing."""
-        if self.layout != LAYOUT_TIME:
-            raise ValueError("remove_edge requires the time layout")
+        if self.upper_times is None:
+            raise ValueError("remove_edge requires time-sorted rows; call sort_adjacency_by_time first")
         found = []
         for adj, times, vid, nbr in (
             (self.upper_adj, self.upper_times, e.u, e.v),
@@ -179,16 +178,14 @@ class TemporalBipartiteGraph:
             del row[i]
             del times[i]
         self.edge_count -= 1
+        self.upper_prio = self.lower_prio = None
 
     def has_edge(self, e: TemporalEdge) -> bool:
         if not (0 <= e.u < self.upper_count and 0 <= e.v < self.lower_count):
             return False
-        if self.layout == LAYOUT_TIME:
-            return _find_entry(self.upper_adj[e.u], self.upper_times[e.u], e.v, e.t, e.uid) is not None
-        if self.layout == LAYOUT_PRIORITY:
-            view = self.upper_times[e.u]
-            return _find_entry(view, view, e.v, e.t, e.uid, _STAMP) is not None
-        return (e.v, e.t, e.uid) in self.upper_adj[e.u]
+        if self.upper_times is None:
+            return (e.v, e.t, e.uid) in self.upper_adj[e.u]
+        return _find_entry(self.upper_adj[e.u], self.upper_times[e.u], e.v, e.t, e.uid) is not None
 
 
 def _times_row(times: list[list[int]], vid: int) -> list[int]:
@@ -204,27 +201,9 @@ def _insert_entry(row: list[tuple[int, int, int]], times: list[int], entry: tupl
     times.insert(i, entry[1])
 
 
-_STAMP = itemgetter(1)
-_UID = itemgetter(2)
-
-
-def _sort_by_time(row: list[tuple[int, int, int]]) -> None:
-    """Order a row by (t, uid) with two C-keyed stable sorts.
-
-    Rows not yet sorted are in arrival order, which the first sort then
-    confirms in one linear pass.
-    """
-    row.sort(key=_UID)
-    row.sort(key=_STAMP)
-
-
-def _find_entry(row: list[tuple[int, int, int]], stamps: list, nbr: int, t: int, uid: int, key=None) -> int | None:
-    """Index of the entry (nbr, t, uid) in a row ordered by (t, uid), or None.
-
-    stamps is bisected for t: the row's timestamp array, or the row itself
-    with key reading each entry's stamp.
-    """
-    i = bisect_left(stamps, t, key=key)
+def _find_entry(row: list[tuple[int, int, int]], stamps: list[int], nbr: int, t: int, uid: int) -> int | None:
+    """Index of the entry (nbr, t, uid) in a time row, or None; stamps is the row's stamp array."""
+    i = bisect_left(stamps, t)
     while i < len(row) and row[i][1] == t:
         if row[i][2] == uid:
             return i if row[i][0] == nbr else None
@@ -250,45 +229,39 @@ def compute_vertex_priority(g: TemporalBipartiteGraph) -> VertexPriority:
 
 
 def sort_adjacency_by_priority(g: TemporalBipartiteGraph, priority: VertexPriority) -> None:
-    """Order every adjacency list by neighbor priority descending, then time.
+    """Add each row's priority row: its entries by neighbor priority descending, then time.
 
-    The engines walk each list from its tail, where the lowest priorities
+    The rows are sorted by time first unless they already are.  Each
+    priority row is a stable sort of its time row, so equal priorities keep
+    (t, uid) order; the time rows themselves are not reordered.  The
+    engines walk a priority row from its tail, where the lowest priorities
     sit, and stop at the first neighbor that does not rank below the start.
-    Each row is first ordered by (t, uid) and copied as its time view into
-    upper_times or lower_times; a stable sort by neighbor priority then
-    gives the row its final (priority descending, t, uid) order.
     """
-    g.upper_times = _sort_rows_by_priority(g.upper_adj, priority.lower)
-    g.lower_times = _sort_rows_by_priority(g.lower_adj, priority.upper)
-    g.layout = LAYOUT_PRIORITY
+    if g.upper_times is None:
+        sort_adjacency_by_time(g)
+    g.upper_prio = _priority_rows(g.upper_adj, priority.lower)
+    g.lower_prio = _priority_rows(g.lower_adj, priority.upper)
 
 
-def _sort_rows_by_priority(
-    adj: list[list[tuple[int, int, int]]], nbr_priority: list[int]
-) -> list[list[tuple[int, int, int]]]:
-    """Priority-sort every row of one layer in place; return the rows' time views."""
-    for row in adj:
-        _sort_by_time(row)
-    views = [row[:] for row in adj]
+def _priority_rows(adj: list[list[tuple[int, int, int]]], nbr_priority: list[int]) -> list[list[tuple[int, int, int]]]:
     key = lambda e: nbr_priority[e[0]]
-    for row in adj:
-        # reverse=True keeps equal keys in their (t, uid) order
-        row.sort(key=key, reverse=True)
-    return views
+    # reverse=True keeps equal keys in their (t, uid) order
+    return [sorted(row, key=key, reverse=True) for row in adj]
 
 
 def sort_adjacency_by_time(g: TemporalBipartiteGraph) -> None:
-    """Order every adjacency list chronologically, arrival index as tie-break.
+    """Order every row by (t, uid) and build its stamp array.
 
-    Also builds, per list, the parallel array of timestamps that the
-    streaming engines and mutations bisect.
+    Two C-keyed stable sorts order each row; rows still in arrival order
+    pass the first in one linear scan.
     """
+    by_uid, by_t = itemgetter(2), itemgetter(1)
     for adj in (g.upper_adj, g.lower_adj):
         for row in adj:
-            _sort_by_time(row)
-    g.upper_times = [[e[1] for e in row] for row in g.upper_adj]
-    g.lower_times = [[e[1] for e in row] for row in g.lower_adj]
-    g.layout = LAYOUT_TIME
+            row.sort(key=by_uid)
+            row.sort(key=by_t)
+    g.upper_times = [list(map(by_t, row)) for row in g.upper_adj]
+    g.lower_times = [list(map(by_t, row)) for row in g.lower_adj]
 
 
 def iter_edge_stream(source: str | os.PathLike | IO[str] | Iterable[str]) -> Iterator[tuple[str, str, int]]:

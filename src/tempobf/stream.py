@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Callable, Iterable
 
 from .count import CountVector, classify_type
-from .graph import LAYOUT_TIME, TemporalBipartiteGraph, TemporalEdge, sort_adjacency_by_time
+from .graph import TemporalBipartiteGraph, TemporalEdge, sort_adjacency_by_time
 
 __all__ = [
     "StreamOrderError",
@@ -51,8 +51,8 @@ class StreamOrderError(ValueError):
 
 
 def _require_time_layout(g: TemporalBipartiteGraph) -> None:
-    if g.layout != LAYOUT_TIME:
-        raise ValueError("streaming requires time-sorted adjacency; call sort_adjacency_by_time")
+    if g.upper_times is None:
+        raise ValueError("streaming requires time-sorted rows; call sort_adjacency_by_time")
 
 
 def _time_range(times: list[int], lo: int, hi: int) -> tuple[int, int]:

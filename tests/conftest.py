@@ -12,7 +12,6 @@ from tempobf import (
     sort_adjacency_by_priority,
     sort_adjacency_by_time,
 )
-from tempobf.graph import LAYOUT_PRIORITY, LAYOUT_TIME
 
 # one 2x2 biclique whose four stamps climb 1..4; butterfly span 3
 F1 = (("u1", "v1", 1), ("u1", "v2", 2), ("u2", "v1", 3), ("u2", "v2", 4))
@@ -27,7 +26,7 @@ PROPERTY_SETTINGS = settings(
 
 
 def build_priority(triples):
-    """Graph in counting layout plus its vertex priority."""
+    """Graph with time and priority rows, plus its vertex priority."""
     g = TemporalBipartiteGraph.from_edges(triples)
     priority = compute_vertex_priority(g)
     sort_adjacency_by_priority(g, priority)
@@ -35,27 +34,30 @@ def build_priority(triples):
 
 
 def build_time(triples):
-    """Graph in streaming layout."""
+    """Graph with time rows only, as streaming keeps it."""
     g = TemporalBipartiteGraph.from_edges(triples)
     sort_adjacency_by_time(g)
     return g
 
 
 def assert_times_match_rows(g):
-    """The chronological copy of every row matches the row.
+    """Every time row is in (t, uid) order and its stamp array matches it.
 
-    In the time layout it is the row's timestamps, in order; in the priority
-    layout it is the row's time view, exactly its entries in (t, uid) order.
+    When the graph has priority rows, each holds exactly its time row's
+    entries; TestLayouts checks their order against a known priority.
     """
-    assert g.layout in (LAYOUT_TIME, LAYOUT_PRIORITY)
+    assert g.upper_times is not None and g.lower_times is not None
     assert len(g.upper_times) == len(g.upper_adj)
     assert len(g.lower_times) == len(g.lower_adj)
     for times, adj in ((g.upper_times, g.upper_adj), (g.lower_times, g.lower_adj)):
         for row_times, row in zip(times, adj):
-            if g.layout == LAYOUT_TIME:
-                assert row_times == [t for _, t, _ in row]
-            else:
-                assert row_times == sorted(row, key=lambda e: (e[1], e[2]))
+            assert row == sorted(row, key=lambda e: (e[1], e[2]))
+            assert row_times == [t for _, t, _ in row]
+    if g.upper_prio is not None:
+        for prio, adj in ((g.upper_prio, g.upper_adj), (g.lower_prio, g.lower_adj)):
+            assert len(prio) == len(adj)
+            for prio_row, row in zip(prio, adj):
+                assert sorted(prio_row, key=lambda e: (e[1], e[2])) == row
 
 
 def build_plain(triples):

@@ -19,7 +19,6 @@ from tempobf import (
     TimestampIndex,
     TwinOrderedIndex,
     classify_type,
-    combine,
     compute_vertex_priority,
     count_baseline,
     count_extreme,
@@ -32,7 +31,7 @@ from tempobf import (
     oracle_enumerate,
     oracle_static_pairings,
 )
-from tempobf.count import _SMALL_BUCKET, _end_buckets
+from tempobf.count import _SMALL_BUCKET, _count_bucket, _end_buckets
 from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority, build_time
 
 triples_strategy = st.lists(
@@ -82,6 +81,13 @@ def cut_row_triples_strategy(draw):
 
 
 quadruple_strategy = st.lists(st.integers(0, 100), min_size=4, max_size=4, unique=True)
+
+
+def build_mutated(triples):
+    """Priority-sorted, then grown by one insertion, which drops the priority rows."""
+    g, _ = build_priority(triples)
+    g.insert_edge("u9", "v9", 99)
+    return g
 
 
 def all_engine_counts(triples, delta):
@@ -201,7 +207,7 @@ class TestIndexes:
         idx.insert((3, 9))
         idx.delete_above(6)
         assert len(idx) == 1
-        assert idx.start_counts() == (1, 1)
+        assert len(idx._arrivals) == len(idx._starts) == 1
         acc = [0] * 6
         idx.query_counts(4, acc, (0, 1, 2))
         assert acc == [0, 1, 0, 0, 0, 0]
@@ -245,15 +251,43 @@ class TestIndexes:
                 twin.insert(wedge)
             inserted.extend(round_wedges)
             assert len(flat) == len(twin) == len(inserted)
-            assert twin.start_counts() == (len(inserted), len(inserted))
+            assert len(twin._arrivals) == len(twin._starts) == len(inserted)
 
 
-def bucket_of(groups):
-    """combine's input: middle m -> (forward, backward) lists of (lo, hi, m) wedges."""
-    return {
-        m: ([(lo, hi, m) for lo, hi in fwd], [(lo, hi, m) for lo, hi in bwd])
-        for m, (fwd, bwd) in enumerate(groups)
-    }
+def flat_bucket(groups):
+    """An end bucket as the engines lay it out: raw (t1, t2, middle) wedges, one run per middle.
+
+    groups lists each middle's (forward, backward) (lo, hi) stamp pairs; a
+    backward wedge runs hi to lo.
+    """
+    return [
+        (lo, hi, m) if direction == 0 else (hi, lo, m)
+        for m, lists in enumerate(groups)
+        for direction, wedges in enumerate(lists)
+        for lo, hi in wedges
+    ]
+
+
+def legs_groups(legs, delta):
+    """Engine-shaped groups: each middle's wedges cross its start-leg and end-leg stamps.
+
+    As in the engines' walk, a wedge is kept iff its two stamps differ by 1..delta.
+    """
+    return [
+        (
+            [(a, b) for a in starts for b in ends if 0 < b - a <= delta],
+            [(b, a) for a in starts for b in ends if 0 < a - b <= delta],
+        )
+        for starts, ends in legs
+    ]
+
+
+def count_flat(wedges, delta, upper, index_class=TimestampIndex, min_run=2):
+    """Distinct-middle butterflies of one flat bucket, as _count_with_index tallies them."""
+    every = [0] * 6
+    same = [0] * 6
+    _count_bucket(wedges, delta, 0 if upper else 1, index_class, every, same, min_run)
+    return [a - b for a, b in zip(every, same)]
 
 
 def naive_combine(groups, delta, upper):
@@ -272,27 +306,28 @@ def naive_combine(groups, delta, upper):
     return acc
 
 
+legs_strategy = st.lists(
+    st.tuples(st.lists(st.integers(0, 40), max_size=5), st.lists(st.integers(0, 40), max_size=5)),
+    min_size=1,
+    max_size=5,
+)
+
+
 class TestCombine:
+    """_count_bucket on flat end buckets against a direct pairing of their wedges."""
+
     def test_single_bucket_is_a_no_op(self):
         # (1, 2) and (3, 4) through one middle come from parallel edges: no butterfly
-        acc = [0] * 6
-        combine(bucket_of([([(1, 2), (3, 4)], [])]), 10, acc, True)
-        assert acc == [0] * 6
+        assert count_flat(flat_bucket([([(1, 2), (3, 4)], [])]), 10, True) == [0] * 6
 
     def test_two_singleton_buckets_within_delta(self):
-        acc = [0] * 6
-        combine(bucket_of([([(1, 2)], []), ([(3, 4)], [])]), 10, acc, True)
-        assert acc == [1, 0, 0, 0, 0, 0]
+        assert count_flat(flat_bucket([([(1, 2)], []), ([(3, 4)], [])]), 10, True) == [1, 0, 0, 0, 0, 0]
 
     def test_two_singleton_buckets_beyond_delta(self):
-        acc = [0] * 6
-        combine(bucket_of([([(1, 2)], []), ([(3, 4)], [])]), 2, acc, True)
-        assert acc == [0] * 6
+        assert count_flat(flat_bucket([([(1, 2)], []), ([(3, 4)], [])]), 2, True) == [0] * 6
 
     def test_lower_layer_start_flips_types(self):
-        acc = [0] * 6
-        combine(bucket_of([([(1, 2)], []), ([(3, 4)], [])]), 10, acc, False)
-        assert acc == [0, 1, 0, 0, 0, 0]
+        assert count_flat(flat_bucket([([(1, 2)], []), ([(3, 4)], [])]), 10, False) == [0, 1, 0, 0, 0, 0]
 
     # up to 72 wedges a bucket, so draws fall on both sides of the size at
     # which a bucket is swept instead of paired directly
@@ -307,16 +342,46 @@ class TestCombine:
         st.booleans(),
     )
     def test_index_choice_does_not_change_combine(self, groups, delta, upper):
-        # combine takes wedges the engines keep: spans within delta
+        # spans within delta, as the engines keep them; any middle may hold
+        # a same-middle pair, so every run of two or more is swept for them
         groups = [
             ([w for w in fwd if w[1] - w[0] <= delta], [w for w in bwd if w[1] - w[0] <= delta])
             for fwd, bwd in groups
         ]
         expected = naive_combine(groups, delta, upper)
         for index_class in (TimestampIndex, TwinOrderedIndex):
-            acc = [0] * 6
-            combine(bucket_of(groups), delta, acc, upper, index_class)
-            assert acc == expected
+            assert count_flat(flat_bucket(groups), delta, upper, index_class, min_run=2) == expected
+
+    # up to 125 wedges a bucket, again on both sides of the sweep size
+    @PROPERTY_SETTINGS
+    @given(legs_strategy, st.integers(0, 40), st.booleans())
+    def test_engine_shaped_buckets_skip_short_runs(self, legs, delta, upper):
+        # two same-middle wedges with four distinct stamps bring both
+        # crossed wedges with them, so runs below four hold no such pair
+        groups = legs_groups(legs, delta)
+        expected = naive_combine(groups, delta, upper)
+        for index_class in (TimestampIndex, TwinOrderedIndex):
+            for min_run in (2, 4):
+                assert count_flat(flat_bucket(groups), delta, upper, index_class, min_run) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_buckets_on_both_sides_of_the_sweep_size(self, seed):
+        rng = random.Random(seed)
+        delta = 20
+        sizes = set()
+        for _ in range(40):
+            legs = [
+                ([rng.randrange(60) for _ in range(rng.randint(1, 4))], [rng.randrange(60) for _ in range(rng.randint(1, 4))])
+                for _ in range(rng.randint(2, 5))
+            ]
+            groups = legs_groups(legs, delta)
+            wedges = flat_bucket(groups)
+            sizes.add(len(wedges) > _SMALL_BUCKET)
+            expected = naive_combine(groups, delta, seed % 2 == 0)
+            for index_class in (TimestampIndex, TwinOrderedIndex):
+                for min_run in (2, 4):
+                    assert count_flat(wedges, delta, seed % 2 == 0, index_class, min_run) == expected
+        assert sizes == {False, True}
 
 
 def exhaustive_census(triples, delta):
@@ -375,7 +440,7 @@ class TestEngines:
         for engine in (count_baseline, count_optimized, count_extreme):
             assert engine(g, p, 3) == [0] * 6
 
-    @pytest.mark.parametrize("build", [build_plain, build_time], ids=["unsorted", "time"])
+    @pytest.mark.parametrize("build", [build_plain, build_time, build_mutated], ids=["unsorted", "time", "mutated"])
     @pytest.mark.parametrize(
         "run",
         [
@@ -477,8 +542,8 @@ class TestEngines:
         assert (g.upper_tokens[u2], g.lower_tokens[v2]) == ("u2", "v2")
         assert priority.upper[u1] > max(priority.upper[u2], priority.lower[v1], priority.lower[v2])
         for v in (v1, v2):
-            view = g.lower_times[v]
-            assert view[0][1] < 500 - delta and view[-1][1] > 511 + delta
+            stamps = g.lower_times[v]
+            assert stamps[0] < 500 - delta and stamps[-1] > 511 + delta
         assert oracle_count(build_plain(corners + leaves), delta).total() == total
         for got in (
             count_baseline(g, priority, delta),

@@ -19,8 +19,21 @@ from tempobf import (
     sort_adjacency_by_priority,
     sort_adjacency_by_time,
 )
-from tempobf.graph import LAYOUT_PRIORITY, LAYOUT_TIME, LAYOUT_UNSORTED
-from tempobf import CountVector, batch_update, delta_count_edge, stream_delete, stream_insert
+from tempobf import (
+    CountVector,
+    batch_update,
+    count_baseline,
+    count_extreme,
+    count_optimized,
+    count_sampled,
+    delta_count_edge,
+    enumerate_baseline,
+    enumerate_optimized,
+    null_sink,
+    oracle_count,
+    stream_delete,
+    stream_insert,
+)
 from conftest import PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time, random_triples
 
 triples_strategy = st.lists(
@@ -36,6 +49,25 @@ triples_strategy = st.lists(
 def _graph(built):
     """The graph of a build_* helper's result."""
     return built[0] if isinstance(built, tuple) else built
+
+
+# graph mutations at delta 3; the streaming ones keep live current
+MUTATIONS = {
+    "insert_edge": lambda g, live: g.insert_edge("c", "z", 9),
+    "remove_edge": lambda g, live: g.remove_edge(g.edges()[0]),
+    "stream_insert": lambda g, live: stream_insert(g, 3, "b", "z", 5, live),
+    "stream_delete": lambda g, live: stream_delete(g, 3, g.edges()[0], live),
+    "batch_update": lambda g, live: batch_update(g, 3, g.edges()[:1], [("c", "x", 5), ("c", "y", 6)], live),
+}
+
+COUNTING_ENGINES = [
+    lambda g, p: count_baseline(g, p, 3),
+    lambda g, p: count_optimized(g, p, 3),
+    lambda g, p: count_extreme(g, p, 3),
+    lambda g, p: count_sampled(g, p, 3, 0.5),
+    lambda g, p: enumerate_baseline(g, p, 3, null_sink),
+    lambda g, p: enumerate_optimized(g, p, 3, null_sink),
+]
 
 
 class TestParsing:
@@ -108,11 +140,13 @@ class TestGraphModel:
         uids = [e.uid for e in g.edges()]
         assert uids == [0, 1]
 
-    def test_add_edge_invalidates_layout(self):
-        g = build_time([("a", "x", 1)])
-        assert g.layout == LAYOUT_TIME
+    @pytest.mark.parametrize("build", [build_time, build_priority])
+    def test_add_edge_invalidates_layout(self, build):
+        g = _graph(build([("a", "x", 1)]))
+        assert g.upper_times is not None and g.lower_times is not None
         g.add_edge("a", "y", 2)
-        assert g.layout == LAYOUT_UNSORTED
+        assert g.upper_times is None and g.lower_times is None
+        assert g.upper_prio is None and g.lower_prio is None
 
     @PROPERTY_SETTINGS
     @given(triples_strategy)
@@ -165,14 +199,28 @@ class TestLayouts:
         # x deg 3 > y deg 2 > z deg 1, so a's row lists x's edges first
         triples = [("a", "z", 9), ("a", "x", 4), ("a", "y", 6), ("a", "x", 1), ("b", "x", 2), ("b", "y", 3)]
         g, priority = build_priority(triples)
-        seen = [(g.lower_tokens[v], t) for v, t, _ in g.upper_adj[0]]
+        seen = [(g.lower_tokens[v], t) for v, t, _ in g.upper_prio[0]]
         assert seen == [("x", 1), ("x", 4), ("y", 6), ("z", 9)]
-        assert g.layout == LAYOUT_PRIORITY
+
+    def test_priority_rows_sit_beside_unmoved_time_rows(self):
+        # x deg 3 > y deg 2 > z deg 1 again, but a's stamps climb z, y, x
+        triples = [("a", "z", 1), ("a", "x", 4), ("a", "y", 2), ("a", "x", 3), ("b", "x", 5), ("b", "y", 6)]
+        g = build_time(triples)
+        rows = (g.upper_adj, g.lower_adj, g.upper_times, g.lower_times)
+        before = [[r[:] for r in layer] for layer in rows]
+        sort_adjacency_by_priority(g, compute_vertex_priority(g))
+        after = (g.upper_adj, g.lower_adj, g.upper_times, g.lower_times)
+        assert all(a is b for a, b in zip(after, rows))
+        assert list(after) == before
+        assert [(g.lower_tokens[v], t) for v, t, _ in g.upper_adj[0]] == [("z", 1), ("y", 2), ("x", 3), ("x", 4)]
+        assert [(g.lower_tokens[v], t) for v, t, _ in g.upper_prio[0]] == [("x", 3), ("x", 4), ("y", 2), ("z", 1)]
+        assert_times_match_rows(g)
 
     def test_time_layout_ascends(self):
         g = build_time([("a", "x", 9), ("a", "y", 1), ("a", "x", 5)])
         assert [t for _, t, _ in g.upper_adj[0]] == [1, 5, 9]
-        assert g.layout == LAYOUT_TIME
+        assert g.upper_times == [[1, 5, 9]]
+        assert g.upper_prio is None and g.lower_prio is None
 
     def test_equal_timestamps_keep_arrival_order(self):
         g = build_time([("a", "x", 5), ("a", "y", 5), ("a", "z", 5)])
@@ -180,9 +228,10 @@ class TestLayouts:
 
     @PROPERTY_SETTINGS
     @given(triples_strategy, triples_strategy, st.sampled_from(["plain", "time", "priority"]))
-    def test_priority_rows_and_time_views_from_any_prior_layout(self, triples, more, before):
+    def test_priority_rows_beside_time_rows_from_any_prior_layout(self, triples, more, before):
         # rows that were already sorted, or that grew after a sort, still
-        # end in (priority descending, t, uid) order with matching views
+        # end as time rows with priority rows in (priority descending, t,
+        # uid) order beside them
         g = TemporalBipartiteGraph.from_edges(triples)
         if before == "time":
             sort_adjacency_by_time(g)
@@ -193,8 +242,8 @@ class TestLayouts:
         priority = compute_vertex_priority(g)
         sort_adjacency_by_priority(g, priority)
         assert_times_match_rows(g)
-        for adj, nbr_priority in ((g.upper_adj, priority.lower), (g.lower_adj, priority.upper)):
-            for row in adj:
+        for prio, nbr_priority in ((g.upper_prio, priority.lower), (g.lower_prio, priority.upper)):
+            for row in prio:
                 assert row == sorted(row, key=lambda e: (-nbr_priority[e[0]], e[1], e[2]))
 
     @PROPERTY_SETTINGS
@@ -210,7 +259,7 @@ class TestLayouts:
 class TestStreamingMutation:
     def test_insert_requires_time_layout(self):
         g = TemporalBipartiteGraph.from_edges([("a", "x", 1)])
-        with pytest.raises(ValueError, match="time layout"):
+        with pytest.raises(ValueError, match="time-sorted"):
             g.insert_edge("a", "y", 2)
 
     def test_insert_remove_round_trip(self):
@@ -298,7 +347,7 @@ class TestStreamingMutation:
 
 
 class TestTimestampArrays:
-    """In the time layout each row's timestamps are mirrored as plain ints."""
+    """Each time row's stamps are mirrored as plain ints."""
 
     @PROPERTY_SETTINGS
     @given(triples_strategy, st.integers(0, 2**32 - 1))
@@ -319,21 +368,15 @@ class TestTimestampArrays:
             assert_times_match_rows(g)
         assert all(g.has_edge(e) for e in live)
 
-    @pytest.mark.parametrize("leave", ["add_edge", "priority"])
-    def test_leaving_the_time_layout_disables_streaming(self, leave):
+    def test_leaving_the_time_layout_disables_streaming(self):
         g = build_time([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "y", 4)])
         e = g.edges()[0]
-        if leave == "add_edge":
-            g.add_edge("c", "z", 5)
-            assert g.layout == LAYOUT_UNSORTED
-        else:
-            sort_adjacency_by_priority(g, compute_vertex_priority(g))
-            assert g.layout == LAYOUT_PRIORITY
-            assert_times_match_rows(g)
+        g.add_edge("c", "z", 5)
+        assert g.upper_times is None and g.lower_times is None
         live = CountVector([0, 1, 0, 0, 0, 0])
-        with pytest.raises(ValueError, match="time layout"):
+        with pytest.raises(ValueError, match="time-sorted"):
             g.insert_edge("a", "z", 9)
-        with pytest.raises(ValueError, match="time layout"):
+        with pytest.raises(ValueError, match="time-sorted"):
             g.remove_edge(e)
         with pytest.raises(ValueError, match="time"):
             delta_count_edge(g, 3, e)
@@ -347,3 +390,27 @@ class TestTimestampArrays:
         sort_adjacency_by_time(g)
         assert_times_match_rows(g)
         assert g.has_edge(e)
+
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_mutation_after_priority_sort_makes_counting_refuse(self, mutation):
+        # a priority sort leaves streaming open; the first mutation drops the
+        # priority rows, and every counting engine refuses until a new sort
+        g = build_time([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "y", 4)])
+        sort_adjacency_by_priority(g, compute_vertex_priority(g))
+        live = CountVector(oracle_count(g, 3))
+        assert live == [0, 1, 0, 0, 0, 0]
+        MUTATIONS[mutation](g, live)
+        assert g.upper_prio is None and g.lower_prio is None
+        assert_times_match_rows(g)
+        priority = compute_vertex_priority(g)
+        for run in COUNTING_ENGINES:
+            with pytest.raises(ValueError, match="priority"):
+                run(g, priority)
+        sort_adjacency_by_priority(g, priority)
+        assert_times_match_rows(g)
+        expected = oracle_count(g, 3)
+        for run in COUNTING_ENGINES[:3]:
+            assert run(g, priority) == expected
+        if mutation not in ("insert_edge", "remove_edge"):
+            assert live == expected
+

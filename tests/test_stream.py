@@ -15,11 +15,15 @@ from tempobf import (
     TemporalBipartiteGraph,
     TemporalEdge,
     batch_update,
+    compute_vertex_priority,
+    count_baseline,
     count_extreme,
+    count_optimized,
     delta_count_edge,
     oracle_contains,
     oracle_count,
     run_sliding_window,
+    sort_adjacency_by_priority,
     sort_adjacency_by_time,
     stream_delete,
     stream_insert,
@@ -389,6 +393,33 @@ class TestSlidingWindow:
         assert win.buffer[0] == oldest and len(win.buffer) == 5
         assert win.graph.has_edge(oldest)
         assert win.live == [0] * 6
+
+    def test_window_counted_in_place_between_steps(self):
+        # a priority sort lets the static engines count the live window
+        # graph where it is; the next step's mutations drop the priority
+        # rows, and the stream goes on as if no sort had happened
+        rng = random.Random(2024)
+        triples = sorted(
+            ((f"u{rng.randrange(6)}", f"v{rng.randrange(6)}", rng.randint(0, 400)) for _ in range(240)),
+            key=lambda e: e[2],
+        )
+        delta, window, stride = 40, 60, 10
+        reference = []
+        run_sliding_window(triples, delta, window, stride, engine="stbc+", sink=lambda *a: reference.append(a))
+        win = SlidingWindow(delta, window, stride)
+        emissions = []
+        counted = []
+        for step, i in enumerate(range(0, len(triples), stride)):
+            win.advance_batch(triples[i:i + stride], 1)
+            emissions.append((step, *win.bounds(), win.live.copy()))
+            if step % 4 == 1:
+                priority = compute_vertex_priority(win.graph)
+                sort_adjacency_by_priority(win.graph, priority)
+                for engine in (count_baseline, count_optimized, count_extreme):
+                    assert engine(win.graph, priority, delta) == win.live
+                counted.append(win.live.total())
+        assert len(counted) == 6 and min(counted) > 0
+        assert emissions == reference
 
     def test_sink_is_optional(self):
         run_sliding_window(list(F1), 3, window=2, stride=1)
