@@ -495,6 +495,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "bench":
             return cmd_bench(cfg)
         return cmd_gen(cfg, args.upper, args.lower, args.edges, args.t_max, args.skew, args.chronological)
+    except BrokenPipeError:  # the reader left early, as `| head` does; keep the flush at exit quiet
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except (OSError, GraphParseError, StreamOrderError, ValueError) as exc:
         print(f"tempobf: {exc}", file=sys.stderr)
         return 1

@@ -11,22 +11,22 @@ of deletions and insertions independently per edge against one fixed
 graph.  Every counter expands an edge (u, v, t)'s 2-paths u-x-w-v the same
 way: through whichever endpoint has fewer edges inside the edge's time
 range, the degree-priority idea of vertex-priority butterfly counting,
-reading every range off per-row timestamp arrays with plain bisects.  The
-batch engine splits each batch into runs, stretches whose stamps lie within
-delta of the run's first, and builds each looked-up endpoint's neighbour
-map once per run over the run's span: [first - delta, last - 1] for
-insertions, [first + 1, last + delta] for deletions, at most twice one
-edge's range.  The batch's edges are split into `workers` deterministic
-slices, which share the runs' maps and run one after another on the
-calling thread: the counting is pure Python, so threads would only contend
-for the interpreter lock.
+reading every range off per-row timestamp arrays with plain bisects and the
+far ends off a C intersection of two vertices' neighbour maps.  The batch
+engine cuts each batch into runs, stretches whose stamps lie within delta of
+the run's first, and builds a vertex's map once per run over the run's span,
+[first - delta, last - 1] for insertions or [first + 1, last + delta] for
+deletions; the single-edge engine once per phase of a step.  The batch's
+edges are split into `workers` deterministic slices, which share the runs'
+maps and run one after another on the calling thread: the counting is pure
+Python, so threads would only contend for the interpreter lock.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import repeat
+from itertools import product, repeat
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -60,6 +60,17 @@ def _time_range(times: list[int], lo: int, hi: int) -> tuple[int, int]:
     return bisect_left(times, lo), bisect_right(times, hi)
 
 
+def _row_map(looks: dict, key: tuple[bool, int], row: list, times: list[int], span: tuple[int, int]) -> dict[int, list[int]]:
+    """Vertex key = (is upper, id)'s neighbour -> stamps map over span, built in looks on first use."""
+    m = looks.get(key)
+    if m is None:
+        m = looks[key] = {}
+        a, b = _time_range(times, *span)
+        for w, tw, _uid in row[a:b]:
+            m.setdefault(w, []).append(tw)
+    return m
+
+
 def _expansion(
     g: TemporalBipartiteGraph,
     e: TemporalEdge,
@@ -76,20 +87,18 @@ def _expansion(
     vertex-priority butterfly counting); from_upper forces the direction
     (true: through u) so that tests can run both.  The walked endpoint's
     in-range neighbours, the other endpoint left out, map to the timestamps
-    of their edges to it.  The caller bisects each walked neighbour's row
-    and looks the far ends up in the other endpoint's map, taken from looks
-    by (is upper, vertex) and built there on first use over span, a range
-    holding [lo, hi].  The batch engine shares looks and span across a run
-    of edges, so a hub pays its in-range degree once per run, not once per
-    edge; per-edge callers pass a fresh dict and span (lo, hi).  A shared
-    map may hold the walked endpoint and stamps outside [lo, hi], so the
-    caller skips the walked endpoint's id as a far end and keeps a stamp
-    only inside [lo, hi].  Both checks run only on look-ups that hit, most
-    of which miss: that is why this pays where a persistent index, filtered
-    on every look-up, did not.  Returns the map to walk, the map to look
-    up, the walked neighbours' adjacency rows and timestamp arrays,
-    from_upper and the walked endpoint's id; the walk is empty when the
-    walked endpoint has no in-range neighbour but the other endpoint.
+    of their edges to it.  The other endpoint's map comes from `_row_map`
+    over span, a range holding [lo, hi], and the caller intersects its keys
+    in C with each walked neighbour's map from the same looks.  The engines
+    share looks and span across a run (the single-edge one: a phase of a
+    step), so a hub pays its in-range degree once per run, not per edge;
+    other callers pass a fresh dict and span (lo, hi).  A shared map may
+    hold the walked endpoint and stamps outside [lo, hi], so the caller
+    drops the walked endpoint's id and keeps a stamp only inside [lo, hi].
+    Returns the map to walk, the map to look up, the walked neighbours'
+    adjacency rows and timestamp arrays, from_upper and the walked
+    endpoint's id; the walk is empty when the walked endpoint has no
+    in-range neighbour but the other endpoint.
     """
     u, v, _t, _ = e
     ulo, uhi = _time_range(g.upper_times[u], lo, hi)
@@ -108,13 +117,7 @@ def _expansion(
             walk.setdefault(x, []).append(tx)
     if not walk:
         return {}, {}, rows, times, from_upper, me
-    key = (not from_upper, other)
-    look = looks.get(key)
-    if look is None:
-        look = looks[key] = {}
-        a, b = _time_range(far_times, *span)
-        for w, tw, _uid in far_row[a:b]:
-            look.setdefault(w, []).append(tw)
+    look = _row_map(looks, (not from_upper, other), far_row, far_times, span)
     return walk, look, rows, times, from_upper, me
 
 
@@ -135,16 +138,16 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
         raise ValueError(f"edge {e} is not in the graph")
     t = e.t
     lo, hi = t - delta, t + delta
-    walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, {}, (lo, hi))
+    looks: dict = {}
+    walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, looks, (lo, hi))
     acc = [0] * 6
     for y, pivots in walk.items():
-        a, b = _time_range(times[y], lo, hi)
-        for z, ta, _uid in rows[y][a:b]:
-            starts = look.get(z)
-            if starts is None or z == skip:
-                continue
-            # the map spans [lo, hi] itself, so its stamps need no filter
-            for ts in starts:
+        ymap = _row_map(looks, (not from_upper, y), rows[y], times[y], (lo, hi))
+        common = look.keys() & ymap.keys()
+        common.discard(skip)
+        # both maps span exactly [lo, hi], so their stamps need no filter
+        for z in common:
+            for ts, ta in product(look[z], ymap[z]):
                 for pivot in pivots:
                     stamps = (t, pivot, ts, ta)
                     if max(stamps) - min(stamps) <= delta and len(set(stamps)) == 4:
@@ -206,10 +209,11 @@ def _count_edge_extreme(
     As the minimum (as_max false) every other timestamp lies in
     (t, t + delta], as the maximum in [t - delta, t), so the span bound
     holds by construction.  The 2-paths over that range come from
-    `_expansion`, with looks and span shared across a batch run or, when
-    looks is None, fresh for this edge.  Each walked neighbour's 2-paths
-    are ranked against its own edges to the walked endpoint, the pivots,
-    which close a wedge (t, pivot) that is forward as the minimum and
+    `_expansion`, with looks and span shared across a run or, when looks is
+    None, fresh for this edge; each walked neighbour y's map meets the
+    looked-up one in a C key intersection, hits kept inside the range.
+    y's 2-paths are ranked against its edges to the walked endpoint, the
+    pivots, which close a wedge (t, pivot), forward as the minimum and
     backward as the maximum.  Walking from u sees the butterflies from v, a
     lower start vertex, which flips the type index's low bit.  from_upper
     is passed to `_expansion`.
@@ -223,11 +227,14 @@ def _count_edge_extreme(
     for y, pivots in walk.items():
         # wedges endpoint-z-y: ts on the looked-up edge, ta on y's; sorted columns per direction
         fs, fa, bs, ba = [], [], [], []
-        a, b = _time_range(times[y], lo, hi)
-        for z, ta, _uid in rows[y][a:b]:
-            starts = look.get(z)
-            if starts is not None and z != skip:
-                for ts in starts:
+        ymap = _row_map(looks, (not from_upper, y), rows[y], times[y], span)
+        common = look.keys() & ymap.keys()
+        common.discard(skip)
+        for z in common:
+            for ta in ymap[z]:
+                if ta < lo or ta > hi:
+                    continue
+                for ts in look[z]:
                     if ts < lo or ts > hi:
                         continue
                     if ts < ta:
@@ -283,12 +290,12 @@ def batch_update(
     before counting; deletions leave it only after counting is done.  The
     counting phase is read-only on the graph.  Each batch is cut into runs
     whose stamps lie within delta of the run's first; a run's edges share
-    one map per looked-up endpoint, built on first use over the run's span,
-    [first - delta, last - 1] for insertions and [first + 1, last + delta]
-    for deletions, which holds every range of the run and is at most twice
-    as wide as one.  A shared map holds stamps outside some edge's range,
-    so each hit is filtered to that range; misses, most look-ups, pay
-    nothing.  The maps die with the batch.  The edges are split into
+    one neighbour map per vertex, looked up or walked, built on first use
+    over the run's span, [first - delta, last - 1] for insertions and
+    [first + 1, last + delta] for deletions, which holds every range of the
+    run and is at most twice as wide as one.  Far ends come from
+    intersecting two maps' keys in C, and each hit's stamps are filtered to
+    the edge's range.  The maps die with the batch.  The edges are split into
     `workers` slices, each with its own accumulator and all sharing the
     runs' maps, reduced deterministically at the end; the slices run one
     after another on the calling thread.  Raises ValueError if live would
@@ -389,20 +396,30 @@ class SlidingWindow:
         The stream is chronological and a butterfly's stamps are distinct,
         so an inserted edge is the strict maximum of every butterfly it
         completes and the oldest live edge the strict minimum of every one
-        it leaves: each is counted by its extreme alone.
+        it leaves: each is counted by its extreme alone.  Each phase shares
+        one looks dict as a batch run does: insertions span [first - delta,
+        last - 1] and append each edge to its endpoints' built maps; evictions
+        span [oldest + 1, last evicted + delta] and leave evicted edges in the
+        maps, below every later edge's range.
         """
-        g, delta, live = self.graph, self.delta, self.live
+        g, delta, live, buffer = self.graph, self.delta, self.live, self.buffer
+        looks, span = {}, (chunk[0][2] - delta, chunk[-1][2] - 1) if chunk else None
         for u, v, t in chunk:
             e = g.insert_edge(u, v, t)
-            live.add_(_count_edge_extreme(g, delta, e, True))
-            self.buffer.append(e)
-        while len(self.buffer) > self.window:
-            e = self.buffer[0]
-            removed = _count_edge_extreme(g, delta, e, False)
+            for m, nbr in ((looks.get((True, e.u)), e.v), (looks.get((False, e.v)), e.u)):
+                if m is not None:
+                    m.setdefault(nbr, []).append(t)
+            live.add_(_count_edge_extreme(g, delta, e, True, looks, span))
+            buffer.append(e)
+        excess = len(buffer) - self.window
+        looks, span = {}, (buffer[0].t + 1, buffer[excess - 1].t + delta) if excess > 0 else None
+        for _ in range(excess):
+            e = buffer[0]
+            removed = _count_edge_extreme(g, delta, e, False, looks, span)
             _check_live(live, [0] * 6, removed)
             live.sub_(removed)
             g.remove_edge(e)
-            self.buffer.popleft()
+            buffer.popleft()
 
     def advance_batch(self, chunk: list[tuple[str, str, int]], workers: int) -> None:
         excess = len(self.buffer) + len(chunk) - self.window

@@ -371,6 +371,22 @@ class TestGen:
         stamps = [int(line.split()[2]) for line in out.splitlines()]
         assert stamps == sorted(stamps)
 
+    def test_closed_pipe_ends_quietly(self, capsys, monkeypatch, tmp_path):
+        # as in `tempobf gen ... | head -1`: the reader is gone before the first write
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["gen", "--upper", "5", "--lower", "5", "--edges", "50", "--t-max", "40"])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["count", "--input", str(tmp_path / "absent.txt"), "--delta", "3"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("tempobf: ")
+
     def test_skew_concentrates_upper_degrees(self):
         triples = gen_random_graph(100, 100, 5000, 1000, skew=True, seed=1)
         degrees = Counter(u for u, _, _ in triples)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -421,6 +422,31 @@ class TestSlidingWindow:
         assert len(counted) == 6 and min(counted) > 0
         assert emissions == reference
 
+    def test_single_edge_phase_maps_stay_current(self):
+        # stride 4, window 8, delta 10.  In the second chunk, (a, z, 10) walks z and
+        # builds hub a's map; (a, x, 11) must then be appended to it, or (a, y, 13),
+        # which walks y and looks a up again, misses the butterfly a-x, b-x, b-y, a-y.
+        # The fifth chunk builds p's and q's maps over its insertion span, which
+        # misses the third chunk's stamps, so its evictions need maps of their own.
+        # There (a, p, 21) builds p's map, and (b, p, 21), evicted next with the
+        # same stamp, reads a's evicted edge in it, which its range leaves out.
+        triples = [
+            ("a", "s1", 2), ("a", "s2", 3), ("c", "z", 7), ("b", "x", 8),
+            ("a", "z", 10), ("a", "x", 11), ("b", "y", 12), ("a", "y", 13),
+            ("h", "m", 20), ("a", "p", 21), ("b", "p", 21), ("c", "p", 22),
+            ("b", "q", 23), ("a", "q", 24), ("c", "q", 25), ("h", "n", 26),
+            ("d", "p", 33), ("d", "q", 34), ("e", "r", 40), ("f", "r", 41),
+        ]
+        delta, window, stride = 10, 8, 4
+        runs = {}
+        for engine in ("stbc", "stbc+"):
+            runs[engine] = emissions = []
+            run_sliding_window(triples, delta, window, stride, engine=engine, sink=lambda *a: emissions.append(a))
+        recounts = [exact_counts(triples[max(0, i + stride - window):i + stride], delta) for i in range(0, 20, stride)]
+        assert [live for *_, live in runs["stbc"]] == recounts
+        assert runs["stbc"] == runs["stbc+"]
+        assert [live.total() for live in recounts] == [0, 1, 0, 2, 0]
+
     def test_sink_is_optional(self):
         run_sliding_window(list(F1), 3, window=2, stride=1)
 
@@ -486,6 +512,28 @@ class TestExpansionDirections:
                 assert through_u == through_v == _count_edge_extreme(g, delta, e, as_max)
                 assert through_u == extreme_by_oracle(g, delta, e, as_max)
             assert delta_count_edge(g, delta, e) == oracle_contains(g, delta, e)
+
+    @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), delta=st.integers(0, 30), first_upper=st.booleans())
+    def test_run_maps_serve_both_directions(self, hub_upper, data, delta, first_upper):
+        # runs cut as batch_update cuts them, one looks dict per run, and the run's
+        # edges walking alternate directions: a map built for a looked-up endpoint
+        # is read again as a walked neighbour's, and the other way round
+        triples = data.draw(hub_triples(hub_upper))
+        g = build_time(triples)
+        edges = g.edges()
+        stamps = [e.t for e in edges]
+        for as_max in (False, True):
+            i = 0
+            while i < len(edges):
+                j = bisect_right(stamps, stamps[i] + delta, i)
+                span = (stamps[i] - delta, stamps[j - 1] - 1) if as_max else (stamps[i] + 1, stamps[j - 1] + delta)
+                looks: dict = {}
+                for k, e in enumerate(edges[i:j]):
+                    got = _count_edge_extreme(g, delta, e, as_max, looks, span, from_upper=(k % 2 == 0) == first_upper)
+                    assert got == extreme_by_oracle(g, delta, e, as_max)
+                i = j
 
     @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
     @PROPERTY_SETTINGS
