@@ -11,24 +11,23 @@ of deletions and insertions independently per edge against one fixed
 graph.  Every counter expands an edge (u, v, t)'s 2-paths u-x-w-v the same
 way: through whichever endpoint has fewer edges inside the edge's time
 range, the degree-priority idea of vertex-priority butterfly counting,
-reading every range off per-row timestamp arrays with plain bisects and the
-far ends off a C intersection of two vertices' neighbour maps.  The batch
-engine cuts each batch into runs, stretches whose stamps lie within delta of
-the run's first, and builds a vertex's map once per run over the run's span,
-[first - delta, last - 1] for insertions or [first + 1, last + delta] for
-deletions; the single-edge engine once per phase of a step.  The batch's
-edges are split into `workers` deterministic slices, which share the runs'
-maps and run one after another on the calling thread: the counting is pure
-Python, so threads would only contend for the interpreter lock.
+reading every range off per-row timestamp arrays with plain bisects.  Both
+engines cut a step's insertions and its evictions into runs, stretches
+whose stamps lie within delta of the run's first, build a vertex's
+neighbour map once per run over the run's span, and read the far ends that
+close a 2-path off a C intersection of two maps' keys.  The batch's edges are split into `workers` deterministic
+slices, which share the runs' maps and run one after another on the
+calling thread: the counting is pure Python, so threads would only contend
+for the interpreter lock.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import product, repeat
+from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .count import CountVector, classify_type
 from .graph import TemporalBipartiteGraph, TemporalEdge, sort_adjacency_by_time
@@ -71,6 +70,22 @@ def _row_map(looks: dict, key: tuple[bool, int], row: list, times: list[int], sp
     return m
 
 
+def _runs(batch: list[TemporalEdge], delta: int, as_max: bool) -> Iterator[tuple[list[TemporalEdge], dict, tuple[int, int]]]:
+    """Each run of a chronological batch with a fresh looks dict and its span.
+
+    A run's stamps lie within delta of its first; its span, [first - delta,
+    last - 1] for maxima or [first + 1, last + delta] for minima, holds every
+    range in the run and is at most twice as wide as one.
+    """
+    stamps = [e.t for e in batch]
+    i = 0
+    while i < len(batch):
+        j = bisect_right(stamps, stamps[i] + delta, i)
+        span = (stamps[i] - delta, stamps[j - 1] - 1) if as_max else (stamps[i] + 1, stamps[j - 1] + delta)
+        yield batch[i:j], {}, span
+        i = j
+
+
 def _expansion(
     g: TemporalBipartiteGraph,
     e: TemporalEdge,
@@ -88,11 +103,12 @@ def _expansion(
     (true: through u) so that tests can run both.  The walked endpoint's
     in-range neighbours, the other endpoint left out, map to the timestamps
     of their edges to it.  The other endpoint's map comes from `_row_map`
-    over span, a range holding [lo, hi], and the caller intersects its keys
-    in C with each walked neighbour's map from the same looks.  The engines
-    share looks and span across a run (the single-edge one: a phase of a
-    step), so a hub pays its in-range degree once per run, not per edge;
-    other callers pass a fresh dict and span (lo, hi).  A shared map may
+    over span, a range holding [lo, hi]; the window engines intersect its
+    keys in C with each walked neighbour's map from the same looks, and
+    `delta_count_edge` looks up each walked neighbour's in-range row
+    entries in it.  The engines share looks and span across a run, so a
+    hub pays its in-range degree once per run, not per edge; per-edge
+    callers pass a fresh dict and span (lo, hi).  A shared map may
     hold the walked endpoint and stamps outside [lo, hi], so the caller
     drops the walked endpoint's id and keeps a stamp only inside [lo, hi].
     Returns the map to walk, the map to look up, the walked neighbours'
@@ -138,16 +154,16 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
         raise ValueError(f"edge {e} is not in the graph")
     t = e.t
     lo, hi = t - delta, t + delta
-    looks: dict = {}
-    walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, looks, (lo, hi))
+    walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, {}, (lo, hi))
     acc = [0] * 6
     for y, pivots in walk.items():
-        ymap = _row_map(looks, (not from_upper, y), rows[y], times[y], (lo, hi))
-        common = look.keys() & ymap.keys()
-        common.discard(skip)
-        # both maps span exactly [lo, hi], so their stamps need no filter
-        for z in common:
-            for ts, ta in product(look[z], ymap[z]):
+        a, b = _time_range(times[y], lo, hi)
+        for z, ta, _uid in rows[y][a:b]:
+            starts = look.get(z)
+            if starts is None or z == skip:
+                continue
+            # the map spans [lo, hi] itself, so its stamps need no filter
+            for ts in starts:
                 for pivot in pivots:
                     stamps = (t, pivot, ts, ta)
                     if max(stamps) - min(stamps) <= delta and len(set(stamps)) == 4:
@@ -289,11 +305,8 @@ def batch_update(
     per-edge counting cannot double-count.  Insertions go into the graph
     before counting; deletions leave it only after counting is done.  The
     counting phase is read-only on the graph.  Each batch is cut into runs
-    whose stamps lie within delta of the run's first; a run's edges share
-    one neighbour map per vertex, looked up or walked, built on first use
-    over the run's span, [first - delta, last - 1] for insertions and
-    [first + 1, last + delta] for deletions, which holds every range of the
-    run and is at most twice as wide as one.  Far ends come from
+    by `_runs`; a run's edges share one neighbour map per vertex, looked up
+    or walked, built on first use over the run's span.  Far ends come from
     intersecting two maps' keys in C, and each hit's stamps are filtered to
     the edge's range.  The maps die with the batch.  The edges are split into
     `workers` slices, each with its own accumulator and all sharing the
@@ -327,17 +340,8 @@ def batch_update(
             raise ValueError("insertion batch is not a newest-timestamp suffix of the stream")
     inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]
 
-    # cut each batch into runs; a run's edges share its span and looks dict
-    jobs: list[tuple[TemporalEdge, bool, dict, tuple[int, int]]] = []
-    for batch, as_max in ((deletions, False), (inserted, True)):
-        stamps = [e.t for e in batch]
-        i = 0
-        while i < len(batch):
-            j = bisect_right(stamps, stamps[i] + delta, i)
-            span = (stamps[i] - delta, stamps[j - 1] - 1) if as_max else (stamps[i] + 1, stamps[j - 1] + delta)
-            looks: dict = {}
-            jobs.extend((e, as_max, looks, span) for e in batch[i:j])
-            i = j
+    jobs = [(e, as_max, looks, span) for batch, as_max in ((deletions, False), (inserted, True))
+            for run, looks, span in _runs(batch, delta, as_max) for e in run]
     removed = [0] * 6
     added = [0] * 6
     for k in range(workers):
@@ -391,35 +395,29 @@ class SlidingWindow:
         self.live = CountVector.zeros()
 
     def advance_single(self, chunk: list[tuple[str, str, int]]) -> None:
-        """Insert then evict one edge at a time.
+        """Insert the chunk, count each new edge, then count and evict one edge at a time.
 
         The stream is chronological and a butterfly's stamps are distinct,
         so an inserted edge is the strict maximum of every butterfly it
         completes and the oldest live edge the strict minimum of every one
-        it leaves: each is counted by its extreme alone.  Each phase shares
-        one looks dict as a batch run does: insertions span [first - delta,
-        last - 1] and append each edge to its endpoints' built maps; evictions
-        span [oldest + 1, last evicted + delta] and leave evicted edges in the
-        maps, below every later edge's range.
+        it leaves: each is counted by its extreme alone, over a range that
+        the chunk's later edges and the edges already evicted lie outside.
+        Runs share maps as in `batch_update`.
         """
         g, delta, live, buffer = self.graph, self.delta, self.live, self.buffer
-        looks, span = {}, (chunk[0][2] - delta, chunk[-1][2] - 1) if chunk else None
-        for u, v, t in chunk:
-            e = g.insert_edge(u, v, t)
-            for m, nbr in ((looks.get((True, e.u)), e.v), (looks.get((False, e.v)), e.u)):
-                if m is not None:
-                    m.setdefault(nbr, []).append(t)
-            live.add_(_count_edge_extreme(g, delta, e, True, looks, span))
-            buffer.append(e)
-        excess = len(buffer) - self.window
-        looks, span = {}, (buffer[0].t + 1, buffer[excess - 1].t + delta) if excess > 0 else None
-        for _ in range(excess):
-            e = buffer[0]
-            removed = _count_edge_extreme(g, delta, e, False, looks, span)
-            _check_live(live, [0] * 6, removed)
-            live.sub_(removed)
-            g.remove_edge(e)
-            buffer.popleft()
+        inserted = [g.insert_edge(u, v, t) for u, v, t in chunk]
+        for run, looks, span in _runs(inserted, delta, True):
+            for e in run:
+                live.add_(_count_edge_extreme(g, delta, e, True, looks, span))
+        buffer.extend(inserted)
+        evicted = [buffer[i] for i in range(len(buffer) - self.window)]
+        for run, looks, span in _runs(evicted, delta, False):
+            for e in run:
+                removed = _count_edge_extreme(g, delta, e, False, looks, span)
+                _check_live(live, [0] * 6, removed)
+                live.sub_(removed)
+                g.remove_edge(e)
+                buffer.popleft()
 
     def advance_batch(self, chunk: list[tuple[str, str, int]], workers: int) -> None:
         excess = len(self.buffer) + len(chunk) - self.window

@@ -424,12 +424,11 @@ class TestSlidingWindow:
 
     def test_single_edge_phase_maps_stay_current(self):
         # stride 4, window 8, delta 10.  In the second chunk, (a, z, 10) walks z and
-        # builds hub a's map; (a, x, 11) must then be appended to it, or (a, y, 13),
-        # which walks y and looks a up again, misses the butterfly a-x, b-x, b-y, a-y.
-        # The fifth chunk builds p's and q's maps over its insertion span, which
-        # misses the third chunk's stamps, so its evictions need maps of their own.
-        # There (a, p, 21) builds p's map, and (b, p, 21), evicted next with the
-        # same stamp, reads a's evicted edge in it, which its range leaves out.
+        # builds hub a's map; (a, y, 13), which walks y and looks a up again, must
+        # find (a, x, 11) in it, or it misses the butterfly a-x, b-x, b-y, a-y.
+        # The fifth chunk evicts the third: (a, p, 21) builds p's map, and
+        # (b, p, 21), evicted next with the same stamp, reads a's evicted edge in
+        # it, which its range leaves out.
         triples = [
             ("a", "s1", 2), ("a", "s2", 3), ("c", "z", 7), ("b", "x", 8),
             ("a", "z", 10), ("a", "x", 11), ("b", "y", 12), ("a", "y", 13),
