@@ -163,8 +163,7 @@ def cmd_enumerate(cfg: RunConfig) -> int:
 
         def sink(inst: ButterflyInstance) -> None:
             nonlocal emitted
-            out.write(inst.format_line(g))
-            out.write("\n")
+            out.write(inst.format_line(g) + "\n")
             emitted += 1
             if emitted == cfg.limit:
                 raise _LimitReached

@@ -24,9 +24,8 @@ Three engines share one answer:
   merge levels.
 - count_extreme is the same with the sweep's buckets replaced by twin
   sorted lists, so each probe is four C bisects instead of a walk over
-  every live start timestamp.  Insert and expiry move memory in
-  proportion to the live index; measured, a balanced tree overtakes
-  them at 15k-50k live wedges in one bucket.
+  every live start timestamp.  The lists are stored negated, so the
+  sweep's inserts land at their tail.
 
 All engines take their wedges from one walk, _end_buckets.  It reads each
 start vertex's priority row, ordered by neighbor priority descending, from
@@ -212,22 +211,18 @@ class TimestampIndex:
 
 
 class TwinOrderedIndex:
-    """Twin sorted lists over the indexed wedges.
+    """Twin sorted lists over the indexed wedges, both stored negated.
 
-    One side orders (arrival, start) pairs by arrival, the other holds the
+    One side orders (-arrival, -start) pairs, the other holds the negated
     start timestamps alone.  The two stay element-for-element synchronized:
-    expiry pops the arrival side's tail and deletes the matching start, and
-    each probe is four C bisects, however many distinct start timestamps
-    are live.  Insert and expiry move memory in proportion to the live
-    index: measured, that loses to a balanced tree once one bucket holds
-    about 50k live wedges with scattered stamps, or about 15k when every
-    insert lands at the head of both lists.
+    expiry cuts the arrival side's head in one slice and deletes each
+    matching start, and each probe is four C bisects, however many distinct
+    start timestamps are live.  The sweep inserts start timestamps in
+    descending order, so negated, inserts land at or near the tail of both
+    lists and move little memory.
     """
 
     __slots__ = ("_arrivals", "_starts")
-
-    _HI = (float("inf"),)
-    _LO = (float("-inf"),)
 
     def __init__(self) -> None:
         self._arrivals: list[tuple[int, int]] = []
@@ -237,24 +232,31 @@ class TwinOrderedIndex:
         return len(self._arrivals)
 
     def insert(self, wedge: tuple) -> None:
-        insort(self._arrivals, (wedge[1], wedge[0]))
-        insort(self._starts, wedge[0])
+        neg_ts = -wedge[0]
+        insort(self._arrivals, (-wedge[1], neg_ts))
+        insort(self._starts, neg_ts)
 
     def delete_above(self, bound: int) -> None:
         arrivals = self._arrivals
-        starts = self._starts
-        while arrivals and arrivals[-1][0] > bound:
-            _, ts = arrivals.pop()
-            del starts[bisect_left(starts, ts)]
+        if arrivals and arrivals[0][0] < -bound:
+            k = bisect_left(arrivals, (-bound,))
+            starts = self._starts
+            for _, neg_ts in arrivals[:k]:
+                del starts[bisect_left(starts, neg_ts)]
+            del arrivals[:k]
 
     def query_counts(self, pivot: int, acc: list[int], offsets: tuple[int, int, int]) -> None:
         o_non, o_int, o_cov = offsets
         arrivals = self._arrivals
         starts = self._starts
-        # a wedge starting below the pivot intersects it unless it arrives by it
-        acc[o_non] += len(starts) - bisect_right(starts, pivot)
-        acc[o_int] += bisect_left(starts, pivot) - bisect_right(arrivals, (pivot,) + self._HI)
-        acc[o_cov] += bisect_left(arrivals, (pivot,) + self._LO)
+        neg = -pivot
+        # negated, the wedges arriving after the pivot come first
+        later = bisect_left(arrivals, (neg,))
+        # one arriving after the pivot intersects it unless it starts at or after it
+        acc[o_non] += bisect_left(starts, neg)
+        acc[o_int] += later - bisect_right(starts, neg)
+        # stamps are ints, so (neg + 1,) sorts after every wedge arriving at the pivot
+        acc[o_cov] += len(arrivals) - bisect_left(arrivals, (neg + 1,), later)
 
 
 # --- end-bucket sweep --------------------------------------------------------

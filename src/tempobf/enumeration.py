@@ -4,7 +4,11 @@ Both engines walk the same wedges as their counting counterparts but hand
 every surviving pair to a sink as a concrete ButterflyInstance instead of
 bumping a counter.  Emission order is an engine detail; compare multisets.
 enumerate_baseline pairs the wedges of every end bucket directly, and
-enumerate_optimized those of small buckets only, sweeping the rest.
+enumerate_optimized those of small buckets only, sweeping the rest.  The
+sweep keeps its wedges in one arrival-sorted list per direction, as
+count_extreme's arrival side does: a probe bisects its arrival, takes the
+match types from the slices on either side, and builds each instance in
+the slice loop.
 
 An end bucket's start and end vertices, sorted, are the corner pair of
 their layer.  Wedges keep their two timestamps ordered by that pair, so a
@@ -13,6 +17,7 @@ pair of wedges becomes an instance by one comparison of their middles.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, NamedTuple
 
 from .count import (
@@ -67,17 +72,9 @@ class ButterflyInstance(NamedTuple):
 
     def format_line(self, g: TemporalBipartiteGraph) -> str:
         """`type u w v x t_uv t_vw t_ux t_xw`, tab separated, original tokens."""
-        u, w = self.upper
-        v, x = self.lower
-        fields = (
-            self.type_index,
-            g.upper_tokens[u],
-            g.upper_tokens[w],
-            g.lower_tokens[v],
-            g.lower_tokens[x],
-            *self.stamps,
-        )
-        return "\t".join(str(f) for f in fields)
+        type_index, (u, w), (v, x), (t0, t1, t2, t3) = self
+        up, low = g.upper_tokens, g.lower_tokens
+        return f"{type_index}\t{up[u]}\t{up[w]}\t{low[v]}\t{low[x]}\t{t0}\t{t1}\t{t2}\t{t3}"
 
 
 def null_sink(_inst: ButterflyInstance) -> None:
@@ -112,22 +109,24 @@ def enumerate_baseline(
 
 
 class _TraversalIndex:
-    """Start-keyed arrival lists that emit matches by bounded range scans.
+    """One arrival-sorted list of wedges that emits matches from two bisects.
 
-    Entries are (arrival, middle, c0, c1), c0 and c1 being the wedge's
-    timestamps ordered by the bucket's sorted corner pair: (t_s, t_a) unless
-    swap is set.  A probe pairs the probing wedge with buckets starting
-    after its arrival whole (non-overlap), and splits earlier buckets by
-    scanning backward from the top while arrivals exceed the probe's
-    arrival (intersecting) and forward from the bottom while they fall
-    short of it (covering), stopping as soon as the constraint fails.  Each
-    distinct-middle pair goes to sink as an instance and is tallied in acc.
+    Entries are (t_a, t_s, middle, c0, c1), c0 and c1 being the wedge's
+    timestamps ordered by the bucket's sorted corner pair: (t_s, t_a)
+    unless swap is set.  Every indexed wedge starts after the probing
+    wedge (pivot being its arrival), so bisecting the pivot splits the
+    list: entries arriving before it are all covered by the probe, and of
+    those arriving after it, one starting after the pivot is non-overlap,
+    one starting before it intersecting; a stamp equal to the pivot is
+    shared and never a butterfly.  Each distinct-middle match is built in
+    the slice loop, in _instance's canonical corner order, and handed to
+    sink; the three tallies go to acc once per probe.
     """
 
-    __slots__ = ("_buckets", "swap", "in_upper", "fixed", "sink", "acc")
+    __slots__ = ("_entries", "swap", "in_upper", "fixed", "sink", "acc")
 
     def __init__(self, swap: bool, in_upper: bool, fixed: tuple[int, int], sink: Sink, acc: list[int]) -> None:
-        self._buckets: dict[int, list[tuple[int, int, int, int]]] = {}
+        self._entries: list[tuple[int, int, int, int, int]] = []
         self.swap = swap
         self.in_upper = in_upper
         self.fixed = fixed
@@ -136,43 +135,69 @@ class _TraversalIndex:
 
     def insert(self, wedge: tuple) -> None:
         ts, ta, mid = wedge
-        entry = (ta, mid, ta, ts) if self.swap else (ta, mid, ts, ta)
-        self._buckets.setdefault(ts, []).append(entry)
+        insort(self._entries, (ta, ts, mid, ta, ts) if self.swap else (ta, ts, mid, ts, ta))
 
     def delete_above(self, bound: int) -> None:
-        dead = []
-        for ts, arrivals in self._buckets.items():
-            while arrivals and arrivals[-1][0] > bound:
-                arrivals.pop()
-            if not arrivals:
-                dead.append(ts)
-        for ts in dead:
-            del self._buckets[ts]
+        entries = self._entries
+        while entries and entries[-1][0] > bound:
+            entries.pop()
 
     def query_pairs(self, pivot: int, offsets: tuple[int, int, int], mid: int, c0: int, c1: int) -> None:
         """Emit wedge (pivot, mid, c0, c1) paired with every matching entry."""
         o_non, o_int, o_cov = offsets
-        in_upper, fixed, sink, acc = self.in_upper, self.fixed, self.sink, self.acc
-        for ts, arrivals in self._buckets.items():
-            if ts > pivot:
-                for _, omid, o0, o1 in arrivals:
-                    if omid != mid:
-                        sink(_instance(o_non, in_upper, fixed, mid, c0, c1, omid, o0, o1))
-                        acc[o_non] += 1
-            elif ts < pivot:
-                i = len(arrivals) - 1
-                while i >= 0 and arrivals[i][0] > pivot:
-                    _, omid, o0, o1 = arrivals[i]
-                    if omid != mid:
-                        sink(_instance(o_int, in_upper, fixed, mid, c0, c1, omid, o0, o1))
-                        acc[o_int] += 1
-                    i -= 1
-                for ta, omid, o0, o1 in arrivals:
-                    if ta >= pivot:
-                        break
-                    if omid != mid:
-                        sink(_instance(o_cov, in_upper, fixed, mid, c0, c1, omid, o0, o1))
-                        acc[o_cov] += 1
+        entries, fixed, sink = self._entries, self.fixed, self.sink
+        # stamps are ints, so [lo, hi) holds exactly the entries arriving at the pivot
+        lo = bisect_left(entries, (pivot,))
+        hi = bisect_left(entries, (pivot + 1,), lo)
+        n_cov = lo
+        n_non = n_int = 0
+        # the layers lay an instance out differently; test the layer once per probe
+        if self.in_upper:
+            for _, _, omid, o0, o1 in entries[:lo]:
+                if mid < omid:
+                    sink(_new(ButterflyInstance, (o_cov, fixed, (mid, omid), (c0, c1, o0, o1))))
+                elif omid < mid:
+                    sink(_new(ButterflyInstance, (o_cov, fixed, (omid, mid), (o0, o1, c0, c1))))
+                else:
+                    n_cov -= 1
+            for _, ts, omid, o0, o1 in entries[hi:]:
+                if omid == mid or ts == pivot:
+                    continue
+                if ts > pivot:
+                    t = o_non
+                    n_non += 1
+                else:
+                    t = o_int
+                    n_int += 1
+                if mid < omid:
+                    sink(_new(ButterflyInstance, (t, fixed, (mid, omid), (c0, c1, o0, o1))))
+                else:
+                    sink(_new(ButterflyInstance, (t, fixed, (omid, mid), (o0, o1, c0, c1))))
+        else:
+            for _, _, omid, o0, o1 in entries[:lo]:
+                if mid < omid:
+                    sink(_new(ButterflyInstance, (o_cov, (mid, omid), fixed, (c0, o0, c1, o1))))
+                elif omid < mid:
+                    sink(_new(ButterflyInstance, (o_cov, (omid, mid), fixed, (o0, c0, o1, c1))))
+                else:
+                    n_cov -= 1
+            for _, ts, omid, o0, o1 in entries[hi:]:
+                if omid == mid or ts == pivot:
+                    continue
+                if ts > pivot:
+                    t = o_non
+                    n_non += 1
+                else:
+                    t = o_int
+                    n_int += 1
+                if mid < omid:
+                    sink(_new(ButterflyInstance, (t, (mid, omid), fixed, (c0, o0, c1, o1))))
+                else:
+                    sink(_new(ButterflyInstance, (t, (omid, mid), fixed, (o0, c0, o1, c1))))
+        acc = self.acc
+        acc[o_non] += n_non
+        acc[o_int] += n_int
+        acc[o_cov] += n_cov
 
 
 def _emitting_visit(layer: int):
@@ -194,7 +219,7 @@ def enumerate_optimized(
     delta: int,
     sink: Sink,
 ) -> CountVector:
-    """Pairing of small end buckets, the counting sweep with range-scan probes for the rest.
+    """Pairing of small end buckets, the counting sweep with bisected probes for the rest.
 
     The sweep drops same-middle pairs, which come from parallel edges, as
     they are reported instead of counting and subtracting them.
@@ -203,27 +228,31 @@ def enumerate_optimized(
 
 
 def _enumerate(g, priority, delta, sink, largest_paired) -> CountVector:
-    """Pair each end bucket of at most largest_paired wedges, sweep the rest.
+    """Pair each end bucket of at most largest_paired wedges, sweep the rest."""
+    acc = [0] * 6
+    for layer, s, end, wedges in _end_buckets(g, priority, delta):
+        _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired)
+    return CountVector(acc)
+
+
+def _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired) -> None:
+    """Emit one end bucket's instances to sink and tally them in acc.
 
     Wedges are first put in corner order: (c0, c1, middle), stamping the
     edges to the smaller and the larger corner.
     """
-    acc = [0] * 6
-    visits = (_emitting_visit(0), _emitting_visit(1))
-    for layer, s, end, wedges in _end_buckets(g, priority, delta):
-        in_upper = layer == 0
-        if s > end:
-            fixed = (end, s)
-            wedges = [(t2, t1, mid) for t1, t2, mid in wedges]
-        else:
-            fixed = (s, end)
-        if len(wedges) <= largest_paired:
-            for type_index, (c0, c1, mid), (o0, o1, omid) in _pairs(wedges, delta, in_upper):
-                sink(_instance(type_index, in_upper, fixed, mid, c0, c1, omid, o0, o1))
-                acc[type_index] += 1
-            continue
-        # a forward wedge normalizes to (c0, c1), a backward one to (c1, c0)
-        fwd_idx = _TraversalIndex(False, in_upper, fixed, sink, acc)
-        bwd_idx = _TraversalIndex(True, in_upper, fixed, sink, acc)
-        _sweep(*_split(wedges), delta, fwd_idx, bwd_idx, visits[layer])
-    return CountVector(acc)
+    in_upper = layer == 0
+    if s > end:
+        fixed = (end, s)
+        wedges = [(t2, t1, mid) for t1, t2, mid in wedges]
+    else:
+        fixed = (s, end)
+    if len(wedges) <= largest_paired:
+        for type_index, (c0, c1, mid), (o0, o1, omid) in _pairs(wedges, delta, in_upper):
+            sink(_instance(type_index, in_upper, fixed, mid, c0, c1, omid, o0, o1))
+            acc[type_index] += 1
+        return
+    # a forward wedge normalizes to (c0, c1), a backward one to (c1, c0)
+    fwd_idx = _TraversalIndex(False, in_upper, fixed, sink, acc)
+    bwd_idx = _TraversalIndex(True, in_upper, fixed, sink, acc)
+    _sweep(*_split(wedges), delta, fwd_idx, bwd_idx, _emitting_visit(layer))

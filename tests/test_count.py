@@ -480,6 +480,25 @@ class TestEngines:
         assert enumerate_optimized(g, priority, delta, emitted.append) == expected
         assert Counter(emitted) == Counter(oracle)
 
+    def test_one_bucket_of_many_live_wedges(self):
+        # s and e share middles m0 and m1 through 100 parallel edges per leg,
+        # all inside one delta span: a single end bucket of 20,000 wedges that
+        # all stay live in count_extreme's index until the sweep ends
+        per_leg = 100
+        stamps = random.Random(5).sample(range(1, 10_000), 4 * per_leg)
+        legs = (("s", "m0"), ("e", "m0"), ("s", "m1"), ("e", "m1"))
+        triples = [
+            (u, v, t) for k, (u, v) in enumerate(legs) for t in stamps[k * per_leg:(k + 1) * per_leg]
+        ]
+        triples += [("s", "z0", 1), ("s", "z1", 2)]  # s takes the top rank
+        delta = 10_000
+        g, priority = build_priority(triples)
+        (bucket,) = [wedges for *_, wedges in _end_buckets(g, priority, delta)]
+        assert len(bucket) == 2 * per_leg * per_leg
+        expected = count_optimized(g, priority, delta)
+        assert expected.total() > 0
+        assert count_extreme(g, priority, delta) == expected
+
     @PROPERTY_SETTINGS
     @given(triples_strategy, delta_strategy)
     def test_engines_agree_with_oracle(self, triples, delta):

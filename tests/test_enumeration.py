@@ -1,4 +1,4 @@
-"""Instance enumeration engines and their range-scan index."""
+"""Instance enumeration engines and their arrival-sorted index."""
 
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from tempobf import (
     null_sink,
     oracle_enumerate,
 )
-from tempobf.enumeration import _TraversalIndex
+from tempobf.count import _SMALL_BUCKET
+from tempobf.enumeration import _TraversalIndex, _emit_bucket
 from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority
 
 triples_strategy = st.lists(
@@ -130,13 +131,25 @@ class TestTraversalIndex:
         for wedge in ((3, 5, 101), (3, 9, 102), (3, 12, 103)):
             idx.insert(wedge)
         idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
-        # top-down while above the pivot, then bottom-up while below it
+        # the slice arriving before the pivot, then the one after it, arrivals ascending
         assert seen == [
-            (1, (0, 1), (100, 103), (1, 7, 3, 12)),
-            (1, (0, 1), (100, 102), (1, 7, 3, 9)),
             (2, (0, 1), (100, 101), (1, 7, 3, 5)),
+            (1, (0, 1), (100, 102), (1, 7, 3, 9)),
+            (1, (0, 1), (100, 103), (1, 7, 3, 12)),
         ]
         assert acc == [0, 2, 1, 0, 0, 0]
+
+    def test_stamps_at_the_pivot_are_skipped(self):
+        idx, seen, acc = traversal_index(swap=False)
+        # arrives at the pivot; starts at the pivot; covered; intersecting
+        for wedge in ((3, 7, 101), (7, 9, 102), (2, 5, 103), (4, 8, 104)):
+            idx.insert(wedge)
+        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
+        assert seen == [
+            (2, (0, 1), (100, 103), (1, 7, 2, 5)),
+            (1, (0, 1), (100, 104), (1, 7, 4, 8)),
+        ]
+        assert acc == [0, 1, 1, 0, 0, 0]
 
     def test_bucket_above_pivot_reports_whole(self):
         idx, seen, acc = traversal_index(swap=True)
@@ -169,6 +182,42 @@ class TestTraversalIndex:
         # a lower start interleaves the stamps: (a0, b0, a1, b1)
         assert seen == [(0, (100, 101), (0, 1), (1, 10, 7, 13))]
         assert acc == [1, 0, 0, 0, 0, 0]
+
+
+@st.composite
+def swept_buckets(draw):
+    """(layer, start, end, delta, wedges): one end bucket big enough to be swept.
+
+    Stamps come from a narrow range, so wedges often arrive or start at
+    another wedge's arrival, and few middles carry many wedges each.
+    """
+    delta = draw(st.integers(1, 12))
+    wedges = []
+    for _ in range(draw(st.integers(_SMALL_BUCKET + 1, 60))):
+        t1 = draw(st.integers(0, 15))
+        t2 = t1 + draw(st.integers(1, delta)) * draw(st.sampled_from((-1, 1)))
+        wedges.append((t1, t2, draw(st.integers(0, 5))))
+    wedges.sort(key=lambda w: w[2])  # each middle's wedges form one run, as the walk gives them
+    start, end = draw(st.sampled_from(((0, 1), (1, 0), (2, 7), (7, 2))))
+    return draw(st.sampled_from((0, 1))), start, end, delta, wedges
+
+
+def emitted(bucket, largest_paired):
+    layer, start, end, delta, wedges = bucket
+    seen, acc = [], [0] * 6
+    _emit_bucket(layer, start, end, wedges, delta, seen.append, acc, largest_paired)
+    return Counter(seen), acc
+
+
+class TestSweptBuckets:
+    @PROPERTY_SETTINGS
+    @given(swept_buckets())
+    def test_sweep_emits_what_pairing_does(self, bucket):
+        swept, swept_acc = emitted(bucket, 0)
+        paired, paired_acc = emitted(bucket, float("inf"))
+        assert swept == paired
+        assert swept_acc == paired_acc
+        assert sum(paired_acc) == sum(paired.values())
 
 
 def canonical_case(start_upper, start_first, probe_low_mid, stamps):
