@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
-from itertools import groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -479,10 +479,11 @@ def count_sampled(
 ) -> CountVector:
     """Unbiased estimates from an edge sample kept with probability sample_p.
 
-    Each edge is retained independently (seeded PRNG, ingestion order), the
-    retained subgraph is counted exactly, and every component is scaled by
-    sample_p to the power -4, since a butterfly survives iff its four edges
-    all do.
+    Each edge is retained independently (seeded PRNG, one draw per edge in
+    uid order, which is ingestion order).  The retained edges are filtered
+    from g's time rows onto g's vertex ids and counted exactly, and every
+    component is scaled by sample_p to the power -4, since a butterfly
+    survives iff its four edges all do.
     """
     if not 0 < sample_p <= 1:
         raise ValueError(f"sample_p must be in (0, 1], got {sample_p}")
@@ -490,12 +491,8 @@ def count_sampled(
     if sample_p == 1:
         return CountVector(float(c) for c in count_extreme(g, priority, delta))
     rng = random.Random(seed)
-    kept = [
-        (g.upper_tokens[e.u], g.lower_tokens[e.v], e.t)
-        for e in g.edges()
-        if rng.random() < sample_p
-    ]
-    sub = TemporalBipartiteGraph.from_edges(kept)
+    uids = sorted(map(itemgetter(2), chain.from_iterable(g.upper_adj)))
+    sub = g._subgraph({uid for uid in uids if rng.random() < sample_p})
     sub_priority = compute_vertex_priority(sub)
     sort_adjacency_by_priority(sub, sub_priority)
     exact = count_extreme(sub, sub_priority, delta)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -127,10 +128,33 @@ class TemporalBipartiteGraph:
 
     @classmethod
     def from_edges(cls, triples: Iterable[tuple[str, str, int]]) -> "TemporalBipartiteGraph":
+        """The graph add_edge builds from the triples in order: one loop, one look-up per token."""
         g = cls()
-        for u, v, t in triples:
-            g.add_edge(str(u), str(v), int(t))
+        up_ids, lo_ids, up, lo = g._upper_ids, g._lower_ids, g.upper_adj, g.lower_adj
+        for uid, (u, v, t) in enumerate(triples):
+            u, v, t = str(u), str(v), int(t)
+            a = up_ids.get(u)
+            if a is None:
+                a = g._intern(u, up_ids, g.upper_tokens, up)
+            b = lo_ids.get(v)
+            if b is None:
+                b = g._intern(v, lo_ids, g.lower_tokens, lo)
+            up[a].append((b, t, uid))
+            lo[b].append((a, t, uid))
+        g.edge_count = g._next_uid = sum(map(len, up))
         return g
+
+    def _subgraph(self, uids: set[int]) -> "TemporalBipartiteGraph":
+        """The edges with a uid in uids, filtered from the sorted time rows onto the same vertex ids."""
+        sub = TemporalBipartiteGraph()
+        sub.upper_tokens, sub.lower_tokens = self.upper_tokens[:], self.lower_tokens[:]
+        sub._upper_ids, sub._lower_ids = dict(self._upper_ids), dict(self._lower_ids)
+        sub.upper_adj = [[e for e in row if e[2] in uids] for row in self.upper_adj]
+        sub.lower_adj = [[e for e in row if e[2] in uids] for row in self.lower_adj]
+        sub.upper_times = [[t for _, t, _ in row] for row in sub.upper_adj]
+        sub.lower_times = [[t for _, t, _ in row] for row in sub.lower_adj]
+        sub.edge_count, sub._next_uid = sum(map(len, sub.upper_adj)), self._next_uid
+        return sub
 
     def upper_token(self, u: int) -> str:
         return self.upper_tokens[u]
@@ -141,7 +165,7 @@ class TemporalBipartiteGraph:
     def edges(self) -> list[TemporalEdge]:
         """All edges in ingestion order."""
         out = [TemporalEdge(u, v, t, uid) for u, row in enumerate(self.upper_adj) for v, t, uid in row]
-        out.sort(key=lambda e: e.uid)
+        out.sort(key=itemgetter(3))
         return out
 
     # Streaming mutation; both require and preserve sorted time rows, and
@@ -269,8 +293,8 @@ def iter_edge_stream(source: str | os.PathLike | IO[str] | Iterable[str]) -> Ite
 
     Lines hold either `u v t` or the four-field `u v w t` dialect, where the
     third field is a weight and is ignored.  Blank lines and lines starting
-    with `#` or `%` are skipped.  Malformed lines raise GraphParseError naming
-    the line number.
+    with `#` or `%` are skipped, and so is a byte-order mark opening the
+    input.  Malformed lines raise GraphParseError naming the line number.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -280,11 +304,13 @@ def iter_edge_stream(source: str | os.PathLike | IO[str] | Iterable[str]) -> Ite
 
 
 def _iter_lines(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
-    for lineno, raw in enumerate(lines, 1):
-        stripped = raw.strip()
-        if not stripped or stripped[0] in "#%":
+    lines = iter(lines)
+    # a leading byte-order mark is not whitespace, so split would glue it to the first token
+    first = next(lines, "").removeprefix("\ufeff")
+    for lineno, raw in enumerate(chain((first,), lines), 1):
+        parts = raw.split()
+        if not parts or parts[0][0] in "#%":
             continue
-        parts = stripped.split()
         if len(parts) == 3:
             u, v, ts = parts
         elif len(parts) == 4:

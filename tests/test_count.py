@@ -30,6 +30,7 @@ from tempobf import (
     oracle_count,
     oracle_enumerate,
     oracle_static_pairings,
+    sort_adjacency_by_priority,
 )
 from tempobf.count import _SMALL_BUCKET, _count_bucket, _end_buckets
 from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority, build_time
@@ -633,3 +634,50 @@ class TestSampling:
         g, p = build_priority(F2)
         estimate = count_sampled(g, p, 10, 0.5, seed=seed)
         assert all(c % 16 == 0 and c >= 0 for c in estimate)
+
+
+def sampled_by_rebuild(g, delta, sample_p, seed):
+    """count_sampled's estimate by rebuilding the kept edges from their tokens, in uid order."""
+    rng = random.Random(seed)
+    kept = [(g.upper_tokens[e.u], g.lower_tokens[e.v], e.t) for e in g.edges() if rng.random() < sample_p]
+    sub, sub_priority = build_priority(kept)
+    return count_extreme(sub, sub_priority, delta).scaled(sample_p**-4)
+
+
+@st.composite
+def gapped_graph_strategy(draw):
+    """A priority-sorted graph, possibly after removals and insertions that leave uid gaps."""
+    g = build_time(draw(parallel_triples_strategy))
+    for e in draw(st.lists(st.sampled_from(g.edges()), unique=True, max_size=10)):
+        g.remove_edge(e)
+    for u, v, t in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 30)), max_size=8)):
+        g.insert_edge(f"u{u}", f"v{v}", t)
+    priority = compute_vertex_priority(g)
+    sort_adjacency_by_priority(g, priority)
+    return g, priority
+
+
+class TestSampledSubgraph:
+    """count_sampled filters the kept edges from g's time rows; the estimates equal a token rebuild's."""
+
+    @PROPERTY_SETTINGS
+    @given(gapped_graph_strategy(), delta_strategy, st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_matches_a_rebuild_from_tokens(self, built, delta, sample_p, seed):
+        g, priority = built
+        estimate = count_sampled(g, priority, delta, sample_p, seed)
+        assert estimate.counts == sampled_by_rebuild(g, delta, sample_p, seed).counts
+
+    def test_parent_graph_untouched(self):
+        g, priority = build_priority(F2)
+        rows = ([row[:] for row in g.upper_adj], [row[:] for row in g.lower_prio], g.edge_count, g._next_uid)
+        count_sampled(g, priority, 10, 0.5, seed=1)
+        assert rows == ([row[:] for row in g.upper_adj], [row[:] for row in g.lower_prio], g.edge_count, g._next_uid)
+
+    def test_sample_subgraph_keeps_ids_and_time_rows(self):
+        g, _ = build_priority(F2)
+        sub = g._subgraph({0, 4})
+        assert (sub.upper_tokens, sub.lower_tokens) == (g.upper_tokens, g.lower_tokens)
+        assert sub.upper_adj == [[(0, 1, 0), (0, 5, 4)], []]
+        assert sub.lower_adj == [[(0, 1, 0), (0, 5, 4)], []]
+        assert (sub.upper_times, sub.lower_times) == ([[1, 5], []], [[1, 5], []])
+        assert (sub.edge_count, sub._next_uid, sub.upper_prio) == (2, 5, None)

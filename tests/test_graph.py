@@ -14,6 +14,7 @@ from tempobf import (
     TemporalBipartiteGraph,
     TemporalEdge,
     compute_vertex_priority,
+    iter_edge_stream,
     load_edge_list,
     save_edge_list,
     sort_adjacency_by_priority,
@@ -34,7 +35,7 @@ from tempobf import (
     stream_delete,
     stream_insert,
 )
-from conftest import PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time, random_triples
+from conftest import F1, PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time, random_triples
 
 triples_strategy = st.lists(
     st.tuples(
@@ -44,6 +45,12 @@ triples_strategy = st.lists(
     ),
     max_size=40,
 )
+
+
+# str and int tokens over a small alphabet, so tokens repeat, int 1 and "1"
+# name one vertex, and vertex pairs carry parallel edges
+mixed_token = st.one_of(st.integers(0, 3), st.integers(0, 3).map(str), st.sampled_from(["a", "b", "ü"]))
+mixed_triples_strategy = st.lists(st.tuples(mixed_token, mixed_token, st.integers(-5, 30)), max_size=30)
 
 
 def _graph(built):
@@ -98,6 +105,54 @@ class TestParsing:
         g = load_edge_list(io.StringIO(""))
         assert (g.upper_count, g.lower_count, g.edge_count) == (0, 0, 0)
 
+    # indented comment, %-comment of three fields, CRLF endings, tabs, a
+    # four-field line, a blank line and a line of only whitespace
+    DIALECTS = "  # header\r\n%a x 1\r\na\tx\t5\r\n\r\nb y 2.5 6\r\n \t \r\n\tc  z 7 \r\n"
+
+    def test_dialects_parse_to_triples(self):
+        expected = [("a", "x", 5), ("b", "y", 6), ("c", "z", 7)]
+        assert list(iter_edge_stream(io.StringIO(self.DIALECTS))) == expected
+        assert list(iter_edge_stream(self.DIALECTS.splitlines(keepends=True))) == expected
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("d w\r\n", r"^line 8: expected 3 or 4 fields, got 2$"),
+            ("d w 1 2 3\r\n", r"^line 8: expected 3 or 4 fields, got 5$"),
+            ("d\tw\t1.5\r\n", r"^line 8: timestamp '1\.5' is not an integer$"),
+            ("d w 0.5 x\r\n", r"^line 8: timestamp 'x' is not an integer$"),
+        ],
+    )
+    def test_dialect_errors_name_the_line(self, bad, message):
+        with pytest.raises(GraphParseError, match=message):
+            load_edge_list(io.StringIO(self.DIALECTS + bad))
+
+    @staticmethod
+    def _f1_text() -> str:
+        return "".join(f"{u} {v} {t}\n" for u, v, t in F1)
+
+    @pytest.mark.parametrize("via_file", [False, True])
+    def test_byte_order_mark_is_not_part_of_a_token(self, tmp_path, via_file):
+        text = "\ufeff" + self._f1_text()
+        source = io.StringIO(text)
+        if via_file:
+            source = tmp_path / "bom.txt"
+            source.write_text(text, encoding="utf-8")
+        g = load_edge_list(source)
+        assert (g.upper_tokens, g.lower_tokens) == (["u1", "u2"], ["v1", "v2"])
+        plain = load_edge_list(io.StringIO(self._f1_text()))
+        assert (g.upper_adj, g.lower_adj) == (plain.upper_adj, plain.lower_adj)
+        priority = compute_vertex_priority(g)
+        sort_adjacency_by_priority(g, priority)
+        assert count_extreme(g, priority, 3) == [0, 1, 0, 0, 0, 0]
+
+    def test_byte_order_mark_before_a_comment_or_a_shared_vertex(self):
+        g = load_edge_list(io.StringIO("\ufeffa x 1\na y 2\n"))
+        assert g.upper_tokens == ["a"]
+        assert list(iter_edge_stream(io.StringIO("\ufeff# header\na x 1\n"))) == [("a", "x", 1)]
+        with pytest.raises(GraphParseError, match=r"^line 1: expected"):
+            load_edge_list(io.StringIO("\ufeffa x\n"))
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "edges.txt"
         rng = random.Random(3)
@@ -134,6 +189,43 @@ class TestGraphModel:
             g.add_edge("a b", "x", 1)
         with pytest.raises(ValueError, match="token"):
             g.add_edge("a", "", 1)
+
+    @staticmethod
+    def _add_edge_loop(triples):
+        g = TemporalBipartiteGraph()
+        for u, v, t in triples:
+            g.add_edge(u, v, t)
+        return g
+
+    @staticmethod
+    def _state(g):
+        return (
+            g.upper_tokens,
+            g.lower_tokens,
+            g._upper_ids,
+            g._lower_ids,
+            g.upper_adj,
+            g.lower_adj,
+            g.edge_count,
+            g._next_uid,
+        )
+
+    @PROPERTY_SETTINGS
+    @given(mixed_triples_strategy)
+    def test_from_edges_matches_an_add_edge_loop(self, triples):
+        triples = triples + triples[: len(triples) // 2]  # parallel copies
+        g = TemporalBipartiteGraph.from_edges(triples)
+        looped = self._add_edge_loop(triples)
+        assert self._state(g) == self._state(looped)
+        assert g.upper_times is None and g.upper_prio is None
+        assert g.add_edge("a", 0, 7) == looped.add_edge("a", 0, 7)
+        assert g.edges()[-1].uid == len(triples)
+        assert self._state(g) == self._state(looped)
+
+    @pytest.mark.parametrize("bad", [("", "x", 1), ("a", "", 1), ("a b", "x", 1), ("a", "x\ty", 1), (" a", "x", 1)])
+    def test_from_edges_rejects_bad_tokens(self, bad):
+        with pytest.raises(ValueError, match="token"):
+            TemporalBipartiteGraph.from_edges([("a", "x", 1), bad])
 
     def test_parallel_edges_get_distinct_uids(self):
         g = TemporalBipartiteGraph.from_edges([("a", "x", 5), ("a", "x", 5)])
