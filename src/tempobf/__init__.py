@@ -26,7 +26,6 @@ from .graph import (
     load_edge_list,
     save_edge_list,
     sort_adjacency_by_priority,
-    sort_adjacency_by_time,
 )
 from .oracle import oracle_contains, oracle_count, oracle_enumerate, oracle_static_pairings
 from .stream import (
@@ -78,7 +77,6 @@ __all__ = [
     "run_sliding_window",
     "save_edge_list",
     "sort_adjacency_by_priority",
-    "sort_adjacency_by_time",
     "stream_delete",
     "stream_insert",
     "__version__",

@@ -6,12 +6,12 @@ parallel edges with different (or even equal) timestamps are allowed.  Input
 tokens are interned to dense per-layer internal ids in order of first
 appearance, and the original tokens are kept for output.
 
-A sorted graph keeps every adjacency row in (t, uid) order, its time rows,
-with each row's stamps as a plain int array beside it; the streaming
-engines mutate these.  The counting engines also need each row in
-neighbor-priority order, so sort_adjacency_by_priority adds priority rows
-beside the time rows.  Any later mutation drops the priority rows, and the
-counting engines refuse a graph without them.
+Every graph, from the moment it is built, keeps each adjacency row in
+(t, uid) order, its time rows, with the row's stamps as a plain int array
+beside it; the streaming engines mutate these.  The counting engines also
+need each row in neighbor-priority order, so sort_adjacency_by_priority
+adds priority rows beside the time rows.  Any later mutation drops the
+priority rows, and the counting engines refuse a graph without them.
 """
 
 from __future__ import annotations
@@ -56,13 +56,12 @@ class TemporalBipartiteGraph:
     """Adjacency-list temporal bipartite multigraph.
 
     Each adjacency entry is a (neighbor, t, uid) tuple and every edge appears
-    in exactly two rows, one per endpoint.  Rows grow in arrival order under
-    add_edge.  Once sorted, upper_adj and lower_adj are time rows, ordered
-    by (t, uid), and upper_times and lower_times hold each row's stamps as
-    plain ints, so time ranges bisect at C speed; they are None while the
-    rows are unsorted.  upper_prio and lower_prio, when not None, hold the
-    same entries per row in (neighbor priority descending, t, uid) order:
-    the priority rows the counting engines walk.
+    in exactly two rows, one per endpoint.  upper_adj and lower_adj are time
+    rows, ordered by (t, uid), and upper_times and lower_times hold each
+    row's stamps as plain ints, so time ranges bisect at C speed.
+    upper_prio and lower_prio, when not None, hold the same entries per row
+    in (neighbor priority descending, t, uid) order: the priority rows the
+    counting engines walk.
     """
 
     __slots__ = (
@@ -89,8 +88,8 @@ class TemporalBipartiteGraph:
         self.lower_adj: list[list[tuple[int, int, int]]] = []
         self.edge_count = 0
         self._next_uid = 0
-        self.upper_times: list[list[int]] | None = None
-        self.lower_times: list[list[int]] | None = None
+        self.upper_times: list[list[int]] = []
+        self.lower_times: list[list[int]] = []
         self.upper_prio: list[list[tuple[int, int, int]]] | None = None
         self.lower_prio: list[list[tuple[int, int, int]]] | None = None
 
@@ -102,7 +101,7 @@ class TemporalBipartiteGraph:
     def lower_count(self) -> int:
         return len(self.lower_tokens)
 
-    def _intern(self, token: str, ids: dict[str, int], tokens: list[str], adj: list[list[tuple[int, int, int]]]) -> int:
+    def _intern(self, token: str, ids: dict[str, int], tokens: list[str], adj: list[list], times: list[list[int]]) -> int:
         vid = ids.get(token)
         if vid is None:
             if not token or token.split() != [token]:
@@ -111,36 +110,27 @@ class TemporalBipartiteGraph:
             ids[token] = vid
             tokens.append(token)
             adj.append([])
+            times.append([])
         return vid
-
-    def add_edge(self, u_token: str, v_token: str, t: int) -> TemporalEdge:
-        """Append one edge during construction; leaves the rows unsorted."""
-        u = self._intern(str(u_token), self._upper_ids, self.upper_tokens, self.upper_adj)
-        v = self._intern(str(v_token), self._lower_ids, self.lower_tokens, self.lower_adj)
-        uid = self._next_uid
-        self._next_uid = uid + 1
-        self.upper_adj[u].append((v, t, uid))
-        self.lower_adj[v].append((u, t, uid))
-        self.edge_count += 1
-        if self.upper_times is not None:
-            self.upper_times = self.lower_times = self.upper_prio = self.lower_prio = None
-        return TemporalEdge(u, v, t, uid)
 
     @classmethod
     def from_edges(cls, triples: Iterable[tuple[str, str, int]]) -> "TemporalBipartiteGraph":
-        """The graph add_edge builds from the triples in order: one loop, one look-up per token."""
+        """The graph an insert_edge loop builds from the triples: rows appended in one loop, then each sorted once."""
         g = cls()
         up_ids, lo_ids, up, lo = g._upper_ids, g._lower_ids, g.upper_adj, g.lower_adj
         for uid, (u, v, t) in enumerate(triples):
-            u, v, t = str(u), str(v), int(t)
+            u, v = str(u), str(v)
+            if type(t) is not int:
+                t = _stamp(t)
             a = up_ids.get(u)
             if a is None:
-                a = g._intern(u, up_ids, g.upper_tokens, up)
+                a = g._intern(u, up_ids, g.upper_tokens, up, g.upper_times)
             b = lo_ids.get(v)
             if b is None:
-                b = g._intern(v, lo_ids, g.lower_tokens, lo)
+                b = g._intern(v, lo_ids, g.lower_tokens, lo, g.lower_times)
             up[a].append((b, t, uid))
             lo[b].append((a, t, uid))
+        g.upper_times, g.lower_times = _time_rows(up), _time_rows(lo)
         g.edge_count = g._next_uid = sum(map(len, up))
         return g
 
@@ -151,16 +141,9 @@ class TemporalBipartiteGraph:
         sub._upper_ids, sub._lower_ids = dict(self._upper_ids), dict(self._lower_ids)
         sub.upper_adj = [[e for e in row if e[2] in uids] for row in self.upper_adj]
         sub.lower_adj = [[e for e in row if e[2] in uids] for row in self.lower_adj]
-        sub.upper_times = [[t for _, t, _ in row] for row in sub.upper_adj]
-        sub.lower_times = [[t for _, t, _ in row] for row in sub.lower_adj]
+        sub.upper_times, sub.lower_times = _time_rows(sub.upper_adj), _time_rows(sub.lower_adj)
         sub.edge_count, sub._next_uid = sum(map(len, sub.upper_adj)), self._next_uid
         return sub
-
-    def upper_token(self, u: int) -> str:
-        return self.upper_tokens[u]
-
-    def lower_token(self, v: int) -> str:
-        return self.lower_tokens[v]
 
     def edges(self) -> list[TemporalEdge]:
         """All edges in ingestion order."""
@@ -168,27 +151,24 @@ class TemporalBipartiteGraph:
         out.sort(key=itemgetter(3))
         return out
 
-    # Streaming mutation; both require and preserve sorted time rows, and
-    # drop the priority rows, which they would leave stale.
+    # Mutation; both keep the time rows sorted and drop the priority rows,
+    # which they would leave stale.
 
-    def insert_edge(self, u_token: str, v_token: str, t: int) -> TemporalEdge:
-        """Insert one edge keeping both time rows sorted."""
-        if self.upper_times is None:
-            raise ValueError("insert_edge requires time-sorted rows; call sort_adjacency_by_time first")
-        u = self._intern(str(u_token), self._upper_ids, self.upper_tokens, self.upper_adj)
-        v = self._intern(str(v_token), self._lower_ids, self.lower_tokens, self.lower_adj)
+    def insert_edge(self, u_token: str, v_token: str, t: int | str) -> TemporalEdge:
+        """Add one edge after any equal stamps in its time rows; t is an int or a string holding one."""
+        t = _stamp(t)
+        u = self._intern(str(u_token), self._upper_ids, self.upper_tokens, self.upper_adj, self.upper_times)
+        v = self._intern(str(v_token), self._lower_ids, self.lower_tokens, self.lower_adj, self.lower_times)
         uid = self._next_uid
         self._next_uid = uid + 1
-        _insert_entry(self.upper_adj[u], _times_row(self.upper_times, u), (v, t, uid))
-        _insert_entry(self.lower_adj[v], _times_row(self.lower_times, v), (u, t, uid))
+        _insert_entry(self.upper_adj[u], self.upper_times[u], (v, t, uid))
+        _insert_entry(self.lower_adj[v], self.lower_times[v], (u, t, uid))
         self.edge_count += 1
         self.upper_prio = self.lower_prio = None
         return TemporalEdge(u, v, t, uid)
 
     def remove_edge(self, e: TemporalEdge) -> None:
         """Delete e from both its rows, or raise KeyError and delete nothing."""
-        if self.upper_times is None:
-            raise ValueError("remove_edge requires time-sorted rows; call sort_adjacency_by_time first")
         found = []
         for adj, times, vid, nbr in (
             (self.upper_adj, self.upper_times, e.u, e.v),
@@ -207,16 +187,25 @@ class TemporalBipartiteGraph:
     def has_edge(self, e: TemporalEdge) -> bool:
         if not (0 <= e.u < self.upper_count and 0 <= e.v < self.lower_count):
             return False
-        if self.upper_times is None:
-            return (e.v, e.t, e.uid) in self.upper_adj[e.u]
         return _find_entry(self.upper_adj[e.u], self.upper_times[e.u], e.v, e.t, e.uid) is not None
 
 
-def _times_row(times: list[list[int]], vid: int) -> list[int]:
-    """The timestamp row of vid, appending an empty one for a newly interned vertex."""
-    if vid == len(times):
-        times.append([])
-    return times[vid]
+def _stamp(t: int | str) -> int:
+    """t as an int: an int, or a string holding one; ValueError naming t otherwise."""
+    if isinstance(t, (int, str)) and not isinstance(t, bool):
+        try:
+            return int(t)
+        except ValueError:
+            pass
+    raise ValueError(f"timestamp {t!r} is not an integer")
+
+
+def _time_rows(adj: list[list[tuple[int, int, int]]]) -> list[list[int]]:
+    """Sort each row stably by t, so rows grown in uid order become time rows; return their stamp arrays."""
+    by_t = itemgetter(1)
+    for row in adj:
+        row.sort(key=by_t)
+    return [list(map(by_t, row)) for row in adj]
 
 
 def _insert_entry(row: list[tuple[int, int, int]], times: list[int], entry: tuple[int, int, int]) -> None:
@@ -255,14 +244,11 @@ def compute_vertex_priority(g: TemporalBipartiteGraph) -> VertexPriority:
 def sort_adjacency_by_priority(g: TemporalBipartiteGraph, priority: VertexPriority) -> None:
     """Add each row's priority row: its entries by neighbor priority descending, then time.
 
-    The rows are sorted by time first unless they already are.  Each
-    priority row is a stable sort of its time row, so equal priorities keep
-    (t, uid) order; the time rows themselves are not reordered.  The
+    Each priority row is a stable sort of its time row, so equal priorities
+    keep (t, uid) order; the time rows themselves are not reordered.  The
     engines walk a priority row from its tail, where the lowest priorities
     sit, and stop at the first neighbor that does not rank below the start.
     """
-    if g.upper_times is None:
-        sort_adjacency_by_time(g)
     g.upper_prio = _priority_rows(g.upper_adj, priority.lower)
     g.lower_prio = _priority_rows(g.lower_adj, priority.upper)
 
@@ -271,21 +257,6 @@ def _priority_rows(adj: list[list[tuple[int, int, int]]], nbr_priority: list[int
     key = lambda e: nbr_priority[e[0]]
     # reverse=True keeps equal keys in their (t, uid) order
     return [sorted(row, key=key, reverse=True) for row in adj]
-
-
-def sort_adjacency_by_time(g: TemporalBipartiteGraph) -> None:
-    """Order every row by (t, uid) and build its stamp array.
-
-    Two C-keyed stable sorts order each row; rows still in arrival order
-    pass the first in one linear scan.
-    """
-    by_uid, by_t = itemgetter(2), itemgetter(1)
-    for adj in (g.upper_adj, g.lower_adj):
-        for row in adj:
-            row.sort(key=by_uid)
-            row.sort(key=by_t)
-    g.upper_times = [list(map(by_t, row)) for row in g.upper_adj]
-    g.lower_times = [list(map(by_t, row)) for row in g.lower_adj]
 
 
 def iter_edge_stream(source: str | os.PathLike | IO[str] | Iterable[str]) -> Iterator[tuple[str, str, int]]:

@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .count import CountVector, classify_type
-from .graph import TemporalBipartiteGraph, TemporalEdge, sort_adjacency_by_time
+from .graph import TemporalBipartiteGraph, TemporalEdge
 
 __all__ = [
     "StreamOrderError",
@@ -47,11 +47,6 @@ EmissionSink = Callable[[int, int, int, CountVector], None]
 
 class StreamOrderError(ValueError):
     """Raised when a stream edge arrives out of chronological order."""
-
-
-def _require_time_layout(g: TemporalBipartiteGraph) -> None:
-    if g.upper_times is None:
-        raise ValueError("streaming requires time-sorted rows; call sort_adjacency_by_time")
 
 
 def _time_range(times: list[int], lo: int, hi: int) -> tuple[int, int]:
@@ -149,7 +144,6 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
     not walked, (t, closing edge) through the walked one and the 2-path's
     own, so its type is read from that endpoint's layer.
     """
-    _require_time_layout(g)
     if not g.has_edge(e):
         raise ValueError(f"edge {e} is not in the graph")
     t = e.t
@@ -317,7 +311,6 @@ def batch_update(
 
     Returns the inserted edge records.
     """
-    _require_time_layout(g)
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     for batch, what in ((deletions, "deletion"), (insertions, "insertion")):
@@ -387,7 +380,6 @@ class SlidingWindow:
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
         self.graph = TemporalBipartiteGraph()
-        sort_adjacency_by_time(self.graph)
         self.delta = delta
         self.window = window
         self.stride = stride

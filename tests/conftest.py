@@ -10,7 +10,6 @@ from tempobf import (
     TemporalBipartiteGraph,
     compute_vertex_priority,
     sort_adjacency_by_priority,
-    sort_adjacency_by_time,
 )
 
 # one 2x2 biclique whose four stamps climb 1..4; butterfly span 3
@@ -34,9 +33,10 @@ def build_priority(triples):
 
 
 def build_time(triples):
-    """Graph with time rows only, as streaming keeps it."""
-    g = TemporalBipartiteGraph.from_edges(triples)
-    sort_adjacency_by_time(g)
+    """Graph grown edge by edge through insert_edge, as streaming grows it; no priority rows."""
+    g = TemporalBipartiteGraph()
+    for u, v, t in triples:
+        g.insert_edge(u, v, t)
     return g
 
 
@@ -46,7 +46,6 @@ def assert_times_match_rows(g):
     When the graph has priority rows, each holds exactly its time row's
     entries; TestLayouts checks their order against a known priority.
     """
-    assert g.upper_times is not None and g.lower_times is not None
     assert len(g.upper_times) == len(g.upper_adj)
     assert len(g.lower_times) == len(g.lower_adj)
     for times, adj in ((g.upper_times, g.upper_adj), (g.lower_times, g.lower_adj)):
@@ -61,6 +60,7 @@ def assert_times_match_rows(g):
 
 
 def build_plain(triples):
+    """Graph straight from from_edges: time rows, no priority rows."""
     return TemporalBipartiteGraph.from_edges(triples)
 
 

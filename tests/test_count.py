@@ -441,6 +441,7 @@ class TestEngines:
         for engine in (count_baseline, count_optimized, count_extreme):
             assert engine(g, p, 3) == [0] * 6
 
+    # "unsorted" is a graph straight from from_edges, "time" one grown by insert_edge: neither has priority rows
     @pytest.mark.parametrize("build", [build_plain, build_time, build_mutated], ids=["unsorted", "time", "mutated"])
     @pytest.mark.parametrize(
         "run",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -18,7 +19,6 @@ from tempobf import (
     load_edge_list,
     save_edge_list,
     sort_adjacency_by_priority,
-    sort_adjacency_by_time,
 )
 from tempobf import (
     CountVector,
@@ -31,6 +31,7 @@ from tempobf import (
     enumerate_baseline,
     enumerate_optimized,
     null_sink,
+    oracle_contains,
     oracle_count,
     stream_delete,
     stream_insert,
@@ -180,22 +181,13 @@ class TestGraphModel:
         g = TemporalBipartiteGraph.from_edges([("b", "y", 1), ("a", "y", 2), ("b", "x", 3)])
         assert g.upper_tokens == ["b", "a"]
         assert g.lower_tokens == ["y", "x"]
-        assert g.upper_token(1) == "a"
-        assert g.lower_token(1) == "x"
 
     def test_whitespace_token_rejected(self):
         g = TemporalBipartiteGraph()
         with pytest.raises(ValueError, match="token"):
-            g.add_edge("a b", "x", 1)
+            g.insert_edge("a b", "x", 1)
         with pytest.raises(ValueError, match="token"):
-            g.add_edge("a", "", 1)
-
-    @staticmethod
-    def _add_edge_loop(triples):
-        g = TemporalBipartiteGraph()
-        for u, v, t in triples:
-            g.add_edge(u, v, t)
-        return g
+            g.insert_edge("a", "", 1)
 
     @staticmethod
     def _state(g):
@@ -208,19 +200,47 @@ class TestGraphModel:
             g.lower_adj,
             g.edge_count,
             g._next_uid,
+            g.upper_times,
+            g.lower_times,
         )
 
     @PROPERTY_SETTINGS
     @given(mixed_triples_strategy)
-    def test_from_edges_matches_an_add_edge_loop(self, triples):
+    def test_from_edges_matches_an_insert_edge_loop(self, triples):
         triples = triples + triples[: len(triples) // 2]  # parallel copies
         g = TemporalBipartiteGraph.from_edges(triples)
-        looped = self._add_edge_loop(triples)
+        looped = build_time(triples)
         assert self._state(g) == self._state(looped)
-        assert g.upper_times is None and g.upper_prio is None
-        assert g.add_edge("a", 0, 7) == looped.add_edge("a", 0, 7)
+        assert_times_match_rows(g)
+        assert g.upper_prio is None and g.lower_prio is None
+        assert g.insert_edge("a", 0, 7) == looped.insert_edge("a", 0, 7)
         assert g.edges()[-1].uid == len(triples)
         assert self._state(g) == self._state(looped)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [1.5, "1.5", None, "", "7 8", True],
+        ids=["float", "float-string", "none", "empty-string", "two-ints", "bool"],
+    )
+    def test_both_ways_of_adding_refuse_a_non_integer_stamp(self, bad):
+        message = f"^timestamp {re.escape(repr(bad))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            TemporalBipartiteGraph.from_edges([("a", "x", 1), ("b", "y", bad)])
+        g = TemporalBipartiteGraph.from_edges([("a", "x", 1)])
+        with pytest.raises(ValueError, match=message):
+            g.insert_edge("a", "y", bad)
+        # refused before either token is interned
+        assert (g.upper_tokens, g.lower_tokens, g.edge_count) == (["a"], ["x"], 1)
+        assert_times_match_rows(g)
+
+    def test_both_ways_of_adding_read_a_stamp_string_as_its_int(self):
+        g = TemporalBipartiteGraph.from_edges([("a", "x", 1), ("a", "y", "7"), ("a", "z", "-2")])
+        looped = TemporalBipartiteGraph.from_edges([("a", "x", 1)])
+        looped.insert_edge("a", "y", "7")
+        looped.insert_edge("a", "z", "-2")
+        assert self._state(g) == self._state(looped)
+        assert g.upper_times == [[-2, 1, 7]]
+        assert all(type(t) is int for _, t, _ in g.upper_adj[0])
 
     @pytest.mark.parametrize("bad", [("", "x", 1), ("a", "", 1), ("a b", "x", 1), ("a", "x\ty", 1), (" a", "x", 1)])
     def test_from_edges_rejects_bad_tokens(self, bad):
@@ -231,14 +251,6 @@ class TestGraphModel:
         g = TemporalBipartiteGraph.from_edges([("a", "x", 5), ("a", "x", 5)])
         uids = [e.uid for e in g.edges()]
         assert uids == [0, 1]
-
-    @pytest.mark.parametrize("build", [build_time, build_priority])
-    def test_add_edge_invalidates_layout(self, build):
-        g = _graph(build([("a", "x", 1)]))
-        assert g.upper_times is not None and g.lower_times is not None
-        g.add_edge("a", "y", 2)
-        assert g.upper_times is None and g.lower_times is None
-        assert g.upper_prio is None and g.lower_prio is None
 
     @PROPERTY_SETTINGS
     @given(triples_strategy)
@@ -319,18 +331,16 @@ class TestLayouts:
         assert [uid for _, _, uid in g.upper_adj[0]] == [0, 1, 2]
 
     @PROPERTY_SETTINGS
-    @given(triples_strategy, triples_strategy, st.sampled_from(["plain", "time", "priority"]))
+    @given(triples_strategy, triples_strategy, st.sampled_from(["built", "priority"]))
     def test_priority_rows_beside_time_rows_from_any_prior_layout(self, triples, more, before):
-        # rows that were already sorted, or that grew after a sort, still
-        # end as time rows with priority rows in (priority descending, t,
-        # uid) order beside them
+        # rows as built, or with stale priority rows, that then grew by
+        # insertion still end as time rows with priority rows in
+        # (priority descending, t, uid) order beside them
         g = TemporalBipartiteGraph.from_edges(triples)
-        if before == "time":
-            sort_adjacency_by_time(g)
-        elif before == "priority":
+        if before == "priority":
             sort_adjacency_by_priority(g, compute_vertex_priority(g))
         for u, v, t in more:
-            g.add_edge(u, v, t)
+            g.insert_edge(u, v, t)
         priority = compute_vertex_priority(g)
         sort_adjacency_by_priority(g, priority)
         assert_times_match_rows(g)
@@ -349,10 +359,33 @@ class TestLayouts:
 
 
 class TestStreamingMutation:
-    def test_insert_requires_time_layout(self):
-        g = TemporalBipartiteGraph.from_edges([("a", "x", 1)])
-        with pytest.raises(ValueError, match="time-sorted"):
-            g.insert_edge("a", "y", 2)
+    @pytest.mark.parametrize("via", ["load_edge_list", "from_edges"])
+    def test_built_in_time_order_streams_with_no_sort(self, via):
+        # F1's edges arriving out of time order; nothing sorts the graph
+        # before it is mutated and counted
+        triples = [F1[3], F1[0], F1[2], F1[1]]
+        if via == "load_edge_list":
+            g = load_edge_list(io.StringIO("".join(f"{u} {v} {t}\n" for u, v, t in triples)))
+        else:
+            g = TemporalBipartiteGraph.from_edges(triples)
+        assert_times_match_rows(g)
+        assert g.upper_times == [[3, 4], [1, 2]] and g.lower_times == [[2, 4], [1, 3]]
+        edges = g.edges()
+        assert all(g.has_edge(e) for e in edges)
+        for e in edges:
+            assert delta_count_edge(g, 3, e) == oracle_contains(g, 3, e) == [0, 1, 0, 0, 0, 0]
+        e = g.insert_edge("u3", "v1", 2)
+        assert g.has_edge(e)
+        g.remove_edge(e)
+        assert not g.has_edge(e)
+        live = CountVector(oracle_count(g, 3))
+        stream_insert(g, 3, "u1", "v1", 5, live)
+        assert live == oracle_count(g, 3) == [0, 1, 0, 0, 1, 0]
+        stream_delete(g, 3, edges[1], live)
+        assert live == oracle_count(g, 3) == [0, 0, 0, 0, 1, 0]
+        batch_update(g, 3, [edges[3]], [("u3", "v2", 6)], live)
+        assert live == oracle_count(g, 3) == [0] * 6
+        assert_times_match_rows(g)
 
     def test_insert_remove_round_trip(self):
         g = build_time([("a", "x", 1), ("a", "x", 9)])
@@ -459,29 +492,6 @@ class TestTimestampArrays:
                 live.append(g.insert_edge(f"u{rng.randrange(10)}", f"v{rng.randrange(10)}", rng.randint(0, 50)))
             assert_times_match_rows(g)
         assert all(g.has_edge(e) for e in live)
-
-    def test_leaving_the_time_layout_disables_streaming(self):
-        g = build_time([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "y", 4)])
-        e = g.edges()[0]
-        g.add_edge("c", "z", 5)
-        assert g.upper_times is None and g.lower_times is None
-        live = CountVector([0, 1, 0, 0, 0, 0])
-        with pytest.raises(ValueError, match="time-sorted"):
-            g.insert_edge("a", "z", 9)
-        with pytest.raises(ValueError, match="time-sorted"):
-            g.remove_edge(e)
-        with pytest.raises(ValueError, match="time"):
-            delta_count_edge(g, 3, e)
-        with pytest.raises(ValueError, match="time"):
-            stream_insert(g, 3, "a", "z", 9, live)
-        with pytest.raises(ValueError, match="time"):
-            stream_delete(g, 3, e, live)
-        with pytest.raises(ValueError, match="time"):
-            batch_update(g, 3, [e], [], live)
-        assert live == [0, 1, 0, 0, 0, 0]
-        sort_adjacency_by_time(g)
-        assert_times_match_rows(g)
-        assert g.has_edge(e)
 
     @pytest.mark.parametrize("mutation", list(MUTATIONS))
     def test_mutation_after_priority_sort_makes_counting_refuse(self, mutation):

@@ -25,7 +25,6 @@ from tempobf import (
     oracle_count,
     run_sliding_window,
     sort_adjacency_by_priority,
-    sort_adjacency_by_time,
     stream_delete,
     stream_insert,
 )
@@ -65,11 +64,6 @@ class TestDeltaCountEdge:
         with pytest.raises(ValueError, match="not in the graph"):
             delta_count_edge(g, 3, TemporalEdge(0, 0, 1, uid=99))
 
-    def test_requires_time_layout(self):
-        g = build_plain(F1)
-        with pytest.raises(ValueError, match="time"):
-            delta_count_edge(g, 3, g.edges()[0])
-
     @PROPERTY_SETTINGS
     @given(triples_strategy, delta_strategy)
     def test_agrees_with_membership_oracle(self, triples, delta):
@@ -80,7 +74,6 @@ class TestDeltaCountEdge:
 
 def _fill_fixture_edge_by_edge():
     g = TemporalBipartiteGraph()
-    sort_adjacency_by_time(g)
     live = CountVector.zeros()
     inserted = []
     for i, (u, v, t) in enumerate(F1):
@@ -162,7 +155,6 @@ class TestBatchUpdate:
 
     def test_suffix_insertion_builds_the_fixture(self):
         g = TemporalBipartiteGraph()
-        sort_adjacency_by_time(g)
         live = CountVector.zeros()
         stats: dict = {}
         inserted = batch_update(g, 3, [], list(F1), live, stats=stats)
@@ -203,7 +195,6 @@ class TestBatchUpdate:
         delta = 10
         batch = [("b" if t % 3 == 0 else "a", "xyz"[t % 4 % 3], t) for t in range(1, 46)]
         g = TemporalBipartiteGraph()
-        sort_adjacency_by_time(g)
         live = CountVector.zeros()
         stats: dict = {}
         batch_update(g, delta, [], batch, live, stats=stats)
