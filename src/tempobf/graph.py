@@ -296,8 +296,11 @@ def _iter_lines(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
 
 
 def load_edge_list(source: str | os.PathLike | IO[str] | Iterable[str]) -> TemporalBipartiteGraph:
-    """Parse an edge list into a graph; an empty input is a valid empty graph."""
-    return TemporalBipartiteGraph.from_edges(iter_edge_stream(source))
+    """Parse an edge list into a graph, `_iter_lines` feeding `from_edges` directly; an empty input is a valid empty graph."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return load_edge_list(fh)
+    return TemporalBipartiteGraph.from_edges(_iter_lines(source))
 
 
 def save_edge_list(g: TemporalBipartiteGraph, sink: str | os.PathLike | IO[str]) -> None:

@@ -1,36 +1,38 @@
 """Streaming maintenance of temporal butterfly counts over an edge stream.
 
-Two engines keep a sliding window's six counters current.  Both rest on
-windows sliding chronologically: a deleted edge only ever accounts for
-butterflies in which it is the strict minimum timestamp, an inserted edge
-for those where it is the strict maximum.  The single-edge engine counts
-each edge that way as it arrives or is evicted; the public `stream_insert`,
-`stream_delete` and `delta_count_edge` take arbitrary timestamps and count
-every butterfly through the edge.  The batch engine counts a whole stride
-of deletions and insertions independently per edge against one fixed
-graph.  Every counter expands an edge (u, v, t)'s 2-paths u-x-w-v the same
-way: through whichever endpoint has fewer edges inside the edge's time
-range, the degree-priority idea of vertex-priority butterfly counting,
-reading every range off per-row timestamp arrays with plain bisects.  Both
-engines cut a step's insertions and its evictions into runs, stretches
-whose stamps lie within delta of the run's first, build a vertex's
-neighbour map once per run over the run's span, and read the far ends that
-close a 2-path off a C intersection of two maps' keys.  The batch's edges are split into `workers` deterministic
-slices, which share the runs' maps and run one after another on the
-calling thread: the counting is pure Python, so threads would only contend
-for the interpreter lock.
+A window sliding over a chronological stream gains a butterfly when its
+newest edge (strict maximum stamp) arrives and loses it when its oldest
+edge (strict minimum stamp) is evicted.  So each inserted edge counts the
+butterflies it is the newest edge of and files each under its oldest
+edge's uid, in per-edge tallies that the window's live vector carries; an
+evicted edge pops its tally and walks nothing.  Both engines run a step in
+one order: sum the evicted edges' tallies, check that live stays
+non-negative, remove the evicted edges, then insert the chunk and count it
+on the new graph, so a butterfly that enters and leaves within one step is
+counted in neither.  `stbc` checks and evicts one edge at a time, `stbc+` a
+stride at once.  A live vector without tallies counts each deletion
+instead, as the oldest edge of its butterflies on the graph before the
+step.  `stream_insert`, `stream_delete` and `delta_count_edge` take any
+stamp and count every butterfly through the edge.  Every counter expands an
+edge's 2-paths through the endpoint with fewer edges in its time range, the
+degree-priority idea of vertex-priority butterfly counting; a batch is cut
+into runs of stamps within delta of the run's first, each vertex's
+neighbour map is built once per run, and the far ends that close a 2-path
+come from a C intersection of two maps' keys.  The `workers` slices of a
+batch run in turn on the calling thread: the counting is pure Python, so
+threads would only contend for the interpreter lock.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from itertools import repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .count import CountVector, classify_type
-from .graph import TemporalBipartiteGraph, TemporalEdge
+from .graph import TemporalBipartiteGraph, TemporalEdge, _stamp
 
 __all__ = [
     "StreamOrderError",
@@ -44,6 +46,8 @@ __all__ = [
 
 EmissionSink = Callable[[int, int, int, CountVector], None]
 
+Entry = tuple[int, int, int]
+
 
 class StreamOrderError(ValueError):
     """Raised when a stream edge arrives out of chronological order."""
@@ -54,14 +58,14 @@ def _time_range(times: list[int], lo: int, hi: int) -> tuple[int, int]:
     return bisect_left(times, lo), bisect_right(times, hi)
 
 
-def _row_map(looks: dict, key: tuple[bool, int], row: list, times: list[int], span: tuple[int, int]) -> dict[int, list[int]]:
-    """Vertex key = (is upper, id)'s neighbour -> stamps map over span, built in looks on first use."""
+def _row_map(looks: dict, key: tuple[bool, int], row: list[Entry], times: list[int], span: tuple[int, int]) -> dict[int, list[Entry]]:
+    """Vertex key = (is upper, id)'s neighbour -> (neighbour, t, uid) entries over span, built in looks on first use."""
     m = looks.get(key)
     if m is None:
         m = looks[key] = {}
         a, b = _time_range(times, *span)
-        for w, tw, _uid in row[a:b]:
-            m.setdefault(w, []).append(tw)
+        for ent in row[a:b]:
+            m.setdefault(ent[0], []).append(ent)
     return m
 
 
@@ -86,30 +90,23 @@ def _expansion(
     e: TemporalEdge,
     lo: int,
     hi: int,
-    looks: dict[tuple[bool, int], dict[int, list[int]]],
+    looks: dict[tuple[bool, int], dict[int, list[Entry]]],
     span: tuple[int, int],
     from_upper: bool | None = None,
-) -> tuple[dict[int, list[int]], dict[int, list[int]], list, list[list[int]], bool, int]:
+) -> tuple[dict[int, list[Entry]], dict[int, list[Entry]], list, list[list[int]], bool, int]:
     """How to expand e's 2-paths u-x-w-v whose two legs lie in [lo, hi].
 
-    Both endpoints' rows are bisected for [lo, hi], and the one with fewer
-    in-range edges is walked (u on a tie, the degree-priority idea of
-    vertex-priority butterfly counting); from_upper forces the direction
-    (true: through u) so that tests can run both.  The walked endpoint's
-    in-range neighbours, the other endpoint left out, map to the timestamps
-    of their edges to it.  The other endpoint's map comes from `_row_map`
-    over span, a range holding [lo, hi]; the window engines intersect its
-    keys in C with each walked neighbour's map from the same looks, and
-    `delta_count_edge` looks up each walked neighbour's in-range row
-    entries in it.  The engines share looks and span across a run, so a
-    hub pays its in-range degree once per run, not per edge; per-edge
-    callers pass a fresh dict and span (lo, hi).  A shared map may
-    hold the walked endpoint and stamps outside [lo, hi], so the caller
-    drops the walked endpoint's id and keeps a stamp only inside [lo, hi].
-    Returns the map to walk, the map to look up, the walked neighbours'
-    adjacency rows and timestamp arrays, from_upper and the walked
-    endpoint's id; the walk is empty when the walked endpoint has no
-    in-range neighbour but the other endpoint.
+    The endpoint with fewer edges in [lo, hi] is walked (u on a tie) unless
+    from_upper forces the direction (true: through u), so that tests can run
+    both.  Its in-range neighbours but the other endpoint map to the row
+    entries (neighbour, t, uid) of their edges to it.  The other endpoint's
+    map comes from `_row_map` over span, a range holding [lo, hi], in looks,
+    which the window engines share across a run; per-edge callers pass a
+    fresh dict and span (lo, hi).  A shared map may hold the walked endpoint
+    and stamps outside [lo, hi], which the caller drops.  Returns the map to
+    walk (empty when there is nothing to walk), the map to look up, the
+    walked neighbours' rows and timestamp arrays, from_upper and the walked
+    endpoint's id.
     """
     u, v, _t, _ = e
     ulo, uhi = _time_range(g.upper_times[u], lo, hi)
@@ -122,10 +119,10 @@ def _expansion(
     else:
         me, other, walked = v, u, g.lower_adj[v][vlo:vhi]
         rows, times, far_row, far_times = g.upper_adj, g.upper_times, g.upper_adj[u], g.upper_times[u]
-    walk: dict[int, list[int]] = {}
-    for x, tx, _uid in walked:
-        if x != other:
-            walk.setdefault(x, []).append(tx)
+    walk: dict[int, list[Entry]] = {}
+    for ent in walked:
+        if ent[0] != other:
+            walk.setdefault(ent[0], []).append(ent)
     if not walk:
         return {}, {}, rows, times, from_upper, me
     look = _row_map(looks, (not from_upper, other), far_row, far_times, span)
@@ -138,7 +135,7 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
     A butterfly through e = (u, v, t) is e, a 2-path u-x-w-v and the edge
     (u, x) or (w, v) that closes it, every timestamp inside
     [t - delta, t + delta].  The 2-paths are expanded through whichever
-    endpoint has fewer edges in that range, as the batch engine does, and
+    endpoint has fewer edges in that range, as the window engines do, and
     each (closing edge, 2-path) pair is tested directly for four distinct
     timestamps and the span bound.  The pair is two wedges off the endpoint
     not walked, (t, closing edge) through the walked one and the 2-path's
@@ -157,8 +154,8 @@ def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> 
             if starts is None or z == skip:
                 continue
             # the map spans [lo, hi] itself, so its stamps need no filter
-            for ts in starts:
-                for pivot in pivots:
+            for _z, ts, _us in starts:
+                for _y, pivot, _up in pivots:
                     stamps = (t, pivot, ts, ta)
                     if max(stamps) - min(stamps) <= delta and len(set(stamps)) == 4:
                         acc[classify_type((t, pivot), (ts, ta), not from_upper)] += 1
@@ -179,30 +176,28 @@ def stream_delete(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge, live: 
     negative, which means it did not match the graph.
     """
     removed = delta_count_edge(g, delta, e)
-    _check_live(live, [0] * 6, removed)
+    _check_live(live, removed)
     live.sub_(removed)
     g.remove_edge(e)
 
 
-def _check_live(live: CountVector, added: list[int], removed: list[int]) -> None:
-    after = [c + a - r for c, a, r in zip(live, added, removed)]
+def _check_live(live: CountVector, removed: list[int]) -> None:
+    after = [c - r for c, r in zip(live, removed)]
     if any(c < 0 for c in after):
         raise ValueError(f"live counts would go negative: {after}; they did not match the graph")
 
 
-# --- batch path -------------------------------------------------------------
+# --- window step ------------------------------------------------------------
 
-
-def _count_gt(col: list[int], x: int) -> int:
-    return len(col) - bisect_right(col, x)
-
-
-def _count_ge(col: list[int], x: int) -> int:
-    return len(col) - bisect_left(col, x)
-
-
-def _count_lt(col: list[int], x: int) -> int:
-    return bisect_left(col, x)
+# Type by (e is the maximum, walked through u), the partner wedge's direction
+# (forward, backward) and the pivot's place against its stamps (below,
+# between, above).  e's wedge runs forward as the minimum, backward as the
+# maximum; walking from u sees the butterfly from v, a lower start vertex.
+_KINDS = {
+    (as_max, from_upper): tuple(tuple(k ^ from_upper for k in ks) for ks in kinds)
+    for as_max, kinds in ((False, ((0, 1, 2), (3, 4, 5))), (True, ((5, 4, 3), (2, 1, 0))))
+    for from_upper in (False, True)
+}
 
 
 def _count_edge_extreme(
@@ -210,23 +205,24 @@ def _count_edge_extreme(
     delta: int,
     e: TemporalEdge,
     as_max: bool,
-    looks: dict[tuple[bool, int], dict[int, list[int]]] | None = None,
+    looks: dict[tuple[bool, int], dict[int, list[Entry]]] | None = None,
     span: tuple[int, int] | None = None,
     from_upper: bool | None = None,
+    tallies: defaultdict[int, list[int]] | None = None,
 ) -> list[int]:
     """Counts of butterflies containing e in which e.t is the strict extreme.
 
-    As the minimum (as_max false) every other timestamp lies in
-    (t, t + delta], as the maximum in [t - delta, t), so the span bound
-    holds by construction.  The 2-paths over that range come from
-    `_expansion`, with looks and span shared across a run or, when looks is
-    None, fresh for this edge; each walked neighbour y's map meets the
-    looked-up one in a C key intersection, hits kept inside the range.
-    y's 2-paths are ranked against its edges to the walked endpoint, the
-    pivots, which close a wedge (t, pivot), forward as the minimum and
-    backward as the maximum.  Walking from u sees the butterflies from v, a
-    lower start vertex, which flips the type index's low bit.  from_upper
-    is passed to `_expansion`.
+    As the minimum (as_max false) every other stamp lies in (t, t + delta],
+    as the maximum in [t - delta, t), so the span bound holds by
+    construction.  The 2-paths come from `_expansion`, with looks and span
+    shared across a run or, when looks is None, fresh for this edge; each
+    walked neighbour y's map meets the looked-up one in a C key
+    intersection, which gives y's partner wedges.  Each of y's edges to the
+    walked endpoint, a pivot, closes a butterfly with each partner whose
+    stamps it does not equal, and whether it lies below, between or above
+    them picks the type.  With tallies, each butterfly is also added to its
+    oldest edge's tally, the pivot's when it lies below, else the partner's
+    older edge's.
     """
     t = e.t
     lo, hi = (t - delta, t - 1) if as_max else (t + 1, t + delta)
@@ -234,51 +230,80 @@ def _count_edge_extreme(
         looks, span = {}, (lo, hi)
     acc = [0] * 6
     walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, looks, span, from_upper)
+    forward, backward = _KINDS[as_max, from_upper]
     for y, pivots in walk.items():
-        # wedges endpoint-z-y: ts on the looked-up edge, ta on y's; sorted columns per direction
-        fs, fa, bs, ba = [], [], [], []
+        # partner wedges endpoint-z-y: ts on the looked-up edge, ta on y's
         ymap = _row_map(looks, (not from_upper, y), rows[y], times[y], span)
         common = look.keys() & ymap.keys()
         common.discard(skip)
         for z in common:
-            for ta in ymap[z]:
+            for _z, ta, ua in ymap[z]:
                 if ta < lo or ta > hi:
                     continue
-                for ts in look[z]:
-                    if ts < lo or ts > hi:
+                for _y, ts, us in look[z]:
+                    if lo <= ts < ta:
+                        a, b, kinds, older = ts, ta, forward, us
+                    elif ta < ts <= hi:
+                        a, b, kinds, older = ta, ts, backward, ua
+                    else:
                         continue
-                    if ts < ta:
-                        fs.append(ts)
-                        fa.append(ta)
-                    elif ts > ta:
-                        bs.append(ta)
-                        ba.append(ts)
-        if not fs and not bs:
-            continue
-        fs.sort()
-        fa.sort()
-        bs.sort()
-        ba.sort()
-        for pivot in pivots:
-            if as_max:
-                # wedge (pivot, t) is backward; backward partners are same direction
-                acc[0] += _count_lt(ba, pivot)
-                acc[1] += _count_gt(ba, pivot) - _count_ge(bs, pivot)
-                acc[2] += _count_gt(bs, pivot)
-                acc[3] += _count_lt(fa, pivot)
-                acc[4] += _count_gt(fa, pivot) - _count_ge(fs, pivot)
-                acc[5] += _count_gt(fs, pivot)
-            else:
-                # wedge (t, pivot) is forward; forward partners are same direction
-                acc[0] += _count_gt(fs, pivot)
-                acc[1] += _count_gt(fa, pivot) - _count_ge(fs, pivot)
-                acc[2] += _count_lt(fa, pivot)
-                acc[3] += _count_gt(bs, pivot)
-                acc[4] += _count_gt(ba, pivot) - _count_ge(bs, pivot)
-                acc[5] += _count_lt(ba, pivot)
-    if from_upper:
-        return [acc[k ^ 1] for k in range(6)]
+                    for _x, p, up in pivots:
+                        if p < a:
+                            k, oldest = kinds[0], up
+                        elif p > b:
+                            k, oldest = kinds[2], older
+                        elif p != a and p != b:
+                            k, oldest = kinds[1], older
+                        else:
+                            continue
+                        acc[k] += 1
+                        if tallies is not None:
+                            tallies[oldest][k] += 1
     return acc
+
+
+class _Tallied(CountVector):
+    """Live counts plus, per live edge uid, those of the butterflies whose oldest edge it is; copies are plain."""
+
+    __slots__ = ("tallies",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tallies: defaultdict[int, list[int]] = defaultdict(lambda: [0] * 6)
+
+
+def _count_batch(g: TemporalBipartiteGraph, delta: int, edges: list, as_max: bool, workers: int, tallies=None) -> list[int]:
+    """Summed `_count_edge_extreme` counts of a chronological batch, cut into runs, in `workers` slices run in turn."""
+    jobs = [(e, looks, span) for run, looks, span in _runs(edges, delta, as_max) for e in run]
+    total = [0] * 6
+    for k in range(workers):
+        for e, looks, span in jobs[k::workers]:
+            total = list(map(add, total, _count_edge_extreme(g, delta, e, as_max, looks, span, tallies=tallies)))
+    return total
+
+
+def _step(g: TemporalBipartiteGraph, delta: int, deletions: list, insertions: list, live: CountVector, workers: int = 1) -> tuple:
+    """Evict an oldest prefix, then insert a newest suffix; returns (inserted edges, added, removed).
+
+    live - removed is checked before anything changes, and the insertions
+    are counted on the graph without the evicted edges.
+    """
+    tallies = live.tallies if isinstance(live, _Tallied) else None
+    if tallies is None:
+        removed = _count_batch(g, delta, deletions, False, workers)
+    else:
+        lost = [tallies[e.uid] for e in deletions if e.uid in tallies]
+        removed = [sum(col) for col in zip([0] * 6, *lost)]
+    _check_live(live, removed)
+    for e in deletions:
+        g.remove_edge(e)
+        if tallies is not None:
+            tallies.pop(e.uid, None)
+    live.sub_(removed)
+    inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]
+    added = _count_batch(g, delta, inserted, True, workers, tallies)
+    live.add_(added)
+    return inserted, added, removed
 
 
 def batch_update(
@@ -293,28 +318,26 @@ def batch_update(
     """Apply one window slide: delete an oldest prefix, insert a newest suffix.
 
     The deletion batch must be a timestamp prefix of the graph's edges and
-    the insertion batch a timestamp suffix of the stream; then every affected
-    butterfly has its minimum-timestamp edge among the deletions or its
-    maximum-timestamp edge among the insertions, never both counted, so
-    per-edge counting cannot double-count.  Insertions go into the graph
-    before counting; deletions leave it only after counting is done.  The
-    counting phase is read-only on the graph.  Each batch is cut into runs
-    by `_runs`; a run's edges share one neighbour map per vertex, looked up
-    or walked, built on first use over the run's span.  Far ends come from
-    intersecting two maps' keys in C, and each hit's stamps are filtered to
-    the edge's range.  The maps die with the batch.  The edges are split into
-    `workers` slices, each with its own accumulator and all sharing the
-    runs' maps, reduced deterministically at the end; the slices run one
-    after another on the calling thread.  Raises ValueError if live would
-    go negative, which means it did not match the graph; the inserted edges
-    are then removed again, so graph and live are left as they were.
+    the insertion batch, its stamps read as ints first, a timestamp suffix
+    of the stream.  The deleted edges' butterflies are their tallies on a
+    window's live vector or, on a plain one, those each is the oldest edge
+    of on the graph as given; live - removed is checked before the graph
+    changes.  Then the deletions leave, the insertions enter, and each
+    counts the butterflies it is the newest edge of on the new graph,
+    tallied under their oldest edges.  A butterfly holding a deleted and an
+    inserted edge is in neither stats["added"] nor stats["removed"].  Each
+    counted batch is cut into runs sharing neighbour maps (see `_runs`) and
+    split into `workers` slices, run one after another on this thread.
+    Raises ValueError, leaving graph and live as they were, if live would go
+    negative, which means it did not match the graph.
 
     Returns the inserted edge records.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    insertions = [(u, v, t if type(t) is int else _stamp(t)) for u, v, t in insertions]
     for batch, what in ((deletions, "deletion"), (insertions, "insertion")):
-        ts = [e[2] if what == "insertion" else e.t for e in batch]
+        ts = [e[2] for e in batch]
         if any(a > b for a, b in zip(ts, ts[1:])):
             raise ValueError(f"{what} batch is not chronologically ordered")
     if deletions:
@@ -331,33 +354,7 @@ def batch_update(
         ceil = max(map(itemgetter(-1), filter(None, g.upper_times)), default=None)
         if ceil is not None and insertions[0][2] < ceil:
             raise ValueError("insertion batch is not a newest-timestamp suffix of the stream")
-    inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]
-
-    jobs = [(e, as_max, looks, span) for batch, as_max in ((deletions, False), (inserted, True))
-            for run, looks, span in _runs(batch, delta, as_max) for e in run]
-    removed = [0] * 6
-    added = [0] * 6
-    for k in range(workers):
-        part_removed = [0] * 6
-        part_added = [0] * 6
-        for e, as_max, looks, span in jobs[k::workers]:
-            part = _count_edge_extreme(g, delta, e, as_max, looks, span)
-            acc = part_added if as_max else part_removed
-            for i in range(6):
-                acc[i] += part[i]
-        for i in range(6):
-            removed[i] += part_removed[i]
-            added[i] += part_added[i]
-    try:
-        _check_live(live, added, removed)
-    except ValueError:
-        for e in reversed(inserted):
-            g.remove_edge(e)
-        raise
-    for e in deletions:
-        g.remove_edge(e)
-    live.add_(added)
-    live.sub_(removed)
+    inserted, added, removed = _step(g, delta, deletions, insertions, live, workers)
     if stats is not None:
         stats["removed"] = CountVector(removed)
         stats["added"] = CountVector(added)
@@ -368,7 +365,7 @@ def batch_update(
 
 
 class SlidingWindow:
-    """Most recent `window` stream edges plus their live butterfly counts."""
+    """Most recent `window` stream edges plus their live butterfly counts and per-edge tallies."""
 
     __slots__ = ("graph", "delta", "window", "stride", "buffer", "live")
 
@@ -384,32 +381,15 @@ class SlidingWindow:
         self.window = window
         self.stride = stride
         self.buffer: deque[TemporalEdge] = deque()
-        self.live = CountVector.zeros()
+        self.live: CountVector = _Tallied()
 
     def advance_single(self, chunk: list[tuple[str, str, int]]) -> None:
-        """Insert the chunk, count each new edge, then count and evict one edge at a time.
-
-        The stream is chronological and a butterfly's stamps are distinct,
-        so an inserted edge is the strict maximum of every butterfly it
-        completes and the oldest live edge the strict minimum of every one
-        it leaves: each is counted by its extreme alone, over a range that
-        the chunk's later edges and the edges already evicted lie outside.
-        Runs share maps as in `batch_update`.
-        """
+        """Evict down to capacity one edge per step, each checked against live alone, then insert the chunk in one more."""
         g, delta, live, buffer = self.graph, self.delta, self.live, self.buffer
-        inserted = [g.insert_edge(u, v, t) for u, v, t in chunk]
-        for run, looks, span in _runs(inserted, delta, True):
-            for e in run:
-                live.add_(_count_edge_extreme(g, delta, e, True, looks, span))
-        buffer.extend(inserted)
-        evicted = [buffer[i] for i in range(len(buffer) - self.window)]
-        for run, looks, span in _runs(evicted, delta, False):
-            for e in run:
-                removed = _count_edge_extreme(g, delta, e, False, looks, span)
-                _check_live(live, [0] * 6, removed)
-                live.sub_(removed)
-                g.remove_edge(e)
-                buffer.popleft()
+        for _ in range(len(buffer) + len(chunk) - self.window):
+            _step(g, delta, [buffer[0]], [], live)
+            buffer.popleft()
+        buffer.extend(_step(g, delta, [], chunk, live)[0])
 
     def advance_batch(self, chunk: list[tuple[str, str, int]], workers: int) -> None:
         excess = len(self.buffer) + len(chunk) - self.window
@@ -435,11 +415,13 @@ def run_sliding_window(
     """Drive a sliding window over a chronological edge stream.
 
     The stream is consumed stride edges at a time (the final chunk may be
-    short).  Each step inserts its chunk, evicts down to the window capacity,
-    and emits (step index, oldest t, newest t, live counts) to the sink; the
-    fill phase emits too.  engine picks the per-edge path ("stbc") or the
-    batched path ("stbc+"); workers only applies to the latter.  A stream
-    that goes backward in time raises StreamOrderError naming the edge.
+    short).  Each step evicts down to the window capacity, inserts its
+    chunk, and emits (step index, oldest t, newest t, live counts) to the
+    sink; the fill phase emits too.  engine picks the per-edge path
+    ("stbc") or the batched path ("stbc+"); workers only applies to the
+    latter.  Each stamp is read as an int, as the graph reads it, before
+    its order is checked; a stream that goes backward in time raises
+    StreamOrderError naming the edge.
     """
     if engine not in ("stbc", "stbc+"):
         raise ValueError(f"unknown streaming engine {engine!r}")
@@ -461,6 +443,8 @@ def run_sliding_window(
         chunk = []
 
     for u, v, t in source:
+        if type(t) is not int:
+            t = _stamp(t)
         if last_t is not None and t < last_t:
             raise StreamOrderError(
                 f"edge ({u}, {v}, {t}) arrived after an edge with timestamp {last_t}"

@@ -271,15 +271,48 @@ class TestBatchUpdate:
 
     def test_negative_live_leaves_state_untouched(self):
         # deleting F1's two oldest wings removes its butterfly, which a zero live cannot hold
+        insertions = [("u9", "v9", 9), ("u1", "v9", 10)]
         g = build_time(F1)
         live = CountVector.zeros()
         edges_before = g.edges()
         with pytest.raises(ValueError, match="negative"):
-            batch_update(g, 3, edges_before[:2], [("u9", "v9", 9), ("u1", "v9", 10)], live)
+            batch_update(g, 3, edges_before[:2], insertions, live)
         assert g.edge_count == 4
         assert g.edges() == edges_before
         assert live == [0] * 6
         assert_times_match_rows(g)
+        # a window's live vector: the butterfly sits in its oldest edge's tally, live is zeroed beside it
+        win = SlidingWindow(3, window=4, stride=4)
+        win.advance_batch(list(F1), 1)
+        tallies = {uid: c[:] for uid, c in win.live.tallies.items()}
+        assert tallies == {edges_before[0].uid: [0, 1, 0, 0, 0, 0]}
+        win.live[1] = 0
+        with pytest.raises(ValueError, match="negative"):
+            batch_update(win.graph, 3, list(win.buffer)[:2], insertions, win.live)
+        assert win.graph.edges() == edges_before
+        assert win.live == [0] * 6
+        assert win.live.tallies == tallies
+        assert_times_match_rows(win.graph)
+
+    @pytest.mark.parametrize("tallied", [True, False], ids=["window-live", "plain-live"])
+    def test_butterfly_in_and_out_within_one_step_is_counted_in_neither(self, tallied):
+        # a window of 3 never holds all four of F1's wings: the step that inserts
+        # the last two evicts the first, so the butterfly is neither added nor removed
+        win = SlidingWindow(3, window=3, stride=2)
+        win.advance_batch(list(F1[:2]), 1)
+        live = win.live if tallied else CountVector.zeros()
+        stats: dict = {}
+        batch_update(win.graph, 3, [win.buffer[0]], list(F1[2:]), live, stats=stats)
+        assert stats["added"] == stats["removed"] == live == [0] * 6
+        assert getattr(live, "tallies", {}) == {}
+
+    def test_string_insertion_stamp_read_as_int_before_the_suffix_check(self):
+        g = build_time([("a", "x", 10)])
+        with pytest.raises(ValueError, match="newest-timestamp suffix"):
+            batch_update(g, 5, [], [("a", "y", "9")], CountVector.zeros())
+        live = CountVector.zeros()
+        batch_update(g, 5, [], [("a", "y", "11")], live)
+        assert [e.t for e in g.edges()] == [10, 11]
 
     def test_edge_deleted_twice_rejected_before_any_change(self):
         g = build_time(F1)
@@ -364,6 +397,18 @@ class TestSlidingWindow:
         with pytest.raises(StreamOrderError, match=r"edge \(a, y, 1\) arrived after an edge with timestamp 5"):
             run_sliding_window(stream, 3, window=4, stride=1)
 
+    @pytest.mark.parametrize(
+        "first,second", [("10", "9"), (10, "9"), ("10", 9)], ids=["str-str", "int-str", "str-int"]
+    )
+    def test_stamps_ordered_as_ints(self, first, second):
+        with pytest.raises(StreamOrderError, match=r"edge \(a, y, 9\) arrived after an edge with timestamp 10"):
+            run_sliding_window([("a", "x", first), ("a", "y", second)], delta=5, window=3, stride=1, sink=lambda *a: None)
+
+    def test_string_stamps_in_order_are_accepted(self):
+        emissions = []
+        run_sliding_window([("a", "x", "9"), ("a", "y", "10")], delta=5, window=3, stride=1, sink=lambda *a: emissions.append(a))
+        assert [(lo, hi) for _, lo, hi, _ in emissions] == [(9, 9), (9, 10)]
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="stride"):
             SlidingWindow(3, window=4, stride=0)
@@ -375,15 +420,35 @@ class TestSlidingWindow:
             run_sliding_window([], 3, window=4, stride=1, engine="fast")
 
     def test_single_edge_eviction_checks_live_before_any_change(self):
+        # the step evicts first, so the raise comes before the chunk enters
         win = SlidingWindow(3, window=4, stride=1)
         win.advance_single(list(F1))
         assert win.live == [0, 1, 0, 0, 0, 0]
-        win.live = CountVector.zeros()
         oldest = win.buffer[0]
+        assert win.live.tallies == {oldest.uid: [0, 1, 0, 0, 0, 0]}
+        win.live[1] = 0
+        edges_before = win.graph.edges()
         with pytest.raises(ValueError, match="negative"):
             win.advance_single([("u3", "v3", 5)])
-        assert win.buffer[0] == oldest and len(win.buffer) == 5
-        assert win.graph.has_edge(oldest)
+        assert win.buffer[0] == oldest and len(win.buffer) == 4
+        assert win.graph.edges() == edges_before
+        assert win.live == [0] * 6
+        assert win.live.tallies == {oldest.uid: [0, 1, 0, 0, 0, 0]}
+
+    def test_single_edge_eviction_counts_a_plain_live_on_the_graph(self):
+        # a live vector without tallies: the evicted edge's butterflies are counted on the graph, then checked
+        win = SlidingWindow(3, window=4, stride=1)
+        win.advance_single(list(F1))
+        win.live = CountVector([0, 1, 0, 0, 0, 0])
+        win.advance_single([("u3", "v3", 5)])
+        assert win.live == [0] * 6 and len(win.buffer) == 4
+        win = SlidingWindow(3, window=4, stride=1)
+        win.advance_single(list(F1))
+        win.live = CountVector.zeros()
+        edges_before = win.graph.edges()
+        with pytest.raises(ValueError, match="negative"):
+            win.advance_single([("u3", "v3", 5)])
+        assert win.graph.edges() == edges_before and len(win.buffer) == 4
         assert win.live == [0] * 6
 
     def test_window_counted_in_place_between_steps(self):
@@ -537,3 +602,60 @@ class TestExpansionDirections:
             for step, _, _, live in emissions:
                 taken = min(len(triples), (step + 1) * stride)
                 assert live == exact_counts(triples[max(0, taken - window):taken], delta)
+
+
+def tally_corpus(n: int, seed: int):
+    """n tiny chronological streams with their (delta, window, stride, workers).
+
+    Few vertices per layer give parallel edges, few stamps give ties, the
+    hub layer is swapped in every other stream, and chunks often span more
+    than delta, so a step's insertions split into several runs.
+    """
+    rng = random.Random(seed)
+    for i in range(n):
+        hubs, spokes = rng.randint(1, 3), rng.randint(2, 5)
+        t_max = rng.choice((6, 15, 40))
+        edges = [(rng.randrange(hubs), rng.randrange(spokes), rng.randint(0, t_max)) for _ in range(rng.randint(6, 30))]
+        if i % 2:
+            edges = [(s, h, t) for h, s, t in edges]
+        triples = sorted(((f"u{a}", f"v{b}", t) for a, b, t in edges), key=lambda e: e[2])
+        window = rng.randint(3, 16)
+        yield triples, rng.randint(0, 20), window, rng.randint(1, window), rng.randint(1, 3)
+
+
+class TestTallies:
+    """Each window butterfly sits in exactly one tally, its oldest live edge's, in both engines."""
+
+    CORPUS = list(tally_corpus(1000, seed=16))
+
+    def test_tally_corpus_covers_ties_parallels_swaps_and_split_steps(self):
+        ties = parallels = swapped = split = 0
+        for triples, delta, _window, stride, _workers in self.CORPUS:
+            stamps = [t for *_, t in triples]
+            ties += len(set(stamps)) < len(stamps)
+            parallels += len({(u, v) for u, v, _ in triples}) < len(triples)
+            swapped += len({u for u, _, _ in triples}) > len({v for _, v, _ in triples})
+            split += any(stamps[min(i + stride, len(stamps)) - 1] - stamps[i] > delta for i in range(0, len(stamps), stride))
+        assert min(ties, parallels, swapped, split) >= 200
+
+    @pytest.mark.parametrize("engine", ["stbc", "stbc+"])
+    def test_tallies_sum_to_live_after_every_step(self, engine):
+        butterflies = evicted_with_tally = 0
+        for triples, delta, window, stride, workers in self.CORPUS:
+            win = SlidingWindow(delta, window, stride)
+            for i in range(0, len(triples), stride):
+                chunk = triples[i:i + stride]
+                leaving = {e.uid for e in list(win.buffer)[:max(0, len(win.buffer) + len(chunk) - window)]}
+                evicted_with_tally += bool(leaving & win.live.tallies.keys())
+                if engine == "stbc":
+                    win.advance_single(chunk)
+                else:
+                    win.advance_batch(chunk, workers)
+                tallies = win.live.tallies
+                assert [sum(col) for col in zip([0] * 6, *tallies.values())] == win.live.counts
+                assert len(tallies) <= len(win.buffer)
+                assert tallies.keys() <= {e.uid for e in win.buffer}
+                taken = i + len(chunk)
+                assert win.live == exact_counts(triples[max(0, taken - window):taken], delta)
+                butterflies += win.live.total()
+        assert butterflies > 5000 and evicted_with_tally > 300
