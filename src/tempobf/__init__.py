@@ -37,7 +37,7 @@ from .stream import (
     stream_delete,
     stream_insert,
 )
-from .cli import BenchReport, RunConfig, gen_random_graph, main, run_bench
+from .cli import BenchReport, gen_random_graph, main, run_bench
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "ButterflyInstance",
     "CountVector",
     "GraphParseError",
-    "RunConfig",
     "SlidingWindow",
     "StreamOrderError",
     "TemporalBipartiteGraph",

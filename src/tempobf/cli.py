@@ -6,6 +6,12 @@ streaming replays the file as a chronological stream through a sliding
 window; bench times several engines on one loaded graph under an optional
 per-engine wall-clock cap; gen writes seed-deterministic random edge lists
 for experiments.
+
+Each flag's own rule is its argparse type, and each subcommand's function
+reads the parsed namespace; main checks only the rules that span flags or
+the environment, and refuses an --output that names the --input file.  The
+exit status is 0 on success, 2 on a usage error, and 1 on a runtime error,
+reported on stderr after `tempobf: `.
 """
 
 from __future__ import annotations
@@ -19,10 +25,10 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterator, Sequence
 
 from .count import (
     CountVector,
@@ -34,7 +40,6 @@ from .count import (
 from .enumeration import ButterflyInstance, enumerate_baseline, enumerate_optimized, null_sink
 from .graph import (
     GraphParseError,
-    TemporalBipartiteGraph,
     compute_vertex_priority,
     iter_edge_stream,
     load_edge_list,
@@ -44,7 +49,6 @@ from .oracle import oracle_count, oracle_enumerate
 from .stream import StreamOrderError, run_sliding_window
 
 __all__ = [
-    "RunConfig",
     "BenchReport",
     "gen_random_graph",
     "run_bench",
@@ -70,25 +74,6 @@ _BURST_WIDTH_DIVISOR = 100
 
 
 @dataclass
-class RunConfig:
-    """One resolved invocation: input, engine selection, and output shape."""
-
-    input: str = "-"
-    delta: int = 0
-    algo: str = "tbc++"
-    window: int = 0
-    stride: int = 0
-    workers: int = 1
-    sample_p: float | None = None
-    seed: int = 0
-    limit: int | None = None
-    output: str = "-"
-    fmt: str = "tsv"
-    timeout_secs: float = 0.0
-    algos: tuple[str, ...] = field(default_factory=tuple)
-
-
-@dataclass
 class BenchReport:
     """One engine's timing on a shared graph; counts are None on timeout."""
 
@@ -111,8 +96,7 @@ def _plain(c: int | float) -> int | float:
 
 def write_counts(out: IO[str], counts: CountVector, fmt: str) -> None:
     if fmt == "json":
-        out.write(json.dumps({f"T{i}": _plain(c) for i, c in enumerate(counts)}))
-        out.write("\n")
+        print(json.dumps({f"T{i}": _plain(c) for i, c in enumerate(counts)}), file=out)
     else:
         for i, c in enumerate(counts):
             out.write(f"T{i}\t{_plain(c)}\n")
@@ -130,26 +114,30 @@ def _open_out(path: str) -> Iterator[IO[str]]:
 # --- subcommands ------------------------------------------------------------
 
 
-def _load_sorted(cfg: RunConfig):
-    g = load_edge_list(cfg.input if cfg.input != "-" else sys.stdin)
+def _source(path: str) -> str | IO[str]:
+    """An --input value as the parsers take it: stdin for -, else the path."""
+    return sys.stdin if path == "-" else path
+
+
+def _load_sorted(path: str):
+    g = load_edge_list(_source(path))
     priority = compute_vertex_priority(g)
     sort_adjacency_by_priority(g, priority)
     return g, priority
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    if cfg.algo == "oracle":
-        g = load_edge_list(cfg.input if cfg.input != "-" else sys.stdin)
-        counts = oracle_count(g, cfg.delta)
+def cmd_count(args: argparse.Namespace) -> int:
+    if args.algo == "oracle":
+        counts = oracle_count(load_edge_list(_source(args.input)), args.delta)
     else:
-        g, priority = _load_sorted(cfg)
-        if cfg.sample_p is not None:
-            counts = count_sampled(g, priority, cfg.delta, cfg.sample_p, cfg.seed)
+        g, priority = _load_sorted(args.input)
+        if args.sample_p is not None:
+            counts = count_sampled(g, priority, args.delta, args.sample_p, args.seed)
         else:
-            engine = {"tbc": count_baseline, "tbc+": count_optimized, "tbc++": count_extreme}[cfg.algo]
-            counts = engine(g, priority, cfg.delta)
-    with _open_out(cfg.output) as out:
-        write_counts(out, counts, cfg.fmt)
+            engine = {"tbc": count_baseline, "tbc+": count_optimized, "tbc++": count_extreme}[args.algo]
+            counts = engine(g, priority, args.delta)
+    with _open_out(args.output) as out:
+        write_counts(out, counts, args.fmt)
     return 0
 
 
@@ -157,46 +145,44 @@ class _LimitReached(Exception):
     """Raised by the enumerate sink once --limit instance lines are written."""
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    with _open_out(cfg.output) as out:
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    with _open_out(args.output) as out:
         emitted = 0
 
         def sink(inst: ButterflyInstance) -> None:
             nonlocal emitted
             out.write(inst.format_line(g) + "\n")
             emitted += 1
-            if emitted == cfg.limit:
+            if emitted == args.limit:
                 raise _LimitReached
 
-        if cfg.algo == "oracle":
-            g = load_edge_list(cfg.input if cfg.input != "-" else sys.stdin)
-            run = lambda: oracle_enumerate(g, cfg.delta, sink)
-            tally = lambda: oracle_count(g, cfg.delta)
+        if args.algo == "oracle":
+            g = load_edge_list(_source(args.input))
+            run = lambda: oracle_enumerate(g, args.delta, sink)
+            tally = lambda: oracle_count(g, args.delta)
         else:
-            g, priority = _load_sorted(cfg)
-            engine = {"tbe": enumerate_baseline, "tbe+": enumerate_optimized}[cfg.algo]
-            run = lambda: engine(g, priority, cfg.delta, sink)
-            tally = lambda: count_extreme(g, priority, cfg.delta)
+            g, priority = _load_sorted(args.input)
+            engine = {"tbe": enumerate_baseline, "tbe+": enumerate_optimized}[args.algo]
+            run = lambda: engine(g, priority, args.delta, sink)
+            tally = lambda: count_extreme(g, priority, args.delta)
         # an engine stopped at --limit has partial tallies; count them instead
         try:
-            tallies = tally() if cfg.limit == 0 else run()
+            tallies = tally() if args.limit == 0 else run()
         except _LimitReached:
             tallies = tally()
-        write_counts(out, tallies, cfg.fmt)
+        write_counts(out, tallies, args.fmt)
     return 0
 
 
-def cmd_stream(cfg: RunConfig) -> int:
-    source = iter_edge_stream(cfg.input if cfg.input != "-" else sys.stdin)
-    with _open_out(cfg.output) as out:
+def cmd_stream(args: argparse.Namespace) -> int:
+    source = iter_edge_stream(_source(args.input))
+    with _open_out(args.output) as out:
 
         def sink(step: int, start_t: int, end_t: int, live: CountVector) -> None:
-            cells = [str(step), str(start_t), str(end_t)] + [str(c) for c in live]
-            out.write("\t".join(cells))
-            out.write("\n")
+            print(step, start_t, end_t, *live, sep="\t", file=out)
 
         run_sliding_window(
-            source, cfg.delta, cfg.window, cfg.stride, cfg.algo, cfg.workers, sink
+            source, args.delta, args.window, args.stride, args.engine, args.workers, sink
         )
     return 0
 
@@ -206,21 +192,9 @@ class _BenchTimeout(Exception):
 
 
 def _env_timeout() -> float:
-    """The cap in TEMPO_BF_TIMEOUT_SECS, 0 when unset or empty.
-
-    Raises ValueError unless the value is a finite, non-negative number of
-    seconds, the rule --timeout-secs follows.
-    """
+    """The cap in TEMPO_BF_TIMEOUT_SECS, 0 when unset or empty; ValueError unless it keeps --timeout-secs's rule."""
     raw = os.environ.get(TIMEOUT_ENV_VAR, "")
-    if not raw:
-        return 0.0
-    try:
-        secs = float(raw)
-    except ValueError:
-        secs = float("nan")
-    if not 0 <= secs < float("inf"):
-        raise ValueError(f"{TIMEOUT_ENV_VAR} must be non-negative and finite, got {raw!r}")
-    return secs
+    return _cap(raw, TIMEOUT_ENV_VAR) if raw else 0.0
 
 
 @contextmanager
@@ -245,73 +219,57 @@ def _alarm(seconds: float) -> Iterator[None]:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _traced_peak(run: Callable[[], CountVector], limit: float) -> int:
-    """Peak bytes traced by tracemalloc over one more run under the same cap."""
-    tracemalloc.start()
+def _capped_run(run: Callable[[], CountVector], limit: float, traced: bool = False) -> tuple[CountVector | None, float, int]:
+    """One run under the cap: its counts (None when capped), wall seconds, and tracemalloc's peak bytes when traced, else 0."""
+    counts = None
+    if traced:
+        tracemalloc.start()
     try:
-        with _alarm(limit):
-            run()
-    except _BenchTimeout:
-        pass
+        start = time.perf_counter()
+        with suppress(_BenchTimeout), _alarm(limit):
+            counts = run()
+        return counts, time.perf_counter() - start, tracemalloc.get_traced_memory()[1] if traced else 0
     finally:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    return peak
+        if traced:
+            tracemalloc.stop()
 
 
-def run_bench(cfg: RunConfig) -> list[BenchReport]:
-    """Load and sort once, then time each requested engine on the same graph.
+def run_bench(path: str, delta: int, algos: Sequence[str], timeout_secs: float = 0.0) -> list[BenchReport]:
+    """Load and sort the edge list at path (- for stdin) once, then time each engine in algos on the same graph.
 
     Preprocessing (parse, priority, adjacency sort) happens before any clock
     starts.  Each engine runs twice: once untraced for its wall time and
     counts, then once under tracemalloc for its peak bytes, since tracing
-    slows pure-Python code several times over.  The cap from
-    cfg.timeout_secs (or the TEMPO_BF_TIMEOUT_SECS variable) applies to each
+    slows pure-Python code several times over.  The cap from timeout_secs
+    or, when that is 0, the TEMPO_BF_TIMEOUT_SECS variable applies to each
     run; a capped engine reports timed_out with no counts, and the peak its
     traced run reached by the cap.
     """
-    g, priority = _load_sorted(cfg)
+    g, priority = _load_sorted(path)
     runners: dict[str, Callable[[], CountVector]] = {
-        "tbc": lambda: count_baseline(g, priority, cfg.delta),
-        "tbc+": lambda: count_optimized(g, priority, cfg.delta),
-        "tbc++": lambda: count_extreme(g, priority, cfg.delta),
-        "tbe": lambda: enumerate_baseline(g, priority, cfg.delta, null_sink),
-        "tbe+": lambda: enumerate_optimized(g, priority, cfg.delta, null_sink),
-        "oracle": lambda: oracle_count(g, cfg.delta),
+        "tbc": lambda: count_baseline(g, priority, delta),
+        "tbc+": lambda: count_optimized(g, priority, delta),
+        "tbc++": lambda: count_extreme(g, priority, delta),
+        "tbe": lambda: enumerate_baseline(g, priority, delta, null_sink),
+        "tbe+": lambda: enumerate_optimized(g, priority, delta, null_sink),
+        "oracle": lambda: oracle_count(g, delta),
     }
-    limit = cfg.timeout_secs
-    if limit <= 0:
-        limit = _env_timeout()
+    limit = timeout_secs if timeout_secs > 0 else _env_timeout()
     reports = []
-    for algo in cfg.algos or ("tbc", "tbc+", "tbc++"):
-        counts: CountVector | None = None
-        timed_out = False
-        start = time.perf_counter()
-        try:
-            with _alarm(limit):
-                counts = runners[algo]()
-        except _BenchTimeout:
-            timed_out = True
-        seconds = time.perf_counter() - start
-        peak = _traced_peak(runners[algo], limit)
-        reports.append(BenchReport(algo, seconds, peak, counts, timed_out))
+    for algo in algos:
+        counts, seconds, _ = _capped_run(runners[algo], limit)
+        _, _, peak = _capped_run(runners[algo], limit, traced=True)
+        reports.append(BenchReport(algo, seconds, peak, counts, counts is None))
     return reports
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    reports = run_bench(cfg)
-    with _open_out(cfg.output) as out:
-        header = ["algorithm", "seconds", "peak_bytes"] + [f"T{i}" for i in range(6)]
-        out.write("\t".join(header))
-        out.write("\n")
+def cmd_bench(args: argparse.Namespace) -> int:
+    reports = run_bench(args.input, args.delta, args.algos, args.timeout_secs)
+    with _open_out(args.output) as out:
+        print("algorithm", "seconds", "peak_bytes", *(f"T{i}" for i in range(6)), sep="\t", file=out)
         for r in reports:
-            cells = [r.algorithm, f"{r.seconds:.3f}", str(r.peak_bytes)]
-            if r.timed_out:
-                cells += ["timeout"] * 6
-            else:
-                cells += [str(_plain(c)) for c in r.counts]
-            out.write("\t".join(cells))
-            out.write("\n")
+            counts = ["timeout"] * 6 if r.timed_out else map(_plain, r.counts)
+            print(r.algorithm, f"{r.seconds:.3f}", r.peak_bytes, *counts, sep="\t", file=out)
     return 0
 
 
@@ -358,15 +316,67 @@ def gen_random_graph(
     return triples
 
 
-def cmd_gen(cfg: RunConfig, upper: int, lower: int, edges: int, t_max: int, skew: bool, chronological: bool) -> int:
-    triples = gen_random_graph(upper, lower, edges, t_max, skew, cfg.seed, chronological)
-    with _open_out(cfg.output) as out:
+def cmd_gen(args: argparse.Namespace) -> int:
+    triples = gen_random_graph(args.upper, args.lower, args.edges, args.t_max, args.skew, args.seed, args.chronological)
+    with _open_out(args.output) as out:
         for u, v, t in triples:
             out.write(f"{u} {v} {t}\n")
     return 0
 
 
 # --- argument parsing -------------------------------------------------------
+
+
+def _rule(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """An argparse type: the text read by convert, or a usage error saying the value must be rule."""
+
+    def parse(text: str) -> Any:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+_non_negative = _rule(int, lambda n: n >= 0, "non-negative")
+_positive = _rule(int, lambda n: n >= 1, "positive")
+_probability = _rule(float, lambda p: 0 < p <= 1, "in (0, 1]")
+
+
+class _RuleError(argparse.ArgumentTypeError, ValueError):
+    """A value breaking a flag's rule: argparse reports it as a usage error, library callers see a ValueError."""
+
+
+def _cap(text: str, name: str = "--timeout-secs") -> float:
+    """A per-engine cap in seconds, finite and non-negative; name is the flag or variable it came from."""
+    try:
+        secs = float(text)
+    except ValueError:
+        secs = float("nan")
+    if not 0 <= secs < float("inf"):
+        raise _RuleError(f"{name} must be non-negative and finite, got {text!r}")
+    return secs
+
+
+def _engines(text: str) -> tuple[str, ...]:
+    """A comma-separated list naming at least one engine, each in BENCH_ALGOS."""
+    algos = tuple(a.strip() for a in text.split(",") if a.strip())
+    if not algos:
+        raise argparse.ArgumentTypeError("must name at least one engine")
+    for a in algos:
+        if a not in BENCH_ALGOS:
+            raise argparse.ArgumentTypeError(f"unknown engine {a!r}; choose from {', '.join(BENCH_ALGOS)}")
+    return algos
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two path flags name one existing file; - (stdin or stdout) names none."""
+    try:
+        return a != "-" and b != "-" and os.path.samefile(a, b)
+    except OSError:
+        return False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,43 +386,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser, with_delta: bool = True) -> None:
+    def add_command(name: str, run: Callable, help: str, with_delta: bool = True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--input", default="-", help="edge-list file, or - for stdin")
         p.add_argument("--output", default="-", help="output file, or - for stdout")
         if with_delta:
-            p.add_argument("--delta", type=int, required=True, help="maximum timestamp span")
+            p.add_argument("--delta", type=_non_negative, required=True, help="maximum timestamp span")
+        return p
 
-    p_count = sub.add_parser("count", help="six per-type butterfly counts")
-    add_io(p_count)
+    p_count = add_command("count", cmd_count, "six per-type butterfly counts")
     p_count.add_argument("--algo", choices=COUNT_ALGOS, default="tbc++")
-    p_count.add_argument("--sample-p", type=float, default=None, help="edge sampling probability in (0, 1]")
+    p_count.add_argument("--sample-p", type=_probability, default=None, help="edge sampling probability in (0, 1]")
     p_count.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_count.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
-    p_enum = sub.add_parser("enumerate", help="instance lines plus per-type tallies")
-    add_io(p_enum)
+    p_enum = add_command("enumerate", cmd_enumerate, "instance lines plus per-type tallies")
     p_enum.add_argument("--algo", choices=ENUM_ALGOS, default="tbe+")
-    p_enum.add_argument("--limit", type=int, default=None, help="instance lines to write (0 = tallies only)")
+    p_enum.add_argument("--limit", type=_non_negative, default=None, help="instance lines to write (0 = tallies only)")
     p_enum.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
 
-    p_stream = sub.add_parser("stream", help="sliding-window per-step counts")
-    add_io(p_stream)
-    p_stream.add_argument("--window", type=int, required=True, help="window capacity in edges")
-    p_stream.add_argument("--stride", type=int, default=None, help="edges per step (default 5%% of window)")
+    p_stream = add_command("stream", cmd_stream, "sliding-window per-step counts")
+    p_stream.add_argument("--window", type=_positive, required=True, help="window capacity in edges")
+    p_stream.add_argument("--stride", type=_positive, default=None, help="edges per step (default 5%% of window)")
     p_stream.add_argument("--engine", choices=STREAM_ENGINES, default="stbc+")
-    p_stream.add_argument("--workers", type=int, default=1, help="slices of each batch update, run in turn on one thread")
+    p_stream.add_argument("--workers", type=_positive, default=1, help="slices of each batch update, run in turn on one thread")
 
-    p_bench = sub.add_parser("bench", help="time engines on one graph")
-    add_io(p_bench)
-    p_bench.add_argument("--algos", default="tbc,tbc+,tbc++", help="comma-separated engine list")
-    p_bench.add_argument("--timeout-secs", type=float, default=0.0, help=f"per-engine cap (0 = {TIMEOUT_ENV_VAR} or none)")
+    p_bench = add_command("bench", cmd_bench, "time engines on one graph")
+    p_bench.add_argument("--algos", type=_engines, default="tbc,tbc+,tbc++", help="comma-separated engine list")
+    p_bench.add_argument("--timeout-secs", type=_cap, default=0.0, help=f"per-engine cap (0 = {TIMEOUT_ENV_VAR} or none)")
 
-    p_gen = sub.add_parser("gen", help="write a seed-deterministic random edge list")
-    add_io(p_gen, with_delta=False)
-    p_gen.add_argument("--upper", type=int, required=True, help="upper-layer vertex count")
-    p_gen.add_argument("--lower", type=int, required=True, help="lower-layer vertex count")
-    p_gen.add_argument("--edges", type=int, required=True, help="edge count")
-    p_gen.add_argument("--t-max", type=int, required=True, help="inclusive timestamp upper bound")
+    p_gen = add_command("gen", cmd_gen, "write a seed-deterministic random edge list", with_delta=False)
+    p_gen.add_argument("--upper", type=_positive, required=True, help="upper-layer vertex count")
+    p_gen.add_argument("--lower", type=_positive, required=True, help="lower-layer vertex count")
+    p_gen.add_argument("--edges", type=_non_negative, required=True, help="edge count")
+    p_gen.add_argument("--t-max", type=_non_negative, required=True, help="inclusive timestamp upper bound")
     p_gen.add_argument("--skew", action="store_true", help="heavy-tailed upper endpoints")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--chronological", action="store_true", help="sort output by timestamp")
@@ -422,78 +430,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    if getattr(args, "delta", 0) < 0:
-        parser.error(f"--delta must be non-negative, got {args.delta}")
-
-    cfg = RunConfig(input=getattr(args, "input", "-"), output=getattr(args, "output", "-"))
-    cfg.delta = getattr(args, "delta", 0)
-    cfg.fmt = getattr(args, "fmt", "tsv")
-    cfg.seed = getattr(args, "seed", 0)
-
-    if args.command == "count":
-        cfg.algo = args.algo
-        if args.sample_p is not None:
-            if not 0 < args.sample_p <= 1:
-                parser.error(f"--sample-p must be in (0, 1], got {args.sample_p}")
-            if cfg.algo != "tbc++":
-                parser.error("--sample-p applies to the tbc++ engine only")
-            cfg.sample_p = args.sample_p
-    elif args.command == "enumerate":
-        cfg.algo = args.algo
-        if args.limit is not None and args.limit < 0:
-            parser.error(f"--limit must be non-negative, got {args.limit}")
-        cfg.limit = args.limit
-    elif args.command == "stream":
-        if args.window < 1:
-            parser.error(f"--window must be positive, got {args.window}")
-        stride = args.stride
-        if stride is None:
-            stride = max(1, round(DEFAULT_STRIDE_RATIO * args.window))
-        if stride < 1:
-            parser.error(f"--stride must be positive, got {stride}")
-        if stride > args.window:
-            parser.error(f"--stride ({stride}) must not exceed --window ({args.window})")
-        if args.workers < 1:
-            parser.error(f"--workers must be positive, got {args.workers}")
-        cfg.algo = args.engine
-        cfg.window = args.window
-        cfg.stride = stride
-        cfg.workers = args.workers
-    elif args.command == "bench":
-        algos = tuple(a.strip() for a in args.algos.split(",") if a.strip())
-        if not algos:
-            parser.error("--algos must name at least one engine")
-        for a in algos:
-            if a not in BENCH_ALGOS:
-                parser.error(f"unknown engine {a!r}; choose from {', '.join(BENCH_ALGOS)}")
-        cfg.algos = algos
-        if not 0 <= args.timeout_secs < float("inf"):
-            parser.error(f"--timeout-secs must be non-negative and finite, got {args.timeout_secs}")
-        if args.timeout_secs == 0:
-            try:
-                _env_timeout()
-            except ValueError as exc:
-                parser.error(str(exc))
-        cfg.timeout_secs = args.timeout_secs
-    elif args.command == "gen":
-        if args.upper < 1 or args.lower < 1:
-            parser.error("--upper and --lower must be positive")
-        if args.edges < 0:
-            parser.error(f"--edges must be non-negative, got {args.edges}")
-        if args.t_max < 0:
-            parser.error(f"--t-max must be non-negative, got {args.t_max}")
+    if args.command == "count" and args.sample_p is not None and args.algo != "tbc++":
+        parser.error("--sample-p applies to the tbc++ engine only")
+    if args.command == "stream":
+        if args.stride is None:
+            args.stride = max(1, round(DEFAULT_STRIDE_RATIO * args.window))
+        if args.stride > args.window:
+            parser.error(f"--stride ({args.stride}) must not exceed --window ({args.window})")
+    if args.command == "bench" and args.timeout_secs == 0:
+        try:
+            _env_timeout()
+        except ValueError as exc:
+            parser.error(str(exc))
+    # gen takes --input but reads nothing from it
+    if args.command != "gen" and _same_file(args.input, args.output):
+        parser.error(f"--output names the --input file {args.input!r}; refusing to overwrite it")
 
     try:
-        if args.command == "count":
-            return cmd_count(cfg)
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg)
-        if args.command == "stream":
-            return cmd_stream(cfg)
-        if args.command == "bench":
-            return cmd_bench(cfg)
-        return cmd_gen(cfg, args.upper, args.lower, args.edges, args.t_max, args.skew, args.chronological)
+        return args.run(args)
     except BrokenPipeError:  # the reader left early, as `| head` does; keep the flush at exit quiet
         sys.stdout = open(os.devnull, "w")
         return 0

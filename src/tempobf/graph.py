@@ -104,8 +104,7 @@ class TemporalBipartiteGraph:
     def _intern(self, token: str, ids: dict[str, int], tokens: list[str], adj: list[list], times: list[list[int]]) -> int:
         vid = ids.get(token)
         if vid is None:
-            if not token or token.split() != [token]:
-                raise ValueError(f"vertex token {token!r} is empty or contains whitespace")
+            _check_token(token)
             vid = len(tokens)
             ids[token] = vid
             tokens.append(token)
@@ -188,6 +187,11 @@ class TemporalBipartiteGraph:
         if not (0 <= e.u < self.upper_count and 0 <= e.v < self.lower_count):
             return False
         return _find_entry(self.upper_adj[e.u], self.upper_times[e.u], e.v, e.t, e.uid) is not None
+
+
+def _check_token(token: str) -> None:
+    if not token or token.split() != [token]:
+        raise ValueError(f"vertex token {token!r} is empty or contains whitespace")
 
 
 def _stamp(t: int | str) -> int:

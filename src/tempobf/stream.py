@@ -32,7 +32,7 @@ from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .count import CountVector, classify_type
-from .graph import TemporalBipartiteGraph, TemporalEdge, _stamp
+from .graph import TemporalBipartiteGraph, TemporalEdge, _check_token, _stamp
 
 __all__ = [
     "StreamOrderError",
@@ -282,6 +282,18 @@ def _count_batch(g: TemporalBipartiteGraph, delta: int, edges: list, as_max: boo
     return total
 
 
+def _read_chunk(g: TemporalBipartiteGraph, chunk: list[tuple[str, str, int]]) -> list[tuple[str, str, int]]:
+    """The chunk with its stamps read as ints and its tokens new to g checked, so a bad edge raises before a step changes anything."""
+    chunk = [(u, v, t if type(t) is int else _stamp(t)) for u, v, t in chunk]
+    up, lo = g._upper_ids, g._lower_ids
+    for u, v, _t in chunk:
+        if u not in up:
+            _check_token(str(u))
+        if v not in lo:
+            _check_token(str(v))
+    return chunk
+
+
 def _step(g: TemporalBipartiteGraph, delta: int, deletions: list, insertions: list, live: CountVector, workers: int = 1) -> tuple:
     """Evict an oldest prefix, then insert a newest suffix; returns (inserted edges, added, removed).
 
@@ -318,24 +330,25 @@ def batch_update(
     """Apply one window slide: delete an oldest prefix, insert a newest suffix.
 
     The deletion batch must be a timestamp prefix of the graph's edges and
-    the insertion batch, its stamps read as ints first, a timestamp suffix
-    of the stream.  The deleted edges' butterflies are their tallies on a
-    window's live vector or, on a plain one, those each is the oldest edge
-    of on the graph as given; live - removed is checked before the graph
-    changes.  Then the deletions leave, the insertions enter, and each
+    the insertion batch, its stamps read as ints and its vertex tokens
+    checked first, a timestamp suffix of the stream.  The deleted edges'
+    butterflies are their tallies on a window's live vector or, on a plain
+    one, those each is the oldest edge of on the graph as given; live -
+    removed is checked before the graph changes.  Then the deletions leave, the insertions enter, and each
     counts the butterflies it is the newest edge of on the new graph,
     tallied under their oldest edges.  A butterfly holding a deleted and an
     inserted edge is in neither stats["added"] nor stats["removed"].  Each
     counted batch is cut into runs sharing neighbour maps (see `_runs`) and
     split into `workers` slices, run one after another on this thread.
-    Raises ValueError, leaving graph and live as they were, if live would go
-    negative, which means it did not match the graph.
+    Raises ValueError, leaving graph and live as they were, if a batch is
+    malformed or if live would go negative, which means it did not match
+    the graph.
 
     Returns the inserted edge records.
     """
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    insertions = [(u, v, t if type(t) is int else _stamp(t)) for u, v, t in insertions]
+    insertions = _read_chunk(g, insertions)
     for batch, what in ((deletions, "deletion"), (insertions, "insertion")):
         ts = [e[2] for e in batch]
         if any(a > b for a, b in zip(ts, ts[1:])):
@@ -384,8 +397,12 @@ class SlidingWindow:
         self.live: CountVector = _Tallied()
 
     def advance_single(self, chunk: list[tuple[str, str, int]]) -> None:
-        """Evict down to capacity one edge per step, each checked against live alone, then insert the chunk in one more."""
+        """Evict down to capacity one edge per step, each checked against live alone, then insert the chunk in one more.
+
+        The chunk's stamps and tokens are read before the first eviction.
+        """
         g, delta, live, buffer = self.graph, self.delta, self.live, self.buffer
+        chunk = _read_chunk(g, chunk)
         for _ in range(len(buffer) + len(chunk) - self.window):
             _step(g, delta, [buffer[0]], [], live)
             buffer.popleft()

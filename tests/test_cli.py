@@ -15,7 +15,7 @@ import pytest
 
 import tempobf
 import tempobf.cli
-from tempobf import RunConfig, gen_random_graph, load_edge_list, main, run_bench
+from tempobf import gen_random_graph, load_edge_list, main, run_bench
 from conftest import F1, F2
 
 F1_TSV = "T0\t0\nT1\t1\nT2\t0\nT3\t0\nT4\t0\nT5\t0\n"
@@ -91,6 +91,7 @@ class TestCount:
             ("count", "--input", "x", "--delta", "-1"),
             ("count", "--input", "x", "--delta", "3", "--sample-p", "0"),
             ("count", "--input", "x", "--delta", "3", "--sample-p", "1.5"),
+            ("count", "--input", "x", "--delta", "3", "--sample-p", "nan"),
             ("count", "--input", "x", "--delta", "3", "--algo", "tbc", "--sample-p", "0.5"),
             ("count", "--input", "x", "--delta", "3", "--algo", "nope"),
         ],
@@ -265,7 +266,7 @@ class TestBench:
             return engine(*args)
 
         monkeypatch.setattr(tempobf.cli, "count_extreme", spy)
-        (report,) = run_bench(RunConfig(input=str(path), delta=30, algos=("tbc++",)))
+        (report,) = run_bench(str(path), 30, ("tbc++",))
         assert tracing == [False, True]
         assert report.seconds > 0 and report.peak_bytes > 0
         code, out, _ = run_cli(capsys, "bench", "--input", str(path), "--delta", "30", "--algos", "tbc++")
@@ -277,8 +278,7 @@ class TestBench:
         path = tmp_path / "g.txt"
         triples = gen_random_graph(10, 10, 3000, 50, seed=3)
         path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in triples))
-        cfg = RunConfig(input=str(path), delta=50, algos=("oracle",), timeout_secs=0.05)
-        (report,) = run_bench(cfg)
+        (report,) = run_bench(str(path), 50, ("oracle",), 0.05)
         assert report.timed_out and report.counts is None
         code, out, _ = run_cli(
             capsys, "bench", "--input", str(path), "--delta", "50",
@@ -292,7 +292,7 @@ class TestBench:
         triples = gen_random_graph(10, 10, 3000, 50, seed=3)
         path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in triples))
         monkeypatch.setenv("TEMPO_BF_TIMEOUT_SECS", "0.05")
-        (report,) = run_bench(RunConfig(input=str(path), delta=50, algos=("oracle",)))
+        (report,) = run_bench(str(path), 50, ("oracle",))
         assert report.timed_out
 
     @pytest.mark.parametrize(
@@ -324,6 +324,28 @@ class TestBench:
             main(["bench", "--input", "x", "--delta", "3"])
         assert exc.value.code == 2
         assert "TEMPO_BF_TIMEOUT_SECS must be non-negative and finite" in capsys.readouterr().err
+
+
+class TestSharedFlags:
+    """Flags every input-reading subcommand takes: --input, --output and --delta."""
+
+    @pytest.mark.parametrize("command", [("enumerate",), ("stream", "--window", "4"), ("bench",)])
+    def test_negative_delta_is_a_usage_error(self, capsys, f1_file, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", f1_file, "--delta", "-1"])
+        assert exc.value.code == 2
+        assert "--delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("count",), ("enumerate",), ("stream", "--window", "4"), ("bench",)])
+    @pytest.mark.parametrize("spelling", ["same", "dot"])
+    def test_output_naming_the_input_is_refused(self, capsys, f2_file, command, spelling):
+        before = Path(f2_file).read_bytes()
+        output = f2_file if spelling == "same" else os.path.join(os.path.dirname(f2_file), ".", os.path.basename(f2_file))
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--input", f2_file, "--delta", "10", "--output", output])
+        assert exc.value.code == 2
+        assert "--output names the --input file" in capsys.readouterr().err
+        assert Path(f2_file).read_bytes() == before
 
 
 class TestModuleEntry:

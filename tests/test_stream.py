@@ -435,6 +435,30 @@ class TestSlidingWindow:
         assert win.live == [0] * 6
         assert win.live.tallies == {oldest.uid: [0, 1, 0, 0, 0, 0]}
 
+    @pytest.mark.parametrize("engine", ["stbc", "stbc+"])
+    @pytest.mark.parametrize(
+        "bad",
+        [("u3 u4", "v3", 6), ("", "v3", 6), ("u3", "v3 v4", 6), ("u3", "", 6), ("u3", "v3", "6.5")],
+        ids=["upper-space", "upper-empty", "lower-space", "lower-empty", "stamp"],
+    )
+    def test_bad_chunk_edge_raises_before_any_eviction(self, engine, bad):
+        # the chunk's second edge is bad; both engines read the whole chunk before evicting
+        win = SlidingWindow(3, window=4, stride=2)
+        win.advance_batch(list(F1), 1)
+        assert win.live == [0, 1, 0, 0, 0, 0] and win.live.tallies
+        buffer, edges = list(win.buffer), win.graph.edges()
+        live, tallies = win.live.copy(), {uid: row[:] for uid, row in win.live.tallies.items()}
+        chunk = [("u1", "v3", 5), bad]
+        with pytest.raises(ValueError, match="token|timestamp"):
+            if engine == "stbc":
+                win.advance_single(chunk)
+            else:
+                win.advance_batch(chunk, 1)
+        assert list(win.buffer) == buffer
+        assert win.graph.edges() == edges
+        assert win.live == live
+        assert win.live.tallies == tallies
+
     def test_single_edge_eviction_counts_a_plain_live_on_the_graph(self):
         # a live vector without tallies: the evicted edge's butterflies are counted on the graph, then checked
         win = SlidingWindow(3, window=4, stride=1)
