@@ -9,9 +9,10 @@ for experiments.
 
 Each flag's own rule is its argparse type, and each subcommand's function
 reads the parsed namespace; main checks only the rules that span flags or
-the environment, and refuses an --output that names the --input file.  The
-exit status is 0 on success, 2 on a usage error, and 1 on a runtime error,
-reported on stderr after `tempobf: `.
+the environment, and refuses an --output that names the --input file,
+reporting each through the chosen subcommand's parser.  The exit status is
+0 on success, 2 on a usage error, and 1 on a runtime error, reported on
+stderr after `tempobf: `.
 """
 
 from __future__ import annotations
@@ -386,12 +387,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, run: Callable, help: str, with_delta: bool = True) -> argparse.ArgumentParser:
+    def add_command(name: str, run: Callable, help: str, reads_edges: bool = True) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
-        p.add_argument("--input", default="-", help="edge-list file, or - for stdin")
+        p.set_defaults(run=run, parser=p)
+        if reads_edges:
+            p.add_argument("--input", default="-", help="edge-list file, or - for stdin")
         p.add_argument("--output", default="-", help="output file, or - for stdout")
-        if with_delta:
+        if reads_edges:
             p.add_argument("--delta", type=_non_negative, required=True, help="maximum timestamp span")
         return p
 
@@ -416,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algos", type=_engines, default="tbc,tbc+,tbc++", help="comma-separated engine list")
     p_bench.add_argument("--timeout-secs", type=_cap, default=0.0, help=f"per-engine cap (0 = {TIMEOUT_ENV_VAR} or none)")
 
-    p_gen = add_command("gen", cmd_gen, "write a seed-deterministic random edge list", with_delta=False)
+    p_gen = add_command("gen", cmd_gen, "write a seed-deterministic random edge list", reads_edges=False)
     p_gen.add_argument("--upper", type=_positive, required=True, help="upper-layer vertex count")
     p_gen.add_argument("--lower", type=_positive, required=True, help="lower-layer vertex count")
     p_gen.add_argument("--edges", type=_non_negative, required=True, help="edge count")
@@ -428,23 +430,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    error = args.parser.error
     if args.command == "count" and args.sample_p is not None and args.algo != "tbc++":
-        parser.error("--sample-p applies to the tbc++ engine only")
+        error("--sample-p applies to the tbc++ engine only")
     if args.command == "stream":
         if args.stride is None:
             args.stride = max(1, round(DEFAULT_STRIDE_RATIO * args.window))
         if args.stride > args.window:
-            parser.error(f"--stride ({args.stride}) must not exceed --window ({args.window})")
+            error(f"--stride ({args.stride}) must not exceed --window ({args.window})")
     if args.command == "bench" and args.timeout_secs == 0:
         try:
             _env_timeout()
         except ValueError as exc:
-            parser.error(str(exc))
-    # gen takes --input but reads nothing from it
-    if args.command != "gen" and _same_file(args.input, args.output):
-        parser.error(f"--output names the --input file {args.input!r}; refusing to overwrite it")
+            error(str(exc))
+    if "input" in args and _same_file(args.input, args.output):
+        error(f"--output names the --input file {args.input!r}; refusing to overwrite it")
 
     try:
         return args.run(args)

@@ -25,7 +25,8 @@ Three engines share one answer:
 - count_extreme is the same with the sweep's buckets replaced by twin
   sorted lists, so each probe is four C bisects instead of a walk over
   every live start timestamp.  The lists are stored negated, so the
-  sweep's inserts land at their tail.
+  sweep's inserts land at their tail.  enumerate_optimized sweeps with the
+  same index, taking each match from the wedge its entry carries.
 
 All engines take their wedges from one walk, _end_buckets.  It reads each
 start vertex's priority row, ordered by neighbor priority descending, from
@@ -213,19 +214,21 @@ class TimestampIndex:
 class TwinOrderedIndex:
     """Twin sorted lists over the indexed wedges, both stored negated.
 
-    One side orders (-arrival, -start) pairs, the other holds the negated
-    start timestamps alone.  The two stay element-for-element synchronized:
-    expiry cuts the arrival side's head in one slice and deletes each
-    matching start, and each probe is four C bisects, however many distinct
-    start timestamps are live.  The sweep inserts start timestamps in
-    descending order, so negated, inserts land at or near the tail of both
-    lists and move little memory.
+    One side orders (-arrival, -start, wedge) entries, the wedge being the
+    inserted tuple itself, the other holds the negated start timestamps
+    alone.  The two stay element-for-element synchronized: expiry cuts the
+    arrival side's head in one slice and deletes each matching start, and
+    each counting probe is four C bisects, however many distinct start
+    timestamps are live.  The sweep inserts start timestamps in descending
+    order, so negated, inserts land at or near the tail of both lists and
+    move little memory.  count_extreme probes it for counts, and
+    enumerate_optimized for the entries on either side of an arrival.
     """
 
     __slots__ = ("_arrivals", "_starts")
 
     def __init__(self) -> None:
-        self._arrivals: list[tuple[int, int]] = []
+        self._arrivals: list[tuple[int, int, tuple]] = []
         self._starts: list[int] = []
 
     def __len__(self) -> int:
@@ -233,7 +236,7 @@ class TwinOrderedIndex:
 
     def insert(self, wedge: tuple) -> None:
         neg_ts = -wedge[0]
-        insort(self._arrivals, (-wedge[1], neg_ts))
+        insort(self._arrivals, (-wedge[1], neg_ts, wedge))
         insort(self._starts, neg_ts)
 
     def delete_above(self, bound: int) -> None:
@@ -241,7 +244,7 @@ class TwinOrderedIndex:
         if arrivals and arrivals[0][0] < -bound:
             k = bisect_left(arrivals, (-bound,))
             starts = self._starts
-            for _, neg_ts in arrivals[:k]:
+            for _, neg_ts, _ in arrivals[:k]:
                 del starts[bisect_left(starts, neg_ts)]
             del arrivals[:k]
 
@@ -257,6 +260,13 @@ class TwinOrderedIndex:
         acc[o_int] += later - bisect_right(starts, neg)
         # stamps are ints, so (neg + 1,) sorts after every wedge arriving at the pivot
         acc[o_cov] += len(arrivals) - bisect_left(arrivals, (neg + 1,), later)
+
+    def around(self, pivot: int) -> tuple[list, list]:
+        """The entries arriving after the pivot and those arriving before it, arrivals descending."""
+        arrivals = self._arrivals
+        neg = -pivot
+        later = bisect_left(arrivals, (neg,))
+        return arrivals[:later], arrivals[bisect_left(arrivals, (neg + 1,), later):]
 
 
 # --- end-bucket sweep --------------------------------------------------------

@@ -4,11 +4,11 @@ Both engines walk the same wedges as their counting counterparts but hand
 every surviving pair to a sink as a concrete ButterflyInstance instead of
 bumping a counter.  Emission order is an engine detail; compare multisets.
 enumerate_baseline pairs the wedges of every end bucket directly, and
-enumerate_optimized those of small buckets only, sweeping the rest.  The
-sweep keeps its wedges in one arrival-sorted list per direction, as
-count_extreme's arrival side does: a probe bisects its arrival, takes the
-match types from the slices on either side, and builds each instance in
-the slice loop.
+enumerate_optimized those of small buckets only, sweeping the rest with
+count_extreme's TwinOrderedIndex, one per direction: a probe takes the
+entries arriving on either side of its arrival from two bisects, the match
+types from the side and each entry's start, and builds each instance in the
+slice loop from the wedge the entry carries.
 
 An end bucket's start and end vertices, sorted, are the corner pair of
 their layer.  Wedges keep their two timestamps ordered by that pair, so a
@@ -17,15 +17,14 @@ pair of wedges becomes an instance by one comparison of their middles.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import Callable, NamedTuple
 
 from .count import (
     _SMALL_BUCKET,
     CountVector,
+    TwinOrderedIndex,
     _end_buckets,
     _pairs,
-    _split,
     _sweep,
     classify_type,
 )
@@ -85,19 +84,6 @@ def null_sink(_inst: ButterflyInstance) -> None:
 _new = tuple.__new__
 
 
-def _instance(type_index, in_upper, fixed, mid, c0, c1, omid, o0, o1) -> ButterflyInstance:
-    """Canonical instance of two distinct-middle wedges of one end bucket.
-
-    fixed is the bucket's sorted (start, end) pair; (c0, c1) are the stamps
-    of (fixed[0], mid) and (fixed[1], mid), and (o0, o1) those of omid.
-    """
-    if omid < mid:
-        mid, c0, c1, omid, o0, o1 = omid, o0, o1, mid, c0, c1
-    if in_upper:
-        return _new(ButterflyInstance, (type_index, fixed, (mid, omid), (c0, c1, o0, o1)))
-    return _new(ButterflyInstance, (type_index, (mid, omid), fixed, (c0, o0, c1, o1)))
-
-
 def enumerate_baseline(
     g: TemporalBipartiteGraph,
     priority: VertexPriority,
@@ -108,59 +94,34 @@ def enumerate_baseline(
     return _enumerate(g, priority, delta, sink, float("inf"))
 
 
-class _TraversalIndex:
-    """One arrival-sorted list of wedges that emits matches from two bisects.
+def _emitting_visit(layer: int, fixed: tuple[int, int], sink: Sink, acc: list[int]):
+    """_sweep's visit over (t_s, t_a, middle, c0, c1) wedges in TwinOrderedIndexes.
 
-    Entries are (t_a, t_s, middle, c0, c1), c0 and c1 being the wedge's
-    timestamps ordered by the bucket's sorted corner pair: (t_s, t_a)
-    unless swap is set.  Every indexed wedge starts after the probing
-    wedge (pivot being its arrival), so bisecting the pivot splits the
-    list: entries arriving before it are all covered by the probe, and of
-    those arriving after it, one starting after the pivot is non-overlap,
-    one starting before it intersecting; a stamp equal to the pivot is
-    shared and never a butterfly.  Each distinct-middle match is built in
-    the slice loop, in _instance's canonical corner order, and handed to
-    sink; the three tallies go to acc once per probe.
+    Indexed wedges start after the probing one, so an entry arriving before
+    its arrival (the pivot) is covered, and one arriving after it is
+    non-overlap if it starts after the pivot, intersecting if before; a
+    stamp at the pivot is shared, never a butterfly.  Each distinct-middle
+    match goes to sink in canonical corner order, the tallies to acc once
+    per probe.
     """
+    off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
+    off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
 
-    __slots__ = ("_entries", "swap", "in_upper", "fixed", "sink", "acc")
-
-    def __init__(self, swap: bool, in_upper: bool, fixed: tuple[int, int], sink: Sink, acc: list[int]) -> None:
-        self._entries: list[tuple[int, int, int, int, int]] = []
-        self.swap = swap
-        self.in_upper = in_upper
-        self.fixed = fixed
-        self.sink = sink
-        self.acc = acc
-
-    def insert(self, wedge: tuple) -> None:
-        ts, ta, mid = wedge
-        insort(self._entries, (ta, ts, mid, ta, ts) if self.swap else (ta, ts, mid, ts, ta))
-
-    def delete_above(self, bound: int) -> None:
-        entries = self._entries
-        while entries and entries[-1][0] > bound:
-            entries.pop()
-
-    def query_pairs(self, pivot: int, offsets: tuple[int, int, int], mid: int, c0: int, c1: int) -> None:
-        """Emit wedge (pivot, mid, c0, c1) paired with every matching entry."""
+    def probe(idx, offsets, pivot, mid, c0, c1):
         o_non, o_int, o_cov = offsets
-        entries, fixed, sink = self._entries, self.fixed, self.sink
-        # stamps are ints, so [lo, hi) holds exactly the entries arriving at the pivot
-        lo = bisect_left(entries, (pivot,))
-        hi = bisect_left(entries, (pivot + 1,), lo)
-        n_cov = lo
+        later, earlier = idx.around(pivot)
+        n_cov = len(earlier)
         n_non = n_int = 0
         # the layers lay an instance out differently; test the layer once per probe
-        if self.in_upper:
-            for _, _, omid, o0, o1 in entries[:lo]:
+        if layer == 0:
+            for _, _, (_, _, omid, o0, o1) in earlier:
                 if mid < omid:
                     sink(_new(ButterflyInstance, (o_cov, fixed, (mid, omid), (c0, c1, o0, o1))))
                 elif omid < mid:
                     sink(_new(ButterflyInstance, (o_cov, fixed, (omid, mid), (o0, o1, c0, c1))))
                 else:
                     n_cov -= 1
-            for _, ts, omid, o0, o1 in entries[hi:]:
+            for _, _, (ts, _, omid, o0, o1) in later:
                 if omid == mid or ts == pivot:
                     continue
                 if ts > pivot:
@@ -174,14 +135,14 @@ class _TraversalIndex:
                 else:
                     sink(_new(ButterflyInstance, (t, fixed, (omid, mid), (o0, o1, c0, c1))))
         else:
-            for _, _, omid, o0, o1 in entries[:lo]:
+            for _, _, (_, _, omid, o0, o1) in earlier:
                 if mid < omid:
                     sink(_new(ButterflyInstance, (o_cov, (mid, omid), fixed, (c0, o0, c1, o1))))
                 elif omid < mid:
                     sink(_new(ButterflyInstance, (o_cov, (omid, mid), fixed, (o0, c0, o1, c1))))
                 else:
                     n_cov -= 1
-            for _, ts, omid, o0, o1 in entries[hi:]:
+            for _, _, (ts, _, omid, o0, o1) in later:
                 if omid == mid or ts == pivot:
                     continue
                 if ts > pivot:
@@ -194,21 +155,14 @@ class _TraversalIndex:
                     sink(_new(ButterflyInstance, (t, (mid, omid), fixed, (c0, o0, c1, o1))))
                 else:
                     sink(_new(ButterflyInstance, (t, (omid, mid), fixed, (o0, c0, o1, c1))))
-        acc = self.acc
         acc[o_non] += n_non
         acc[o_int] += n_int
         acc[o_cov] += n_cov
 
-
-def _emitting_visit(layer: int):
-    off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
-    off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
-
     def visit(wedge, same_idx, diff_idx):
-        ts, ta, mid = wedge
-        c0, c1 = (ta, ts) if same_idx.swap else (ts, ta)
-        same_idx.query_pairs(ta, off_same, mid, c0, c1)
-        diff_idx.query_pairs(ta, off_diff, mid, c0, c1)
+        _, pivot, mid, c0, c1 = wedge
+        probe(same_idx, off_same, pivot, mid, c0, c1)
+        probe(diff_idx, off_diff, pivot, mid, c0, c1)
 
     return visit
 
@@ -238,8 +192,8 @@ def _enumerate(g, priority, delta, sink, largest_paired) -> CountVector:
 def _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired) -> None:
     """Emit one end bucket's instances to sink and tally them in acc.
 
-    Wedges are first put in corner order: (c0, c1, middle), stamping the
-    edges to the smaller and the larger corner.
+    Wedges are first put in corner order, (c0, c1, middle): c0 and c1 stamp
+    the edges to the bucket's smaller and larger corner, which fixed holds.
     """
     in_upper = layer == 0
     if s > end:
@@ -249,10 +203,15 @@ def _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired) -> Non
         fixed = (s, end)
     if len(wedges) <= largest_paired:
         for type_index, (c0, c1, mid), (o0, o1, omid) in _pairs(wedges, delta, in_upper):
-            sink(_instance(type_index, in_upper, fixed, mid, c0, c1, omid, o0, o1))
+            if omid < mid:
+                mid, c0, c1, omid, o0, o1 = omid, o0, o1, mid, c0, c1
+            if in_upper:
+                sink(_new(ButterflyInstance, (type_index, fixed, (mid, omid), (c0, c1, o0, o1))))
+            else:
+                sink(_new(ButterflyInstance, (type_index, (mid, omid), fixed, (c0, o0, c1, o1))))
             acc[type_index] += 1
         return
-    # a forward wedge normalizes to (c0, c1), a backward one to (c1, c0)
-    fwd_idx = _TraversalIndex(False, in_upper, fixed, sink, acc)
-    bwd_idx = _TraversalIndex(True, in_upper, fixed, sink, acc)
-    _sweep(*_split(wedges), delta, fwd_idx, bwd_idx, _emitting_visit(layer))
+    # the sweep takes them normalized, (t_s, t_a, middle, c0, c1)
+    fwd = sorted((c0, c1, mid, c0, c1) for c0, c1, mid in wedges if c0 < c1)
+    bwd = sorted((c1, c0, mid, c0, c1) for c0, c1, mid in wedges if c1 < c0)
+    _sweep(fwd, bwd, delta, TwinOrderedIndex(), TwinOrderedIndex(), _emitting_visit(layer, fixed, sink, acc))

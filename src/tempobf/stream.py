@@ -435,13 +435,15 @@ def run_sliding_window(
     short).  Each step evicts down to the window capacity, inserts its
     chunk, and emits (step index, oldest t, newest t, live counts) to the
     sink; the fill phase emits too.  engine picks the per-edge path
-    ("stbc") or the batched path ("stbc+"); workers only applies to the
-    latter.  Each stamp is read as an int, as the graph reads it, before
-    its order is checked; a stream that goes backward in time raises
-    StreamOrderError naming the edge.
+    ("stbc") or the batched path ("stbc+"); workers must be positive and
+    only applies to the latter.  Each stamp is read as an int, as the
+    graph reads it, before its order is checked; a stream that goes
+    backward in time raises StreamOrderError naming the edge.
     """
     if engine not in ("stbc", "stbc+"):
         raise ValueError(f"unknown streaming engine {engine!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     win = SlidingWindow(delta, window, stride)
     step = 0
     last_t: int | None = None

@@ -323,7 +323,9 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--input", "x", "--delta", "3"])
         assert exc.value.code == 2
-        assert "TEMPO_BF_TIMEOUT_SECS must be non-negative and finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tempobf bench ")
+        assert "TEMPO_BF_TIMEOUT_SECS must be non-negative and finite" in err
 
 
 class TestSharedFlags:
@@ -344,8 +346,29 @@ class TestSharedFlags:
         with pytest.raises(SystemExit) as exc:
             main([*command, "--input", f2_file, "--delta", "10", "--output", output])
         assert exc.value.code == 2
-        assert "--output names the --input file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tempobf {command[0]} ")
+        assert "--output names the --input file" in err
         assert Path(f2_file).read_bytes() == before
+
+
+class TestRulesSpanningFlags:
+    """A rule between flags is a usage error of the chosen subcommand, as a flag's own rule is."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("count", "--input", "x", "--delta", "3", "--algo", "tbc", "--sample-p", "0.5"), "--sample-p applies to the tbc++ engine only"),
+            (("stream", "--input", "x", "--delta", "3", "--window", "4", "--stride", "5"), "--stride (5) must not exceed --window (4)"),
+        ],
+    )
+    def test_reported_through_the_subcommand(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tempobf {argv[0]} ")
+        assert f"tempobf {argv[0]}: error: {message}" in err
 
 
 class TestModuleEntry:
@@ -422,6 +445,8 @@ class TestGen:
             ("gen", "--upper", "0", "--lower", "3", "--edges", "5", "--t-max", "10"),
             ("gen", "--upper", "3", "--lower", "3", "--edges", "-1", "--t-max", "10"),
             ("gen", "--upper", "3", "--lower", "3", "--edges", "5", "--t-max", "-2"),
+            # gen reads no edge list, so it takes no --input
+            ("gen", "--input", "/nonexistent", "--upper", "2", "--lower", "2", "--edges", "2", "--t-max", "3"),
         ],
     )
     def test_usage_errors_exit_two(self, capsys, argv):

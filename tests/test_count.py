@@ -33,6 +33,7 @@ from tempobf import (
     sort_adjacency_by_priority,
 )
 from tempobf.count import _SMALL_BUCKET, _count_bucket, _end_buckets
+from tempobf.enumeration import _emitting_visit
 from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority, build_time
 
 triples_strategy = st.lists(
@@ -231,16 +232,13 @@ class TestIndexes:
         Up to 200 wedges over 31 start and 38 arrival stamps, so rounds
         insert, expire and probe among many equal starts and arrivals.
         """
-        wedges.sort(key=lambda w: (-w[0], w[1]))
         flat = TimestampIndex()
         twin = TwinOrderedIndex()
         inserted: list[tuple[int, int]] = []
-        for lo, group in groupby(wedges, key=lambda w: w[0]):
-            bound = lo + delta
+        for bound, round_wedges in engine_rounds(wedges, delta):
             flat.delete_above(bound)
             twin.delete_above(bound)
             inserted = [w for w in inserted if w[1] <= bound]
-            round_wedges = list(group)
             for wedge in round_wedges:
                 expected = naive_probe(inserted, wedge[1])
                 for idx in (flat, twin):
@@ -253,6 +251,37 @@ class TestIndexes:
             inserted.extend(round_wedges)
             assert len(flat) == len(twin) == len(inserted)
             assert len(twin._arrivals) == len(twin._starts) == len(inserted)
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(wedge_strategy, max_size=200), st.integers(0, 40), st.sampled_from((0, 1)))
+    def test_emitting_probe_tallies_match_query_counts(self, wedges, delta, layer):
+        """The same rounds through enumerate_optimized's probe, every wedge its own middle.
+
+        With no same-middle entry to skip, each entry the probe emits is one
+        the counting probe counts, under both offset triples of the layer.
+        """
+        wedges = [(ts, ta, mid, ts, ta) for mid, (ts, ta) in enumerate(wedges)]
+        twin = TwinOrderedIndex()
+        seen, emitted, counted = [], [0] * 6, [0] * 6
+        visit = _emitting_visit(layer, (0, 1), seen.append, emitted)
+        for bound, round_wedges in engine_rounds(wedges, delta):
+            twin.delete_above(bound)
+            for wedge in round_wedges:
+                # the same index on both sides probes it under both offset triples
+                visit(wedge, twin, twin)
+                twin.query_counts(wedge[1], counted, (0 ^ layer, 1 ^ layer, 2 ^ layer))
+                twin.query_counts(wedge[1], counted, (3 ^ layer, 4 ^ layer, 5 ^ layer))
+                assert emitted == counted
+            for wedge in round_wedges:
+                twin.insert(wedge)
+        assert len(seen) == sum(emitted)
+
+
+def engine_rounds(wedges, delta):
+    """Yield (expiry bound, round) as _sweep takes them: start times descending, arrivals ascending."""
+    wedges = sorted(wedges, key=lambda w: (-w[0], w[1]))
+    for ts, group in groupby(wedges, key=lambda w: w[0]):
+        yield ts + delta, list(group)
 
 
 def flat_bucket(groups):

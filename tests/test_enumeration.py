@@ -1,4 +1,4 @@
-"""Instance enumeration engines and their arrival-sorted index."""
+"""Instance enumeration engines and their emitting probe."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from tempobf import (
     ButterflyInstance,
+    TwinOrderedIndex,
     count_extreme,
     enumerate_baseline,
     enumerate_optimized,
@@ -16,7 +17,7 @@ from tempobf import (
     oracle_enumerate,
 )
 from tempobf.count import _SMALL_BUCKET
-from tempobf.enumeration import _TraversalIndex, _emit_bucket
+from tempobf.enumeration import _emit_bucket, _emitting_visit
 from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority
 
 triples_strategy = st.lists(
@@ -117,34 +118,39 @@ def _oracle_instances(triples, delta):
     return seen
 
 
-def traversal_index(swap, in_upper=True, fixed=(0, 1)):
-    """An index with a recording sink; returns (index, instances, tallies)."""
-    seen, acc = [], [0] * 6
-    return _TraversalIndex(swap, in_upper, fixed, seen.append, acc), seen, acc
+def emitting_probe(layer=0, fixed=(0, 1)):
+    """A probe of one twin index by the wedge through middle 100 with stamps (1, pivot).
+
+    Returns (index, probe, instances, tallies); probe(pivot) visits that
+    wedge against the index, with an empty index on the other side.
+    """
+    idx, seen, acc = TwinOrderedIndex(), [], [0] * 6
+    visit = _emitting_visit(layer, fixed, seen.append, acc)
+    return idx, lambda pivot: visit((1, pivot, 100, 1, pivot), idx, TwinOrderedIndex()), seen, acc
 
 
-class TestTraversalIndex:
-    # each probe is the wedge through middle 100 with ordered stamps (1, pivot)
+class TestEmittingProbe:
+    # indexed wedges are (t_s, t_a, middle, c0, c1); each slice comes arrivals descending
 
     def test_bounded_scans_split_a_bucket(self):
-        idx, seen, acc = traversal_index(swap=False)
-        for wedge in ((3, 5, 101), (3, 9, 102), (3, 12, 103)):
+        idx, probe, seen, acc = emitting_probe()
+        for wedge in ((3, 5, 101, 3, 5), (3, 9, 102, 3, 9), (3, 12, 103, 3, 12)):
             idx.insert(wedge)
-        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
-        # the slice arriving before the pivot, then the one after it, arrivals ascending
+        probe(7)
+        # the slice arriving before the pivot, then the one after it
         assert seen == [
             (2, (0, 1), (100, 101), (1, 7, 3, 5)),
-            (1, (0, 1), (100, 102), (1, 7, 3, 9)),
             (1, (0, 1), (100, 103), (1, 7, 3, 12)),
+            (1, (0, 1), (100, 102), (1, 7, 3, 9)),
         ]
         assert acc == [0, 2, 1, 0, 0, 0]
 
     def test_stamps_at_the_pivot_are_skipped(self):
-        idx, seen, acc = traversal_index(swap=False)
+        idx, probe, seen, acc = emitting_probe()
         # arrives at the pivot; starts at the pivot; covered; intersecting
-        for wedge in ((3, 7, 101), (7, 9, 102), (2, 5, 103), (4, 8, 104)):
+        for wedge in ((3, 7, 101, 3, 7), (7, 9, 102, 7, 9), (2, 5, 103, 2, 5), (4, 8, 104, 4, 8)):
             idx.insert(wedge)
-        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
+        probe(7)
         assert seen == [
             (2, (0, 1), (100, 103), (1, 7, 2, 5)),
             (1, (0, 1), (100, 104), (1, 7, 4, 8)),
@@ -152,36 +158,49 @@ class TestTraversalIndex:
         assert acc == [0, 1, 1, 0, 0, 0]
 
     def test_bucket_above_pivot_reports_whole(self):
-        idx, seen, acc = traversal_index(swap=True)
-        idx.insert((10, 12, 7))
-        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
-        # a swapped entry orders its stamps (t_a, t_s); middle 7 comes first
+        idx, probe, seen, acc = emitting_probe()
+        # a backward wedge carries its corner-order stamps (t_a, t_s)
+        idx.insert((10, 12, 7, 12, 10))
+        probe(7)
+        # middle 7 comes first
         assert seen == [(0, (0, 1), (7, 100), (12, 10, 1, 7))]
         assert acc == [1, 0, 0, 0, 0, 0]
 
     def test_empty_index_reports_nothing(self):
-        idx, seen, acc = traversal_index(swap=False)
-        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
+        _, probe, seen, acc = emitting_probe()
+        probe(7)
         assert seen == []
         assert acc == [0] * 6
 
     def test_expiry_matches_counting_index(self):
-        idx, seen, acc = traversal_index(swap=False)
-        idx.insert((2, 5, 1))
-        idx.insert((3, 9, 2))
+        idx, probe, seen, acc = emitting_probe()
+        idx.insert((2, 5, 1, 2, 5))
+        idx.insert((3, 9, 2, 3, 9))
         idx.delete_above(6)
-        idx.query_pairs(4, (0, 1, 2), 100, 1, 4)
+        probe(4)
         assert seen == [(1, (0, 1), (1, 100), (2, 5, 1, 4))]
         assert acc == [0, 1, 0, 0, 0, 0]
 
     def test_same_middle_entries_are_skipped(self):
-        idx, seen, acc = traversal_index(swap=False, in_upper=False)
-        idx.insert((10, 12, 100))
-        idx.insert((10, 13, 101))
-        idx.query_pairs(7, (0, 1, 2), 100, 1, 7)
-        # a lower start interleaves the stamps: (a0, b0, a1, b1)
-        assert seen == [(0, (100, 101), (0, 1), (1, 10, 7, 13))]
-        assert acc == [1, 0, 0, 0, 0, 0]
+        idx, probe, seen, acc = emitting_probe(layer=1)
+        idx.insert((10, 12, 100, 10, 12))
+        idx.insert((10, 13, 101, 10, 13))
+        probe(7)
+        # a lower start interleaves the stamps, (a0, b0, a1, b1), and xors the type by 1
+        assert seen == [(1, (100, 101), (0, 1), (1, 10, 7, 13))]
+        assert acc == [0, 1, 0, 0, 0, 0]
+
+    def test_lower_layer_covered_slice(self):
+        idx, probe, seen, acc = emitting_probe(layer=1, fixed=(4, 5))
+        # covered, one middle on either side of the probe's, and a same-middle one
+        for wedge in ((2, 5, 103, 5, 2), (3, 6, 99, 3, 6), (4, 6, 100, 4, 6)):
+            idx.insert(wedge)
+        probe(7)
+        assert seen == [
+            (3, (99, 100), (4, 5), (3, 1, 6, 7)),
+            (3, (100, 103), (4, 5), (1, 5, 7, 2)),
+        ]
+        assert acc == [0, 0, 0, 2, 0, 0]
 
 
 @st.composite

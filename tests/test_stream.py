@@ -419,6 +419,15 @@ class TestSlidingWindow:
         with pytest.raises(ValueError, match="engine"):
             run_sliding_window([], 3, window=4, stride=1, engine="fast")
 
+    @pytest.mark.parametrize("engine", ["stbc", "stbc+"])
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_are_checked_before_any_step(self, engine, workers):
+        emissions = []
+        for stream in ([], list(F1)):
+            with pytest.raises(ValueError, match="workers must be positive"):
+                run_sliding_window(stream, 3, window=4, stride=1, engine=engine, workers=workers, sink=lambda *a: emissions.append(a))
+        assert emissions == []
+
     def test_single_edge_eviction_checks_live_before_any_change(self):
         # the step evicts first, so the raise comes before the chunk enters
         win = SlidingWindow(3, window=4, stride=1)
