@@ -1,18 +1,18 @@
 """Command-line front end: counting, enumeration, streaming, benchmarks, fixtures.
 
 Subcommands map onto the library engines one-to-one.  Counting and
-enumeration read an edge list, sort it once, and run the selected engine;
-streaming replays the file as a chronological stream through a sliding
-window; bench times several engines on one loaded graph under an optional
-per-engine wall-clock cap; gen writes seed-deterministic random edge lists
-for experiments.
+enumeration read an edge list, rank its vertices once, and run the selected
+engine; streaming replays the file as a chronological stream through a
+sliding window; bench times several engines on one loaded graph under an
+optional per-engine wall-clock cap; gen writes seed-deterministic random
+edge lists for experiments.
 
 Each flag's own rule is its argparse type, and each subcommand's function
 reads the parsed namespace; main checks only the rules that span flags or
 the environment, and refuses an --output that names the --input file,
-reporting each through the chosen subcommand's parser.  The exit status is
-0 on success, 2 on a usage error, and 1 on a runtime error, reported on
-stderr after `tempobf: `.
+reporting each through the chosen subcommand's parser, as it does an
+unrecognized argument.  The exit status is 0 on success, 2 on a usage
+error, and 1 on a runtime error, reported on stderr after `tempobf: `.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .graph import (
     compute_vertex_priority,
     iter_edge_stream,
     load_edge_list,
-    sort_adjacency_by_priority,
 )
 from .oracle import oracle_count, oracle_enumerate
 from .stream import StreamOrderError, run_sliding_window
@@ -120,18 +119,16 @@ def _source(path: str) -> str | IO[str]:
     return sys.stdin if path == "-" else path
 
 
-def _load_sorted(path: str):
+def _load_ranked(path: str):
     g = load_edge_list(_source(path))
-    priority = compute_vertex_priority(g)
-    sort_adjacency_by_priority(g, priority)
-    return g, priority
+    return g, compute_vertex_priority(g)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.algo == "oracle":
         counts = oracle_count(load_edge_list(_source(args.input)), args.delta)
     else:
-        g, priority = _load_sorted(args.input)
+        g, priority = _load_ranked(args.input)
         if args.sample_p is not None:
             counts = count_sampled(g, priority, args.delta, args.sample_p, args.seed)
         else:
@@ -162,7 +159,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             run = lambda: oracle_enumerate(g, args.delta, sink)
             tally = lambda: oracle_count(g, args.delta)
         else:
-            g, priority = _load_sorted(args.input)
+            g, priority = _load_ranked(args.input)
             engine = {"tbe": enumerate_baseline, "tbe+": enumerate_optimized}[args.algo]
             run = lambda: engine(g, priority, args.delta, sink)
             tally = lambda: count_extreme(g, priority, args.delta)
@@ -236,17 +233,17 @@ def _capped_run(run: Callable[[], CountVector], limit: float, traced: bool = Fal
 
 
 def run_bench(path: str, delta: int, algos: Sequence[str], timeout_secs: float = 0.0) -> list[BenchReport]:
-    """Load and sort the edge list at path (- for stdin) once, then time each engine in algos on the same graph.
+    """Load and rank the edge list at path (- for stdin) once, then time each engine in algos on the same graph.
 
-    Preprocessing (parse, priority, adjacency sort) happens before any clock
-    starts.  Each engine runs twice: once untraced for its wall time and
-    counts, then once under tracemalloc for its peak bytes, since tracing
-    slows pure-Python code several times over.  The cap from timeout_secs
-    or, when that is 0, the TEMPO_BF_TIMEOUT_SECS variable applies to each
-    run; a capped engine reports timed_out with no counts, and the peak its
-    traced run reached by the cap.
+    Preprocessing (parse, priority) happens before any clock starts.  Each
+    engine runs twice: once untraced for its wall time and counts, then once
+    under tracemalloc for its peak bytes, since tracing slows pure-Python
+    code several times over.  The cap from timeout_secs or, when that is 0,
+    the TEMPO_BF_TIMEOUT_SECS variable applies to each run; a capped engine
+    reports timed_out with no counts, and the peak its traced run reached by
+    the cap.
     """
-    g, priority = _load_sorted(path)
+    g, priority = _load_ranked(path)
     runners: dict[str, Callable[[], CountVector]] = {
         "tbc": lambda: count_baseline(g, priority, delta),
         "tbc+": lambda: count_optimized(g, priority, delta),
@@ -430,8 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
     error = args.parser.error
+    if extra:
+        error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "count" and args.sample_p is not None and args.algo != "tbc++":
         error("--sample-p applies to the tbc++ engine only")
     if args.command == "stream":

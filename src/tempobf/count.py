@@ -28,35 +28,31 @@ Three engines share one answer:
   sweep's inserts land at their tail.  enumerate_optimized sweeps with the
   same index, taking each match from the wedge its entry carries.
 
-All engines take their wedges from one walk, _end_buckets.  It reads each
-start vertex's priority row, ordered by neighbor priority descending, from
-its tail, stopping at the first neighbor that does not rank below the start
-vertex.  Wedges thus run only toward strictly lower-priority middle and end
-vertices, so each butterfly is seen exactly once, from its max-priority
-corner.  On the middle vertex it reads only the slice of its time row
-inside the delta window around the first edge's stamp, bisected from the
-row's int stamps, and skips ends that do not rank below the start; a middle
-whose stamps all fall inside the window is walked along its priority row up
-to the cut instead, as the start's is.  count_baseline asks the
-walk to keep dead wedges as well, so it always walks the priority cut; the
-others drop them on sight.  count_sampled runs count_extreme on an
-edge-sampled subgraph and rescales, giving unbiased estimates.
+All engines take their wedges from one walk, _end_buckets, over the time
+rows every graph keeps.  It reads each start vertex's row and skips
+neighbors that do not rank below the start vertex; on each middle vertex
+it reads only the slice of its row inside the delta window around the
+first edge's stamp, bisected from the row's int stamps, and skips ends
+that do not rank below the start.  Wedges thus run only toward strictly
+lower-priority middle and end vertices, so each butterfly is seen exactly
+once, from its max-priority corner; any injective ranking does, so a
+priority computed before the graph last changed still counts exactly, as
+long as it ranks every vertex.  count_baseline asks the walk to keep dead
+wedges as well, so it reads each middle's whole row; the others drop them
+on sight.  count_sampled runs count_extreme on an edge-sampled subgraph and
+rescales, giving unbiased estimates.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .graph import (
-    TemporalBipartiteGraph,
-    VertexPriority,
-    compute_vertex_priority,
-    sort_adjacency_by_priority,
-)
+from .graph import TemporalBipartiteGraph, VertexPriority, compute_vertex_priority
 
 __all__ = [
     "CountVector",
@@ -358,8 +354,9 @@ def _count_bucket(wedges, delta, layer, index_class, acc, same, min_run) -> None
     """Tally one end bucket's butterflies as acc less same.
 
     A small bucket's go straight into acc.  A large bucket is swept whole
-    into acc, and each middle's run of min_run or more wedges into same;
-    shorter runs are known to hold no countable pair.
+    into acc, then sorted by middle, and each middle's run of min_run or
+    more wedges is swept into same; shorter runs are known to hold no
+    countable pair.
     """
     if len(wedges) <= _SMALL_BUCKET:
         for type_index, _, _ in _pairs(wedges, delta, layer == 0):
@@ -367,6 +364,8 @@ def _count_bucket(wedges, delta, layer, index_class, acc, same, min_run) -> None
         return
     _sweep(*_split(wedges), delta, index_class(), index_class(), _counting_visit(acc, layer))
     visit_same = _counting_visit(same, layer)
+    # parallel edges to the start scatter a middle's wedges through the bucket
+    wedges.sort(key=itemgetter(2))
     for _, run in groupby(wedges, itemgetter(2)):
         run = list(run)
         if len(run) >= min_run:
@@ -376,9 +375,12 @@ def _count_bucket(wedges, delta, layer, index_class, acc, same, min_run) -> None
 # --- engines ----------------------------------------------------------------
 
 
-def _require_priority_layout(g: TemporalBipartiteGraph) -> None:
-    if g.upper_prio is None:
-        raise ValueError("engine requires priority rows; call sort_adjacency_by_priority")
+def _check_priority(g: TemporalBipartiteGraph, priority: VertexPriority) -> None:
+    if len(priority.upper) < g.upper_count or len(priority.lower) < g.lower_count:
+        raise ValueError(
+            f"priority ranks {len(priority.upper)} upper and {len(priority.lower)} lower vertices,"
+            f" but the graph has {g.upper_count} and {g.lower_count}; compute it from this graph"
+        )
 
 
 def count_baseline(
@@ -398,12 +400,11 @@ def count_baseline(
     acc = [0] * 6
     pairs_examined = 0
     for layer, _s, _end, wedges in _end_buckets(g, priority, delta, raw=True):
-        # each wedge pairs with every earlier wedge before its middle's run
-        first = 0
-        for k in range(1, len(wedges)):
-            if wedges[k][2] != wedges[k - 1][2]:
-                first = k
-            pairs_examined += first
+        if stats is not None:
+            # every pair of the bucket, less those through one middle
+            n = len(wedges)
+            pairs_examined += n * (n - 1) // 2
+            pairs_examined -= sum(c * (c - 1) // 2 for c in Counter(map(itemgetter(2), wedges)).values())
         for type_index, _, _ in _pairs(wedges, delta, layer == 0):
             acc[type_index] += 1
     if stats is not None:
@@ -415,47 +416,40 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
     """Yield (layer bit, start, end, wedges) for every end bucket with two or more middles.
 
     wedges lists the bucket's raw (t1, t2, middle) wedges, t1 and t2 the
-    stamps of the edges to start and to end.  The walk finishes one middle
-    before the next, so each middle's wedges form one run, and the bucket
-    has two middles or more iff its first and last wedges differ in middle.
-    The start's priority row is walked from its tail and left at the first
-    middle whose priority is not below the start's.  A middle's priority
-    row is walked the same way when raw is set or when every stamp of the
-    middle lies within delta of the first edge's stamp t1.  Otherwise only
-    the [t1 - delta, t1 + delta] slice of its time row is walked, bisected
-    from its int stamps, and ends whose priority is not below the start's
-    are skipped.  Either way every wedge reached spans at most delta, and
-    those with equal stamps are dropped, unless raw is set: then every
-    wedge of the priority cut is kept.
+    stamps of the edges to start and to end, in the order the walk meets
+    them.  The start's time row is walked whole, skipping middles whose
+    priority is not below the start's.  Of each middle's time row only the
+    [t1 - delta, t1 + delta] slice is walked, bisected from its int stamps,
+    skipping ends whose priority is not below the start's and those whose
+    stamp equals t1, so every wedge reached spans 1..delta.  When raw is
+    set, the middle's whole row is walked and only the priority skip
+    applies.  Parallel edges to the start scatter one middle's wedges
+    through a bucket, so its wedges are not grouped by middle.
     """
-    _require_priority_layout(g)
-    for layer, starts, mid_prio, mid_rows, mid_stamps, sprio, mprio in (
-        (0, g.upper_prio, g.lower_prio, g.lower_adj, g.lower_times, priority.upper, priority.lower),
-        (1, g.lower_prio, g.upper_prio, g.upper_adj, g.upper_times, priority.lower, priority.upper),
+    _check_priority(g, priority)
+    for layer, starts, mid_rows, mid_stamps, sprio, mprio in (
+        (0, g.upper_adj, g.lower_adj, g.lower_times, priority.upper, priority.lower),
+        (1, g.lower_adj, g.upper_adj, g.upper_times, priority.lower, priority.upper),
     ):
         for s, row in enumerate(starts):
             ps = sprio[s]
             ends: dict[int, list] = {}
-            for v, t1, _ in reversed(row):
+            for v, t1, _ in row:
                 if mprio[v] >= ps:
-                    break
-                stamps = mid_stamps[v]
-                cut = raw or (t1 - stamps[0] <= delta and stamps[-1] - t1 <= delta)
-                if cut:
-                    entries = reversed(mid_prio[v])
+                    continue
+                if raw:
+                    entries = mid_rows[v]
                 else:
+                    stamps = mid_stamps[v]
                     lo = bisect_left(stamps, t1 - delta)
                     entries = mid_rows[v][lo:bisect_right(stamps, t1 + delta, lo)]
                 for w, t2, _ in entries:
-                    if sprio[w] >= ps:
-                        if cut:
-                            break
-                        continue
-                    if t2 == t1 and not raw:
-                        continue
-                    ends.setdefault(w, []).append((t1, t2, v))
+                    if sprio[w] < ps and (t2 != t1 or raw):
+                        ends.setdefault(w, []).append((t1, t2, v))
             for end, wedges in ends.items():
-                if wedges[0][2] != wedges[-1][2]:
+                m = wedges[0][2]
+                # first and last middles differ, or a longer bucket holds another
+                if wedges[-1][2] != m or (len(wedges) > 2 and any(w[2] != m for w in wedges)):
                     yield layer, s, end, wedges
 
 
@@ -497,13 +491,12 @@ def count_sampled(
     """
     if not 0 < sample_p <= 1:
         raise ValueError(f"sample_p must be in (0, 1], got {sample_p}")
-    _require_priority_layout(g)
+    _check_priority(g, priority)
     if sample_p == 1:
         return CountVector(float(c) for c in count_extreme(g, priority, delta))
     rng = random.Random(seed)
     uids = sorted(map(itemgetter(2), chain.from_iterable(g.upper_adj)))
     sub = g._subgraph({uid for uid in uids if rng.random() < sample_p})
     sub_priority = compute_vertex_priority(sub)
-    sort_adjacency_by_priority(sub, sub_priority)
     exact = count_extreme(sub, sub_priority, delta)
     return exact.scaled(sample_p ** -4)

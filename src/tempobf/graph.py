@@ -8,10 +8,8 @@ appearance, and the original tokens are kept for output.
 
 Every graph, from the moment it is built, keeps each adjacency row in
 (t, uid) order, its time rows, with the row's stamps as a plain int array
-beside it; the streaming engines mutate these.  The counting engines also
-need each row in neighbor-priority order, so sort_adjacency_by_priority
-adds priority rows beside the time rows.  Any later mutation drops the
-priority rows, and the counting engines refuse a graph without them.
+beside it.  The streaming engines mutate these, and the counting engines
+read them as they are, given a vertex priority that ranks every vertex.
 """
 
 from __future__ import annotations
@@ -59,9 +57,6 @@ class TemporalBipartiteGraph:
     in exactly two rows, one per endpoint.  upper_adj and lower_adj are time
     rows, ordered by (t, uid), and upper_times and lower_times hold each
     row's stamps as plain ints, so time ranges bisect at C speed.
-    upper_prio and lower_prio, when not None, hold the same entries per row
-    in (neighbor priority descending, t, uid) order: the priority rows the
-    counting engines walk.
     """
 
     __slots__ = (
@@ -75,8 +70,6 @@ class TemporalBipartiteGraph:
         "_next_uid",
         "upper_times",
         "lower_times",
-        "upper_prio",
-        "lower_prio",
     )
 
     def __init__(self) -> None:
@@ -90,8 +83,6 @@ class TemporalBipartiteGraph:
         self._next_uid = 0
         self.upper_times: list[list[int]] = []
         self.lower_times: list[list[int]] = []
-        self.upper_prio: list[list[tuple[int, int, int]]] | None = None
-        self.lower_prio: list[list[tuple[int, int, int]]] | None = None
 
     @property
     def upper_count(self) -> int:
@@ -150,8 +141,7 @@ class TemporalBipartiteGraph:
         out.sort(key=itemgetter(3))
         return out
 
-    # Mutation; both keep the time rows sorted and drop the priority rows,
-    # which they would leave stale.
+    # Mutation; both keep the time rows sorted.
 
     def insert_edge(self, u_token: str, v_token: str, t: int | str) -> TemporalEdge:
         """Add one edge after any equal stamps in its time rows; t is an int or a string holding one."""
@@ -163,7 +153,6 @@ class TemporalBipartiteGraph:
         _insert_entry(self.upper_adj[u], self.upper_times[u], (v, t, uid))
         _insert_entry(self.lower_adj[v], self.lower_times[v], (u, t, uid))
         self.edge_count += 1
-        self.upper_prio = self.lower_prio = None
         return TemporalEdge(u, v, t, uid)
 
     def remove_edge(self, e: TemporalEdge) -> None:
@@ -181,7 +170,6 @@ class TemporalBipartiteGraph:
             del row[i]
             del times[i]
         self.edge_count -= 1
-        self.upper_prio = self.lower_prio = None
 
     def has_edge(self, e: TemporalEdge) -> bool:
         if not (0 <= e.u < self.upper_count and 0 <= e.v < self.lower_count):
@@ -246,21 +234,12 @@ def compute_vertex_priority(g: TemporalBipartiteGraph) -> VertexPriority:
 
 
 def sort_adjacency_by_priority(g: TemporalBipartiteGraph, priority: VertexPriority) -> None:
-    """Add each row's priority row: its entries by neighbor priority descending, then time.
+    """Do nothing: kept so callers written for priority rows still run.
 
-    Each priority row is a stable sort of its time row, so equal priorities
-    keep (t, uid) order; the time rows themselves are not reordered.  The
-    engines walk a priority row from its tail, where the lowest priorities
-    sit, and stop at the first neighbor that does not rank below the start.
+    The counting engines read the time rows every graph keeps, skipping
+    neighbors that do not rank below the start vertex, so no second copy of
+    the rows is needed.  Calling it is never required.
     """
-    g.upper_prio = _priority_rows(g.upper_adj, priority.lower)
-    g.lower_prio = _priority_rows(g.lower_adj, priority.upper)
-
-
-def _priority_rows(adj: list[list[tuple[int, int, int]]], nbr_priority: list[int]) -> list[list[tuple[int, int, int]]]:
-    key = lambda e: nbr_priority[e[0]]
-    # reverse=True keeps equal keys in their (t, uid) order
-    return [sorted(row, key=key, reverse=True) for row in adj]
 
 
 def iter_edge_stream(source: str | os.PathLike | IO[str] | Iterable[str]) -> Iterator[tuple[str, str, int]]:

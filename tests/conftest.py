@@ -6,11 +6,7 @@ import random
 
 from hypothesis import HealthCheck, settings
 
-from tempobf import (
-    TemporalBipartiteGraph,
-    compute_vertex_priority,
-    sort_adjacency_by_priority,
-)
+from tempobf import TemporalBipartiteGraph, compute_vertex_priority
 
 # one 2x2 biclique whose four stamps climb 1..4; butterfly span 3
 F1 = (("u1", "v1", 1), ("u1", "v2", 2), ("u2", "v1", 3), ("u2", "v2", 4))
@@ -25,15 +21,13 @@ PROPERTY_SETTINGS = settings(
 
 
 def build_priority(triples):
-    """Graph with time and priority rows, plus its vertex priority."""
+    """Graph straight from from_edges, plus its vertex priority."""
     g = TemporalBipartiteGraph.from_edges(triples)
-    priority = compute_vertex_priority(g)
-    sort_adjacency_by_priority(g, priority)
-    return g, priority
+    return g, compute_vertex_priority(g)
 
 
 def build_time(triples):
-    """Graph grown edge by edge through insert_edge, as streaming grows it; no priority rows."""
+    """Graph grown edge by edge through insert_edge, as streaming grows it."""
     g = TemporalBipartiteGraph()
     for u, v, t in triples:
         g.insert_edge(u, v, t)
@@ -41,26 +35,17 @@ def build_time(triples):
 
 
 def assert_times_match_rows(g):
-    """Every time row is in (t, uid) order and its stamp array matches it.
-
-    When the graph has priority rows, each holds exactly its time row's
-    entries; TestLayouts checks their order against a known priority.
-    """
+    """Every time row is in (t, uid) order and its stamp array matches it."""
     assert len(g.upper_times) == len(g.upper_adj)
     assert len(g.lower_times) == len(g.lower_adj)
     for times, adj in ((g.upper_times, g.upper_adj), (g.lower_times, g.lower_adj)):
         for row_times, row in zip(times, adj):
             assert row == sorted(row, key=lambda e: (e[1], e[2]))
             assert row_times == [t for _, t, _ in row]
-    if g.upper_prio is not None:
-        for prio, adj in ((g.upper_prio, g.upper_adj), (g.lower_prio, g.lower_adj)):
-            assert len(prio) == len(adj)
-            for prio_row, row in zip(prio, adj):
-                assert sorted(prio_row, key=lambda e: (e[1], e[2])) == row
 
 
 def build_plain(triples):
-    """Graph straight from from_edges: time rows, no priority rows."""
+    """Graph straight from from_edges, without its vertex priority."""
     return TemporalBipartiteGraph.from_edges(triples)
 
 

@@ -371,6 +371,26 @@ class TestRulesSpanningFlags:
         assert f"tempobf {argv[0]}: error: {message}" in err
 
 
+class TestUnknownFlags:
+    """An argument no subcommand flag takes is a usage error of the chosen subcommand too."""
+
+    @pytest.mark.parametrize(
+        "argv,leftover",
+        [
+            (("count", "--input", "x", "--delta", "3", "--bogus"), "--bogus"),
+            (("stream", "--input", "x", "--delta", "3", "--window", "4", "--bogus", "7"), "--bogus 7"),
+            (("gen", "--input", "x", "--upper", "2", "--lower", "2", "--edges", "2", "--t-max", "3"), "--input x"),
+        ],
+    )
+    def test_reported_through_the_subcommand(self, capsys, argv, leftover):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tempobf {argv[0]} ")
+        assert f"tempobf {argv[0]}: error: unrecognized arguments: {leftover}" in err
+
+
 class TestModuleEntry:
     def test_python_dash_m_prints_help(self):
         src = str(Path(tempobf.__file__).resolve().parent.parent)

@@ -30,7 +30,6 @@ from tempobf import (
     oracle_count,
     oracle_enumerate,
     oracle_static_pairings,
-    sort_adjacency_by_priority,
 )
 from tempobf.count import _SMALL_BUCKET, _count_bucket, _end_buckets
 from tempobf.enumeration import _emitting_visit
@@ -83,13 +82,6 @@ def cut_row_triples_strategy(draw):
 
 
 quadruple_strategy = st.lists(st.integers(0, 100), min_size=4, max_size=4, unique=True)
-
-
-def build_mutated(triples):
-    """Priority-sorted, then grown by one insertion, which drops the priority rows."""
-    g, _ = build_priority(triples)
-    g.insert_edge("u9", "v9", 99)
-    return g
 
 
 def all_engine_counts(triples, delta):
@@ -414,6 +406,25 @@ class TestCombine:
         assert sizes == {False, True}
 
 
+def brute_force_buckets(g, priority, delta, raw):
+    """{(layer, start, end): Counter of (t1, t2, middle) wedges} over every edge pair, buckets of one middle dropped.
+
+    A wedge runs from a start through a middle to an end, both ranked
+    below the start; unless raw, its stamps differ by 1..delta.
+    """
+    buckets: dict = {}
+    for layer, starts, mids, sprio, mprio in (
+        (0, g.upper_adj, g.lower_adj, priority.upper, priority.lower),
+        (1, g.lower_adj, g.upper_adj, priority.lower, priority.upper),
+    ):
+        for s, row in enumerate(starts):
+            for v, t1, _ in row:
+                for w, t2, _ in mids[v]:
+                    if mprio[v] < sprio[s] and sprio[w] < sprio[s] and (raw or 0 < abs(t2 - t1) <= delta):
+                        buckets.setdefault((layer, s, w), Counter())[t1, t2, v] += 1
+    return {key: wedges for key, wedges in buckets.items() if len({m for _, _, m in wedges}) > 1}
+
+
 def exhaustive_census(triples, delta):
     """Count valid 4-subsets directly, independent of every engine."""
     total = 0
@@ -444,12 +455,10 @@ class TestEngines:
         script = (
             "import sys\n"
             "sys.modules['sortedcontainers'] = None\n"
-            "from tempobf import TemporalBipartiteGraph, compute_vertex_priority, count_extreme,"
-            " oracle_count, sort_adjacency_by_priority\n"
+            "from tempobf import TemporalBipartiteGraph, compute_vertex_priority, count_extreme, oracle_count\n"
             f"g = TemporalBipartiteGraph.from_edges({F1!r})\n"
             "p = compute_vertex_priority(g)\n"
             "expected = oracle_count(g, 3)\n"
-            "sort_adjacency_by_priority(g, p)\n"
             "assert count_extreme(g, p, 3) == expected == [0, 1, 0, 0, 0, 0]\n"
         )
         src = str(Path(tempobf.__file__).resolve().parent.parent)
@@ -470,8 +479,8 @@ class TestEngines:
         for engine in (count_baseline, count_optimized, count_extreme):
             assert engine(g, p, 3) == [0] * 6
 
-    # "unsorted" is a graph straight from from_edges, "time" one grown by insert_edge: neither has priority rows
-    @pytest.mark.parametrize("build", [build_plain, build_time, build_mutated], ids=["unsorted", "time", "mutated"])
+    # each priority ranks a graph with one vertex fewer than F1's in one layer
+    @pytest.mark.parametrize("short", [F1[:2], (F1[0], F1[2])], ids=["upper-short", "lower-short"])
     @pytest.mark.parametrize(
         "run",
         [
@@ -483,10 +492,62 @@ class TestEngines:
             pytest.param(lambda g, p: enumerate_optimized(g, p, 3, null_sink), id="enumerate_optimized"),
         ],
     )
-    def test_engine_requires_priority_layout(self, run, build):
-        g = build(F1)
-        with pytest.raises(ValueError, match="priority"):
-            run(g, compute_vertex_priority(g))
+    def test_priority_not_covering_the_graph_is_refused(self, run, short):
+        # the vertex it does not rank would otherwise be read past the end of a rank list
+        g = build_plain(F1)
+        with pytest.raises(ValueError, match="^priority ranks"):
+            run(g, compute_vertex_priority(build_plain(short)))
+
+    @PROPERTY_SETTINGS
+    @given(parallel_triples_strategy, st.data(), delta_strategy)
+    def test_stale_priority_over_the_same_vertices_counts_exactly(self, triples, data, delta):
+        # removals and insertions between existing vertices change degrees,
+        # but the old ranking is still a strict order on the same vertices
+        g = build_time(triples)
+        stale = compute_vertex_priority(g)
+        for e in data.draw(st.lists(st.sampled_from(g.edges()), unique=True, max_size=10), label="removed"):
+            g.remove_edge(e)
+        pairs = st.tuples(st.sampled_from(g.upper_tokens), st.sampled_from(g.lower_tokens), st.integers(0, 30))
+        for u, v, t in data.draw(st.lists(pairs, max_size=10), label="inserted"):
+            g.insert_edge(u, v, t)
+        assert (g.upper_count, g.lower_count) == (len(stale.upper), len(stale.lower))
+        oracle: list = []
+        expected = oracle_enumerate(g, delta, oracle.append)
+        for engine in (count_baseline, count_optimized, count_extreme):
+            assert engine(g, stale, delta) == expected
+        emitted: list = []
+        assert enumerate_optimized(g, stale, delta, emitted.append) == expected
+        assert Counter(emitted) == Counter(oracle)
+
+    def test_scattered_middles_still_make_a_bucket(self):
+        # s reaches middle a at t=1 and t=3 with b between, so its bucket for
+        # end e lists middles a, b, a: first and last agree, yet it holds two
+        # butterflies; the leaves z0..z2 make s the top-ranked vertex
+        triples = [("s", "a", 1), ("s", "b", 2), ("s", "a", 3), ("e", "a", 4), ("e", "b", 5)]
+        triples += [("s", f"z{k}", 0) for k in range(3)]
+        g, priority = build_priority(triples)
+        s, e = g.upper_tokens.index("s"), g.upper_tokens.index("e")
+        a, b = g.lower_tokens.index("a"), g.lower_tokens.index("b")
+        for raw in (False, True):
+            assert list(_end_buckets(g, priority, 10, raw)) == [(0, s, e, [(1, 4, a), (2, 5, b), (3, 4, a)])]
+        expected = oracle_count(g, 10)
+        assert expected.total() == 2
+        for engine in (count_baseline, count_optimized, count_extreme):
+            assert engine(g, priority, 10) == expected
+        assert enumerate_baseline(g, priority, 10, null_sink) == expected
+        assert enumerate_optimized(g, priority, 10, null_sink) == expected
+
+    @PROPERTY_SETTINGS
+    @given(parallel_triples_strategy, st.integers(0, 30), st.booleans())
+    def test_end_buckets_match_a_brute_force_walk(self, triples, delta, raw):
+        # drawn in any order, so parallel edges arrive out of time order and
+        # each time row interleaves its neighbors' entries
+        g, priority = build_priority(triples)
+        got: dict = {}
+        for layer, s, end, wedges in _end_buckets(g, priority, delta, raw):
+            assert (layer, s, end) not in got
+            got[layer, s, end] = Counter(wedges)
+        assert got == brute_force_buckets(g, priority, delta, raw)
 
     def test_hub_buckets_on_both_sides_of_the_pair_threshold(self):
         # three hubs share all eight lower vertices through parallel edges,
@@ -676,15 +737,13 @@ def sampled_by_rebuild(g, delta, sample_p, seed):
 
 @st.composite
 def gapped_graph_strategy(draw):
-    """A priority-sorted graph, possibly after removals and insertions that leave uid gaps."""
+    """A graph and its priority, possibly after removals and insertions that leave uid gaps."""
     g = build_time(draw(parallel_triples_strategy))
     for e in draw(st.lists(st.sampled_from(g.edges()), unique=True, max_size=10)):
         g.remove_edge(e)
     for u, v, t in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 30)), max_size=8)):
         g.insert_edge(f"u{u}", f"v{v}", t)
-    priority = compute_vertex_priority(g)
-    sort_adjacency_by_priority(g, priority)
-    return g, priority
+    return g, compute_vertex_priority(g)
 
 
 class TestSampledSubgraph:
@@ -699,9 +758,9 @@ class TestSampledSubgraph:
 
     def test_parent_graph_untouched(self):
         g, priority = build_priority(F2)
-        rows = ([row[:] for row in g.upper_adj], [row[:] for row in g.lower_prio], g.edge_count, g._next_uid)
+        rows = ([row[:] for row in g.upper_adj], [row[:] for row in g.lower_adj], g.edge_count, g._next_uid)
         count_sampled(g, priority, 10, 0.5, seed=1)
-        assert rows == ([row[:] for row in g.upper_adj], [row[:] for row in g.lower_prio], g.edge_count, g._next_uid)
+        assert rows == ([row[:] for row in g.upper_adj], [row[:] for row in g.lower_adj], g.edge_count, g._next_uid)
 
     def test_sample_subgraph_keeps_ids_and_time_rows(self):
         g, _ = build_priority(F2)
@@ -710,4 +769,4 @@ class TestSampledSubgraph:
         assert sub.upper_adj == [[(0, 1, 0), (0, 5, 4)], []]
         assert sub.lower_adj == [[(0, 1, 0), (0, 5, 4)], []]
         assert (sub.upper_times, sub.lower_times) == ([[1, 5], []], [[1, 5], []])
-        assert (sub.edge_count, sub._next_uid, sub.upper_prio) == (2, 5, None)
+        assert (sub.edge_count, sub._next_uid) == (2, 5)

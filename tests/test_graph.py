@@ -72,7 +72,7 @@ COUNTING_ENGINES = [
     lambda g, p: count_baseline(g, p, 3),
     lambda g, p: count_optimized(g, p, 3),
     lambda g, p: count_extreme(g, p, 3),
-    lambda g, p: count_sampled(g, p, 3, 0.5),
+    lambda g, p: count_sampled(g, p, 3, 1.0),
     lambda g, p: enumerate_baseline(g, p, 3, null_sink),
     lambda g, p: enumerate_optimized(g, p, 3, null_sink),
 ]
@@ -143,9 +143,7 @@ class TestParsing:
         assert (g.upper_tokens, g.lower_tokens) == (["u1", "u2"], ["v1", "v2"])
         plain = load_edge_list(io.StringIO(self._f1_text()))
         assert (g.upper_adj, g.lower_adj) == (plain.upper_adj, plain.lower_adj)
-        priority = compute_vertex_priority(g)
-        sort_adjacency_by_priority(g, priority)
-        assert count_extreme(g, priority, 3) == [0, 1, 0, 0, 0, 0]
+        assert count_extreme(g, compute_vertex_priority(g), 3) == [0, 1, 0, 0, 0, 0]
 
     def test_byte_order_mark_before_a_comment_or_a_shared_vertex(self):
         g = load_edge_list(io.StringIO("\ufeffa x 1\na y 2\n"))
@@ -212,7 +210,6 @@ class TestGraphModel:
         looped = build_time(triples)
         assert self._state(g) == self._state(looped)
         assert_times_match_rows(g)
-        assert g.upper_prio is None and g.lower_prio is None
         assert g.insert_edge("a", 0, 7) == looped.insert_edge("a", 0, 7)
         assert g.edges()[-1].uid == len(triples)
         assert self._state(g) == self._state(looped)
@@ -299,54 +296,27 @@ class TestVertexPriority:
 
 
 class TestLayouts:
-    def test_priority_layout_descends_then_time(self):
-        # x deg 3 > y deg 2 > z deg 1, so a's row lists x's edges first
-        triples = [("a", "z", 9), ("a", "x", 4), ("a", "y", 6), ("a", "x", 1), ("b", "x", 2), ("b", "y", 3)]
-        g, priority = build_priority(triples)
-        seen = [(g.lower_tokens[v], t) for v, t, _ in g.upper_prio[0]]
-        assert seen == [("x", 1), ("x", 4), ("y", 6), ("z", 9)]
-
-    def test_priority_rows_sit_beside_unmoved_time_rows(self):
-        # x deg 3 > y deg 2 > z deg 1 again, but a's stamps climb z, y, x
+    def test_priority_sort_is_a_no_op(self):
+        # x deg 3 > y deg 2 > z deg 1, but a's stamps climb z, y, x: the
+        # rows stay in time order, the same lists holding the same entries
         triples = [("a", "z", 1), ("a", "x", 4), ("a", "y", 2), ("a", "x", 3), ("b", "x", 5), ("b", "y", 6)]
         g = build_time(triples)
         rows = (g.upper_adj, g.lower_adj, g.upper_times, g.lower_times)
         before = [[r[:] for r in layer] for layer in rows]
-        sort_adjacency_by_priority(g, compute_vertex_priority(g))
+        assert sort_adjacency_by_priority(g, compute_vertex_priority(g)) is None
         after = (g.upper_adj, g.lower_adj, g.upper_times, g.lower_times)
         assert all(a is b for a, b in zip(after, rows))
         assert list(after) == before
         assert [(g.lower_tokens[v], t) for v, t, _ in g.upper_adj[0]] == [("z", 1), ("y", 2), ("x", 3), ("x", 4)]
-        assert [(g.lower_tokens[v], t) for v, t, _ in g.upper_prio[0]] == [("x", 3), ("x", 4), ("y", 2), ("z", 1)]
-        assert_times_match_rows(g)
 
     def test_time_layout_ascends(self):
         g = build_time([("a", "x", 9), ("a", "y", 1), ("a", "x", 5)])
         assert [t for _, t, _ in g.upper_adj[0]] == [1, 5, 9]
         assert g.upper_times == [[1, 5, 9]]
-        assert g.upper_prio is None and g.lower_prio is None
 
     def test_equal_timestamps_keep_arrival_order(self):
         g = build_time([("a", "x", 5), ("a", "y", 5), ("a", "z", 5)])
         assert [uid for _, _, uid in g.upper_adj[0]] == [0, 1, 2]
-
-    @PROPERTY_SETTINGS
-    @given(triples_strategy, triples_strategy, st.sampled_from(["built", "priority"]))
-    def test_priority_rows_beside_time_rows_from_any_prior_layout(self, triples, more, before):
-        # rows as built, or with stale priority rows, that then grew by
-        # insertion still end as time rows with priority rows in
-        # (priority descending, t, uid) order beside them
-        g = TemporalBipartiteGraph.from_edges(triples)
-        if before == "priority":
-            sort_adjacency_by_priority(g, compute_vertex_priority(g))
-        for u, v, t in more:
-            g.insert_edge(u, v, t)
-        priority = compute_vertex_priority(g)
-        sort_adjacency_by_priority(g, priority)
-        assert_times_match_rows(g)
-        for prio, nbr_priority in ((g.upper_prio, priority.lower), (g.lower_prio, priority.upper)):
-            for row in prio:
-                assert row == sorted(row, key=lambda e: (-nbr_priority[e[0]], e[1], e[2]))
 
     @PROPERTY_SETTINGS
     @given(triples_strategy)
@@ -493,26 +463,21 @@ class TestTimestampArrays:
             assert_times_match_rows(g)
         assert all(g.has_edge(e) for e in live)
 
-    @pytest.mark.parametrize("mutation", list(MUTATIONS))
-    def test_mutation_after_priority_sort_makes_counting_refuse(self, mutation):
-        # a priority sort leaves streaming open; the first mutation drops the
-        # priority rows, and every counting engine refuses until a new sort
-        g = build_time([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "y", 4)])
-        sort_adjacency_by_priority(g, compute_vertex_priority(g))
+    @pytest.mark.parametrize("mutation", [None, *MUTATIONS])
+    @pytest.mark.parametrize("build", [build_plain, build_time], ids=["from_edges", "insert_edge"])
+    def test_engines_count_as_built_and_mutated_graphs_with_no_sort(self, build, mutation):
+        # two butterflies on a, b and x, y share three edges; x ranks top, and
+        # its row meets middles a, b, a, so its end bucket scatters a's wedges
+        g = build([("a", "x", 1), ("a", "y", 2), ("b", "x", 3), ("b", "y", 4), ("a", "x", 5)])
         live = CountVector(oracle_count(g, 3))
-        assert live == [0, 1, 0, 0, 0, 0]
-        MUTATIONS[mutation](g, live)
-        assert g.upper_prio is None and g.lower_prio is None
+        assert live == [0, 1, 0, 0, 1, 0]
+        if mutation is not None:
+            MUTATIONS[mutation](g, live)
         assert_times_match_rows(g)
         priority = compute_vertex_priority(g)
-        for run in COUNTING_ENGINES:
-            with pytest.raises(ValueError, match="priority"):
-                run(g, priority)
-        sort_adjacency_by_priority(g, priority)
-        assert_times_match_rows(g)
         expected = oracle_count(g, 3)
-        for run in COUNTING_ENGINES[:3]:
+        for run in COUNTING_ENGINES:
             assert run(g, priority) == expected
-        if mutation not in ("insert_edge", "remove_edge"):
+        if mutation not in (None, "insert_edge", "remove_edge"):
             assert live == expected
 
