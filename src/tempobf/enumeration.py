@@ -1,14 +1,16 @@
 """Instance enumeration for the six temporal butterfly types.
 
-Both engines walk the same wedges as their counting counterparts but hand
-every surviving pair to a sink as a concrete ButterflyInstance instead of
-bumping a counter.  Emission order is an engine detail; compare multisets.
-enumerate_baseline pairs the wedges of every end bucket directly, and
-enumerate_optimized those of small buckets only, sweeping the rest with
-count_extreme's TwinOrderedIndex, one per direction: a probe takes the
-entries arriving on either side of its arrival from two bisects, the match
-types from the side and each entry's start, and builds each instance in the
-slice loop from the wedge the entry carries.
+Both engines take their wedges from _end_buckets' delta-windowed walk, the
+one count_optimized and count_extreme take (not count_baseline's walk of
+whole middle rows), and hand every surviving pair to a sink as a concrete
+ButterflyInstance instead of bumping a counter.  Emission order is an
+engine detail; compare multisets.  enumerate_baseline pairs the wedges of
+every end bucket directly, and enumerate_optimized those of small buckets
+only, sweeping the rest with count_extreme's TwinOrderedIndex, one per
+direction: a probe takes the entries arriving on either side of its
+arrival from two bisects, the match types from the side and each entry's
+start, and builds each instance in the slice loop from the wedge the entry
+carries.
 
 An end bucket's start and end vertices, sorted, are the corner pair of
 their layer.  Wedges keep their two timestamps ordered by that pair, so a

@@ -3,16 +3,15 @@
 A window sliding over a chronological stream gains a butterfly when its
 newest edge (strict maximum stamp) arrives and loses it when its oldest
 edge (strict minimum stamp) is evicted.  So each inserted edge counts the
-butterflies it is the newest edge of and files each under its oldest
-edge's uid, in per-edge tallies that the window's live vector carries; an
-evicted edge pops its tally and walks nothing.  Both engines run a step in
-one order: sum the evicted edges' tallies, check that live stays
-non-negative, remove the evicted edges, then insert the chunk and count it
-on the new graph, so a butterfly that enters and leaves within one step is
-counted in neither.  `stbc` checks and evicts one edge at a time, `stbc+` a
-stride at once.  A live vector without tallies counts each deletion
-instead, as the oldest edge of its butterflies on the graph before the
-step.  `stream_insert`, `stream_delete` and `delta_count_edge` take any
+butterflies it is the newest edge of and files each under its oldest edge's
+uid, in per-edge tallies that the window's live vector carries; an evicted
+edge pops its tally and walks nothing.  Both engines, `stbc` and `stbc+`,
+run one step, `batch_update`: sum the evicted edges' tallies, check that
+live stays non-negative, remove the evicted edges, then insert the chunk
+and count it on the new graph, so a butterfly that enters and leaves within
+one step is counted in neither.  A live vector without tallies counts each
+deletion instead, as the oldest edge of its butterflies on the graph before
+the step.  `stream_insert`, `stream_delete` and `delta_count_edge` take any
 stamp and count every butterfly through the edge.  Every counter expands an
 edge's 2-paths through the endpoint with fewer edges in its time range, the
 degree-priority idea of vertex-priority butterfly counting; a batch is cut
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -282,42 +281,6 @@ def _count_batch(g: TemporalBipartiteGraph, delta: int, edges: list, as_max: boo
     return total
 
 
-def _read_chunk(g: TemporalBipartiteGraph, chunk: list[tuple[str, str, int]]) -> list[tuple[str, str, int]]:
-    """The chunk with its stamps read as ints and its tokens new to g checked, so a bad edge raises before a step changes anything."""
-    chunk = [(u, v, t if type(t) is int else _stamp(t)) for u, v, t in chunk]
-    up, lo = g._upper_ids, g._lower_ids
-    for u, v, _t in chunk:
-        if u not in up:
-            _check_token(str(u))
-        if v not in lo:
-            _check_token(str(v))
-    return chunk
-
-
-def _step(g: TemporalBipartiteGraph, delta: int, deletions: list, insertions: list, live: CountVector, workers: int = 1) -> tuple:
-    """Evict an oldest prefix, then insert a newest suffix; returns (inserted edges, added, removed).
-
-    live - removed is checked before anything changes, and the insertions
-    are counted on the graph without the evicted edges.
-    """
-    tallies = live.tallies if isinstance(live, _Tallied) else None
-    if tallies is None:
-        removed = _count_batch(g, delta, deletions, False, workers)
-    else:
-        lost = [tallies[e.uid] for e in deletions if e.uid in tallies]
-        removed = [sum(col) for col in zip([0] * 6, *lost)]
-    _check_live(live, removed)
-    for e in deletions:
-        g.remove_edge(e)
-        if tallies is not None:
-            tallies.pop(e.uid, None)
-    live.sub_(removed)
-    inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]
-    added = _count_batch(g, delta, inserted, True, workers, tallies)
-    live.add_(added)
-    return inserted, added, removed
-
-
 def batch_update(
     g: TemporalBipartiteGraph,
     delta: int,
@@ -334,21 +297,30 @@ def batch_update(
     checked first, a timestamp suffix of the stream.  The deleted edges'
     butterflies are their tallies on a window's live vector or, on a plain
     one, those each is the oldest edge of on the graph as given; live -
-    removed is checked before the graph changes.  Then the deletions leave, the insertions enter, and each
-    counts the butterflies it is the newest edge of on the new graph,
-    tallied under their oldest edges.  A butterfly holding a deleted and an
-    inserted edge is in neither stats["added"] nor stats["removed"].  Each
-    counted batch is cut into runs sharing neighbour maps (see `_runs`) and
-    split into `workers` slices, run one after another on this thread.
-    Raises ValueError, leaving graph and live as they were, if a batch is
-    malformed or if live would go negative, which means it did not match
+    removed is checked before the graph changes.  Then the deletions leave,
+    the insertions enter, and each counts the butterflies it is the newest
+    edge of on the new graph, tallied under their oldest edges.  A
+    butterfly holding a deleted and an inserted edge is in neither
+    stats["added"] nor stats["removed"].  Each counted batch is cut into
+    runs sharing neighbour maps (see `_runs`) and split into `workers`
+    slices, run one after another on this thread.  Raises ValueError,
+    leaving graph and live as they were, if delta is negative, if a batch
+    is malformed or if live would go negative, which means it did not match
     the graph.
 
     Returns the inserted edge records.
     """
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    insertions = _read_chunk(g, insertions)
+    insertions = [(u, v, t if type(t) is int else _stamp(t)) for u, v, t in insertions]
+    up, lo = g._upper_ids, g._lower_ids
+    for u, v, _t in insertions:
+        if u not in up:
+            _check_token(str(u))
+        if v not in lo:
+            _check_token(str(v))
     for batch, what in ((deletions, "deletion"), (insertions, "insertion")):
         ts = [e[2] for e in batch]
         if any(a > b for a, b in zip(ts, ts[1:])):
@@ -367,7 +339,21 @@ def batch_update(
         ceil = max(map(itemgetter(-1), filter(None, g.upper_times)), default=None)
         if ceil is not None and insertions[0][2] < ceil:
             raise ValueError("insertion batch is not a newest-timestamp suffix of the stream")
-    inserted, added, removed = _step(g, delta, deletions, insertions, live, workers)
+    tallies = live.tallies if isinstance(live, _Tallied) else None
+    if tallies is None:
+        removed = _count_batch(g, delta, deletions, False, workers)
+    else:
+        lost = [tallies[e.uid] for e in deletions if e.uid in tallies]
+        removed = [sum(col) for col in zip([0] * 6, *lost)]
+    _check_live(live, removed)
+    for e in deletions:
+        g.remove_edge(e)
+        if tallies is not None:
+            tallies.pop(e.uid, None)
+    live.sub_(removed)
+    inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]
+    added = _count_batch(g, delta, inserted, True, workers, tallies)
+    live.add_(added)
     if stats is not None:
         stats["removed"] = CountVector(removed)
         stats["added"] = CountVector(added)
@@ -396,21 +382,11 @@ class SlidingWindow:
         self.buffer: deque[TemporalEdge] = deque()
         self.live: CountVector = _Tallied()
 
-    def advance_single(self, chunk: list[tuple[str, str, int]]) -> None:
-        """Evict down to capacity one edge per step, each checked against live alone, then insert the chunk in one more.
-
-        The chunk's stamps and tokens are read before the first eviction.
-        """
-        g, delta, live, buffer = self.graph, self.delta, self.live, self.buffer
-        chunk = _read_chunk(g, chunk)
-        for _ in range(len(buffer) + len(chunk) - self.window):
-            _step(g, delta, [buffer[0]], [], live)
-            buffer.popleft()
-        buffer.extend(_step(g, delta, [], chunk, live)[0])
-
-    def advance_batch(self, chunk: list[tuple[str, str, int]], workers: int) -> None:
-        excess = len(self.buffer) + len(chunk) - self.window
-        deletions = [self.buffer[i] for i in range(max(0, excess))]
+    def advance_batch(self, chunk: list[tuple[str, str, int]], workers: int = 1) -> None:
+        """Evict down to capacity and insert the chunk in one `batch_update` step."""
+        if len(chunk) > self.window:
+            raise ValueError(f"chunk of {len(chunk)} edges does not fit a window of {self.window}")
+        deletions = list(islice(self.buffer, max(0, len(self.buffer) + len(chunk) - self.window)))
         inserted = batch_update(self.graph, self.delta, deletions, chunk, self.live, workers)
         for _ in deletions:
             self.buffer.popleft()
@@ -434,11 +410,11 @@ def run_sliding_window(
     The stream is consumed stride edges at a time (the final chunk may be
     short).  Each step evicts down to the window capacity, inserts its
     chunk, and emits (step index, oldest t, newest t, live counts) to the
-    sink; the fill phase emits too.  engine picks the per-edge path
-    ("stbc") or the batched path ("stbc+"); workers must be positive and
-    only applies to the latter.  Each stamp is read as an int, as the
-    graph reads it, before its order is checked; a stream that goes
-    backward in time raises StreamOrderError naming the edge.
+    sink; the fill phase emits too.  Both engines, "stbc" and "stbc+", take
+    each step through one `batch_update`, so they emit the same windows;
+    workers must be positive.  Each stamp is read as an int, as the graph
+    reads it, before its order is checked; a stream that goes backward in
+    time raises StreamOrderError naming the edge.
     """
     if engine not in ("stbc", "stbc+"):
         raise ValueError(f"unknown streaming engine {engine!r}")
@@ -451,10 +427,7 @@ def run_sliding_window(
 
     def flush() -> None:
         nonlocal step, chunk
-        if engine == "stbc":
-            win.advance_single(chunk)
-        else:
-            win.advance_batch(chunk, workers)
+        win.advance_batch(chunk, workers)
         if sink is not None:
             start_t, end_t = win.bounds()
             sink(step, start_t, end_t, win.live.copy())

@@ -396,7 +396,7 @@ class TestStreamingMutation:
         assert g.edge_count == 2
         assert_times_match_rows(g)
 
-    @pytest.mark.parametrize("build", [build_time, build_priority, build_plain])
+    @pytest.mark.parametrize("build", [build_time, build_plain])
     def test_has_edge_checks_both_endpoints(self, build):
         g = _graph(build([("a", "x", 1), ("b", "y", 2)]))
         assert g.has_edge(TemporalEdge(0, 0, 1, uid=0)) and g.has_edge(TemporalEdge(1, 1, 2, uid=1))

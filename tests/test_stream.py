@@ -329,6 +329,15 @@ class TestBatchUpdate:
         with pytest.raises(ValueError, match="workers"):
             batch_update(g, 3, [], [], CountVector.zeros(), workers=0)
 
+    def test_negative_delta_raises_before_any_change(self):
+        # with a negative delta, a run ends before its first edge, so the batch would be cut into empty runs without end
+        g = TemporalBipartiteGraph()
+        live = CountVector.zeros()
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            batch_update(g, -1, [], [("a", "x", 1)], live)
+        assert g.edge_count == 0 and g.edges() == []
+        assert live == [0] * 6
+
     @PROPERTY_SETTINGS
     @given(triples_strategy, delta_strategy, st.integers(0, 20))
     def test_removed_tally_counts_each_lost_butterfly_once(self, triples, delta, k):
@@ -430,27 +439,26 @@ class TestSlidingWindow:
     def test_single_edge_eviction_checks_live_before_any_change(self):
         # the step evicts first, so the raise comes before the chunk enters
         win = SlidingWindow(3, window=4, stride=1)
-        win.advance_single(list(F1))
+        win.advance_batch(list(F1))
         assert win.live == [0, 1, 0, 0, 0, 0]
         oldest = win.buffer[0]
         assert win.live.tallies == {oldest.uid: [0, 1, 0, 0, 0, 0]}
         win.live[1] = 0
         edges_before = win.graph.edges()
         with pytest.raises(ValueError, match="negative"):
-            win.advance_single([("u3", "v3", 5)])
+            win.advance_batch([("u3", "v3", 5)])
         assert win.buffer[0] == oldest and len(win.buffer) == 4
         assert win.graph.edges() == edges_before
         assert win.live == [0] * 6
         assert win.live.tallies == {oldest.uid: [0, 1, 0, 0, 0, 0]}
 
-    @pytest.mark.parametrize("engine", ["stbc", "stbc+"])
     @pytest.mark.parametrize(
         "bad",
         [("u3 u4", "v3", 6), ("", "v3", 6), ("u3", "v3 v4", 6), ("u3", "", 6), ("u3", "v3", "6.5")],
         ids=["upper-space", "upper-empty", "lower-space", "lower-empty", "stamp"],
     )
-    def test_bad_chunk_edge_raises_before_any_eviction(self, engine, bad):
-        # the chunk's second edge is bad; both engines read the whole chunk before evicting
+    def test_bad_chunk_edge_raises_before_any_eviction(self, bad):
+        # the chunk's second edge is bad; the step reads the whole chunk before evicting
         win = SlidingWindow(3, window=4, stride=2)
         win.advance_batch(list(F1), 1)
         assert win.live == [0, 1, 0, 0, 0, 0] and win.live.tallies
@@ -458,10 +466,21 @@ class TestSlidingWindow:
         live, tallies = win.live.copy(), {uid: row[:] for uid, row in win.live.tallies.items()}
         chunk = [("u1", "v3", 5), bad]
         with pytest.raises(ValueError, match="token|timestamp"):
-            if engine == "stbc":
-                win.advance_single(chunk)
-            else:
-                win.advance_batch(chunk, 1)
+            win.advance_batch(chunk)
+        assert list(win.buffer) == buffer
+        assert win.graph.edges() == edges
+        assert win.live == live
+        assert win.live.tallies == tallies
+
+    def test_chunk_longer_than_the_window_raises_before_any_change(self):
+        win = SlidingWindow(3, window=4, stride=1)
+        win.advance_batch(list(F1))
+        buffer, edges = list(win.buffer), win.graph.edges()
+        live, tallies = win.live.copy(), {uid: row[:] for uid, row in win.live.tallies.items()}
+        assert tallies
+        chunk = [("u3", f"v{t}", t) for t in range(5, 10)]
+        with pytest.raises(ValueError, match="chunk of 5 edges does not fit a window of 4"):
+            win.advance_batch(chunk)
         assert list(win.buffer) == buffer
         assert win.graph.edges() == edges
         assert win.live == live
@@ -470,16 +489,16 @@ class TestSlidingWindow:
     def test_single_edge_eviction_counts_a_plain_live_on_the_graph(self):
         # a live vector without tallies: the evicted edge's butterflies are counted on the graph, then checked
         win = SlidingWindow(3, window=4, stride=1)
-        win.advance_single(list(F1))
+        win.advance_batch(list(F1))
         win.live = CountVector([0, 1, 0, 0, 0, 0])
-        win.advance_single([("u3", "v3", 5)])
+        win.advance_batch([("u3", "v3", 5)])
         assert win.live == [0] * 6 and len(win.buffer) == 4
         win = SlidingWindow(3, window=4, stride=1)
-        win.advance_single(list(F1))
+        win.advance_batch(list(F1))
         win.live = CountVector.zeros()
         edges_before = win.graph.edges()
         with pytest.raises(ValueError, match="negative"):
-            win.advance_single([("u3", "v3", 5)])
+            win.advance_batch([("u3", "v3", 5)])
         assert win.graph.edges() == edges_before and len(win.buffer) == 4
         assert win.live == [0] * 6
 
@@ -655,7 +674,7 @@ def tally_corpus(n: int, seed: int):
 
 
 class TestTallies:
-    """Each window butterfly sits in exactly one tally, its oldest live edge's, in both engines."""
+    """Each window butterfly sits in exactly one tally, its oldest live edge's, after every window step."""
 
     CORPUS = list(tally_corpus(1000, seed=16))
 
@@ -669,8 +688,7 @@ class TestTallies:
             split += any(stamps[min(i + stride, len(stamps)) - 1] - stamps[i] > delta for i in range(0, len(stamps), stride))
         assert min(ties, parallels, swapped, split) >= 200
 
-    @pytest.mark.parametrize("engine", ["stbc", "stbc+"])
-    def test_tallies_sum_to_live_after_every_step(self, engine):
+    def test_tallies_sum_to_live_after_every_step(self):
         butterflies = evicted_with_tally = 0
         for triples, delta, window, stride, workers in self.CORPUS:
             win = SlidingWindow(delta, window, stride)
@@ -678,10 +696,7 @@ class TestTallies:
                 chunk = triples[i:i + stride]
                 leaving = {e.uid for e in list(win.buffer)[:max(0, len(win.buffer) + len(chunk) - window)]}
                 evicted_with_tally += bool(leaving & win.live.tallies.keys())
-                if engine == "stbc":
-                    win.advance_single(chunk)
-                else:
-                    win.advance_batch(chunk, workers)
+                win.advance_batch(chunk, workers)
                 tallies = win.live.tallies
                 assert [sum(col) for col in zip([0] * 6, *tallies.values())] == win.live.counts
                 assert len(tallies) <= len(win.buffer)
