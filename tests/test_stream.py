@@ -367,6 +367,12 @@ class TestBatchUpdate:
         assert live == oracle_count(g, delta)
 
 
+
+def window_state(win):
+    """A window's buffer, graph edges, live counts and tallies, copied."""
+    return list(win.buffer), win.graph.edges(), win.live.copy(), {uid: row[:] for uid, row in win.live.tallies.items()}
+
+
 class TestSlidingWindow:
     def test_fixture_walkthrough(self):
         stream = list(F1) + [("u3", "v3", 5)]
@@ -462,29 +468,51 @@ class TestSlidingWindow:
         win = SlidingWindow(3, window=4, stride=2)
         win.advance_batch(list(F1), 1)
         assert win.live == [0, 1, 0, 0, 0, 0] and win.live.tallies
-        buffer, edges = list(win.buffer), win.graph.edges()
-        live, tallies = win.live.copy(), {uid: row[:] for uid, row in win.live.tallies.items()}
+        before = window_state(win)
         chunk = [("u1", "v3", 5), bad]
         with pytest.raises(ValueError, match="token|timestamp"):
             win.advance_batch(chunk)
-        assert list(win.buffer) == buffer
-        assert win.graph.edges() == edges
-        assert win.live == live
-        assert win.live.tallies == tallies
+        assert window_state(win) == before
 
-    def test_chunk_longer_than_the_window_raises_before_any_change(self):
+    @pytest.mark.parametrize("filled", [0, 1, 4], ids=["empty-window", "one-edge", "full-window"])
+    def test_chunk_longer_than_the_window_raises_before_any_change(self, filled):
         win = SlidingWindow(3, window=4, stride=1)
-        win.advance_batch(list(F1))
-        buffer, edges = list(win.buffer), win.graph.edges()
-        live, tallies = win.live.copy(), {uid: row[:] for uid, row in win.live.tallies.items()}
-        assert tallies
+        win.advance_batch(list(F1[:filled]))
+        before = window_state(win)
+        assert bool(before[3]) == (filled == 4)
         chunk = [("u3", f"v{t}", t) for t in range(5, 10)]
         with pytest.raises(ValueError, match="chunk of 5 edges does not fit a window of 4"):
             win.advance_batch(chunk)
-        assert list(win.buffer) == buffer
-        assert win.graph.edges() == edges
-        assert win.live == live
-        assert win.live.tallies == tallies
+        assert window_state(win) == before
+
+    @pytest.mark.parametrize(
+        "filled,chunk",
+        [
+            (0, [("u1", "v1", 4), ("u1", "v2", 3)]),
+            (4, [("u3", "v3", 6), ("u3", "v4", 5)]),
+            (4, [("u3", "v3", 3)]),
+            (4, [("u3", "v3", 3), ("u3", "v4", 3), ("u4", "v3", 3), ("u4", "v4", 3)]),
+        ],
+        ids=["descending-fill", "descending-chunk", "older-than-the-window", "older-than-an-evicted-window"],
+    )
+    def test_out_of_order_chunk_raises_before_any_change(self, filled, chunk):
+        # the chunk's order is checked against the window as it stands, even when the step would evict all of it
+        win = SlidingWindow(3, window=4, stride=1)
+        win.advance_batch(list(F1[:filled]))
+        before = window_state(win)
+        with pytest.raises(ValueError, match="chronologically ordered|newest-timestamp suffix"):
+            win.advance_batch(chunk)
+        assert window_state(win) == before
+
+    def test_chunk_of_a_whole_window_replaces_it(self):
+        win = SlidingWindow(3, window=4, stride=4)
+        win.advance_batch(list(F1))
+        second = [("u3", "v3", 11), ("u3", "v4", 12), ("u4", "v3", 13), ("u4", "v4", 14)]
+        win.advance_batch(second)
+        assert [e.t for e in win.buffer] == [11, 12, 13, 14]
+        assert win.graph.edge_count == 4 and win.bounds() == (11, 14)
+        assert win.live == [0, 1, 0, 0, 0, 0]
+        assert win.live.tallies == {win.buffer[0].uid: [0, 1, 0, 0, 0, 0]}
 
     def test_single_edge_eviction_counts_a_plain_live_on_the_graph(self):
         # a live vector without tallies: the evicted edge's butterflies are counted on the graph, then checked
