@@ -25,8 +25,14 @@ Three engines share one answer:
 - count_extreme is the same with the sweep's buckets replaced by twin
   sorted lists, so each probe is four C bisects instead of a walk over
   every live start timestamp.  The lists are stored negated, so the
-  sweep's inserts land at their tail.  enumerate_optimized sweeps with the
-  same index, taking each match from the wedge its entry carries.
+  sweep's inserts land at their tail.  It runs the sweep fused, in
+  _twin_counts: the lists hold plain ints, the bisects are inlined and
+  the tallies stay in locals until the bucket ends.  enumerate_optimized
+  sweeps with the same lists as a TwinOrderedIndex and takes each match
+  from the wedge its entry carries.
+
+Small buckets are paired in one loop, _pairs, behind every engine; it
+reads each pair's type inline, as classify_type defines it.
 
 All engines take their wedges from one walk, _end_buckets, over the time
 rows every graph keeps.  It reads each start vertex's row and skips
@@ -213,12 +219,12 @@ class TwinOrderedIndex:
     One side orders (-arrival, -start, wedge) entries, the wedge being the
     inserted tuple itself, the other holds the negated start timestamps
     alone.  The two stay element-for-element synchronized: expiry cuts the
-    arrival side's head in one slice and deletes each matching start, and
-    each counting probe is four C bisects, however many distinct start
-    timestamps are live.  The sweep inserts start timestamps in descending
-    order, so negated, inserts land at or near the tail of both lists and
-    move little memory.  count_extreme probes it for counts, and
-    enumerate_optimized for the entries on either side of an arrival.
+    arrival side's head in one slice and deletes each matching start.  The
+    sweep inserts start timestamps in descending order, so negated, inserts
+    land at or near the tail of both lists and move little memory.
+    enumerate_optimized probes it for the entries on either side of an
+    arrival; count_extreme keeps the same lists as plain ints inside
+    _twin_counts.
     """
 
     __slots__ = ("_arrivals", "_starts")
@@ -243,19 +249,6 @@ class TwinOrderedIndex:
             for _, neg_ts, _ in arrivals[:k]:
                 del starts[bisect_left(starts, neg_ts)]
             del arrivals[:k]
-
-    def query_counts(self, pivot: int, acc: list[int], offsets: tuple[int, int, int]) -> None:
-        o_non, o_int, o_cov = offsets
-        arrivals = self._arrivals
-        starts = self._starts
-        neg = -pivot
-        # negated, the wedges arriving after the pivot come first
-        later = bisect_left(arrivals, (neg,))
-        # one arriving after the pivot intersects it unless it starts at or after it
-        acc[o_non] += bisect_left(starts, neg)
-        acc[o_int] += later - bisect_right(starts, neg)
-        # stamps are ints, so (neg + 1,) sorts after every wedge arriving at the pivot
-        acc[o_cov] += len(arrivals) - bisect_left(arrivals, (neg + 1,), later)
 
     def around(self, pivot: int) -> tuple[list, list]:
         """The entries arriving after the pivot and those arriving before it, arrivals descending."""
@@ -307,37 +300,6 @@ def _sweep(fwd: list, bwd: list, delta: int, fwd_idx, bwd_idx, visit) -> None:
         i, j = a, b
 
 
-# the largest end bucket that is paired directly instead of swept
-_SMALL_BUCKET = 16
-
-
-def _pairs(wedges: list, delta: int, in_upper: bool) -> Iterator[tuple[int, tuple, tuple]]:
-    """Yield (type, wedge, later wedge) for every butterfly among one bucket's wedges.
-
-    Wedges may be raw or in corner order: flipping both wedges of a pair
-    leaves its type unchanged.
-    """
-    n = len(wedges)
-    for i in range(n - 1):
-        w1 = wedges[i]
-        a1, b1, m1 = w1
-        for j in range(i + 1, n):
-            w2 = wedges[j]
-            a2, b2, m2 = w2
-            if m1 == m2 or a1 == b1 or a2 == b2 or a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-                continue
-            if max(a1, b1, a2, b2) - min(a1, b1, a2, b2) > delta:
-                continue
-            yield classify_type((a1, b1), (a2, b2), in_upper), w1, w2
-
-
-def _split(wedges: list) -> tuple[list, list]:
-    """A bucket's (forward, backward) normalized wedges, each list sorted ascending."""
-    fwd = sorted(w for w in wedges if w[0] < w[1])
-    bwd = sorted((t2, t1, m) for t1, t2, m in wedges if t2 < t1)
-    return fwd, bwd
-
-
 def _counting_visit(acc: list[int], layer: int):
     off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
     off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
@@ -350,26 +312,173 @@ def _counting_visit(acc: list[int], layer: int):
     return visit
 
 
-def _count_bucket(wedges, delta, layer, index_class, acc, same, min_run) -> None:
+def _timestamp_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: int) -> None:
+    """Add every pair of a bucket's normalized wedges to acc: _sweep over a TimestampIndex per direction."""
+    _sweep(fwd, bwd, delta, TimestampIndex(), TimestampIndex(), _counting_visit(acc, layer))
+
+
+def _twin_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: int) -> None:
+    """Add every pair of a bucket's normalized wedges to acc: _sweep's rounds, fused.
+
+    Each direction keeps its live wedges as TwinOrderedIndex does, but in
+    three plain int lists: the negated arrivals ascending, beside each the
+    negated start it came with (for expiry), and the negated starts
+    ascending.  A probe ranks the probing wedge's arrival, the pivot, by
+    four bisects: a live wedge starting after the pivot is non-overlap, one
+    arriving after it but starting before it intersecting, one arriving
+    before it covered; a stamp at the pivot is shared, never a butterfly.
+    The tallies stay in six locals until the bucket ends.
+    """
+    f_arr: list[int] = []
+    f_with: list[int] = []
+    f_starts: list[int] = []
+    b_arr: list[int] = []
+    b_with: list[int] = []
+    b_starts: list[int] = []
+    s_non = s_int = s_cov = d_non = d_int = d_cov = 0
+    i, j = len(fwd), len(bwd)
+    while i or j:
+        if j == 0 or (i and fwd[i - 1][0] >= bwd[j - 1][0]):
+            ts = fwd[i - 1][0]
+        else:
+            ts = bwd[j - 1][0]
+        neg_ts = -ts
+        # negated, the arrivals beyond ts + delta sit at the head
+        cut = neg_ts - delta
+        if f_arr and f_arr[0] < cut:
+            k = bisect_left(f_arr, cut)
+            for neg_s in f_with[:k]:
+                del f_starts[bisect_left(f_starts, neg_s)]
+            del f_arr[:k], f_with[:k]
+        if b_arr and b_arr[0] < cut:
+            k = bisect_left(b_arr, cut)
+            for neg_s in b_with[:k]:
+                del b_starts[bisect_left(b_starts, neg_s)]
+            del b_arr[:k], b_with[:k]
+        a, b = i, j
+        while a and fwd[a - 1][0] == ts:
+            a -= 1
+        while b and bwd[b - 1][0] == ts:
+            b -= 1
+        nf, nb = len(f_arr), len(b_arr)
+        # most rounds hold one wedge, so a direction with none skips its loops
+        if a < i:
+            for k in range(a, i):
+                neg = -fwd[k][1]
+                later = bisect_left(f_arr, neg)
+                s_non += bisect_left(f_starts, neg)
+                s_int += later - bisect_right(f_starts, neg)
+                s_cov += nf - bisect_right(f_arr, neg, later)
+                later = bisect_left(b_arr, neg)
+                d_non += bisect_left(b_starts, neg)
+                d_int += later - bisect_right(b_starts, neg)
+                d_cov += nb - bisect_right(b_arr, neg, later)
+        if b < j:
+            for k in range(b, j):
+                neg = -bwd[k][1]
+                later = bisect_left(b_arr, neg)
+                s_non += bisect_left(b_starts, neg)
+                s_int += later - bisect_right(b_starts, neg)
+                s_cov += nb - bisect_right(b_arr, neg, later)
+                later = bisect_left(f_arr, neg)
+                d_non += bisect_left(f_starts, neg)
+                d_int += later - bisect_right(f_starts, neg)
+                d_cov += nf - bisect_right(f_arr, neg, later)
+        # starts fall round by round, so negated they land at the tail
+        if a < i:
+            for k in range(a, i):
+                neg = -fwd[k][1]
+                p = bisect_right(f_arr, neg)
+                f_arr.insert(p, neg)
+                f_with.insert(p, neg_ts)
+                f_starts.append(neg_ts)
+        if b < j:
+            for k in range(b, j):
+                neg = -bwd[k][1]
+                p = bisect_right(b_arr, neg)
+                b_arr.insert(p, neg)
+                b_with.insert(p, neg_ts)
+                b_starts.append(neg_ts)
+        i, j = a, b
+    acc[layer] += s_non
+    acc[1 ^ layer] += s_int
+    acc[2 ^ layer] += s_cov
+    acc[3 ^ layer] += d_non
+    acc[4 ^ layer] += d_int
+    acc[5 ^ layer] += d_cov
+
+
+# the largest end bucket that is paired directly instead of swept
+_SMALL_BUCKET = 16
+
+
+def _pairs(wedges: list, delta: int, layer: int) -> Iterator[tuple[int, tuple, tuple]]:
+    """Yield (type, wedge, later wedge) for every butterfly among one bucket's wedges.
+
+    The type is classify_type's, read inline from the two wedges' ordered
+    stamps: non-overlap, intersecting or covering, plus 3 when the wedges
+    run in opposite directions, xor the layer bit.  Wedges may be raw or in
+    corner order: flipping both wedges of a pair leaves its type unchanged.
+    """
+    same = (layer, 1 ^ layer, 2 ^ layer)
+    mixed = (3 ^ layer, 4 ^ layer, 5 ^ layer)
+    n = len(wedges)
+    for i in range(n - 1):
+        w1 = wedges[i]
+        a1, b1, m1 = w1
+        # the types against a forward and a backward second wedge
+        if a1 < b1:
+            lo1, hi1, fwd_kinds, bwd_kinds = a1, b1, same, mixed
+        elif b1 < a1:
+            lo1, hi1, fwd_kinds, bwd_kinds = b1, a1, mixed, same
+        else:
+            continue
+        for j in range(i + 1, n):
+            w2 = wedges[j]
+            a2, b2, m2 = w2
+            if m1 == m2 or a2 == b2 or a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+                continue
+            if a2 < b2:
+                lo2, hi2, kinds = a2, b2, fwd_kinds
+            else:
+                lo2, hi2, kinds = b2, a2, bwd_kinds
+            if (hi1 if hi1 > hi2 else hi2) - (lo1 if lo1 < lo2 else lo2) > delta:
+                continue
+            if hi1 < lo2 or hi2 < lo1:
+                yield kinds[0], w1, w2
+            # with distinct stamps, one interval covers the other iff it has both the lower and the higher end
+            elif (lo1 < lo2) == (hi2 < hi1):
+                yield kinds[2], w1, w2
+            else:
+                yield kinds[1], w1, w2
+
+
+def _split(wedges: list) -> tuple[list, list]:
+    """A bucket's (forward, backward) normalized wedges, each list sorted ascending."""
+    fwd = sorted(w for w in wedges if w[0] < w[1])
+    bwd = sorted((t2, t1, m) for t1, t2, m in wedges if t2 < t1)
+    return fwd, bwd
+
+
+def _count_bucket(wedges, delta, layer, sweep, acc, same, min_run) -> None:
     """Tally one end bucket's butterflies as acc less same.
 
     A small bucket's go straight into acc.  A large bucket is swept whole
-    into acc, then sorted by middle, and each middle's run of min_run or
-    more wedges is swept into same; shorter runs are known to hold no
-    countable pair.
+    into acc by sweep(fwd, bwd, delta, acc, layer), then sorted by middle,
+    and each middle's run of min_run or more wedges is swept into same;
+    shorter runs are known to hold no countable pair.
     """
     if len(wedges) <= _SMALL_BUCKET:
-        for type_index, _, _ in _pairs(wedges, delta, layer == 0):
+        for type_index, _, _ in _pairs(wedges, delta, layer):
             acc[type_index] += 1
         return
-    _sweep(*_split(wedges), delta, index_class(), index_class(), _counting_visit(acc, layer))
-    visit_same = _counting_visit(same, layer)
+    sweep(*_split(wedges), delta, acc, layer)
     # parallel edges to the start scatter a middle's wedges through the bucket
     wedges.sort(key=itemgetter(2))
     for _, run in groupby(wedges, itemgetter(2)):
         run = list(run)
         if len(run) >= min_run:
-            _sweep(*_split(run), delta, index_class(), index_class(), visit_same)
+            sweep(*_split(run), delta, same, layer)
 
 
 # --- engines ----------------------------------------------------------------
@@ -405,7 +514,7 @@ def count_baseline(
             n = len(wedges)
             pairs_examined += n * (n - 1) // 2
             pairs_examined -= sum(c * (c - 1) // 2 for c in Counter(map(itemgetter(2), wedges)).values())
-        for type_index, _, _ in _pairs(wedges, delta, layer == 0):
+        for type_index, _, _ in _pairs(wedges, delta, layer):
             acc[type_index] += 1
     if stats is not None:
         stats["pairs_examined"] = pairs_examined
@@ -453,25 +562,25 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
                     yield layer, s, end, wedges
 
 
-def _count_with_index(g, priority, delta, index_class) -> CountVector:
+def _count_with_sweep(g, priority, delta, sweep) -> CountVector:
     every = [0] * 6
     same = [0] * 6
     # a same-middle pair takes two edges on each leg with four distinct
     # timestamps inside one delta span, so its middle holds all four
     # wedges those edges cross into
     for layer, _s, _end, wedges in _end_buckets(g, priority, delta):
-        _count_bucket(wedges, delta, layer, index_class, every, same, min_run=4)
+        _count_bucket(wedges, delta, layer, sweep, every, same, min_run=4)
     return CountVector(a - b for a, b in zip(every, same))
 
 
 def count_optimized(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int) -> CountVector:
     """Prune dead wedges, then sweep each end bucket with bucketed probes."""
-    return _count_with_index(g, priority, delta, TimestampIndex)
+    return _count_with_sweep(g, priority, delta, _timestamp_counts)
 
 
 def count_extreme(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int) -> CountVector:
     """Same sweep as count_optimized with rank-arithmetic probes throughout."""
-    return _count_with_index(g, priority, delta, TwinOrderedIndex)
+    return _count_with_sweep(g, priority, delta, _twin_counts)
 
 
 def count_sampled(

@@ -6,11 +6,11 @@ whole middle rows), and hand every surviving pair to a sink as a concrete
 ButterflyInstance instead of bumping a counter.  Emission order is an
 engine detail; compare multisets.  enumerate_baseline pairs the wedges of
 every end bucket directly, and enumerate_optimized those of small buckets
-only, sweeping the rest with count_extreme's TwinOrderedIndex, one per
-direction: a probe takes the entries arriving on either side of its
-arrival from two bisects, the match types from the side and each entry's
-start, and builds each instance in the slice loop from the wedge the entry
-carries.
+only, sweeping the rest with a TwinOrderedIndex per direction, the twin
+sorted lists count_extreme sweeps as plain ints: a probe takes the entries
+arriving on either side of its arrival from two bisects, the match types
+from the side and each entry's start, and builds each instance in the
+slice loop from the wedge the entry carries.
 
 An end bucket's start and end vertices, sorted, are the corner pair of
 their layer.  Wedges keep their two timestamps ordered by that pair, so a
@@ -204,7 +204,7 @@ def _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired) -> Non
     else:
         fixed = (s, end)
     if len(wedges) <= largest_paired:
-        for type_index, (c0, c1, mid), (o0, o1, omid) in _pairs(wedges, delta, in_upper):
+        for type_index, (c0, c1, mid), (o0, o1, omid) in _pairs(wedges, delta, layer):
             if omid < mid:
                 mid, c0, c1, omid, o0, o1 = omid, o0, o1, mid, c0, c1
             if in_upper:

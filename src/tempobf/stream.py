@@ -18,8 +18,9 @@ degree-priority idea of vertex-priority butterfly counting; a batch is cut
 into runs of stamps within delta of the run's first, each vertex's
 neighbour map is built once per run, and the far ends that close a 2-path
 come from a C intersection of two maps' keys.  The `workers` slices of a
-batch run in turn on the calling thread: the counting is pure Python, so
-threads would only contend for the interpreter lock.
+batch run in turn on the calling thread, never more slices than the batch
+has edges: the counting is pure Python, so threads would only contend for
+the interpreter lock.
 """
 
 from __future__ import annotations
@@ -272,10 +273,15 @@ class _Tallied(CountVector):
 
 
 def _count_batch(g: TemporalBipartiteGraph, delta: int, edges: list, as_max: bool, workers: int, tallies=None) -> list[int]:
-    """Summed `_count_edge_extreme` counts of a chronological batch, cut into runs, in `workers` slices run in turn."""
+    """Summed `_count_edge_extreme` counts of a chronological batch, cut into runs.
+
+    Slice k takes jobs k, k + workers, ... and the slices run in turn.  A
+    slice past the last job is empty, so at most one per job runs, and the
+    cost follows the batch, not the worker count.
+    """
     jobs = [(e, looks, span) for run, looks, span in _runs(edges, delta, as_max) for e in run]
     total = [0] * 6
-    for k in range(workers):
+    for k in range(min(workers, len(jobs))):
         for e, looks, span in jobs[k::workers]:
             total = list(map(add, total, _count_edge_extreme(g, delta, e, as_max, looks, span, tallies=tallies)))
     return total
@@ -303,10 +309,10 @@ def batch_update(
     butterfly holding a deleted and an inserted edge is in neither
     stats["added"] nor stats["removed"].  Each counted batch is cut into
     runs sharing neighbour maps (see `_runs`) and split into `workers`
-    slices, run one after another on this thread.  Raises ValueError,
-    leaving graph and live as they were, if delta is negative, if a batch
-    is malformed or if live would go negative, which means it did not match
-    the graph.
+    slices, but never more than it has edges, run one after another on
+    this thread.  Raises ValueError, leaving graph and live as they were,
+    if delta is negative, if a batch is malformed or if live would go
+    negative, which means it did not match the graph.
 
     Returns the inserted edge records.
     """
@@ -364,21 +370,22 @@ def batch_update(
 
 
 class SlidingWindow:
-    """Most recent `window` stream edges plus their live butterfly counts and per-edge tallies."""
+    """Most recent `window` stream edges plus their live butterfly counts and per-edge tallies.
 
-    __slots__ = ("graph", "delta", "window", "stride", "buffer", "live")
+    Each `advance_batch` takes a chunk of any size up to the window; the
+    stride is the driver's, checked by `run_sliding_window`.
+    """
 
-    def __init__(self, delta: int, window: int, stride: int) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be at least 1, got {stride}")
-        if window < stride:
-            raise ValueError(f"window ({window}) must be at least the stride ({stride})")
+    __slots__ = ("graph", "delta", "window", "buffer", "live")
+
+    def __init__(self, delta: int, window: int) -> None:
+        if window < 1:
+            raise ValueError(f"window must be at least 1, got {window}")
         if delta < 0:
             raise ValueError(f"delta must be non-negative, got {delta}")
         self.graph = TemporalBipartiteGraph()
         self.delta = delta
         self.window = window
-        self.stride = stride
         self.buffer: deque[TemporalEdge] = deque()
         self.live: CountVector = _Tallied()
 
@@ -412,7 +419,8 @@ def run_sliding_window(
     chunk, and emits (step index, oldest t, newest t, live counts) to the
     sink; the fill phase emits too.  Both engines, "stbc" and "stbc+", take
     each step through one `batch_update`, so they emit the same windows;
-    workers must be positive.  Each stamp is read as an int, as the graph
+    workers must be positive, and the stride must lie in 1..window, both
+    checked before any step.  Each stamp is read as an int, as the graph
     reads it, before its order is checked; a stream that goes backward in
     time raises StreamOrderError naming the edge.
     """
@@ -420,7 +428,11 @@ def run_sliding_window(
         raise ValueError(f"unknown streaming engine {engine!r}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    win = SlidingWindow(delta, window, stride)
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    if window < stride:
+        raise ValueError(f"window ({window}) must be at least the stride ({stride})")
+    win = SlidingWindow(delta, window)
     step = 0
     last_t: int | None = None
     chunk: list[tuple[str, str, int]] = []

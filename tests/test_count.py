@@ -11,7 +11,7 @@ from itertools import combinations, groupby
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import tempobf
 from tempobf import (
@@ -31,7 +31,16 @@ from tempobf import (
     oracle_enumerate,
     oracle_static_pairings,
 )
-from tempobf.count import _SMALL_BUCKET, _count_bucket, _end_buckets
+from tempobf.count import (
+    _SMALL_BUCKET,
+    _count_bucket,
+    _end_buckets,
+    _pairs,
+    _split,
+    _sweep,
+    _timestamp_counts,
+    _twin_counts,
+)
 from tempobf.enumeration import _emitting_visit
 from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority, build_time
 
@@ -181,19 +190,25 @@ class TestIndexes:
         assert acc == [0, 0, 0, 0, 1, 0]
 
     def test_pivot_equal_start_contributes_nothing(self):
-        for idx in (TimestampIndex(), TwinOrderedIndex()):
-            idx.insert((7, 9))
+        idx = TimestampIndex()
+        idx.insert((7, 9))
+        acc = [0] * 6
+        idx.query_counts(7, acc, (0, 1, 2))
+        assert acc == [0] * 6
+        # (3, 7) arrives at the stamp (7, 9) starts at: a shared stamp, in either direction
+        for fwd, bwd in (([(3, 7, 0), (7, 9, 1)], []), ([(3, 7, 0)], [(7, 9, 1)])):
             acc = [0] * 6
-            idx.query_counts(7, acc, (0, 1, 2))
+            _twin_counts(fwd, bwd, 10, acc, 0)
             assert acc == [0] * 6
 
     def test_twin_rank_arithmetic(self):
-        idx = TwinOrderedIndex()
-        for wedge in ((3, 5), (10, 9), (2, 12)):
-            idx.insert(wedge)
-        acc = [0] * 6
-        idx.query_counts(7, acc, (0, 1, 2))
-        assert acc == [1, 1, 1, 0, 0, 0]
+        # the last probe, (1, 7), sees (8, 9) start after it, (2, 12) arrive
+        # after it and (3, 5) arrive before it; the other three pairs are two
+        # coverings of (2, 12) and the non-overlap of (3, 5) and (8, 9)
+        for layer, expected in ((0, [2, 1, 3, 0, 0, 0]), (1, [1, 2, 0, 3, 0, 0])):
+            acc = [0] * 6
+            _twin_counts([(1, 7, 0), (2, 12, 1), (3, 5, 2), (8, 9, 3)], [], 12, acc, layer)
+            assert acc == expected
 
     def test_twin_delete_pops_both_sides(self):
         idx = TwinOrderedIndex()
@@ -202,9 +217,7 @@ class TestIndexes:
         idx.delete_above(6)
         assert len(idx) == 1
         assert len(idx._arrivals) == len(idx._starts) == 1
-        acc = [0] * 6
-        idx.query_counts(4, acc, (0, 1, 2))
-        assert acc == [0, 1, 0, 0, 0, 0]
+        assert idx.around(4) == ([(-5, -2, (2, 5))], [])
 
     def test_timestamp_delete_drops_empty_buckets(self):
         idx = TimestampIndex()
@@ -222,50 +235,57 @@ class TestIndexes:
         """Engine-shaped rounds: expire, probe, insert, descending start times.
 
         Up to 200 wedges over 31 start and 38 arrival stamps, so rounds
-        insert, expire and probe among many equal starts and arrivals.
+        insert, expire and probe among many equal starts and arrivals.  The
+        TimestampIndex is probed for counts, the TwinOrderedIndex for the
+        entries on either side of the pivot, and _twin_counts, which runs
+        the same rounds, must total every probe's counts.
         """
         flat = TimestampIndex()
         twin = TwinOrderedIndex()
         inserted: list[tuple[int, int]] = []
+        total = [0, 0, 0]
         for bound, round_wedges in engine_rounds(wedges, delta):
             flat.delete_above(bound)
             twin.delete_above(bound)
             inserted = [w for w in inserted if w[1] <= bound]
             for wedge in round_wedges:
-                expected = naive_probe(inserted, wedge[1])
-                for idx in (flat, twin):
-                    acc = [0] * 6
-                    idx.query_counts(wedge[1], acc, (0, 1, 2))
-                    assert acc[:3] == expected and acc[3:] == [0, 0, 0]
+                pivot = wedge[1]
+                expected = naive_probe(inserted, pivot)
+                total = [a + b for a, b in zip(total, expected)]
+                acc = [0] * 6
+                flat.query_counts(pivot, acc, (0, 1, 2))
+                assert acc[:3] == expected and acc[3:] == [0, 0, 0]
+                later, earlier = twin.around(pivot)
+                starts = [w[0] for _, _, w in later]
+                assert [sum(s > pivot for s in starts), sum(s < pivot for s in starts), len(earlier)] == expected
             for wedge in round_wedges:
                 flat.insert(wedge)
                 twin.insert(wedge)
             inserted.extend(round_wedges)
             assert len(flat) == len(twin) == len(inserted)
             assert len(twin._arrivals) == len(twin._starts) == len(inserted)
+        acc = [0] * 6
+        _twin_counts(sorted((ts, ta, mid) for mid, (ts, ta) in enumerate(wedges)), [], delta, acc, 0)
+        assert acc == total + [0, 0, 0]
 
     @PROPERTY_SETTINGS
-    @given(st.lists(wedge_strategy, max_size=200), st.integers(0, 40), st.sampled_from((0, 1)))
-    def test_emitting_probe_tallies_match_query_counts(self, wedges, delta, layer):
-        """The same rounds through enumerate_optimized's probe, every wedge its own middle.
+    @given(st.lists(st.tuples(wedge_strategy, st.booleans()), max_size=200), st.integers(0, 40), st.sampled_from((0, 1)))
+    def test_emitting_probe_tallies_match_twin_counts(self, drawn, delta, layer):
+        """enumerate_optimized's sweep and count_extreme's over one bucket, every wedge its own middle.
 
-        With no same-middle entry to skip, each entry the probe emits is one
-        the counting probe counts, under both offset triples of the layer.
+        With no same-middle entry to skip, each entry the emitting probe
+        emits is a pair the fused counting sweep counts, in both directions
+        and under the layer's types.
         """
-        wedges = [(ts, ta, mid, ts, ta) for mid, (ts, ta) in enumerate(wedges)]
-        twin = TwinOrderedIndex()
+        # corner-order stamps; a backward wedge runs hi to lo
+        corner = [(lo, hi) if up else (hi, lo) for (lo, hi), up in drawn]
+        fwd = sorted((c0, c1, mid, c0, c1) for mid, (c0, c1) in enumerate(corner) if c0 < c1)
+        bwd = sorted((c1, c0, mid, c0, c1) for mid, (c0, c1) in enumerate(corner) if c1 < c0)
         seen, emitted, counted = [], [0] * 6, [0] * 6
         visit = _emitting_visit(layer, (0, 1), seen.append, emitted)
-        for bound, round_wedges in engine_rounds(wedges, delta):
-            twin.delete_above(bound)
-            for wedge in round_wedges:
-                # the same index on both sides probes it under both offset triples
-                visit(wedge, twin, twin)
-                twin.query_counts(wedge[1], counted, (0 ^ layer, 1 ^ layer, 2 ^ layer))
-                twin.query_counts(wedge[1], counted, (3 ^ layer, 4 ^ layer, 5 ^ layer))
-                assert emitted == counted
-            for wedge in round_wedges:
-                twin.insert(wedge)
+        _sweep(fwd, bwd, delta, TwinOrderedIndex(), TwinOrderedIndex(), visit)
+        _twin_counts([w[:3] for w in fwd], [w[:3] for w in bwd], delta, counted, layer)
+        assert emitted == counted
         assert len(seen) == sum(emitted)
 
 
@@ -304,11 +324,11 @@ def legs_groups(legs, delta):
     ]
 
 
-def count_flat(wedges, delta, upper, index_class=TimestampIndex, min_run=2):
-    """Distinct-middle butterflies of one flat bucket, as _count_with_index tallies them."""
+def count_flat(wedges, delta, upper, sweep=_timestamp_counts, min_run=2):
+    """Distinct-middle butterflies of one flat bucket, as _count_with_sweep tallies them."""
     every = [0] * 6
     same = [0] * 6
-    _count_bucket(wedges, delta, 0 if upper else 1, index_class, every, same, min_run)
+    _count_bucket(wedges, delta, 0 if upper else 1, sweep, every, same, min_run)
     return [a - b for a, b in zip(every, same)]
 
 
@@ -333,6 +353,73 @@ legs_strategy = st.lists(
     min_size=1,
     max_size=5,
 )
+
+
+def own_middles(raws):
+    """naive_combine's groups for raw (t1, t2, ...) wedges, each through its own middle."""
+    return [([(a, b)], []) if a < b else ([], [(b, a)]) for a, b, *_ in raws]
+
+
+@st.composite
+def crowded_bucket_strategy(draw):
+    """A delta and raw (t1, t2, middle) wedges, each its own middle, crowded onto few stamps.
+
+    Starts come from 0..12 and half the spans are delta itself, so rounds
+    hold several wedges of one start, arrivals tie within and across
+    rounds, and many sit exactly on a later round's expiry bound, its
+    start plus delta.
+    """
+    delta = draw(st.integers(1, 10))
+    span = st.one_of(st.just(delta), st.integers(1, delta))
+    drawn = draw(st.lists(st.tuples(st.integers(0, 12), span, st.booleans()), max_size=60))
+    return delta, [(ts, ts + d, m) if up else (ts + d, ts, m) for m, (ts, d, up) in enumerate(drawn)]
+
+
+class TestTwinCounts:
+    """_twin_counts over one bucket against a direct pairing of its wedges."""
+
+    # delta 3: (0, 3) and (0, 2) share a round; (2, 3), (1, 4) twice and the
+    # backward (3, 1) tie arrivals; (2, 3) arrives at the last round's bound, 0 + 3
+    @example((3, [(0, 3, 0), (0, 2, 1), (3, 1, 2), (1, 4, 3), (1, 4, 4), (2, 3, 5), (4, 2, 6)]), 0)
+    @example((3, [(0, 3, 0), (0, 2, 1), (3, 1, 2), (1, 4, 3), (1, 4, 4), (2, 3, 5), (4, 2, 6)]), 1)
+    @PROPERTY_SETTINGS
+    @given(crowded_bucket_strategy(), st.sampled_from((0, 1)))
+    def test_crowded_buckets_match_naive_pairing(self, drawn, layer):
+        delta, raws = drawn
+        acc = [0] * 6
+        _twin_counts(*_split(raws), delta, acc, layer)
+        assert acc == naive_combine(own_middles(raws), delta, layer == 0)
+
+    @PROPERTY_SETTINGS
+    @given(legs_strategy, st.integers(0, 40), st.sampled_from((0, 1)))
+    def test_engine_shaped_buckets_match_naive_pairing(self, legs, delta, layer):
+        # each wedge the walk would build, here through its own middle so every pair counts
+        raws = [(a, b, m) for m, (a, b, _) in enumerate(flat_bucket(legs_groups(legs, delta)))]
+        acc = [0] * 6
+        _twin_counts(*_split(raws), delta, acc, layer)
+        assert acc == naive_combine(own_middles(raws), delta, layer == 0)
+
+
+class TestPairs:
+    @PROPERTY_SETTINGS
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.integers(0, 3)), max_size=16),
+        st.integers(0, 12),
+        st.sampled_from((0, 1)),
+        st.booleans(),
+    )
+    def test_inline_type_matches_classify_type(self, raws, delta, layer, corner):
+        # corner order flips both stamps of every wedge, as _emit_bucket does
+        # when the end ranks below the start; the type is the raw pair's
+        wedges = [(b, a, m) for a, b, m in raws] if corner else raws
+        expected = []
+        for i, j in combinations(range(len(raws)), 2):
+            (a1, b1, m1), (a2, b2, m2) = raws[i], raws[j]
+            stamps = (a1, b1, a2, b2)
+            if m1 == m2 or len(set(stamps)) != 4 or max(stamps) - min(stamps) > delta:
+                continue
+            expected.append((classify_type((a1, b1), (a2, b2), layer == 0), wedges[i], wedges[j]))
+        assert list(_pairs(wedges, delta, layer)) == expected
 
 
 class TestCombine:
@@ -371,8 +458,8 @@ class TestCombine:
             for fwd, bwd in groups
         ]
         expected = naive_combine(groups, delta, upper)
-        for index_class in (TimestampIndex, TwinOrderedIndex):
-            assert count_flat(flat_bucket(groups), delta, upper, index_class, min_run=2) == expected
+        for sweep in (_timestamp_counts, _twin_counts):
+            assert count_flat(flat_bucket(groups), delta, upper, sweep, min_run=2) == expected
 
     # up to 125 wedges a bucket, again on both sides of the sweep size
     @PROPERTY_SETTINGS
@@ -382,9 +469,9 @@ class TestCombine:
         # crossed wedges with them, so runs below four hold no such pair
         groups = legs_groups(legs, delta)
         expected = naive_combine(groups, delta, upper)
-        for index_class in (TimestampIndex, TwinOrderedIndex):
+        for sweep in (_timestamp_counts, _twin_counts):
             for min_run in (2, 4):
-                assert count_flat(flat_bucket(groups), delta, upper, index_class, min_run) == expected
+                assert count_flat(flat_bucket(groups), delta, upper, sweep, min_run) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_buckets_on_both_sides_of_the_sweep_size(self, seed):
@@ -400,9 +487,9 @@ class TestCombine:
             wedges = flat_bucket(groups)
             sizes.add(len(wedges) > _SMALL_BUCKET)
             expected = naive_combine(groups, delta, seed % 2 == 0)
-            for index_class in (TimestampIndex, TwinOrderedIndex):
+            for sweep in (_timestamp_counts, _twin_counts):
                 for min_run in (2, 4):
-                    assert count_flat(wedges, delta, seed % 2 == 0, index_class, min_run) == expected
+                    assert count_flat(wedges, delta, seed % 2 == 0, sweep, min_run) == expected
         assert sizes == {False, True}
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 from bisect import bisect_right
 
 import pytest
@@ -268,6 +269,20 @@ class TestBatchUpdate:
         assert threading.active_count() == threads_before
         assert live == exact_counts(list(F1[2:]) + insertions, 3) == [0, 1, 0, 0, 0, 0]
 
+    def test_ten_million_workers_cost_what_one_does(self, monkeypatch):
+        # slices past the batch's last edge are empty, so none of them is looped over
+        one, many = [], []
+        run_sliding_window(list(F1), 3, window=4, stride=2, workers=1, sink=lambda *a: one.append(a))
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self)))
+        began = time.perf_counter()
+        run_sliding_window(list(F1), 3, window=4, stride=2, workers=10**7, sink=lambda *a: many.append(a))
+        assert time.perf_counter() - began < 0.5
+        assert started == []
+        assert many == one
+        assert one[-1][3] == [0, 1, 0, 0, 0, 0]
+
     def test_negative_live_leaves_state_untouched(self):
         # deleting F1's two oldest wings removes its butterfly, which a zero live cannot hold
         insertions = [("u9", "v9", 9), ("u1", "v9", 10)]
@@ -281,7 +296,7 @@ class TestBatchUpdate:
         assert live == [0] * 6
         assert_times_match_rows(g)
         # a window's live vector: the butterfly sits in its oldest edge's tally, live is zeroed beside it
-        win = SlidingWindow(3, window=4, stride=4)
+        win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1), 1)
         tallies = {uid: c[:] for uid, c in win.live.tallies.items()}
         assert tallies == {edges_before[0].uid: [0, 1, 0, 0, 0, 0]}
@@ -297,7 +312,7 @@ class TestBatchUpdate:
     def test_butterfly_in_and_out_within_one_step_is_counted_in_neither(self, tallied):
         # a window of 3 never holds all four of F1's wings: the step that inserts
         # the last two evicts the first, so the butterfly is neither added nor removed
-        win = SlidingWindow(3, window=3, stride=2)
+        win = SlidingWindow(3, window=3)
         win.advance_batch(list(F1[:2]), 1)
         live = win.live if tallied else CountVector.zeros()
         stats: dict = {}
@@ -424,14 +439,23 @@ class TestSlidingWindow:
         assert [(lo, hi) for _, lo, hi, _ in emissions] == [(9, 9), (9, 10)]
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="stride"):
-            SlidingWindow(3, window=4, stride=0)
-        with pytest.raises(ValueError, match="window"):
-            SlidingWindow(3, window=2, stride=3)
+        with pytest.raises(ValueError, match="window must be at least 1"):
+            SlidingWindow(3, window=0)
         with pytest.raises(ValueError, match="delta"):
-            SlidingWindow(-1, window=4, stride=1)
+            SlidingWindow(-1, window=4)
         with pytest.raises(ValueError, match="engine"):
             run_sliding_window([], 3, window=4, stride=1, engine="fast")
+
+    @pytest.mark.parametrize(
+        "window, stride, message",
+        [(4, 0, "stride must be at least 1"), (2, 3, r"window \(2\) must be at least the stride \(3\)")],
+        ids=["stride-zero", "stride-above-window"],
+    )
+    def test_stride_is_checked_before_any_step(self, window, stride, message):
+        emissions = []
+        with pytest.raises(ValueError, match=message):
+            run_sliding_window(list(F1), 3, window=window, stride=stride, sink=lambda *a: emissions.append(a))
+        assert emissions == []
 
     @pytest.mark.parametrize("engine", ["stbc", "stbc+"])
     @pytest.mark.parametrize("workers", [0, -1])
@@ -444,7 +468,7 @@ class TestSlidingWindow:
 
     def test_single_edge_eviction_checks_live_before_any_change(self):
         # the step evicts first, so the raise comes before the chunk enters
-        win = SlidingWindow(3, window=4, stride=1)
+        win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1))
         assert win.live == [0, 1, 0, 0, 0, 0]
         oldest = win.buffer[0]
@@ -465,7 +489,7 @@ class TestSlidingWindow:
     )
     def test_bad_chunk_edge_raises_before_any_eviction(self, bad):
         # the chunk's second edge is bad; the step reads the whole chunk before evicting
-        win = SlidingWindow(3, window=4, stride=2)
+        win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1), 1)
         assert win.live == [0, 1, 0, 0, 0, 0] and win.live.tallies
         before = window_state(win)
@@ -476,7 +500,7 @@ class TestSlidingWindow:
 
     @pytest.mark.parametrize("filled", [0, 1, 4], ids=["empty-window", "one-edge", "full-window"])
     def test_chunk_longer_than_the_window_raises_before_any_change(self, filled):
-        win = SlidingWindow(3, window=4, stride=1)
+        win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1[:filled]))
         before = window_state(win)
         assert bool(before[3]) == (filled == 4)
@@ -497,7 +521,7 @@ class TestSlidingWindow:
     )
     def test_out_of_order_chunk_raises_before_any_change(self, filled, chunk):
         # the chunk's order is checked against the window as it stands, even when the step would evict all of it
-        win = SlidingWindow(3, window=4, stride=1)
+        win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1[:filled]))
         before = window_state(win)
         with pytest.raises(ValueError, match="chronologically ordered|newest-timestamp suffix"):
@@ -505,7 +529,7 @@ class TestSlidingWindow:
         assert window_state(win) == before
 
     def test_chunk_of_a_whole_window_replaces_it(self):
-        win = SlidingWindow(3, window=4, stride=4)
+        win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1))
         second = [("u3", "v3", 11), ("u3", "v4", 12), ("u4", "v3", 13), ("u4", "v4", 14)]
         win.advance_batch(second)
@@ -516,12 +540,12 @@ class TestSlidingWindow:
 
     def test_single_edge_eviction_counts_a_plain_live_on_the_graph(self):
         # a live vector without tallies: the evicted edge's butterflies are counted on the graph, then checked
-        win = SlidingWindow(3, window=4, stride=1)
+        win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1))
         win.live = CountVector([0, 1, 0, 0, 0, 0])
         win.advance_batch([("u3", "v3", 5)])
         assert win.live == [0] * 6 and len(win.buffer) == 4
-        win = SlidingWindow(3, window=4, stride=1)
+        win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1))
         win.live = CountVector.zeros()
         edges_before = win.graph.edges()
@@ -542,7 +566,7 @@ class TestSlidingWindow:
         delta, window, stride = 40, 60, 10
         reference = []
         run_sliding_window(triples, delta, window, stride, engine="stbc+", sink=lambda *a: reference.append(a))
-        win = SlidingWindow(delta, window, stride)
+        win = SlidingWindow(delta, window)
         emissions = []
         counted = []
         for step, i in enumerate(range(0, len(triples), stride)):
@@ -719,7 +743,7 @@ class TestTallies:
     def test_tallies_sum_to_live_after_every_step(self):
         butterflies = evicted_with_tally = 0
         for triples, delta, window, stride, workers in self.CORPUS:
-            win = SlidingWindow(delta, window, stride)
+            win = SlidingWindow(delta, window)
             for i in range(0, len(triples), stride):
                 chunk = triples[i:i + stride]
                 leaving = {e.uid for e in list(win.buffer)[:max(0, len(win.buffer) + len(chunk) - window)]}
