@@ -43,9 +43,13 @@ that do not rank below the start.  Wedges thus run only toward strictly
 lower-priority middle and end vertices, so each butterfly is seen exactly
 once, from its max-priority corner; any injective ranking does, so a
 priority computed before the graph last changed still counts exactly, as
-long as it ranks every vertex.  count_baseline asks the walk to keep dead
-wedges as well, so it reads each middle's whole row; the others drop them
-on sight.  count_sampled runs count_extreme on an edge-sampled subgraph and
+long as it ranks every vertex.  Only ends with two or more wedges leave
+the walk: a bucket of three or more when it holds two middles, a bucket of
+two only when its one pair is a butterfly.  count_baseline asks the walk
+to keep dead wedges as well, so it reads each middle's whole row; the
+others drop them on sight.  In that raw mode every bucket with two middles
+leaves the walk, two-wedge ones too, so every distinct-middle pair is
+examined.  count_sampled runs count_extreme on an edge-sampled subgraph and
 rescales, giving unbiased estimates.
 """
 
@@ -522,7 +526,7 @@ def count_baseline(
 
 
 def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int, raw: bool = False):
-    """Yield (layer bit, start, end, wedges) for every end bucket with two or more middles.
+    """Yield (layer bit, start, end, wedges) for the end buckets that can hold a butterfly.
 
     wedges lists the bucket's raw (t1, t2, middle) wedges, t1 and t2 the
     stamps of the edges to start and to end, in the order the walk meets
@@ -530,9 +534,16 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
     priority is not below the start's.  Of each middle's time row only the
     [t1 - delta, t1 + delta] slice is walked, bisected from its int stamps,
     skipping ends whose priority is not below the start's and those whose
-    stamp equals t1, so every wedge reached spans 1..delta.  When raw is
-    set, the middle's whole row is walked and only the priority skip
-    applies.  Parallel edges to the start scatter one middle's wedges
+    stamp equals t1, so every wedge reached spans 1..delta.  An end's first
+    wedge is kept as a bare tuple and its list built when a second arrives,
+    so buckets come out in the order of their second wedges.  A bucket of
+    three or more wedges is yielded when it holds two middles.  A bucket of
+    two is yielded only when its one pair is a butterfly: different
+    middles, four distinct stamps and a span of at most delta.
+
+    When raw is set, the middle's whole row is walked and only the priority
+    skip applies, and every bucket with two middles is yielded, two-wedge
+    ones too.  Parallel edges to the start scatter one middle's wedges
     through a bucket, so its wedges are not grouped by middle.
     """
     _check_priority(g, priority)
@@ -542,6 +553,8 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
     ):
         for s, row in enumerate(starts):
             ps = sprio[s]
+            # most ends get one wedge: it stays a bare tuple in firsts
+            firsts: dict[int, tuple] = {}
             ends: dict[int, list] = {}
             for v, t1, _ in row:
                 if mprio[v] >= ps:
@@ -554,12 +567,32 @@ def _end_buckets(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int
                     entries = mid_rows[v][lo:bisect_right(stamps, t1 + delta, lo)]
                 for w, t2, _ in entries:
                     if sprio[w] < ps and (t2 != t1 or raw):
-                        ends.setdefault(w, []).append((t1, t2, v))
+                        if w not in firsts:
+                            firsts[w] = (t1, t2, v)
+                        elif w in ends:
+                            ends[w].append((t1, t2, v))
+                        else:
+                            ends[w] = [firsts[w], (t1, t2, v)]
             for end, wedges in ends.items():
-                m = wedges[0][2]
-                # first and last middles differ, or a longer bucket holds another
-                if wedges[-1][2] != m or (len(wedges) > 2 and any(w[2] != m for w in wedges)):
-                    yield layer, s, end, wedges
+                if len(wedges) > 2:
+                    m = wedges[0][2]
+                    # first and last middles differ, or another sits between them
+                    if wedges[-1][2] == m and all(w[2] == m for w in wedges):
+                        continue
+                else:
+                    (a1, b1, m1), (a2, b2, m2) = wedges
+                    if m1 == m2:
+                        continue
+                    if not raw:
+                        # the one pair must be a butterfly: four distinct stamps
+                        if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+                            continue
+                        # inside one delta span; each wedge spans at most delta, so only a cross span can exceed it
+                        hi1, lo1 = (a1, b1) if a1 > b1 else (b1, a1)
+                        hi2, lo2 = (a2, b2) if a2 > b2 else (b2, a2)
+                        if hi1 - lo2 > delta or hi2 - lo1 > delta:
+                            continue
+                yield layer, s, end, wedges
 
 
 def _count_with_sweep(g, priority, delta, sweep) -> CountVector:

@@ -131,7 +131,8 @@ class TemporalBipartiteGraph:
         sub._upper_ids, sub._lower_ids = dict(self._upper_ids), dict(self._lower_ids)
         sub.upper_adj = [[e for e in row if e[2] in uids] for row in self.upper_adj]
         sub.lower_adj = [[e for e in row if e[2] in uids] for row in self.lower_adj]
-        sub.upper_times, sub.lower_times = _time_rows(sub.upper_adj), _time_rows(sub.lower_adj)
+        # rows filtered from time rows are time rows already
+        sub.upper_times, sub.lower_times = _stamp_rows(sub.upper_adj), _stamp_rows(sub.lower_adj)
         sub.edge_count, sub._next_uid = sum(map(len, sub.upper_adj)), self._next_uid
         return sub
 
@@ -197,6 +198,12 @@ def _time_rows(adj: list[list[tuple[int, int, int]]]) -> list[list[int]]:
     by_t = itemgetter(1)
     for row in adj:
         row.sort(key=by_t)
+    return _stamp_rows(adj)
+
+
+def _stamp_rows(adj: list[list[tuple[int, int, int]]]) -> list[list[int]]:
+    """The stamp array of each time row."""
+    by_t = itemgetter(1)
     return [list(map(by_t, row)) for row in adj]
 
 

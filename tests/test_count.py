@@ -497,7 +497,9 @@ def brute_force_buckets(g, priority, delta, raw):
     """{(layer, start, end): Counter of (t1, t2, middle) wedges} over every edge pair, buckets of one middle dropped.
 
     A wedge runs from a start through a middle to an end, both ranked
-    below the start; unless raw, its stamps differ by 1..delta.
+    below the start; unless raw, its stamps differ by 1..delta, and a
+    bucket of two wedges is dropped unless its four stamps are distinct
+    and span at most delta.
     """
     buckets: dict = {}
     for layer, starts, mids, sprio, mprio in (
@@ -509,7 +511,17 @@ def brute_force_buckets(g, priority, delta, raw):
                 for w, t2, _ in mids[v]:
                     if mprio[v] < sprio[s] and sprio[w] < sprio[s] and (raw or 0 < abs(t2 - t1) <= delta):
                         buckets.setdefault((layer, s, w), Counter())[t1, t2, v] += 1
-    return {key: wedges for key, wedges in buckets.items() if len({m for _, _, m in wedges}) > 1}
+
+    def can_pair(wedges):
+        if len({m for _, _, m in wedges}) < 2:
+            return False
+        if raw or sum(wedges.values()) > 2:
+            return True
+        (a1, b1, _), (a2, b2, _) = wedges
+        stamps = {a1, b1, a2, b2}
+        return len(stamps) == 4 and max(stamps) - min(stamps) <= delta
+
+    return {key: wedges for key, wedges in buckets.items() if can_pair(wedges)}
 
 
 def exhaustive_census(triples, delta):
@@ -623,6 +635,54 @@ class TestEngines:
             assert engine(g, priority, 10) == expected
         assert enumerate_baseline(g, priority, 10, null_sink) == expected
         assert enumerate_optimized(g, priority, 10, null_sink) == expected
+
+    # s reaches end e through middles a and b at delta 10; the leaves z0..z2 make s the top-ranked vertex
+    @pytest.mark.parametrize(
+        "stamps, raw_only",
+        [
+            pytest.param((1, 5, 3, 12), True, id="span-delta-plus-one"),
+            pytest.param((1, 4, 4, 6), True, id="stamp-shared-across-legs"),
+            pytest.param((1, 5, 3, 11), False, id="span-delta"),
+            # b's edge to e is the earliest stamp, so the span runs from it to a's edge to e
+            pytest.param((5, 15, 6, 4), True, id="backward-span-delta-plus-one"),
+            pytest.param((5, 14, 6, 4), False, id="backward-span-delta"),
+        ],
+    )
+    def test_two_wedge_bucket_leaves_the_walk_only_if_it_can_pair(self, stamps, raw_only):
+        sa, ea, sb, eb = stamps
+        triples = [("s", "a", sa), ("e", "a", ea), ("s", "b", sb), ("e", "b", eb)]
+        triples += [("s", f"z{k}", 0) for k in range(3)]
+        g, priority = build_priority(triples)
+        s, e = g.upper_tokens.index("s"), g.upper_tokens.index("e")
+        a, b = g.lower_tokens.index("a"), g.lower_tokens.index("b")
+        bucket = [(0, s, e, [(sa, ea, a), (sb, eb, b)])]
+        assert list(_end_buckets(g, priority, 10, raw=True)) == bucket
+        assert list(_end_buckets(g, priority, 10)) == ([] if raw_only else bucket)
+        expected = oracle_count(g, 10)
+        assert expected.total() == (0 if raw_only else 1)
+        stats: dict = {}
+        assert count_baseline(g, priority, 10, stats=stats) == expected
+        assert stats["pairs_examined"] == oracle_static_pairings(g) == 1
+        for engine in (count_optimized, count_extreme):
+            assert engine(g, priority, 10) == expected
+        assert enumerate_baseline(g, priority, 10, null_sink) == expected
+        assert enumerate_optimized(g, priority, 10, null_sink) == expected
+
+    def test_three_wedge_bucket_of_dead_pairs_leaves_the_walk(self):
+        # every pair of the three wedges spans more than delta 10, yet only two-wedge buckets are checked
+        triples = [("s", "a", 1), ("e", "a", 5), ("s", "b", 20), ("e", "b", 25), ("s", "c", 40), ("e", "c", 45)]
+        triples += [("s", f"z{k}", 0) for k in range(4)]
+        g, priority = build_priority(triples)
+        s, e = g.upper_tokens.index("s"), g.upper_tokens.index("e")
+        a, b, c = (g.lower_tokens.index(m) for m in "abc")
+        bucket = [(0, s, e, [(1, 5, a), (20, 25, b), (40, 45, c)])]
+        for raw in (False, True):
+            assert list(_end_buckets(g, priority, 10, raw)) == bucket
+        assert oracle_count(g, 10).total() == 0
+        for engine in (count_baseline, count_optimized, count_extreme):
+            assert engine(g, priority, 10) == [0] * 6
+        assert enumerate_baseline(g, priority, 10, null_sink) == [0] * 6
+        assert enumerate_optimized(g, priority, 10, null_sink) == [0] * 6
 
     @PROPERTY_SETTINGS
     @given(parallel_triples_strategy, st.integers(0, 30), st.booleans())
