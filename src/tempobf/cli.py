@@ -130,10 +130,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         g, priority = _load_ranked(args.input)
         if args.sample_p is not None:
-            counts = count_sampled(g, priority, args.delta, args.sample_p, args.seed)
+            counts = count_sampled(g, priority, args.delta, args.sample_p, args.seed, args.workers)
+        elif args.algo == "tbc":
+            counts = count_baseline(g, priority, args.delta)
         else:
-            engine = {"tbc": count_baseline, "tbc+": count_optimized, "tbc++": count_extreme}[args.algo]
-            counts = engine(g, priority, args.delta)
+            engine = {"tbc+": count_optimized, "tbc++": count_extreme}[args.algo]
+            counts = engine(g, priority, args.delta, args.workers)
     with _open_out(args.output) as out:
         write_counts(out, counts, args.fmt)
     return 0
@@ -399,6 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--sample-p", type=_probability, default=None, help="edge sampling probability in (0, 1]")
     p_count.add_argument("--seed", type=int, default=0, help="sampling seed")
     p_count.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
+    p_count.add_argument(
+        "--workers",
+        type=_positive,
+        default=None,
+        help="processes counting tbc+ and tbc++ (default: the usable CPUs; 1 counts in this process); tbc and oracle run serially",
+    )
 
     p_enum = add_command("enumerate", cmd_enumerate, "instance lines plus per-type tallies")
     p_enum.add_argument("--algo", choices=ENUM_ALGOS, default="tbe+")
@@ -409,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--window", type=_positive, required=True, help="window capacity in edges")
     p_stream.add_argument("--stride", type=_positive, default=None, help="edges per step (default 5%% of window)")
     p_stream.add_argument("--engine", choices=STREAM_ENGINES, default="stbc+")
-    p_stream.add_argument("--workers", type=_positive, default=1, help="slices of each batch update, run in turn on one thread")
+    p_stream.add_argument("--workers", type=_positive, default=1, help="accepted for compatibility; stream steps run serially")
 
     p_bench = add_command("bench", cmd_bench, "time engines on one graph")
     p_bench.add_argument("--algos", type=_engines, default="tbc,tbc+,tbc++", help="comma-separated engine list")

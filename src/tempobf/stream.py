@@ -17,10 +17,10 @@ edge's 2-paths through the endpoint with fewer edges in its time range, the
 degree-priority idea of vertex-priority butterfly counting; a batch is cut
 into runs of stamps within delta of the run's first, each vertex's
 neighbour map is built once per run, and the far ends that close a 2-path
-come from a C intersection of two maps' keys.  The `workers` slices of a
-batch run in turn on the calling thread, never more slices than the batch
-has edges: the counting is pure Python, so threads would only contend for
-the interpreter lock.
+come from a C intersection of two maps' keys.  Every step runs serially in
+the calling process: the counting is pure Python, so threads would only
+contend for the interpreter lock, and `workers` is checked but changes
+nothing.
 """
 
 from __future__ import annotations
@@ -272,17 +272,11 @@ class _Tallied(CountVector):
         self.tallies: defaultdict[int, list[int]] = defaultdict(lambda: [0] * 6)
 
 
-def _count_batch(g: TemporalBipartiteGraph, delta: int, edges: list, as_max: bool, workers: int, tallies=None) -> list[int]:
-    """Summed `_count_edge_extreme` counts of a chronological batch, cut into runs.
-
-    Slice k takes jobs k, k + workers, ... and the slices run in turn.  A
-    slice past the last job is empty, so at most one per job runs, and the
-    cost follows the batch, not the worker count.
-    """
-    jobs = [(e, looks, span) for run, looks, span in _runs(edges, delta, as_max) for e in run]
+def _count_batch(g: TemporalBipartiteGraph, delta: int, edges: list, as_max: bool, tallies=None) -> list[int]:
+    """Summed `_count_edge_extreme` counts of a chronological batch, cut into runs."""
     total = [0] * 6
-    for k in range(min(workers, len(jobs))):
-        for e, looks, span in jobs[k::workers]:
+    for run, looks, span in _runs(edges, delta, as_max):
+        for e in run:
             total = list(map(add, total, _count_edge_extreme(g, delta, e, as_max, looks, span, tallies=tallies)))
     return total
 
@@ -308,10 +302,10 @@ def batch_update(
     edge of on the new graph, tallied under their oldest edges.  A
     butterfly holding a deleted and an inserted edge is in neither
     stats["added"] nor stats["removed"].  Each counted batch is cut into
-    runs sharing neighbour maps (see `_runs`) and split into `workers`
-    slices, but never more than it has edges, run one after another on
-    this thread.  Raises ValueError, leaving graph and live as they were,
-    if delta is negative, if a batch is malformed or if live would go
+    runs sharing neighbour maps (see `_runs`) and counted serially on this
+    thread; workers must be positive and changes nothing else.  Raises
+    ValueError, leaving graph and live as they were, if delta is negative,
+    if workers is not positive, if a batch is malformed or if live would go
     negative, which means it did not match the graph.
 
     Returns the inserted edge records.
@@ -347,7 +341,7 @@ def batch_update(
             raise ValueError("insertion batch is not a newest-timestamp suffix of the stream")
     tallies = live.tallies if isinstance(live, _Tallied) else None
     if tallies is None:
-        removed = _count_batch(g, delta, deletions, False, workers)
+        removed = _count_batch(g, delta, deletions, False)
     else:
         lost = [tallies[e.uid] for e in deletions if e.uid in tallies]
         removed = [sum(col) for col in zip([0] * 6, *lost)]
@@ -358,7 +352,7 @@ def batch_update(
             tallies.pop(e.uid, None)
     live.sub_(removed)
     inserted = [g.insert_edge(u, v, t) for u, v, t in insertions]
-    added = _count_batch(g, delta, inserted, True, workers, tallies)
+    added = _count_batch(g, delta, inserted, True, tallies)
     live.add_(added)
     if stats is not None:
         stats["removed"] = CountVector(removed)
@@ -390,7 +384,7 @@ class SlidingWindow:
         self.live: CountVector = _Tallied()
 
     def advance_batch(self, chunk: list[tuple[str, str, int]], workers: int = 1) -> None:
-        """Evict down to capacity and insert the chunk in one `batch_update` step."""
+        """Evict down to capacity and insert the chunk in one `batch_update` step, run serially; workers is checked there."""
         if len(chunk) > self.window:
             raise ValueError(f"chunk of {len(chunk)} edges does not fit a window of {self.window}")
         deletions = list(islice(self.buffer, max(0, len(self.buffer) + len(chunk) - self.window)))
@@ -418,11 +412,12 @@ def run_sliding_window(
     short).  Each step evicts down to the window capacity, inserts its
     chunk, and emits (step index, oldest t, newest t, live counts) to the
     sink; the fill phase emits too.  Both engines, "stbc" and "stbc+", take
-    each step through one `batch_update`, so they emit the same windows;
-    workers must be positive, and the stride must lie in 1..window, both
-    checked before any step.  Each stamp is read as an int, as the graph
-    reads it, before its order is checked; a stream that goes backward in
-    time raises StreamOrderError naming the edge.
+    each step through one `batch_update`, so they emit the same windows,
+    and every step runs serially: workers must be positive and changes
+    nothing else.  The worker count and the stride, which must lie in
+    1..window, are checked before any step.  Each stamp is read as an int,
+    as the graph reads it, before its order is checked; a stream that goes
+    backward in time raises StreamOrderError naming the edge.
     """
     if engine not in ("stbc", "stbc+"):
         raise ValueError(f"unknown streaming engine {engine!r}")

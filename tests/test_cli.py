@@ -52,6 +52,12 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--input", f1_file, "--delta", "3", "--algo", algo)
         assert code == 0 and out == F1_TSV
 
+    @pytest.mark.parametrize("algo", ["tbc", "tbc+", "tbc++", "oracle"])
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_every_engine_takes_workers(self, capsys, f1_file, algo, workers):
+        code, out, _ = run_cli(capsys, "count", "--input", f1_file, "--delta", "3", "--algo", algo, "--workers", workers)
+        assert code == 0 and out == F1_TSV
+
     def test_json_format(self, capsys, f2_file):
         code, out, _ = run_cli(capsys, "count", "--input", f2_file, "--delta", "10", "--format", "json")
         assert code == 0
@@ -94,6 +100,8 @@ class TestCount:
             ("count", "--input", "x", "--delta", "3", "--sample-p", "nan"),
             ("count", "--input", "x", "--delta", "3", "--algo", "tbc", "--sample-p", "0.5"),
             ("count", "--input", "x", "--delta", "3", "--algo", "nope"),
+            ("count", "--input", "x", "--delta", "3", "--workers", "0"),
+            ("count", "--input", "x", "--delta", "3", "--workers", "-1"),
         ],
     )
     def test_usage_errors_exit_two(self, capsys, argv):

@@ -6,6 +6,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from itertools import combinations, groupby
 from pathlib import Path
@@ -26,14 +28,18 @@ from tempobf import (
     count_sampled,
     enumerate_baseline,
     enumerate_optimized,
+    gen_random_graph,
     null_sink,
     oracle_count,
     oracle_enumerate,
     oracle_static_pairings,
 )
+import tempobf.count as count_module
+from tempobf.cli import _alarm, _BenchTimeout
 from tempobf.count import (
     _SMALL_BUCKET,
     _count_bucket,
+    _count_part,
     _end_buckets,
     _pairs,
     _split,
@@ -917,3 +923,212 @@ class TestSampledSubgraph:
         assert sub.lower_adj == [[(0, 1, 0), (0, 5, 4)], []]
         assert (sub.upper_times, sub.lower_times) == ([[1, 5], []], [[1, 5], []])
         assert (sub.edge_count, sub._next_uid) == (2, 5)
+
+
+# -- the fork pool -------------------------------------------------------------
+
+# a skewed graph whose buckets run both ways, from starts in both layers
+POOL_TRIPLES = gen_random_graph(12, 12, 150, 400, skew=True, seed=3)
+POOL_DELTA = 60
+
+
+def serial_counts(g, priority, delta):
+    return count_optimized(g, priority, delta, workers=1), count_extreme(g, priority, delta, workers=1)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every os.fork call, recorded; each one fails as an exhausted process table does, so none starts a process."""
+    calls = []
+
+    def fake_fork():
+        calls.append(1)
+        raise BlockingIOError("fake fork")
+
+    monkeypatch.setattr(os, "fork", fake_fork)
+    return calls
+
+
+@pytest.fixture
+def pool_graph():
+    g, priority = build_priority(POOL_TRIPLES)
+    expected = serial_counts(g, priority, POOL_DELTA)
+    assert expected[0] == expected[1] and expected[0].total() > 0
+    return g, priority, expected
+
+
+class TestRankParts:
+    """Part (k, n) of the walk takes the starts of priority rank k mod n; the parts sum to the whole."""
+
+    @PROPERTY_SETTINGS
+    @given(parallel_triples_strategy, delta_strategy, st.booleans())
+    def test_parts_sum_to_the_serial_counts(self, triples, delta, swap):
+        if swap:
+            triples = [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
+        g, priority = build_priority(triples)
+        whole = Counter((layer, s, end) for layer, s, end, _ in _end_buckets(g, priority, delta))
+        expected = serial_counts(g, priority, delta)
+        for n in range(1, 6):
+            parts = Counter(
+                (layer, s, end) for k in range(n) for layer, s, end, _ in _end_buckets(g, priority, delta, part=(k, n))
+            )
+            assert parts == whole
+            for sweep, serial in zip((_timestamp_counts, _twin_counts), expected):
+                tallies = [_count_part(g, priority, delta, sweep, (k, n)) for k in range(n)]
+                every = [sum(t[0][i] for t in tallies) for i in range(6)]
+                same = [sum(t[1][i] for t in tallies) for i in range(6)]
+                assert [a - b for a, b in zip(every, same)] == serial
+
+    def test_each_start_walks_in_the_part_of_its_rank(self):
+        g, priority = build_priority(POOL_TRIPLES)
+        for n in (2, 3):
+            for k in range(n):
+                for layer, s, _end, _ in _end_buckets(g, priority, POOL_DELTA, part=(k, n)):
+                    assert (priority.upper, priority.lower)[layer][s] % n == k
+
+
+class TestForkRules:
+    """Which calls fork: a recording fake os.fork shows it, and starts no process."""
+
+    def test_one_worker_counts_here(self, forks, pool_graph, monkeypatch):
+        g, priority, expected = pool_graph
+        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        assert serial_counts(g, priority, POOL_DELTA) == expected
+        assert count_sampled(g, priority, POOL_DELTA, 1.0, workers=1) == expected[1]
+        assert forks == []
+
+    def test_one_usable_cpu_counts_here(self, forks, pool_graph, monkeypatch):
+        g, priority, expected = pool_graph
+        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 1)
+        assert count_extreme(g, priority, POOL_DELTA) == expected[1]
+        assert count_optimized(g, priority, POOL_DELTA, workers=8) == expected[0]
+        assert forks == []
+
+    def test_input_below_the_size_rule_counts_here(self, forks, pool_graph, monkeypatch):
+        g, priority, expected = pool_graph
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        assert g.edge_count < count_module._FORK_MIN_EDGES
+        assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
+        assert count_optimized(g, priority, POOL_DELTA) == expected[0]
+        assert forks == []
+
+    def test_no_fork_in_the_os_counts_here(self, pool_graph, monkeypatch):
+        g, priority, expected = pool_graph
+        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork")
+        assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
+        assert count_optimized(g, priority, POOL_DELTA, workers=4) == expected[0]
+
+    def test_a_second_thread_alive_counts_here(self, forks, pool_graph, monkeypatch):
+        g, priority, expected = pool_graph
+        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
+            assert count_optimized(g, priority, POOL_DELTA, workers=4) == expected[0]
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 4])
+    def test_ten_million_workers_fork_once_per_spare_cpu(self, forks, pool_graph, monkeypatch, cpus):
+        # a part whose fork fails is counted in the calling process
+        g, priority, expected = pool_graph
+        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        if cpus is not None:
+            monkeypatch.setattr(count_module, "_usable_cpus", lambda: cpus)
+        usable = count_module._usable_cpus()
+        assert count_extreme(g, priority, POOL_DELTA, workers=10**7) == expected[1]
+        assert len(forks) == usable - 1
+        assert count_sampled(g, priority, POOL_DELTA, 1.0, workers=10**7) == expected[1]
+        assert len(forks) == 2 * (usable - 1)
+        assert count_optimized(g, priority, POOL_DELTA, workers=10**7) == expected[0]
+        assert len(forks) == 3 * (usable - 1)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, forks, pool_graph, workers):
+        g, priority, _ = pool_graph
+        for run in (count_optimized, count_extreme):
+            with pytest.raises(ValueError, match="workers must be positive"):
+                run(g, priority, POOL_DELTA, workers)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            count_sampled(g, priority, POOL_DELTA, 0.5, workers=workers)
+        assert forks == []
+
+
+@pytest.fixture
+def real_pool(monkeypatch):
+    """Two parts, each in its own process, on any input; yields the pids of the children forked."""
+    monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+    monkeypatch.setattr(count_module, "_usable_cpus", lambda: 2)
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    assert threading.active_count() == 1
+    assert_no_child_left()
+    yield pids
+    assert_no_child_left()
+
+
+class TestForkedRuns:
+    """Real two-process runs: the same vectors, and no child left behind, whatever ends the call."""
+
+    def test_two_processes_count_the_serial_vectors(self, real_pool, pool_graph):
+        g, priority, expected = pool_graph
+        assert count_optimized(g, priority, POOL_DELTA, workers=2) == expected[0]
+        assert count_extreme(g, priority, POOL_DELTA) == expected[1]
+        assert len(real_pool) == 2
+        assert_no_child_left()
+
+    def test_a_failing_child_is_named(self, real_pool, pool_graph, monkeypatch):
+        g, priority, _ = pool_graph
+        count_part = count_module._count_part
+
+        def failing(g, priority, delta, sweep, part):
+            if part[0] == 1:
+                raise RuntimeError("part one broke")
+            return count_part(g, priority, delta, sweep, part)
+
+        monkeypatch.setattr(count_module, "_count_part", failing)
+        with pytest.raises(ChildProcessError, match=r"^child process \d+ failed: RuntimeError: part one broke$") as exc:
+            count_extreme(g, priority, POOL_DELTA, workers=2)
+        assert str(real_pool[0]) in str(exc.value)
+
+    @pytest.mark.parametrize("stop", ["interrupt", "bench timeout"])
+    def test_a_stop_in_the_parent_kills_and_reaps_the_children(self, real_pool, pool_graph, monkeypatch, stop):
+        g, priority, _ = pool_graph
+
+        def stuck(g, priority, delta, sweep, part):
+            if part[0] == 0 and stop == "interrupt":
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(count_module, "_count_part", stuck)
+        began = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt if stop == "interrupt" else _BenchTimeout):
+            with _alarm(0.2):
+                count_extreme(g, priority, POOL_DELTA, workers=2)
+        assert time.perf_counter() - began < 10
+        (pid,) = real_pool
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
