@@ -56,15 +56,17 @@ count_optimized, count_extreme and count_sampled count on a fork pool.
 The walk is split into n parts: part k takes the starts whose priority
 rank is k mod n, in both layers, so the hubs, which hold the top ranks,
 alternate across parts with no work estimate.  n is the caller's workers
-(None: every usable CPU) capped at the usable CPUs.  Part 0 is counted in
-the calling process and every other part in a forked child, _Child, which
-pipes its tallies back and ends in os._exit; the parts are summed in
-order, and an exception in the parent, a KeyboardInterrupt or a bench cap
-among them, kills and reaps every child first.  A call stays in the
-calling process, with no fork, when n is 1, when os.fork is missing, when
-another thread is alive (a child would inherit the locks it holds), or
-when the graph has fewer than _FORK_MIN_EDGES edges.  count_baseline and
-the enumerators, which call the caller's sink in order, stay serial.
+(None: every usable CPU) capped at the usable CPUs and at one process per
+_EDGES_PER_PART edges of the graph.  Part 0 is counted in the calling
+process and every other part in a forked child, _Child, which pipes its
+tallies back and ends in os._exit; the parts are summed in order, and an
+exception in the parent, a KeyboardInterrupt or a bench cap among them,
+kills and reaps every child first.  Signals are held from each fork until
+its child is registered, so none can strand a child.  A call stays in the
+calling process, with no fork, when n is 1 (fewer than 2 * _EDGES_PER_PART
+edges among the cases), when os.fork is missing, or when another thread is
+alive (a child would inherit the locks it holds).  count_baseline and the
+enumerators, which call the caller's sink in order, stay serial.
 """
 
 from __future__ import annotations
@@ -630,13 +632,18 @@ def _end_buckets(
 
 # --- fork pool --------------------------------------------------------------
 
-# Graphs of fewer edges are counted in the calling process.  A fork and pipe
-# round trip takes 1.5-2 ms from a 40 MB process, and a child runs its part
-# about 10% slower than the parent would, on copy-on-write faults; so two
-# parts lost on a 5,000-edge window (2.7 -> 6.8 ms) and on a sparse
-# 15,000-edge sample (16 -> 17 ms), while generated graphs of 30,000 edges
-# and more, skewed or uniform, gained 18-38% (2 CPUs).
-_FORK_MIN_EDGES = 30_000
+# Each process counts a part of at least this many of the graph's edges, so
+# graphs of fewer than twice as many are counted in the calling process.  A
+# fork and pipe round trip takes 1.5-2 ms from a 40 MB process, the parent
+# forks its children one after another, and a child runs its part about 10%
+# slower than the parent would, on copy-on-write faults; so two parts lost
+# on a 5,000-edge window (2.7 -> 6.8 ms) and on a sparse 15,000-edge sample
+# (16 -> 17 ms), while generated graphs of 30,000 edges and more, skewed or
+# uniform, gained 18-38% (2 CPUs; more parts were not timed).
+_EDGES_PER_PART = 15_000
+
+# held from a fork until its child is registered, so no handler can raise in between
+_HELD_SIGNALS = signal.valid_signals()
 
 
 def _usable_cpus() -> int:
@@ -648,12 +655,12 @@ def _usable_cpus() -> int:
 
 
 def _parts(g: TemporalBipartiteGraph, workers: int | None) -> int:
-    """How many processes count g: at most workers (None: every usable CPU), 1 unless a fork can pay."""
+    """How many processes count g: at most workers (None: every usable CPU), one per _EDGES_PER_PART edges."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    n = _usable_cpus() if workers is None else min(workers, _usable_cpus())
+    n = min(_usable_cpus() if workers is None else workers, _usable_cpus(), g.edge_count // _EDGES_PER_PART)
     # a forked child holds only the forking thread, so a lock another thread held stays held
-    if n < 2 or g.edge_count < _FORK_MIN_EDGES or not hasattr(os, "fork") or threading.active_count() > 1:
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     return n
 
@@ -663,36 +670,47 @@ class _Child:
 
     The child ends in os._exit whatever happens, so it never unwinds into
     the caller's stack or flushes the caller's buffers; an exception in
-    the callable comes back as text.  result() waits for the result and
-    reaps the child; kill() ends and reaps a child still running.
+    the callable comes back as text.  The child is appended to started
+    before any signal that arrived since the fork is let in, so a caller
+    that kills every started child in a finally leaves none behind.
+    result() waits for the result and reaps the child; kill() ends and
+    reaps a child still running.
     """
 
     __slots__ = ("pid", "_pipe")
 
-    def __init__(self, fn: Callable[[], object]) -> None:
+    def __init__(self, fn: Callable[[], object], started: list[_Child]) -> None:
+        self.pid = 0
+        self._pipe = None
         read, write = os.pipe()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
         try:
-            pid = os.fork()
-        except BaseException:
-            os.close(read)
-            os.close(write)
-            raise
-        if pid == 0:
-            code = 1
             try:
+                pid = os.fork()
+            except BaseException:
                 os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
                 try:
-                    reply = (True, fn())
-                except BaseException as exc:
-                    reply = (False, f"{type(exc).__name__}: {exc}")
-                with open(write, "wb") as out:
-                    pickle.dump(reply, out)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        self.pid = pid
-        self._pipe = open(read, "rb")
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(read)
+                    try:
+                        reply = (True, fn())
+                    except BaseException as exc:
+                        reply = (False, f"{type(exc).__name__}: {exc}")
+                    with open(write, "wb") as out:
+                        pickle.dump(reply, out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            self.pid = pid
+            started.append(self)
+            os.close(write)
+            self._pipe = open(read, "rb")
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def result(self) -> object:
         data = self._pipe.read()
@@ -708,7 +726,8 @@ class _Child:
         return value
 
     def kill(self) -> None:
-        self._pipe.close()
+        if self._pipe is not None:
+            self._pipe.close()
         if self.pid:
             with suppress(ProcessLookupError):
                 os.kill(self.pid, signal.SIGKILL)
@@ -732,19 +751,22 @@ def _count_with_sweep(g, priority, delta, sweep, workers: int | None) -> CountVe
     """Count part 0 here and every other part in a forked child; see the module docstring."""
     n = _parts(g, workers)
     results: dict[int, tuple[list[int], list[int]]] = {}
-    children: list[tuple[int, _Child]] = []
+    children: list[_Child] = []
+    forked: list[int] = []
     try:
         for k in range(1, n):
             try:
-                children.append((k, _Child(partial(_count_part, g, priority, delta, sweep, (k, n)))))
+                _Child(partial(_count_part, g, priority, delta, sweep, (k, n)), children)
             except OSError:
                 # no process to spare: the part is counted here instead
                 results[k] = _count_part(g, priority, delta, sweep, (k, n))
+            else:
+                forked.append(k)
         results[0] = _count_part(g, priority, delta, sweep, (0, n))
-        for k, child in children:
+        for k, child in zip(forked, children):
             results[k] = child.result()
     finally:
-        for _, child in children:
+        for child in children:
             child.kill()
     every = [0] * 6
     same = [0] * 6
@@ -765,9 +787,10 @@ def count_optimized(
 
     The walk is split into parts by priority rank mod n and counted on a
     fork pool of n processes, n being workers (None: every usable CPU)
-    capped at the usable CPUs.  It stays in this process, serial, when n
-    is 1, when the graph has fewer than _FORK_MIN_EDGES edges, when the
-    OS has no fork, or when another thread is alive.
+    capped at the usable CPUs and at one process per _EDGES_PER_PART
+    edges.  It stays in this process, serial, when n is 1 (as on a graph
+    of fewer than 2 * _EDGES_PER_PART edges), when the OS has no fork, or
+    when another thread is alive.
     """
     return _count_with_sweep(g, priority, delta, _timestamp_counts, workers)
 
@@ -799,7 +822,7 @@ def count_sampled(
     Each edge is retained independently (seeded PRNG, one draw per edge in
     uid order, which is ingestion order).  The retained edges are filtered
     from g's time rows onto g's vertex ids and counted exactly by
-    count_extreme with workers, so a sample of fewer than _FORK_MIN_EDGES
+    count_extreme with workers, so a sample of fewer than 2 * _EDGES_PER_PART
     edges is counted in this process; every component is scaled by
     sample_p to the power -4, since a butterfly survives iff its four
     edges all do.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -997,7 +998,7 @@ class TestForkRules:
 
     def test_one_worker_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
         assert serial_counts(g, priority, POOL_DELTA) == expected
         assert count_sampled(g, priority, POOL_DELTA, 1.0, workers=1) == expected[1]
@@ -1005,7 +1006,7 @@ class TestForkRules:
 
     def test_one_usable_cpu_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 1)
         assert count_extreme(g, priority, POOL_DELTA) == expected[1]
         assert count_optimized(g, priority, POOL_DELTA, workers=8) == expected[0]
@@ -1014,14 +1015,14 @@ class TestForkRules:
     def test_input_below_the_size_rule_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
-        assert g.edge_count < count_module._FORK_MIN_EDGES
+        assert g.edge_count < 2 * count_module._EDGES_PER_PART
         assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
         assert count_optimized(g, priority, POOL_DELTA) == expected[0]
         assert forks == []
 
     def test_no_fork_in_the_os_counts_here(self, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(os, "fork")
         assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
@@ -1029,7 +1030,7 @@ class TestForkRules:
 
     def test_a_second_thread_alive_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
@@ -1043,11 +1044,23 @@ class TestForkRules:
         assert not other.is_alive()
         assert forks == []
 
+    @pytest.mark.parametrize("per_part, parts", [(76, 1), (75, 2), (50, 3), (38, 3), (37, 4)])
+    def test_each_process_takes_a_share_of_the_edges(self, forks, pool_graph, monkeypatch, per_part, parts):
+        # 150 edges: one process per per_part edges, at most the 4 usable CPUs
+        g, priority, expected = pool_graph
+        assert g.edge_count == 150
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", per_part)
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        assert count_extreme(g, priority, POOL_DELTA) == expected[1]
+        assert len(forks) == parts - 1
+        assert count_optimized(g, priority, POOL_DELTA, workers=10**7) == expected[0]
+        assert len(forks) == 2 * (parts - 1)
+
     @pytest.mark.parametrize("cpus", [None, 1, 2, 4])
     def test_ten_million_workers_fork_once_per_spare_cpu(self, forks, pool_graph, monkeypatch, cpus):
         # a part whose fork fails is counted in the calling process
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
         if cpus is not None:
             monkeypatch.setattr(count_module, "_usable_cpus", lambda: cpus)
         usable = count_module._usable_cpus()
@@ -1072,7 +1085,7 @@ class TestForkRules:
 @pytest.fixture
 def real_pool(monkeypatch):
     """Two parts, each in its own process, on any input; yields the pids of the children forked."""
-    monkeypatch.setattr(count_module, "_FORK_MIN_EDGES", 0)
+    monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
     monkeypatch.setattr(count_module, "_usable_cpus", lambda: 2)
     pids = []
     real_fork = os.fork
@@ -1113,6 +1126,25 @@ class TestForkedRuns:
         with pytest.raises(ChildProcessError, match=r"^child process \d+ failed: RuntimeError: part one broke$") as exc:
             count_extreme(g, priority, POOL_DELTA, workers=2)
         assert str(real_pool[0]) in str(exc.value)
+
+    def test_a_signal_right_after_a_fork_waits_until_the_child_is_registered(self, real_pool, pool_graph, monkeypatch):
+        g, priority, _ = pool_graph
+        recording_fork = os.fork
+
+        def fork_then_alarm():
+            pid = recording_fork()
+            if pid:
+                # the bench cap fires before the parent has filed its child
+                os.kill(os.getpid(), signal.SIGALRM)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_then_alarm)
+        with pytest.raises(_BenchTimeout):
+            with _alarm(60):
+                count_extreme(g, priority, POOL_DELTA, workers=2)
+        (pid,) = real_pool
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
     @pytest.mark.parametrize("stop", ["interrupt", "bench timeout"])
     def test_a_stop_in_the_parent_kills_and_reaps_the_children(self, real_pool, pool_graph, monkeypatch, stop):
