@@ -163,8 +163,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         else:
             g, priority = _load_ranked(args.input)
             engine = {"tbe": enumerate_baseline, "tbe+": enumerate_optimized}[args.algo]
-            run = lambda: engine(g, priority, args.delta, sink)
-            tally = lambda: count_extreme(g, priority, args.delta)
+            run = lambda: engine(g, priority, args.delta, sink, args.workers)
+            tally = lambda: count_extreme(g, priority, args.delta, args.workers)
         # an engine stopped at --limit has partial tallies; count them instead
         try:
             tallies = tally() if args.limit == 0 else run()
@@ -412,6 +412,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--algo", choices=ENUM_ALGOS, default="tbe+")
     p_enum.add_argument("--limit", type=_non_negative, default=None, help="instance lines to write (0 = tallies only)")
     p_enum.add_argument("--format", dest="fmt", choices=("tsv", "json"), default="tsv")
+    p_enum.add_argument(
+        "--workers",
+        type=_positive,
+        default=None,
+        help="processes walking tbe and tbe+ (default: the usable CPUs; 1 walks in this process); oracle runs serially",
+    )
 
     p_stream = add_command("stream", cmd_stream, "sliding-window per-step counts")
     p_stream.add_argument("--window", type=_positive, required=True, help="window capacity in edges")

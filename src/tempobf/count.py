@@ -52,21 +52,25 @@ leaves the walk, two-wedge ones too, so every distinct-middle pair is
 examined.  count_sampled runs count_extreme on an edge-sampled subgraph and
 rescales, giving unbiased estimates.
 
-count_optimized, count_extreme and count_sampled count on a fork pool.
-The walk is split into n parts: part k takes the starts whose priority
-rank is k mod n, in both layers, so the hubs, which hold the top ranks,
-alternate across parts with no work estimate.  n is the caller's workers
-(None: every usable CPU) capped at the usable CPUs and at one process per
-_EDGES_PER_PART edges of the graph.  Part 0 is counted in the calling
-process and every other part in a forked child, _Child, which pipes its
-tallies back and ends in os._exit; the parts are summed in order, and an
-exception in the parent, a KeyboardInterrupt or a bench cap among them,
-kills and reaps every child first.  Signals are held from each fork until
-its child is registered, so none can strand a child.  A call stays in the
-calling process, with no fork, when n is 1 (fewer than 2 * _EDGES_PER_PART
-edges among the cases), when os.fork is missing, or when another thread is
-alive (a child would inherit the locks it holds).  count_baseline and the
-enumerators, which call the caller's sink in order, stay serial.
+count_optimized, count_extreme and count_sampled count on a fork pool, and
+both enumerators walk on it.  The walk is split into n parts: part k takes
+the starts whose priority rank is k mod n, in both layers, so the hubs,
+which hold the top ranks, alternate across parts with no work estimate.
+n is the caller's workers (None: every usable CPU) capped at the usable
+CPUs and at one process per _EDGES_PER_PART edges of the graph.  One
+runner, _run_parts, walks part 0 in the calling process and every other
+part in a forked child, _Child, which pipes what its part yields back in
+pickled chunks and ends in os._exit: a counting part yields its tallies,
+one reply, and an enumerating part its end buckets, which the caller
+emits.  The parts are taken in order, so the sums are the serial ones and
+the emission order is fixed for a given n.  An exception in the parent, a
+sink's, a KeyboardInterrupt or a bench cap among them, kills and reaps
+every child first.  Signals are held from each fork until its child is
+registered, so none can strand a child.  A call stays in the calling
+process, with no fork, when n is 1 (fewer than 2 * _EDGES_PER_PART edges
+among the cases), when os.fork is missing, or when another thread is
+alive (a child would inherit the locks it holds).  count_baseline stays
+serial.
 """
 
 from __future__ import annotations
@@ -80,8 +84,8 @@ from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from contextlib import suppress
 from functools import partial
-from itertools import chain, groupby
-from operator import add, itemgetter
+from itertools import chain, groupby, islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import TemporalBipartiteGraph, VertexPriority, compute_vertex_priority
@@ -632,8 +636,8 @@ def _end_buckets(
 
 # --- fork pool --------------------------------------------------------------
 
-# Each process counts a part of at least this many of the graph's edges, so
-# graphs of fewer than twice as many are counted in the calling process.  A
+# Each process walks a part of at least this many of the graph's edges, so
+# graphs of fewer than twice as many are walked in the calling process.  A
 # fork and pipe round trip takes 1.5-2 ms from a 40 MB process, the parent
 # forks its children one after another, and a child runs its part about 10%
 # slower than the parent would, on copy-on-write faults; so two parts lost
@@ -641,6 +645,17 @@ def _end_buckets(
 # (16 -> 17 ms), while generated graphs of 30,000 edges and more, skewed or
 # uniform, gained 18-38% (2 CPUs; more parts were not timed).
 _EDGES_PER_PART = 15_000
+
+# A child pickles its items this many at a time, and its parent unpickles
+# and hands on one chunk at a time, so it never holds a whole part's items.
+# Unpickling a whole part of 5,457 end buckets at once raised the parent's
+# peak RSS enumerating uniform by 9.8%.  On skew-narrow, whose hub buckets
+# are large, chunks of 256 buckets cost the parent 0.7 MB of peak RSS over
+# a serial run and chunks of 64 0.4 MB, at the same speed.
+_REPLY_CHUNK = 64
+
+# a child's replies: a chunk with more to come, its last chunk, the text of its failure
+_MORE, _LAST, _FAILED = range(3)
 
 # held from a fork until its child is registered, so no handler can raise in between
 _HELD_SIGNALS = signal.valid_signals()
@@ -655,7 +670,7 @@ def _usable_cpus() -> int:
 
 
 def _parts(g: TemporalBipartiteGraph, workers: int | None) -> int:
-    """How many processes count g: at most workers (None: every usable CPU), one per _EDGES_PER_PART edges."""
+    """How many processes walk g: at most workers (None: every usable CPU), one per _EDGES_PER_PART edges."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     n = min(_usable_cpus() if workers is None else workers, _usable_cpus(), g.edge_count // _EDGES_PER_PART)
@@ -666,20 +681,24 @@ def _parts(g: TemporalBipartiteGraph, workers: int | None) -> int:
 
 
 class _Child:
-    """A callable run in a forked child process, its result sent back pickled through a pipe.
+    """The items of an iterable, made in a forked child process and sent back pickled through a pipe.
 
-    The child ends in os._exit whatever happens, so it never unwinds into
-    the caller's stack or flushes the caller's buffers; an exception in
-    the callable comes back as text.  The child is appended to started
+    The child pickles the items _REPLY_CHUNK at a time, the last chunk,
+    short or empty, marked as such, and holds the pickles until the
+    iterable ends: its parent is busy with a part of its own until then,
+    and a full pipe would stall the child.  It ends in os._exit whatever
+    happens, so it never unwinds into the caller's stack or flushes the
+    caller's buffers; an exception in the iterable comes back as text,
+    after the chunks made before it.  The child is appended to started
     before any signal that arrived since the fork is let in, so a caller
     that kills every started child in a finally leaves none behind.
-    result() waits for the result and reaps the child; kill() ends and
-    reaps a child still running.
+    items() yields the items one chunk at a time and reaps the child after
+    the last; kill() ends and reaps a child still running.
     """
 
     __slots__ = ("pid", "_pipe")
 
-    def __init__(self, fn: Callable[[], object], started: list[_Child]) -> None:
+    def __init__(self, fn: Callable[[], Iterable], started: list[_Child]) -> None:
         self.pid = 0
         self._pipe = None
         read, write = os.pipe()
@@ -696,12 +715,16 @@ class _Child:
                 try:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     os.close(read)
+                    replies = []
                     try:
-                        reply = (True, fn())
+                        items = iter(fn())
+                        while len(chunk := list(islice(items, _REPLY_CHUNK))) == _REPLY_CHUNK:
+                            replies.append(pickle.dumps((_MORE, chunk)))
+                        replies.append(pickle.dumps((_LAST, chunk)))
                     except BaseException as exc:
-                        reply = (False, f"{type(exc).__name__}: {exc}")
+                        replies.append(pickle.dumps((_FAILED, f"{type(exc).__name__}: {exc}")))
                     with open(write, "wb") as out:
-                        pickle.dump(reply, out)
+                        out.writelines(replies)
                     code = 0
                 finally:
                     os._exit(code)
@@ -712,18 +735,25 @@ class _Child:
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-    def result(self) -> object:
-        data = self._pipe.read()
+    def items(self) -> Iterator:
+        status = payload = None
+        while status != _LAST:
+            try:
+                status, payload = pickle.load(self._pipe)
+            except (EOFError, pickle.UnpicklingError):
+                status = None
+                break
+            if status == _FAILED:
+                break
+            yield from payload
         self._pipe.close()
-        pid, status = os.waitpid(self.pid, 0)
+        pid, code = os.waitpid(self.pid, 0)
         self.pid = 0
-        status = os.waitstatus_to_exitcode(status)
-        if status != 0 or not data:
-            raise ChildProcessError(f"child process {pid} ended with status {status} before sending a result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise ChildProcessError(f"child process {pid} failed: {value}")
-        return value
+        code = os.waitstatus_to_exitcode(code)
+        if status == _FAILED:
+            raise ChildProcessError(f"child process {pid} failed: {payload}")
+        if status != _LAST or code != 0:
+            raise ChildProcessError(f"child process {pid} ended with status {code} before its last reply")
 
     def kill(self) -> None:
         if self._pipe is not None:
@@ -733,6 +763,29 @@ class _Child:
                 os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = 0
+
+
+def _run_parts(n: int, part: Callable[[tuple[int, int]], Iterable], take: Callable[[Iterable], None]) -> None:
+    """Hand take the items of each part (k, n), part((k, n)), in part order.
+
+    Part 0 runs here, as take consumes it; every other part runs in a
+    forked _Child, whose items take reads one chunk at a time.  A part no
+    child could be forked for runs here at its turn.  Whatever ends the
+    call, an exception in take or in part 0, a KeyboardInterrupt or a bench
+    cap among them, every child is killed and reaped first.
+    """
+    children: dict[int, _Child] = {}
+    started: list[_Child] = []
+    try:
+        for k in range(1, n):
+            # no process to spare: the part runs here at its turn
+            with suppress(OSError):
+                children[k] = _Child(partial(part, (k, n)), started)
+        for k in range(n):
+            take(children[k].items() if k in children else part((k, n)))
+    finally:
+        for child in started:
+            child.kill()
 
 
 def _count_part(g, priority, delta, sweep, part: tuple[int, int]) -> tuple[list[int], list[int]]:
@@ -748,33 +801,10 @@ def _count_part(g, priority, delta, sweep, part: tuple[int, int]) -> tuple[list[
 
 
 def _count_with_sweep(g, priority, delta, sweep, workers: int | None) -> CountVector:
-    """Count part 0 here and every other part in a forked child; see the module docstring."""
-    n = _parts(g, workers)
-    results: dict[int, tuple[list[int], list[int]]] = {}
-    children: list[_Child] = []
-    forked: list[int] = []
-    try:
-        for k in range(1, n):
-            try:
-                _Child(partial(_count_part, g, priority, delta, sweep, (k, n)), children)
-            except OSError:
-                # no process to spare: the part is counted here instead
-                results[k] = _count_part(g, priority, delta, sweep, (k, n))
-            else:
-                forked.append(k)
-        results[0] = _count_part(g, priority, delta, sweep, (0, n))
-        for k, child in zip(forked, children):
-            results[k] = child.result()
-    finally:
-        for child in children:
-            child.kill()
-    every = [0] * 6
-    same = [0] * 6
-    for k in range(n):
-        part_every, part_same = results[k]
-        every = list(map(add, every, part_every))
-        same = list(map(add, same, part_same))
-    return CountVector(a - b for a, b in zip(every, same))
+    """Count each part of the walk on the fork pool, one reply per part; see the module docstring."""
+    tallies: list[tuple[list[int], list[int]]] = []
+    _run_parts(_parts(g, workers), lambda part: [_count_part(g, priority, delta, sweep, part)], tallies.extend)
+    return CountVector(sum(every[i] - same[i] for every, same in tallies) for i in range(6))
 
 
 def count_optimized(

@@ -3,14 +3,21 @@
 Both engines take their wedges from _end_buckets' delta-windowed walk, the
 one count_optimized and count_extreme take (not count_baseline's walk of
 whole middle rows), and hand every surviving pair to a sink as a concrete
-ButterflyInstance instead of bumping a counter.  Emission order is an
-engine detail; compare multisets.  enumerate_baseline pairs the wedges of
-every end bucket directly, and enumerate_optimized those of small buckets
-only, sweeping the rest with a TwinOrderedIndex per direction, the twin
-sorted lists count_extreme sweeps as plain ints: a probe takes the entries
-arriving on either side of its arrival from two bisects, the match types
-from the side and each entry's start, and builds each instance in the
-slice loop from the wedge the entry carries.
+ButterflyInstance instead of bumping a counter.  They walk on counting's
+fork pool, split by priority rank mod n: forked children walk parts 1..n-1
+and send back only the end buckets that leave the walk, in chunks, while
+the calling process emits part 0 as it walks it, then each child's
+buckets in part order, so the sink runs only in the caller.  Emission
+order is an engine detail, fixed for a given n but not across n; compare
+multisets.
+
+enumerate_baseline pairs the wedges of every end bucket directly, and
+enumerate_optimized those of small buckets only, sweeping the rest with a
+TwinOrderedIndex per direction, the twin sorted lists count_extreme sweeps
+as plain ints: a probe takes the entries arriving on either side of its
+arrival from two bisects, the match types from the side and each entry's
+start, and builds each instance in the slice loop from the wedge the entry
+carries.
 
 An end bucket's start and end vertices, sorted, are the corner pair of
 their layer.  Wedges keep their two timestamps ordered by that pair, so a
@@ -27,6 +34,8 @@ from .count import (
     TwinOrderedIndex,
     _end_buckets,
     _pairs,
+    _parts,
+    _run_parts,
     _sweep,
     classify_type,
 )
@@ -91,9 +100,18 @@ def enumerate_baseline(
     priority: VertexPriority,
     delta: int,
     sink: Sink,
+    workers: int | None = None,
 ) -> CountVector:
-    """Per-end wedge grouping with an exhaustive pair test, emitting instances."""
-    return _enumerate(g, priority, delta, sink, float("inf"))
+    """Per-end wedge grouping with an exhaustive pair test, emitting instances.
+
+    The walk is split by priority rank mod n across a fork pool of n
+    processes, n and the rules that keep a call in this process being
+    count_optimized's; the children send their end buckets back, and every
+    instance is emitted here, in an order fixed for a given n.  When sink
+    raises, every child is killed and reaped before the exception
+    propagates.
+    """
+    return _enumerate(g, priority, delta, sink, float("inf"), workers)
 
 
 def _emitting_visit(layer: int, fixed: tuple[int, int], sink: Sink, acc: list[int]):
@@ -174,20 +192,29 @@ def enumerate_optimized(
     priority: VertexPriority,
     delta: int,
     sink: Sink,
+    workers: int | None = None,
 ) -> CountVector:
     """Pairing of small end buckets, the counting sweep with bisected probes for the rest.
 
     The sweep drops same-middle pairs, which come from parallel edges, as
-    they are reported instead of counting and subtracting them.
+    they are reported instead of counting and subtracting them.  workers
+    and the fork pool are enumerate_baseline's.
     """
-    return _enumerate(g, priority, delta, sink, _SMALL_BUCKET)
+    return _enumerate(g, priority, delta, sink, _SMALL_BUCKET, workers)
 
 
-def _enumerate(g, priority, delta, sink, largest_paired) -> CountVector:
-    """Pair each end bucket of at most largest_paired wedges, sweep the rest."""
+def _enumerate(g, priority, delta, sink, largest_paired, workers) -> CountVector:
+    """Emit part 0's buckets as it is walked, then each child's as it arrives, in part order.
+
+    A bucket of at most largest_paired wedges is paired, the rest swept.
+    """
     acc = [0] * 6
-    for layer, s, end, wedges in _end_buckets(g, priority, delta):
-        _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired)
+
+    def emit(buckets) -> None:
+        for layer, s, end, wedges in buckets:
+            _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired)
+
+    _run_parts(_parts(g, workers), lambda part: _end_buckets(g, priority, delta, part=part), emit)
     return CountVector(acc)
 
 

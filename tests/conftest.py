@@ -1,11 +1,15 @@
-"""Shared fixtures: the two hand fixtures, graph builders, random corpora."""
+"""Shared fixtures: the two hand fixtures, graph builders, random corpora, fork pool doubles."""
 
 from __future__ import annotations
 
+import os
 import random
+import threading
 
+import pytest
 from hypothesis import HealthCheck, settings
 
+import tempobf.count as count_module
 from tempobf import TemporalBipartiteGraph, compute_vertex_priority
 
 # one 2x2 biclique whose four stamps climb 1..4; butterfly span 3
@@ -57,3 +61,50 @@ def random_triples(rng: random.Random, max_side: int = 8, max_edges: int = 40, t
         (f"u{rng.randrange(nu)}", f"v{rng.randrange(nl)}", rng.randint(0, t_max))
         for _ in range(ne)
     ]
+
+
+# -- the fork pool -------------------------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_fork(calls: list):
+    """An os.fork that records each call in calls and fails as an exhausted process table does, so none starts a process."""
+
+    def fake_fork():
+        calls.append(1)
+        raise BlockingIOError("fake fork")
+
+    return fake_fork
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every os.fork call, recorded; each one fails, so every part is walked in the calling process."""
+    calls = []
+    monkeypatch.setattr(os, "fork", failing_fork(calls))
+    return calls
+
+
+@pytest.fixture
+def real_pool(monkeypatch):
+    """Two parts, each in its own process, on any input; yields the pids of the children forked."""
+    monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
+    monkeypatch.setattr(count_module, "_usable_cpus", lambda: 2)
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    assert threading.active_count() == 1
+    assert_no_child_left()
+    yield pids
+    assert_no_child_left()

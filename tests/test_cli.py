@@ -161,12 +161,12 @@ class TestEnumerate:
     def test_limit_stops_building_instances(self, capsys, f2_file, monkeypatch, limit):
         built = []
 
-        def recording(g, priority, delta, sink):
+        def recording(g, priority, delta, sink, workers):
             def record(inst):
                 built.append(inst)
                 sink(inst)
 
-            return tempobf.enumerate_optimized(g, priority, delta, record)
+            return tempobf.enumerate_optimized(g, priority, delta, record, workers)
 
         monkeypatch.setattr(tempobf.cli, "enumerate_optimized", recording)
         code, out, _ = run_cli(
@@ -187,9 +187,38 @@ class TestEnumerate:
             ["1\tu1\tu2\tv1\tv2\t1\t3\t2\t4", "4\tu1\tu2\tv1\tv2\t5\t3\t2\t4"]
         )
 
+    @pytest.mark.parametrize("algo", ["tbe", "tbe+", "oracle"])
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_every_engine_takes_workers(self, capsys, f2_file, algo, workers):
+        argv = ("enumerate", "--input", f2_file, "--delta", "10", "--algo", algo)
+        _, default, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--workers", workers)
+        assert code == 0 and out == default
+
+    def test_limit_inside_a_child_part_prints_a_prefix_at_the_same_workers(self, capsys, tmp_path, real_pool):
+        # two processes; the cut falls in the part the child sends back
+        path = tmp_path / "pool.txt"
+        path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in gen_random_graph(12, 12, 150, 400, skew=True, seed=3)))
+        argv = ("enumerate", "--input", str(path), "--delta", "60", "--workers", "2")
+        _, full, _ = run_cli(capsys, *argv)
+        lines = full.splitlines()
+        limit = len(lines) - 6 - 2
+        code, out, _ = run_cli(capsys, *argv, "--limit", str(limit))
+        assert code == 0
+        assert out.splitlines() == lines[:limit] + lines[-6:]
+        # the unlimited run, the limited one and its tallies each fork once
+        assert len(real_pool) == 3
+
     def test_negative_limit_is_a_usage_error(self, capsys, f1_file):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--input", f1_file, "--delta", "3", "--limit", "-1"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_non_positive_workers_is_a_usage_error(self, capsys, workers):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--input", "x", "--delta", "3", "--workers", workers])
         assert exc.value.code == 2
         capsys.readouterr()
 

@@ -49,7 +49,7 @@ from tempobf.count import (
     _twin_counts,
 )
 from tempobf.enumeration import _emitting_visit
-from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority, build_time
+from conftest import F1, F2, PROPERTY_SETTINGS, assert_no_child_left, build_plain, build_priority, build_time
 
 triples_strategy = st.lists(
     st.tuples(
@@ -937,24 +937,6 @@ def serial_counts(g, priority, delta):
     return count_optimized(g, priority, delta, workers=1), count_extreme(g, priority, delta, workers=1)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Every os.fork call, recorded; each one fails as an exhausted process table does, so none starts a process."""
-    calls = []
-
-    def fake_fork():
-        calls.append(1)
-        raise BlockingIOError("fake fork")
-
-    monkeypatch.setattr(os, "fork", fake_fork)
-    return calls
-
-
 @pytest.fixture
 def pool_graph():
     g, priority = build_priority(POOL_TRIPLES)
@@ -1080,27 +1062,6 @@ class TestForkRules:
         with pytest.raises(ValueError, match="workers must be positive"):
             count_sampled(g, priority, POOL_DELTA, 0.5, workers=workers)
         assert forks == []
-
-
-@pytest.fixture
-def real_pool(monkeypatch):
-    """Two parts, each in its own process, on any input; yields the pids of the children forked."""
-    monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-    monkeypatch.setattr(count_module, "_usable_cpus", lambda: 2)
-    pids = []
-    real_fork = os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    assert threading.active_count() == 1
-    assert_no_child_left()
-    yield pids
-    assert_no_child_left()
 
 
 class TestForkedRuns:

@@ -2,23 +2,30 @@
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import tempobf.count as count_module
+import tempobf.enumeration as enumeration_module
 from tempobf import (
     ButterflyInstance,
     TwinOrderedIndex,
     count_extreme,
     enumerate_baseline,
     enumerate_optimized,
+    gen_random_graph,
     null_sink,
     oracle_enumerate,
 )
-from tempobf.count import _SMALL_BUCKET
+from tempobf.cli import _alarm, _BenchTimeout
+from tempobf.count import _SMALL_BUCKET, _end_buckets
 from tempobf.enumeration import _emit_bucket, _emitting_visit
-from conftest import F1, F2, PROPERTY_SETTINGS, build_plain, build_priority
+from conftest import F1, F2, PROPERTY_SETTINGS, assert_no_child_left, build_plain, build_priority, failing_fork
 
 triples_strategy = st.lists(
     st.tuples(
@@ -37,9 +44,9 @@ def as_key(inst: ButterflyInstance):
     return (inst.type_index, inst.upper, inst.lower, inst.stamps)
 
 
-def collect(engine, g, priority, delta):
+def collect(engine, g, priority, delta, workers=None):
     seen = []
-    tallies = engine(g, priority, delta, seen.append)
+    tallies = engine(g, priority, delta, seen.append, workers)
     return tallies, seen
 
 
@@ -286,3 +293,209 @@ class TestCanonicalOrder:
             assert Counter(seen) == Counter(reference)
             for inst in seen:
                 inst.check(g, 10)
+
+
+# -- the fork pool -------------------------------------------------------------
+
+# a skewed graph whose buckets run both ways, from starts in both layers
+POOL_TRIPLES = gen_random_graph(12, 12, 150, 400, skew=True, seed=3)
+POOL_DELTA = 60
+
+
+def swap_layers(triples):
+    return [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
+
+
+def part_by_part(g, priority, delta, n, largest_paired):
+    """The instances and tallies of emitting each part (k, n) of the walk in turn."""
+    seen, acc = [], [0] * 6
+    for k in range(n):
+        for layer, s, end, wedges in _end_buckets(g, priority, delta, part=(k, n)):
+            _emit_bucket(layer, s, end, wedges, delta, seen.append, acc, largest_paired)
+    return acc, seen
+
+
+LARGEST_PAIRED = {enumerate_baseline: float("inf"), enumerate_optimized: _SMALL_BUCKET}
+
+
+@pytest.fixture(scope="module")
+def pool_reference():
+    """The oracle's instances of the pool graph, enumerated once: the oracle takes seconds on it."""
+    reference = Counter(_oracle_instances(POOL_TRIPLES, POOL_DELTA))
+    assert sum(reference.values()) > 6
+    return reference
+
+
+@pytest.fixture
+def pool_graph(pool_reference):
+    return *build_priority(POOL_TRIPLES), pool_reference
+
+
+class TestRankParts:
+    """Parts emitted one after another, in the calling process, give the serial instances."""
+
+    @PROPERTY_SETTINGS
+    @given(triples_strategy, delta_strategy, st.booleans(), st.integers(1, 4))
+    def test_parts_emit_the_serial_instances_in_part_order(self, triples, delta, swap, n):
+        if swap:
+            triples = swap_layers(triples)
+        g, priority = build_priority(triples)
+        forked = []
+        with pytest.MonkeyPatch.context() as mp:
+            # every fork fails, so each part is walked here at its turn
+            mp.setattr(count_module, "_EDGES_PER_PART", 1)
+            mp.setattr(count_module, "_usable_cpus", lambda: 4)
+            mp.setattr(os, "fork", failing_fork(forked))
+            parts = count_module._parts(g, n)
+            for engine in ENGINES:
+                serial_tallies, serial = collect(engine, g, priority, delta, workers=1)
+                tallies, seen = collect(engine, g, priority, delta, workers=n)
+                assert Counter(seen) == Counter(serial)
+                assert tallies == serial_tallies
+                assert (tallies, seen) == part_by_part(g, priority, delta, parts, LARGEST_PAIRED[engine])
+        assert len(forked) == 2 * (parts - 1)
+
+
+class TestForkRules:
+    """Which calls fork: a recording fake os.fork shows it, and starts no process."""
+
+    def test_one_worker_walks_here(self, forks, pool_graph, monkeypatch):
+        g, priority, reference = pool_graph
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        for engine in ENGINES:
+            assert Counter(collect(engine, g, priority, POOL_DELTA, workers=1)[1]) == reference
+        assert forks == []
+
+    def test_input_below_the_size_rule_walks_here(self, forks, pool_graph, monkeypatch):
+        g, priority, reference = pool_graph
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        assert g.edge_count < 2 * count_module._EDGES_PER_PART
+        for engine in ENGINES:
+            assert Counter(collect(engine, g, priority, POOL_DELTA, workers=4)[1]) == reference
+            assert Counter(collect(engine, g, priority, POOL_DELTA)[1]) == reference
+        assert forks == []
+
+    def test_a_second_thread_alive_walks_here(self, forks, pool_graph, monkeypatch):
+        g, priority, reference = pool_graph
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            for engine in ENGINES:
+                assert Counter(collect(engine, g, priority, POOL_DELTA, workers=4)[1]) == reference
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 4])
+    def test_ten_million_workers_fork_once_per_spare_cpu(self, forks, pool_graph, monkeypatch, cpus):
+        # a part whose fork fails is walked in the calling process
+        g, priority, reference = pool_graph
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
+        if cpus is not None:
+            monkeypatch.setattr(count_module, "_usable_cpus", lambda: cpus)
+        usable = count_module._usable_cpus()
+        assert Counter(collect(enumerate_baseline, g, priority, POOL_DELTA, workers=10**7)[1]) == reference
+        assert len(forks) == usable - 1
+        assert Counter(collect(enumerate_optimized, g, priority, POOL_DELTA, workers=10**7)[1]) == reference
+        assert len(forks) == 2 * (usable - 1)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_workers_rejected(self, forks, pool_graph, workers):
+        g, priority, _ = pool_graph
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="workers must be positive"):
+                engine(g, priority, POOL_DELTA, null_sink, workers)
+        assert forks == []
+
+
+def walk_failing_in(part_index, after, fail):
+    """_end_buckets, except that part part_index calls fail() after yielding after buckets."""
+
+    def walk(g, priority, delta, part):
+        for i, bucket in enumerate(_end_buckets(g, priority, delta, part=part)):
+            if part[0] == part_index and i == after:
+                fail()
+            yield bucket
+
+    return walk
+
+
+class TestForkedRuns:
+    """Real two-process runs: the oracle's instances, and no child left behind, whatever ends the call."""
+
+    def test_two_processes_emit_the_oracle_instances(self, real_pool, pool_graph, monkeypatch):
+        g, priority, reference = pool_graph
+        # part 1 comes back in several chunks
+        monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
+        assert sum(1 for _ in _end_buckets(g, priority, POOL_DELTA, part=(1, 2))) > 3 * 2
+        expected_tallies = count_extreme(g, priority, POOL_DELTA, workers=1)
+        for engine in ENGINES:
+            tallies, seen = collect(engine, g, priority, POOL_DELTA, workers=2)
+            assert Counter(seen) == reference
+            assert tallies == expected_tallies
+            # the order is the one the same two parts take in one process
+            assert (tallies, seen) == part_by_part(g, priority, POOL_DELTA, 2, LARGEST_PAIRED[engine])
+        assert len(real_pool) == 2
+        assert_no_child_left()
+
+    def test_a_sink_that_raises_propagates(self, real_pool, pool_graph):
+        g, priority, _ = pool_graph
+        for engine in ENGINES:
+            seen = []
+
+            def sink(inst):
+                seen.append(inst)
+                if len(seen) == 3:
+                    raise OSError("stream closed")
+
+            with pytest.raises(OSError, match="stream closed"):
+                engine(g, priority, POOL_DELTA, sink, workers=2)
+            assert len(seen) == 3
+            assert_no_child_left()
+        assert len(real_pool) == 2
+
+    def test_a_child_failing_mid_stream_is_named(self, real_pool, pool_graph, monkeypatch):
+        g, priority, _ = pool_graph
+        monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
+
+        def fail():
+            raise RuntimeError("part one broke")
+
+        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in(1, 5, fail))
+        seen = []
+        with pytest.raises(ChildProcessError, match=r"^child process \d+ failed: RuntimeError: part one broke$") as exc:
+            enumerate_optimized(g, priority, POOL_DELTA, seen.append, workers=2)
+        assert str(real_pool[0]) in str(exc.value)
+        # part 0 whole, then the two chunks part 1 sent before it failed
+        buckets = list(_end_buckets(g, priority, POOL_DELTA, part=(0, 2)))
+        buckets += list(_end_buckets(g, priority, POOL_DELTA, part=(1, 2)))[:4]
+        expected = []
+        for layer, s, end, wedges in buckets:
+            _emit_bucket(layer, s, end, wedges, POOL_DELTA, expected.append, [0] * 6, _SMALL_BUCKET)
+        assert seen == expected
+        assert_no_child_left()
+
+    def test_a_child_ending_before_its_last_reply_is_named(self, real_pool, pool_graph, monkeypatch):
+        g, priority, _ = pool_graph
+        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in(1, 5, lambda: os._exit(3)))
+        with pytest.raises(ChildProcessError, match=r"^child process \d+ ended with status 3 before its last reply$"):
+            enumerate_baseline(g, priority, POOL_DELTA, null_sink, workers=2)
+        assert_no_child_left()
+
+    def test_a_bench_cap_while_reading_a_child_kills_it(self, real_pool, pool_graph, monkeypatch):
+        g, priority, _ = pool_graph
+        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in(1, 0, lambda: time.sleep(60)))
+        began = time.perf_counter()
+        with pytest.raises(_BenchTimeout):
+            with _alarm(0.5):
+                enumerate_optimized(g, priority, POOL_DELTA, null_sink, workers=2)
+        assert time.perf_counter() - began < 10
+        (pid,) = real_pool
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

@@ -270,7 +270,7 @@ class TestBatchUpdate:
         assert live == exact_counts(list(F1[2:]) + insertions, 3) == [0, 1, 0, 0, 0, 0]
 
     def test_ten_million_workers_cost_what_one_does(self, monkeypatch):
-        # slices past the batch's last edge are empty, so none of them is looped over
+        # a step runs serially and workers changes nothing in it, so ten million start no thread and cost what one does
         one, many = [], []
         run_sliding_window(list(F1), 3, window=4, stride=2, workers=1, sink=lambda *a: one.append(a))
         started = []
