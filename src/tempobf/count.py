@@ -53,24 +53,23 @@ examined.  count_sampled runs count_extreme on an edge-sampled subgraph and
 rescales, giving unbiased estimates.
 
 count_optimized, count_extreme and count_sampled count on a fork pool, and
-both enumerators walk on it.  The walk is split into n parts: part k takes
-the starts whose priority rank is k mod n, in both layers, so the hubs,
-which hold the top ranks, alternate across parts with no work estimate.
-n is the caller's workers (None: every usable CPU) capped at the usable
-CPUs and at one process per _EDGES_PER_PART edges of the graph.  One
-runner, _run_parts, walks part 0 in the calling process and every other
-part in a forked child, _Child, which pipes what its part yields back in
-pickled chunks and ends in os._exit: a counting part yields its tallies,
-one reply, and an enumerating part its end buckets, which the caller
-emits.  The parts are taken in order, so the sums are the serial ones and
-the emission order is fixed for a given n.  An exception in the parent, a
+both enumerators walk on it.  The walk is split into n parts of about
+equal start degree, _degree_split, so part 0 takes the top hub and no part
+outweighs its share by more than one start.  n is the caller's workers
+(None: every usable CPU) capped at the usable CPUs and at one process per
+_EDGES_PER_PART edges of the graph.  One runner, _run_parts, walks part 0
+in the calling process and every other part in a forked child, _Child,
+which inherits the split, pipes what its part yields back in pickled
+chunks and ends in os._exit: a counting part yields its tallies, one
+reply, and an enumerating part its end buckets, which the caller emits.
+The parts are taken in order, so the sums are the serial ones and the
+emission order is fixed for a given n.  An exception in the parent, a
 sink's, a KeyboardInterrupt or a bench cap among them, kills and reaps
 every child first.  Signals are held from each fork until its child is
 registered, so none can strand a child.  A call stays in the calling
 process, with no fork, when n is 1 (fewer than 2 * _EDGES_PER_PART edges
-among the cases), when os.fork is missing, or when another thread is
-alive (a child would inherit the locks it holds).  count_baseline stays
-serial.
+among the cases), when os.fork is missing, or when another thread is alive
+(a child would inherit the locks it holds).  count_baseline stays serial.
 """
 
 from __future__ import annotations
@@ -556,7 +555,7 @@ def _end_buckets(
     priority: VertexPriority,
     delta: int,
     raw: bool = False,
-    part: tuple[int, int] = (0, 1),
+    part: tuple[int, tuple[list[int], list[int]]] | None = None,
 ):
     """Yield (layer bit, start, end, wedges) for the end buckets that can hold a butterfly.
 
@@ -578,18 +577,18 @@ def _end_buckets(
     ones too.  Parallel edges to the start scatter one middle's wedges
     through a bucket, so its wedges are not grouped by middle.
 
-    Part (k, n) walks only the starts whose priority rank is k mod n, in
-    both layers; the n parts together yield every bucket exactly once.
+    Part (k, split) walks only the starts of part k of a _degree_split,
+    and the parts of one split yield every bucket once; None walks all.
     """
     _check_priority(g, priority)
-    k, n = part
     for layer, starts, mid_rows, mid_stamps, sprio, mprio in (
         (0, g.upper_adj, g.lower_adj, g.lower_times, priority.upper, priority.lower),
         (1, g.lower_adj, g.upper_adj, g.upper_times, priority.lower, priority.upper),
     ):
         rows = enumerate(starts)
-        if n > 1:
-            rows = [(s, row) for s, row in rows if sprio[s] % n == k]
+        if part is not None:
+            k, part_of = part[0], part[1][layer]
+            rows = ((s, row) for s, row in rows if part_of[s] == k)
         for s, row in rows:
             ps = sprio[s]
             # most ends get one wedge: it stays a bare tuple in firsts
@@ -669,15 +668,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parts(g: TemporalBipartiteGraph, workers: int | None) -> int:
-    """How many processes walk g: at most workers (None: every usable CPU), one per _EDGES_PER_PART edges."""
+def _parts(g: TemporalBipartiteGraph, workers: int | None) -> list:
+    """g's walk in parts, one per process: at most workers (None: every usable CPU), one per _EDGES_PER_PART edges."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    n = min(_usable_cpus() if workers is None else workers, _usable_cpus(), g.edge_count // _EDGES_PER_PART)
+    cpus = _usable_cpus()
+    n = min(cpus if workers is None else workers, cpus, g.edge_count // _EDGES_PER_PART)
     # a forked child holds only the forking thread, so a lock another thread held stays held
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return n
+        return [None]
+    split = _degree_split(g, n)
+    return [(k, split) for k in range(n)]
+
+
+def _degree_split(g: TemporalBipartiteGraph, n: int) -> tuple[list[int], list[int]]:
+    """The part of each upper and each lower start of g's walk, in n parts balanced by degree.
+
+    A start weighs its time row's length, the degree priority ranks by.
+    Heaviest first, ties in (layer, id) order, each start joins the lowest
+    part of least weight so far, so part 0 takes the heaviest start.
+    """
+    weights = [len(row) for row in chain(g.upper_adj, g.lower_adj)]
+    part_of = [0] * len(weights)
+    loads = [0] * n
+    # a stable sort keeps the (layer, id) order among equal weights
+    for c in sorted(range(len(weights)), key=weights.__getitem__, reverse=True):
+        k = loads.index(min(loads))
+        loads[k] += weights[c]
+        part_of[c] = k
+    return part_of[: g.upper_count], part_of[g.upper_count :]
 
 
 class _Child:
@@ -765,8 +784,8 @@ class _Child:
             self.pid = 0
 
 
-def _run_parts(n: int, part: Callable[[tuple[int, int]], Iterable], take: Callable[[Iterable], None]) -> None:
-    """Hand take the items of each part (k, n), part((k, n)), in part order.
+def _run_parts(parts: list, walk: Callable[[object], Iterable], take: Callable[[Iterable], None]) -> None:
+    """Hand take the items walk(part) of each of _parts' parts, in part order.
 
     Part 0 runs here, as take consumes it; every other part runs in a
     forked _Child, whose items take reads one chunk at a time.  A part no
@@ -777,19 +796,19 @@ def _run_parts(n: int, part: Callable[[tuple[int, int]], Iterable], take: Callab
     children: dict[int, _Child] = {}
     started: list[_Child] = []
     try:
-        for k in range(1, n):
+        for k in range(1, len(parts)):
             # no process to spare: the part runs here at its turn
             with suppress(OSError):
-                children[k] = _Child(partial(part, (k, n)), started)
-        for k in range(n):
-            take(children[k].items() if k in children else part((k, n)))
+                children[k] = _Child(partial(walk, parts[k]), started)
+        for k, part in enumerate(parts):
+            take(children[k].items() if k in children else walk(part))
     finally:
         for child in started:
             child.kill()
 
 
-def _count_part(g, priority, delta, sweep, part: tuple[int, int]) -> tuple[list[int], list[int]]:
-    """The (every, same) tallies of the end buckets part (k, n) of the walk yields."""
+def _count_part(g, priority, delta, sweep, part) -> tuple[list[int], list[int]]:
+    """The (every, same) tallies of the end buckets one part of the walk yields."""
     every = [0] * 6
     same = [0] * 6
     # a same-middle pair takes two edges on each leg with four distinct
@@ -815,8 +834,8 @@ def count_optimized(
 ) -> CountVector:
     """Prune dead wedges, then sweep each end bucket with bucketed probes.
 
-    The walk is split into parts by priority rank mod n and counted on a
-    fork pool of n processes, n being workers (None: every usable CPU)
+    The walk is split into n parts by start degree and counted on a fork
+    pool of n processes, n being workers (None: every usable CPU)
     capped at the usable CPUs and at one process per _EDGES_PER_PART
     edges.  It stays in this process, serial, when n is 1 (as on a graph
     of fewer than 2 * _EDGES_PER_PART edges), when the OS has no fork, or
@@ -833,7 +852,7 @@ def count_extreme(
 ) -> CountVector:
     """Same sweep as count_optimized with rank-arithmetic probes throughout.
 
-    workers, the rank-mod-n split and the rules that keep a call in this
+    workers, the degree split and the rules that keep a call in this
     process are count_optimized's.
     """
     return _count_with_sweep(g, priority, delta, _twin_counts, workers)

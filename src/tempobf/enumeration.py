@@ -4,8 +4,8 @@ Both engines take their wedges from _end_buckets' delta-windowed walk, the
 one count_optimized and count_extreme take (not count_baseline's walk of
 whole middle rows), and hand every surviving pair to a sink as a concrete
 ButterflyInstance instead of bumping a counter.  They walk on counting's
-fork pool, split by priority rank mod n: forked children walk parts 1..n-1
-and send back only the end buckets that leave the walk, in chunks, while
+fork pool, split by start degree: forked children walk parts 1..n-1 and
+send back only the end buckets that leave the walk, in chunks, while
 the calling process emits part 0 as it walks it, then each child's
 buckets in part order, so the sink runs only in the caller.  Emission
 order is an engine detail, fixed for a given n but not across n; compare
@@ -104,8 +104,8 @@ def enumerate_baseline(
 ) -> CountVector:
     """Per-end wedge grouping with an exhaustive pair test, emitting instances.
 
-    The walk is split by priority rank mod n across a fork pool of n
-    processes, n and the rules that keep a call in this process being
+    The walk is split by start degree across a fork pool of n processes,
+    n and the rules that keep a call in this process being
     count_optimized's; the children send their end buckets back, and every
     instance is emitted here, in an order fixed for a given n.  When sink
     raises, every child is killed and reaped before the exception

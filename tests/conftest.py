@@ -66,6 +66,16 @@ def random_triples(rng: random.Random, max_side: int = 8, max_edges: int = 40, t
 # -- the fork pool -------------------------------------------------------------
 
 
+def hub_triples(rng: random.Random):
+    """Upper hub u0 holds 120 of the 200 edges, 7 other upper vertices the rest, all on 12 lower vertices."""
+    hub = [("u0", f"v{rng.randrange(12)}", rng.randint(0, 400)) for _ in range(120)]
+    return hub + [(f"u{rng.randint(1, 7)}", f"v{rng.randrange(12)}", rng.randint(0, 400)) for _ in range(80)]
+
+
+HUB_TRIPLES = hub_triples(random.Random(11))
+HUB_DELTA = 60
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -41,6 +41,7 @@ from tempobf.count import (
     _SMALL_BUCKET,
     _count_bucket,
     _count_part,
+    _degree_split,
     _end_buckets,
     _pairs,
     _split,
@@ -49,7 +50,17 @@ from tempobf.count import (
     _twin_counts,
 )
 from tempobf.enumeration import _emitting_visit
-from conftest import F1, F2, PROPERTY_SETTINGS, assert_no_child_left, build_plain, build_priority, build_time
+from conftest import (
+    F1,
+    F2,
+    HUB_DELTA,
+    HUB_TRIPLES,
+    PROPERTY_SETTINGS,
+    assert_no_child_left,
+    build_plain,
+    build_priority,
+    build_time,
+)
 
 triples_strategy = st.lists(
     st.tuples(
@@ -945,8 +956,17 @@ def pool_graph():
     return g, priority, expected
 
 
-class TestRankParts:
-    """Part (k, n) of the walk takes the starts of priority rank k mod n; the parts sum to the whole."""
+def part_loads(g, split, n):
+    """The start degrees of each of the n parts of split, summed."""
+    loads = [0] * n
+    for rows, part_of in zip((g.upper_adj, g.lower_adj), split):
+        for row, k in zip(rows, part_of):
+            loads[k] += len(row)
+    return loads
+
+
+class TestDegreeParts:
+    """The degree split: every start in one part, no part much above its share; the parts sum to the whole."""
 
     @PROPERTY_SETTINGS
     @given(parallel_triples_strategy, delta_strategy, st.booleans())
@@ -957,22 +977,50 @@ class TestRankParts:
         whole = Counter((layer, s, end) for layer, s, end, _ in _end_buckets(g, priority, delta))
         expected = serial_counts(g, priority, delta)
         for n in range(1, 6):
+            split = _degree_split(g, n)
             parts = Counter(
-                (layer, s, end) for k in range(n) for layer, s, end, _ in _end_buckets(g, priority, delta, part=(k, n))
+                (layer, s, end) for k in range(n) for layer, s, end, _ in _end_buckets(g, priority, delta, part=(k, split))
             )
             assert parts == whole
             for sweep, serial in zip((_timestamp_counts, _twin_counts), expected):
-                tallies = [_count_part(g, priority, delta, sweep, (k, n)) for k in range(n)]
+                tallies = [_count_part(g, priority, delta, sweep, (k, split)) for k in range(n)]
                 every = [sum(t[0][i] for t in tallies) for i in range(6)]
                 same = [sum(t[1][i] for t in tallies) for i in range(6)]
                 assert [a - b for a, b in zip(every, same)] == serial
 
-    def test_each_start_walks_in_the_part_of_its_rank(self):
-        g, priority = build_priority(POOL_TRIPLES)
-        for n in (2, 3):
-            for k in range(n):
-                for layer, s, _end, _ in _end_buckets(g, priority, POOL_DELTA, part=(k, n)):
-                    assert (priority.upper, priority.lower)[layer][s] % n == k
+    @PROPERTY_SETTINGS
+    @given(triples_strategy, st.booleans(), st.integers(2, 5))
+    @example(POOL_TRIPLES, False, 2)
+    @example(POOL_TRIPLES, True, 3)
+    def test_each_start_walks_in_one_part_balanced_by_degree(self, triples, swap, n):
+        if swap:
+            triples = [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
+        g, priority = build_priority(triples)
+        split = _degree_split(g, n)
+        rows = (g.upper_adj, g.lower_adj)
+        # one part for every start of both layers
+        assert [len(part_of) for part_of in split] == [len(rows[0]), len(rows[1])]
+        assert set(split[0] + split[1]) <= set(range(n))
+        loads = part_loads(g, split, n)
+        weights = [len(row) for row in rows[0] + rows[1]]
+        # greedy's bound: a part's last start joined it when it was the lightest, at most total / n
+        assert max(loads) <= sum(weights) / n + max(weights, default=0)
+        # read from the graph alone: a graph grown edge by edge splits alike, and so do the engines
+        assert _degree_split(build_time(triples), n) == split
+        if g.edge_count >= n:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(count_module, "_EDGES_PER_PART", 1)
+                mp.setattr(count_module, "_usable_cpus", lambda: n)
+                assert count_module._parts(g, None) == [(k, split) for k in range(n)]
+        starts = [(layer, s) for layer in (0, 1) for s in range(len(rows[layer]))]
+        if starts:
+            # min keeps the first of equal keys, so ties go in (layer, id) order
+            layer, s = min(starts, key=lambda start: -len(rows[start[0]][start[1]]))
+            assert split[layer][s] == 0
+
+
+def no_split(g, n):
+    raise AssertionError(f"a walk in one process split into {n} parts")
 
 
 class TestForkRules:
@@ -982,6 +1030,7 @@ class TestForkRules:
         g, priority, expected = pool_graph
         monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(count_module, "_degree_split", no_split)
         assert serial_counts(g, priority, POOL_DELTA) == expected
         assert count_sampled(g, priority, POOL_DELTA, 1.0, workers=1) == expected[1]
         assert forks == []
@@ -997,10 +1046,24 @@ class TestForkRules:
     def test_input_below_the_size_rule_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(count_module, "_degree_split", no_split)
         assert g.edge_count < 2 * count_module._EDGES_PER_PART
         assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
         assert count_optimized(g, priority, POOL_DELTA) == expected[0]
         assert forks == []
+
+    def test_usable_cpus_are_read_once_a_call(self, forks, pool_graph, monkeypatch):
+        g, priority, expected = pool_graph
+        reads = []
+
+        def usable_cpus():
+            reads.append(1)
+            return 4
+
+        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(count_module, "_usable_cpus", usable_cpus)
+        assert count_extreme(g, priority, POOL_DELTA) == expected[1]
+        assert len(reads) == 1
 
     def test_no_fork_in_the_os_counts_here(self, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
@@ -1074,12 +1137,30 @@ class TestForkedRuns:
         assert len(real_pool) == 2
         assert_no_child_left()
 
+    def test_a_hub_holding_most_edges_counts_the_serial_vectors(self, real_pool):
+        g, priority = build_priority(HUB_TRIPLES)
+        expected = serial_counts(g, priority, HUB_DELTA)
+        assert expected[0] == expected[1] and expected[0].total() > 0
+        rows = (g.upper_adj, g.lower_adj)
+        weights = sorted((len(row) for row in rows[0] + rows[1]), reverse=True)
+        # the hub, upper 0, is the heaviest start and holds more than half the edges
+        assert len(rows[0][0]) == weights[0] > g.edge_count / 2
+        split = _degree_split(g, 2)
+        assert split[0][0] == 0
+        # the hub's part, which the caller walks, takes more starts only once the other part has caught up
+        assert max(part_loads(g, split, 2)) <= sum(weights) / 2 + weights[1]
+        assert count_optimized(g, priority, HUB_DELTA, workers=2) == expected[0]
+        assert count_extreme(g, priority, HUB_DELTA, workers=2) == expected[1]
+        assert len(real_pool) == 2
+        assert_no_child_left()
+
     def test_a_failing_child_is_named(self, real_pool, pool_graph, monkeypatch):
         g, priority, _ = pool_graph
         count_part = count_module._count_part
+        parent = os.getpid()
 
         def failing(g, priority, delta, sweep, part):
-            if part[0] == 1:
+            if os.getpid() != parent:
                 raise RuntimeError("part one broke")
             return count_part(g, priority, delta, sweep, part)
 
@@ -1110,9 +1191,10 @@ class TestForkedRuns:
     @pytest.mark.parametrize("stop", ["interrupt", "bench timeout"])
     def test_a_stop_in_the_parent_kills_and_reaps_the_children(self, real_pool, pool_graph, monkeypatch, stop):
         g, priority, _ = pool_graph
+        parent = os.getpid()
 
         def stuck(g, priority, delta, sweep, part):
-            if part[0] == 0 and stop == "interrupt":
+            if os.getpid() == parent and stop == "interrupt":
                 raise KeyboardInterrupt
             time.sleep(60)
 

@@ -25,7 +25,17 @@ from tempobf import (
 from tempobf.cli import _alarm, _BenchTimeout
 from tempobf.count import _SMALL_BUCKET, _end_buckets
 from tempobf.enumeration import _emit_bucket, _emitting_visit
-from conftest import F1, F2, PROPERTY_SETTINGS, assert_no_child_left, build_plain, build_priority, failing_fork
+from conftest import (
+    F1,
+    F2,
+    HUB_DELTA,
+    HUB_TRIPLES,
+    PROPERTY_SETTINGS,
+    assert_no_child_left,
+    build_plain,
+    build_priority,
+    failing_fork,
+)
 
 triples_strategy = st.lists(
     st.tuples(
@@ -306,11 +316,11 @@ def swap_layers(triples):
     return [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
 
 
-def part_by_part(g, priority, delta, n, largest_paired):
-    """The instances and tallies of emitting each part (k, n) of the walk in turn."""
+def part_by_part(g, priority, delta, parts, largest_paired):
+    """The instances and tallies of emitting each of parts in turn."""
     seen, acc = [], [0] * 6
-    for k in range(n):
-        for layer, s, end, wedges in _end_buckets(g, priority, delta, part=(k, n)):
+    for part in parts:
+        for layer, s, end, wedges in _end_buckets(g, priority, delta, part=part):
             _emit_bucket(layer, s, end, wedges, delta, seen.append, acc, largest_paired)
     return acc, seen
 
@@ -331,7 +341,7 @@ def pool_graph(pool_reference):
     return *build_priority(POOL_TRIPLES), pool_reference
 
 
-class TestRankParts:
+class TestDegreeParts:
     """Parts emitted one after another, in the calling process, give the serial instances."""
 
     @PROPERTY_SETTINGS
@@ -353,7 +363,7 @@ class TestRankParts:
                 assert Counter(seen) == Counter(serial)
                 assert tallies == serial_tallies
                 assert (tallies, seen) == part_by_part(g, priority, delta, parts, LARGEST_PAIRED[engine])
-        assert len(forked) == 2 * (parts - 1)
+        assert len(forked) == 2 * (len(parts) - 1)
 
 
 class TestForkRules:
@@ -414,12 +424,13 @@ class TestForkRules:
         assert forks == []
 
 
-def walk_failing_in(part_index, after, fail):
-    """_end_buckets, except that part part_index calls fail() after yielding after buckets."""
+def walk_failing_in_the_child(after, fail):
+    """_end_buckets, except that a forked child calls fail() after yielding after buckets."""
+    parent = os.getpid()
 
     def walk(g, priority, delta, part):
         for i, bucket in enumerate(_end_buckets(g, priority, delta, part=part)):
-            if part[0] == part_index and i == after:
+            if os.getpid() != parent and i == after:
                 fail()
             yield bucket
 
@@ -433,14 +444,28 @@ class TestForkedRuns:
         g, priority, reference = pool_graph
         # part 1 comes back in several chunks
         monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
-        assert sum(1 for _ in _end_buckets(g, priority, POOL_DELTA, part=(1, 2))) > 3 * 2
+        parts = count_module._parts(g, 2)
+        assert sum(1 for _ in _end_buckets(g, priority, POOL_DELTA, part=parts[1])) > 3 * 2
         expected_tallies = count_extreme(g, priority, POOL_DELTA, workers=1)
         for engine in ENGINES:
             tallies, seen = collect(engine, g, priority, POOL_DELTA, workers=2)
             assert Counter(seen) == reference
             assert tallies == expected_tallies
             # the order is the one the same two parts take in one process
-            assert (tallies, seen) == part_by_part(g, priority, POOL_DELTA, 2, LARGEST_PAIRED[engine])
+            assert (tallies, seen) == part_by_part(g, priority, POOL_DELTA, parts, LARGEST_PAIRED[engine])
+        assert len(real_pool) == 2
+        assert_no_child_left()
+
+    def test_a_hub_holding_most_edges_emits_the_serial_instances(self, real_pool):
+        g, priority = build_priority(HUB_TRIPLES)
+        for engine in ENGINES:
+            serial_tallies, serial = collect(engine, g, priority, HUB_DELTA, workers=1)
+            assert serial_tallies.total() > 0
+            tallies, seen = collect(engine, g, priority, HUB_DELTA, workers=2)
+            assert Counter(seen) == Counter(serial)
+            assert tallies == serial_tallies
+            # the hub's part is emitted first, as the caller walks it
+            assert (tallies, seen) == part_by_part(g, priority, HUB_DELTA, count_module._parts(g, 2), LARGEST_PAIRED[engine])
         assert len(real_pool) == 2
         assert_no_child_left()
 
@@ -467,14 +492,15 @@ class TestForkedRuns:
         def fail():
             raise RuntimeError("part one broke")
 
-        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in(1, 5, fail))
+        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in_the_child(5, fail))
         seen = []
         with pytest.raises(ChildProcessError, match=r"^child process \d+ failed: RuntimeError: part one broke$") as exc:
             enumerate_optimized(g, priority, POOL_DELTA, seen.append, workers=2)
         assert str(real_pool[0]) in str(exc.value)
         # part 0 whole, then the two chunks part 1 sent before it failed
-        buckets = list(_end_buckets(g, priority, POOL_DELTA, part=(0, 2)))
-        buckets += list(_end_buckets(g, priority, POOL_DELTA, part=(1, 2)))[:4]
+        parts = count_module._parts(g, 2)
+        buckets = list(_end_buckets(g, priority, POOL_DELTA, part=parts[0]))
+        buckets += list(_end_buckets(g, priority, POOL_DELTA, part=parts[1]))[:4]
         expected = []
         for layer, s, end, wedges in buckets:
             _emit_bucket(layer, s, end, wedges, POOL_DELTA, expected.append, [0] * 6, _SMALL_BUCKET)
@@ -483,14 +509,14 @@ class TestForkedRuns:
 
     def test_a_child_ending_before_its_last_reply_is_named(self, real_pool, pool_graph, monkeypatch):
         g, priority, _ = pool_graph
-        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in(1, 5, lambda: os._exit(3)))
+        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in_the_child(5, lambda: os._exit(3)))
         with pytest.raises(ChildProcessError, match=r"^child process \d+ ended with status 3 before its last reply$"):
             enumerate_baseline(g, priority, POOL_DELTA, null_sink, workers=2)
         assert_no_child_left()
 
     def test_a_bench_cap_while_reading_a_child_kills_it(self, real_pool, pool_graph, monkeypatch):
         g, priority, _ = pool_graph
-        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in(1, 0, lambda: time.sleep(60)))
+        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in_the_child(0, lambda: time.sleep(60)))
         began = time.perf_counter()
         with pytest.raises(_BenchTimeout):
             with _alarm(0.5):
