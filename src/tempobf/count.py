@@ -53,23 +53,25 @@ examined.  count_sampled runs count_extreme on an edge-sampled subgraph and
 rescales, giving unbiased estimates.
 
 count_optimized, count_extreme and count_sampled count on a fork pool, and
-both enumerators walk on it.  The walk is split into n parts of about
-equal start degree, _degree_split, so part 0 takes the top hub and no part
-outweighs its share by more than one start.  n is the caller's workers
+both enumerators walk on it.  Its n processes are the caller's workers
 (None: every usable CPU) capped at the usable CPUs and at one process per
-_EDGES_PER_PART edges of the graph.  One runner, _run_parts, walks part 0
-in the calling process and every other part in a forked child, _Child,
-which inherits the split, pipes what its part yields back in pickled
-chunks and ends in os._exit: a counting part yields its tallies, one
-reply, and an enumerating part its end buckets, which the caller emits.
-The parts are taken in order, so the sums are the serial ones and the
-emission order is fixed for a given n.  An exception in the parent, a
-sink's, a KeyboardInterrupt or a bench cap among them, kills and reaps
-every child first.  Signals are held from each fork until its child is
-registered, so none can strand a child.  A call stays in the calling
-process, with no fork, when n is 1 (fewer than 2 * _EDGES_PER_PART edges
-among the cases), when os.fork is missing, or when another thread is alive
-(a child would inherit the locks it holds).  count_baseline stays serial.
+_EDGES_PER_PART edges.  _chunks cuts the starts of both layers, heaviest
+first, into _CHUNKS_PER_PROCESS chunks per process.  The caller writes one
+byte per chunk id into a pipe and closes its write end before it forks;
+then every process, the caller too, claims its next chunk by reading one
+byte until the pipe runs dry, so each chunk is walked once and no process
+waits on another while chunks remain.  A forked child, _Child, pipes
+pickled records back and ends in os._exit.  A counting child sends the
+tallies of its chunks in one reply.  An enumerating child sends each
+chunk's id as it claims it, then its end buckets as it walks them, and
+the caller emits the chunks in id order, so the emission order is fixed
+for a given n.  An exception in the parent, a sink's, a KeyboardInterrupt
+or a bench cap among them, kills and reaps every child and closes the
+pipes first; signals are held from each fork until its child is
+registered.  A call stays in the calling process when n is 1 (fewer than
+2 * _EDGES_PER_PART edges among the cases), when os.fork is missing, or
+when another thread is alive (a child would inherit the locks it holds).
+count_baseline stays serial.
 """
 
 from __future__ import annotations
@@ -79,11 +81,12 @@ import pickle
 import random
 import signal
 import threading
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from contextlib import suppress
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import accumulate, chain, groupby, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -555,7 +558,7 @@ def _end_buckets(
     priority: VertexPriority,
     delta: int,
     raw: bool = False,
-    part: tuple[int, tuple[list[int], list[int]]] | None = None,
+    starts: tuple[Sequence[int], Sequence[int]] | None = None,
 ):
     """Yield (layer bit, start, end, wedges) for the end buckets that can hold a butterfly.
 
@@ -577,19 +580,17 @@ def _end_buckets(
     ones too.  Parallel edges to the start scatter one middle's wedges
     through a bucket, so its wedges are not grouped by middle.
 
-    Part (k, split) walks only the starts of part k of a _degree_split,
-    and the parts of one split yield every bucket once; None walks all.
+    starts, a pair of upper and lower start ids such as a chunk of
+    _chunks, walks only those starts, in that order, so the chunks of one
+    cut yield every bucket once; None walks every start in id order.
     """
     _check_priority(g, priority)
-    for layer, starts, mid_rows, mid_stamps, sprio, mprio in (
+    for layer, start_rows, mid_rows, mid_stamps, sprio, mprio in (
         (0, g.upper_adj, g.lower_adj, g.lower_times, priority.upper, priority.lower),
         (1, g.lower_adj, g.upper_adj, g.upper_times, priority.lower, priority.upper),
     ):
-        rows = enumerate(starts)
-        if part is not None:
-            k, part_of = part[0], part[1][layer]
-            rows = ((s, row) for s, row in rows if part_of[s] == k)
-        for s, row in rows:
+        for s in range(len(start_rows)) if starts is None else starts[layer]:
+            row = start_rows[s]
             ps = sprio[s]
             # most ends get one wedge: it stays a bare tuple in firsts
             firsts: dict[int, tuple] = {}
@@ -635,7 +636,7 @@ def _end_buckets(
 
 # --- fork pool --------------------------------------------------------------
 
-# Each process walks a part of at least this many of the graph's edges, so
+# Each process walks a share of at least this many of the graph's edges, so
 # graphs of fewer than twice as many are walked in the calling process.  A
 # fork and pipe round trip takes 1.5-2 ms from a 40 MB process, the parent
 # forks its children one after another, and a child runs its part about 10%
@@ -645,16 +646,27 @@ def _end_buckets(
 # uniform, gained 18-38% (2 CPUs; more parts were not timed).
 _EDGES_PER_PART = 15_000
 
-# A child pickles its items this many at a time, and its parent unpickles
-# and hands on one chunk at a time, so it never holds a whole part's items.
-# Unpickling a whole part of 5,457 end buckets at once raised the parent's
-# peak RSS enumerating uniform by 9.8%.  On skew-narrow, whose hub buckets
-# are large, chunks of 256 buckets cost the parent 0.7 MB of peak RSS over
-# a serial run and chunks of 64 0.4 MB, at the same speed.
+# The walk is cut into this many chunks per process, so the processes end
+# together on the lightest; 16, 32 and 64 timed within 1% of each other on
+# the skew input (2 CPUs).  A chunk's id is one byte in the token pipe.
+_CHUNKS_PER_PROCESS = 16
+_MAX_CHUNKS = 255
+
+# A child pickles a chunk's items this many at a time, and its parent hands
+# on one reply at a time.  On skew-narrow, whose hub buckets are large,
+# replies of 256 buckets cost the parent 0.7 MB of peak RSS over a serial
+# run and replies of 64 0.4 MB.
 _REPLY_CHUNK = 64
 
-# a child's replies: a chunk with more to come, its last chunk, the text of its failure
-_MORE, _LAST, _FAILED = range(3)
+# A child's pipe is grown to this size where the OS allows (Linux's default
+# cap), so a child walks on while its parent is busy instead of stalling on
+# a full 64 KiB pipe.  Enumerating into null_sink (2 CPUs), that took uniform
+# from 0.085 to 0.078 s and the skew input at delta 10000 from 0.389 to 0.366 s.
+_PIPE_BYTES = 1 << 20
+
+# a child's records: a chunk it claimed, items of it with more to come, its
+# last items (or a counting child's one reply), the text of its failure
+_CLAIMED, _MORE, _END, _FAILED = range(4)
 
 # held from a fork until its child is registered, so no handler can raise in between
 _HELD_SIGNALS = signal.valid_signals()
@@ -668,59 +680,62 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _parts(g: TemporalBipartiteGraph, workers: int | None) -> list:
-    """g's walk in parts, one per process: at most workers (None: every usable CPU), one per _EDGES_PER_PART edges."""
+def _processes(g: TemporalBipartiteGraph, workers: int | None) -> int:
+    """The processes g's walk runs on: at most workers (None: every usable CPU), one per _EDGES_PER_PART edges."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     cpus = _usable_cpus()
     n = min(cpus if workers is None else workers, cpus, g.edge_count // _EDGES_PER_PART)
     # a forked child holds only the forking thread, so a lock another thread held stays held
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [None]
-    split = _degree_split(g, n)
-    return [(k, split) for k in range(n)]
+        return 1
+    return n
 
 
-def _degree_split(g: TemporalBipartiteGraph, n: int) -> tuple[list[int], list[int]]:
-    """The part of each upper and each lower start of g's walk, in n parts balanced by degree.
+def _chunks(g: TemporalBipartiteGraph, n: int) -> list[tuple[array, array]]:
+    """The starts of g's walk, (upper ids, lower ids), in at most c chunks for n processes, heaviest first.
 
     A start weighs its time row's length, the degree priority ranks by.
-    Heaviest first, ties in (layer, id) order, each start joins the lowest
-    part of least weight so far, so part 0 takes the heaviest start.
+    The starts of both layers, heaviest first with ties in (layer, id)
+    order, are cut where their running weight reaches each multiple of
+    total / c, c being _CHUNKS_PER_PROCESS * n up to _MAX_CHUNKS, so a
+    start heavier than that sits alone.
     """
-    weights = [len(row) for row in chain(g.upper_adj, g.lower_adj)]
-    part_of = [0] * len(weights)
-    loads = [0] * n
-    # a stable sort keeps the (layer, id) order among equal weights
-    for c in sorted(range(len(weights)), key=weights.__getitem__, reverse=True):
-        k = loads.index(min(loads))
-        loads[k] += weights[c]
-        part_of[c] = k
-    return part_of[: g.upper_count], part_of[g.upper_count :]
+    weights = list(map(len, chain(g.upper_adj, g.lower_adj)))
+    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+    running = list(accumulate(map(weights.__getitem__, order)))
+    c = min(_CHUNKS_PER_PROCESS * n, _MAX_CHUNKS)
+    # the last chunk also takes the starts of no weight
+    ends = sorted({bisect_left(running, -(-running[-1] * k // c)) + 1 for k in range(1, c)} | {len(order)})
+    up = g.upper_count
+    cuts = [order[a:b] for a, b in zip([0] + ends, ends)]
+    return [(array("l", [s for s in ids if s < up]), array("l", [s - up for s in ids if s >= up])) for ids in cuts]
 
 
 class _Child:
-    """The items of an iterable, made in a forked child process and sent back pickled through a pipe.
+    """The records of fn(), made in a forked child process and sent back pickled through a pipe.
 
-    The child pickles the items _REPLY_CHUNK at a time, the last chunk,
-    short or empty, marked as such, and holds the pickles until the
-    iterable ends: its parent is busy with a part of its own until then,
-    and a full pipe would stall the child.  It ends in os._exit whatever
-    happens, so it never unwinds into the caller's stack or flushes the
-    caller's buffers; an exception in the iterable comes back as text,
-    after the chunks made before it.  The child is appended to started
-    before any signal that arrived since the fork is let in, so a caller
-    that kills every started child in a finally leaves none behind.
-    items() yields the items one chunk at a time and reaps the child after
-    the last; kill() ends and reaps a child still running.
+    The child writes each record as fn makes it, so it blocks on a full
+    pipe until its parent reads.  It ends in os._exit whatever happens, so
+    it never unwinds into the caller's stack or flushes the caller's
+    buffers; an exception in fn comes back as text, after the records made
+    before it.  The child is appended to started before any signal that
+    arrived since the fork is let in, so a caller that kills every started
+    child in a finally leaves none behind.  records() yields the records as
+    they arrive and reaps the child after the last; kill() ends and reaps a
+    child still running.
     """
 
     __slots__ = ("pid", "_pipe")
 
-    def __init__(self, fn: Callable[[], Iterable], started: list[_Child]) -> None:
+    def __init__(self, fn: Callable[[], Iterable[tuple[int, object]]], started: list[_Child]) -> None:
         self.pid = 0
         self._pipe = None
         read, write = os.pipe()
+        with suppress(ImportError, AttributeError, OSError):
+            import fcntl
+
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
         try:
             try:
@@ -734,16 +749,13 @@ class _Child:
                 try:
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     os.close(read)
-                    replies = []
-                    try:
-                        items = iter(fn())
-                        while len(chunk := list(islice(items, _REPLY_CHUNK))) == _REPLY_CHUNK:
-                            replies.append(pickle.dumps((_MORE, chunk)))
-                        replies.append(pickle.dumps((_LAST, chunk)))
-                    except BaseException as exc:
-                        replies.append(pickle.dumps((_FAILED, f"{type(exc).__name__}: {exc}")))
                     with open(write, "wb") as out:
-                        out.writelines(replies)
+                        try:
+                            for record in fn():
+                                out.write(pickle.dumps(record))
+                                out.flush()
+                        except BaseException as exc:
+                            out.write(pickle.dumps((_FAILED, f"{type(exc).__name__}: {exc}")))
                     code = 0
                 finally:
                     os._exit(code)
@@ -754,24 +766,20 @@ class _Child:
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-    def items(self) -> Iterator:
-        status = payload = None
-        while status != _LAST:
+    def records(self) -> Iterator[tuple[int, object]]:
+        while True:
             try:
                 status, payload = pickle.load(self._pipe)
             except (EOFError, pickle.UnpicklingError):
-                status = None
                 break
             if status == _FAILED:
-                break
-            yield from payload
+                raise ChildProcessError(f"child process {self.pid} failed: {payload}")
+            yield status, payload
         self._pipe.close()
         pid, code = os.waitpid(self.pid, 0)
         self.pid = 0
         code = os.waitstatus_to_exitcode(code)
-        if status == _FAILED:
-            raise ChildProcessError(f"child process {pid} failed: {payload}")
-        if status != _LAST or code != 0:
+        if code != 0:
             raise ChildProcessError(f"child process {pid} ended with status {code} before its last reply")
 
     def kill(self) -> None:
@@ -784,46 +792,98 @@ class _Child:
             self.pid = 0
 
 
-def _run_parts(parts: list, walk: Callable[[object], Iterable], take: Callable[[Iterable], None]) -> None:
-    """Hand take the items walk(part) of each of _parts' parts, in part order.
+def _run_pool(g: TemporalBipartiteGraph, workers: int | None, serve: Callable, gather: Callable):
+    """gather(claims, children, chunk count), serve(claims) running in each child; see the module docstring.
 
-    Part 0 runs here, as take consumes it; every other part runs in a
-    forked _Child, whose items take reads one chunk at a time.  A part no
-    child could be forked for runs here at its turn.  Whatever ends the
-    call, an exception in take or in part 0, a KeyboardInterrupt or a bench
-    cap among them, every child is killed and reaped first.
+    claims yields (id, starts) for each chunk this process claims, by one
+    byte read from the token pipe; on one process the one chunk is None,
+    the whole walk.  Whatever ends the call, every child is killed and
+    reaped and the pipe closed first.
     """
-    children: dict[int, _Child] = {}
-    started: list[_Child] = []
+    n = _processes(g, workers)
+    chunks = _chunks(g, n) if n > 1 else [None]
+    tokens, write = os.pipe()
+    children: list[_Child] = []
+
+    def claims():
+        return ((k, chunks[k]) for (k,) in iter(partial(os.read, tokens, 1), b""))
+
     try:
-        for k in range(1, len(parts)):
-            # no process to spare: the part runs here at its turn
+        try:
+            os.write(write, bytes(range(len(chunks))))
+        finally:
+            os.close(write)
+        for _ in range(1, n):
+            # no process to spare: the others claim its share
             with suppress(OSError):
-                children[k] = _Child(partial(walk, parts[k]), started)
-        for k, part in enumerate(parts):
-            take(children[k].items() if k in children else walk(part))
+                _Child(lambda: serve(claims()), children)
+        return gather(claims(), children, len(chunks))
     finally:
-        for child in started:
+        for child in children:
             child.kill()
+        os.close(tokens)
 
 
-def _count_part(g, priority, delta, sweep, part) -> tuple[list[int], list[int]]:
-    """The (every, same) tallies of the end buckets one part of the walk yields."""
+def _walk_in_chunk_order(g, workers: int | None, walk: Callable[[object], Iterable], take: Callable[[Iterable], None]) -> None:
+    """take(walk(starts)) for each chunk of g's walk on the fork pool, in id order; see the module docstring."""
+
+    def serve(claims):
+        for k, starts in claims:
+            yield _CLAIMED, k
+            items = iter(walk(starts))
+            while len(batch := list(islice(items, _REPLY_CHUNK))) == _REPLY_CHUNK:
+                yield _MORE, batch
+            yield _END, batch
+
+    def gather(claims, children, count):
+        # the records of children whose next record is a claim, or their end
+        idle = [child.records() for child in children]
+        owners = {}
+        held = {}
+        for k in range(count):
+            # a chunk claimed ahead of its turn is walked into a list and held
+            if not held:
+                for j, starts in islice(claims, 1):
+                    held[j] = walk(starts) if j == k else list(walk(starts))
+            if k in held:
+                take(held.pop(k))
+                continue
+            while k not in owners:
+                records = idle.pop()
+                for _, j in islice(records, 1):
+                    owners[j] = records
+            records = owners.pop(k)
+            for status, items in records:
+                take(items)
+                if status == _END:
+                    break
+            idle.append(records)
+
+    _run_pool(g, workers, serve, gather)
+
+
+def _count_part(g, priority, delta, sweep, claims: Iterable) -> tuple[list[int], list[int]]:
+    """The (every, same) tallies of the end buckets the walk over each claimed (id, starts) chunk yields."""
     every = [0] * 6
     same = [0] * 6
     # a same-middle pair takes two edges on each leg with four distinct
     # timestamps inside one delta span, so its middle holds all four
     # wedges those edges cross into
-    for layer, _s, _end, wedges in _end_buckets(g, priority, delta, part=part):
-        _count_bucket(wedges, delta, layer, sweep, every, same, min_run=4)
+    for _, starts in claims:
+        for layer, _s, _end, wedges in _end_buckets(g, priority, delta, starts=starts):
+            _count_bucket(wedges, delta, layer, sweep, every, same, min_run=4)
     return every, same
 
 
 def _count_with_sweep(g, priority, delta, sweep, workers: int | None) -> CountVector:
-    """Count each part of the walk on the fork pool, one reply per part; see the module docstring."""
-    tallies: list[tuple[list[int], list[int]]] = []
-    _run_parts(_parts(g, workers), lambda part: [_count_part(g, priority, delta, sweep, part)], tallies.extend)
-    return CountVector(sum(every[i] - same[i] for every, same in tallies) for i in range(6))
+    """Count on the fork pool: each process sums the chunks it claims, a child in one reply; see the module docstring."""
+
+    def gather(claims, children, _):
+        tallies = [_count_part(g, priority, delta, sweep, claims)]
+        tallies += [reply for child in children for _, reply in child.records()]
+        return CountVector(sum(every[i] - same[i] for every, same in tallies) for i in range(6))
+
+    return _run_pool(g, workers, lambda claims: [(_END, _count_part(g, priority, delta, sweep, claims))], gather)
 
 
 def count_optimized(
@@ -834,10 +894,10 @@ def count_optimized(
 ) -> CountVector:
     """Prune dead wedges, then sweep each end bucket with bucketed probes.
 
-    The walk is split into n parts by start degree and counted on a fork
-    pool of n processes, n being workers (None: every usable CPU)
-    capped at the usable CPUs and at one process per _EDGES_PER_PART
-    edges.  It stays in this process, serial, when n is 1 (as on a graph
+    The walk is cut into chunks of start vertices, heaviest first, which
+    the n processes of a fork pool claim as they go, n being workers
+    (None: every usable CPU) capped at the usable CPUs and at one process
+    per _EDGES_PER_PART edges.  It stays in this process, serial, when n is 1 (as on a graph
     of fewer than 2 * _EDGES_PER_PART edges), when the OS has no fork, or
     when another thread is alive.
     """
@@ -852,8 +912,8 @@ def count_extreme(
 ) -> CountVector:
     """Same sweep as count_optimized with rank-arithmetic probes throughout.
 
-    workers, the degree split and the rules that keep a call in this
-    process are count_optimized's.
+    workers, the chunks and the rules that keep a call in this process
+    are count_optimized's.
     """
     return _count_with_sweep(g, priority, delta, _twin_counts, workers)
 

@@ -4,12 +4,12 @@ Both engines take their wedges from _end_buckets' delta-windowed walk, the
 one count_optimized and count_extreme take (not count_baseline's walk of
 whole middle rows), and hand every surviving pair to a sink as a concrete
 ButterflyInstance instead of bumping a counter.  They walk on counting's
-fork pool, split by start degree: forked children walk parts 1..n-1 and
-send back only the end buckets that leave the walk, in chunks, while
-the calling process emits part 0 as it walks it, then each child's
-buckets in part order, so the sink runs only in the caller.  Emission
-order is an engine detail, fixed for a given n but not across n; compare
-multisets.
+fork pool, whose processes claim chunks of start vertices as they go:
+a forked child sends back only the end buckets its chunks yield, tagged
+by chunk, as it walks them, and the calling process emits every chunk in
+id order, those it claimed among them, so the sink runs only in the
+caller.  Emission order is an engine detail, fixed for a given n but not
+across n; compare multisets.
 
 enumerate_baseline pairs the wedges of every end bucket directly, and
 enumerate_optimized those of small buckets only, sweeping the rest with a
@@ -34,9 +34,8 @@ from .count import (
     TwinOrderedIndex,
     _end_buckets,
     _pairs,
-    _parts,
-    _run_parts,
     _sweep,
+    _walk_in_chunk_order,
     classify_type,
 )
 from .graph import TemporalBipartiteGraph, VertexPriority
@@ -104,11 +103,11 @@ def enumerate_baseline(
 ) -> CountVector:
     """Per-end wedge grouping with an exhaustive pair test, emitting instances.
 
-    The walk is split by start degree across a fork pool of n processes,
-    n and the rules that keep a call in this process being
+    The walk is cut into chunks that the n processes of a fork pool claim
+    as they go, n and the rules that keep a call in this process being
     count_optimized's; the children send their end buckets back, and every
-    instance is emitted here, in an order fixed for a given n.  When sink
-    raises, every child is killed and reaped before the exception
+    instance is emitted here, in chunk order, fixed for a given n.  When
+    sink raises, every child is killed and reaped before the exception
     propagates.
     """
     return _enumerate(g, priority, delta, sink, float("inf"), workers)
@@ -204,7 +203,7 @@ def enumerate_optimized(
 
 
 def _enumerate(g, priority, delta, sink, largest_paired, workers) -> CountVector:
-    """Emit part 0's buckets as it is walked, then each child's as it arrives, in part order.
+    """Emit each chunk's buckets in chunk id order, as the fork pool hands them on.
 
     A bucket of at most largest_paired wedges is paired, the rest swept.
     """
@@ -214,7 +213,7 @@ def _enumerate(g, priority, delta, sink, largest_paired, workers) -> CountVector
         for layer, s, end, wedges in buckets:
             _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired)
 
-    _run_parts(_parts(g, workers), lambda part: _end_buckets(g, priority, delta, part=part), emit)
+    _walk_in_chunk_order(g, workers, lambda starts: _end_buckets(g, priority, delta, starts=starts), emit)
     return CountVector(acc)
 
 

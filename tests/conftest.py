@@ -101,7 +101,7 @@ def forks(monkeypatch):
 
 @pytest.fixture
 def real_pool(monkeypatch):
-    """Two parts, each in its own process, on any input; yields the pids of the children forked."""
+    """Two processes, the caller and one forked child, on any input; yields the pids of the children forked."""
     monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
     monkeypatch.setattr(count_module, "_usable_cpus", lambda: 2)
     pids = []

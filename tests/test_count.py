@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from functools import partial
 from itertools import combinations, groupby
 from pathlib import Path
 
@@ -36,12 +37,13 @@ from tempobf import (
     oracle_static_pairings,
 )
 import tempobf.count as count_module
+import tempobf.enumeration as enumeration_module
 from tempobf.cli import _alarm, _BenchTimeout
 from tempobf.count import (
     _SMALL_BUCKET,
     _count_bucket,
+    _chunks,
     _count_part,
-    _degree_split,
     _end_buckets,
     _pairs,
     _split,
@@ -956,71 +958,78 @@ def pool_graph():
     return g, priority, expected
 
 
-def part_loads(g, split, n):
-    """The start degrees of each of the n parts of split, summed."""
-    loads = [0] * n
-    for rows, part_of in zip((g.upper_adj, g.lower_adj), split):
-        for row, k in zip(rows, part_of):
-            loads[k] += len(row)
-    return loads
+def weights_of(g):
+    """The weight of each start, (layer, id) keyed: its time row's length."""
+    return {(layer, s): len(row) for layer, rows in enumerate((g.upper_adj, g.lower_adj)) for s, row in enumerate(rows)}
 
 
-class TestDegreeParts:
-    """The degree split: every start in one part, no part much above its share; the parts sum to the whole."""
+def chunk_starts(chunk):
+    """A chunk's (layer, id) starts, in the order it walks them."""
+    return [(layer, s) for layer in (0, 1) for s in chunk[layer]]
+
+
+class TestChunks:
+    """The chunks: every start in one, heaviest first, a heavy start alone; they sum to the whole walk."""
 
     @PROPERTY_SETTINGS
     @given(parallel_triples_strategy, delta_strategy, st.booleans())
-    def test_parts_sum_to_the_serial_counts(self, triples, delta, swap):
+    def test_chunks_sum_to_the_serial_counts(self, triples, delta, swap):
         if swap:
             triples = [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
         g, priority = build_priority(triples)
         whole = Counter((layer, s, end) for layer, s, end, _ in _end_buckets(g, priority, delta))
         expected = serial_counts(g, priority, delta)
         for n in range(1, 6):
-            split = _degree_split(g, n)
-            parts = Counter(
-                (layer, s, end) for k in range(n) for layer, s, end, _ in _end_buckets(g, priority, delta, part=(k, split))
+            chunks = _chunks(g, n)
+            walked = Counter(
+                (layer, s, end) for chunk in chunks for layer, s, end, _ in _end_buckets(g, priority, delta, starts=chunk)
             )
-            assert parts == whole
+            assert walked == whole
             for sweep, serial in zip((_timestamp_counts, _twin_counts), expected):
-                tallies = [_count_part(g, priority, delta, sweep, (k, split)) for k in range(n)]
-                every = [sum(t[0][i] for t in tallies) for i in range(6)]
-                same = [sum(t[1][i] for t in tallies) for i in range(6)]
+                every, same = _count_part(g, priority, delta, sweep, enumerate(chunks))
                 assert [a - b for a, b in zip(every, same)] == serial
 
     @PROPERTY_SETTINGS
-    @given(triples_strategy, st.booleans(), st.integers(2, 5))
+    @given(triples_strategy, st.booleans(), st.integers(2, 17))
     @example(POOL_TRIPLES, False, 2)
     @example(POOL_TRIPLES, True, 3)
-    def test_each_start_walks_in_one_part_balanced_by_degree(self, triples, swap, n):
+    @example(HUB_TRIPLES, False, 2)
+    def test_each_start_sits_in_one_chunk_heaviest_first(self, triples, swap, n):
+        assume(triples)
         if swap:
             triples = [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
         g, priority = build_priority(triples)
-        split = _degree_split(g, n)
-        rows = (g.upper_adj, g.lower_adj)
-        # one part for every start of both layers
-        assert [len(part_of) for part_of in split] == [len(rows[0]), len(rows[1])]
-        assert set(split[0] + split[1]) <= set(range(n))
-        loads = part_loads(g, split, n)
-        weights = [len(row) for row in rows[0] + rows[1]]
-        # greedy's bound: a part's last start joined it when it was the lightest, at most total / n
-        assert max(loads) <= sum(weights) / n + max(weights, default=0)
-        # read from the graph alone: a graph grown edge by edge splits alike, and so do the engines
-        assert _degree_split(build_time(triples), n) == split
+        chunks = _chunks(g, n)
+        weights = weights_of(g)
+        # every start of both layers, in exactly one chunk
+        walked = [start for chunk in chunks for start in chunk_starts(chunk)]
+        assert sorted(walked) == sorted(weights)
+        cut = min(16 * n, 255)
+        assert 0 < len(chunks) <= cut
+        share = sum(weights.values()) / cut
+        order = [sorted(chunk_starts(chunk), key=lambda start: (-weights[start], start)) for chunk in chunks]
+        # heaviest first, ties in (layer, id) order, across and within chunks
+        assert sum(order, []) == sorted(weights, key=lambda start: (-weights[start], start))
+        for chunk in chunks:
+            for layer in (0, 1):
+                assert list(chunk[layer]) == sorted(chunk[layer], key=lambda s: (-weights[layer, s], s))
+        for starts in order:
+            assert starts
+            load = sum(weights[start] for start in starts)
+            # a start heavier than a chunk's share sits alone; a chunk is cut once it reaches its share
+            assert weights[starts[0]] <= share or len(starts) == 1
+            assert load <= share + weights[starts[-1]]
+        # read from the graph alone: a graph grown edge by edge is cut alike
+        assert _chunks(build_time(triples), n) == chunks
         if g.edge_count >= n:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(count_module, "_EDGES_PER_PART", 1)
                 mp.setattr(count_module, "_usable_cpus", lambda: n)
-                assert count_module._parts(g, None) == [(k, split) for k in range(n)]
-        starts = [(layer, s) for layer in (0, 1) for s in range(len(rows[layer]))]
-        if starts:
-            # min keeps the first of equal keys, so ties go in (layer, id) order
-            layer, s = min(starts, key=lambda start: -len(rows[start[0]][start[1]]))
-            assert split[layer][s] == 0
+                assert count_module._processes(g, None) == n
 
 
-def no_split(g, n):
-    raise AssertionError(f"a walk in one process split into {n} parts")
+def no_chunks(g, n):
+    raise AssertionError(f"a walk in one process cut into chunks for {n} processes")
 
 
 class TestForkRules:
@@ -1030,7 +1039,7 @@ class TestForkRules:
         g, priority, expected = pool_graph
         monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(count_module, "_degree_split", no_split)
+        monkeypatch.setattr(count_module, "_chunks", no_chunks)
         assert serial_counts(g, priority, POOL_DELTA) == expected
         assert count_sampled(g, priority, POOL_DELTA, 1.0, workers=1) == expected[1]
         assert forks == []
@@ -1046,7 +1055,7 @@ class TestForkRules:
     def test_input_below_the_size_rule_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
         monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(count_module, "_degree_split", no_split)
+        monkeypatch.setattr(count_module, "_chunks", no_chunks)
         assert g.edge_count < 2 * count_module._EDGES_PER_PART
         assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
         assert count_optimized(g, priority, POOL_DELTA) == expected[0]
@@ -1141,17 +1150,57 @@ class TestForkedRuns:
         g, priority = build_priority(HUB_TRIPLES)
         expected = serial_counts(g, priority, HUB_DELTA)
         assert expected[0] == expected[1] and expected[0].total() > 0
-        rows = (g.upper_adj, g.lower_adj)
-        weights = sorted((len(row) for row in rows[0] + rows[1]), reverse=True)
+        weights = weights_of(g)
         # the hub, upper 0, is the heaviest start and holds more than half the edges
-        assert len(rows[0][0]) == weights[0] > g.edge_count / 2
-        split = _degree_split(g, 2)
-        assert split[0][0] == 0
-        # the hub's part, which the caller walks, takes more starts only once the other part has caught up
-        assert max(part_loads(g, split, 2)) <= sum(weights) / 2 + weights[1]
+        assert max(weights.values()) == weights[0, 0] > g.edge_count / 2
+        # so it is the first chunk, alone, and the other chunks share out the rest
+        chunks = _chunks(g, 2)
+        assert chunk_starts(chunks[0]) == [(0, 0)]
+        assert len(chunks) > 10
         assert count_optimized(g, priority, HUB_DELTA, workers=2) == expected[0]
         assert count_extreme(g, priority, HUB_DELTA, workers=2) == expected[1]
         assert len(real_pool) == 2
+        assert_no_child_left()
+
+    def test_a_slow_caller_leaves_every_other_chunk_to_the_child(self, real_pool, pool_graph, monkeypatch):
+        g, priority, expected = pool_graph
+
+        def enumerated(engine, workers):
+            seen = []
+            return engine(g, priority, POOL_DELTA, seen.append, workers), Counter(seen)
+
+        runs = {
+            count_optimized: lambda workers: count_optimized(g, priority, POOL_DELTA, workers),
+            count_extreme: lambda workers: count_extreme(g, priority, POOL_DELTA, workers),
+            enumerate_baseline: partial(enumerated, enumerate_baseline),
+            enumerate_optimized: partial(enumerated, enumerate_optimized),
+        }
+        serial = {engine: run(1) for engine, run in runs.items()}
+        assert serial[count_optimized] == expected[0] and serial[enumerate_optimized][0] == expected[1]
+        chunks = _chunks(g, 2)
+        # several of the chunks the child walks come back in more than one reply
+        monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
+        assert sum(len(list(_end_buckets(g, priority, POOL_DELTA, starts=chunk))) > 2 for chunk in chunks) > 3
+        parent = os.getpid()
+        walk = count_module._end_buckets
+        walked = []
+
+        def slow_first_claim(g, priority, delta, raw=False, starts=None):
+            if os.getpid() == parent:
+                walked.append(starts)
+                if len(walked) == 1:
+                    time.sleep(0.3)
+            return walk(g, priority, delta, raw, starts)
+
+        monkeypatch.setattr(count_module, "_end_buckets", slow_first_claim)
+        monkeypatch.setattr(enumeration_module, "_end_buckets", slow_first_claim)
+        for engine, run in runs.items():
+            walked.clear()
+            assert run(2) == serial[engine]
+            # the caller walked the one chunk it claimed first, if the child was not quicker to claim it too, and
+            # the child claimed every other while it slept
+            assert len(walked) <= 1 and all(starts in chunks for starts in walked)
+        assert len(real_pool) == len(runs)
         assert_no_child_left()
 
     def test_a_failing_child_is_named(self, real_pool, pool_graph, monkeypatch):
@@ -1159,10 +1208,10 @@ class TestForkedRuns:
         count_part = count_module._count_part
         parent = os.getpid()
 
-        def failing(g, priority, delta, sweep, part):
+        def failing(g, priority, delta, sweep, claims):
             if os.getpid() != parent:
                 raise RuntimeError("part one broke")
-            return count_part(g, priority, delta, sweep, part)
+            return count_part(g, priority, delta, sweep, claims)
 
         monkeypatch.setattr(count_module, "_count_part", failing)
         with pytest.raises(ChildProcessError, match=r"^child process \d+ failed: RuntimeError: part one broke$") as exc:
@@ -1193,7 +1242,7 @@ class TestForkedRuns:
         g, priority, _ = pool_graph
         parent = os.getpid()
 
-        def stuck(g, priority, delta, sweep, part):
+        def stuck(g, priority, delta, sweep, claims):
             if os.getpid() == parent and stop == "interrupt":
                 raise KeyboardInterrupt
             time.sleep(60)
@@ -1207,3 +1256,42 @@ class TestForkedRuns:
         (pid,) = real_pool
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list this process's descriptors")
+    @pytest.mark.parametrize("ending", ["normal", "failing child", "raising sink", "bench cap"])
+    def test_every_ending_closes_the_pipes(self, real_pool, pool_graph, monkeypatch, ending):
+        # the token pipe and each child's pipe
+        g, priority, expected = pool_graph
+        parent = os.getpid()
+        count_part = count_module._count_part
+
+        def failing(g, priority, delta, sweep, claims):
+            if os.getpid() != parent:
+                raise RuntimeError("part one broke")
+            return count_part(g, priority, delta, sweep, claims)
+
+        def stuck(g, priority, delta, sweep, claims):
+            time.sleep(60)
+
+        def raising_sink(inst):
+            raise OSError("stream closed")
+
+        before = sorted(os.listdir("/proc/self/fd"))
+        if ending == "normal":
+            assert count_extreme(g, priority, POOL_DELTA, workers=2) == expected[1]
+            assert enumerate_optimized(g, priority, POOL_DELTA, null_sink, workers=2) == expected[1]
+        elif ending == "failing child":
+            monkeypatch.setattr(count_module, "_count_part", failing)
+            with pytest.raises(ChildProcessError, match="part one broke"):
+                count_extreme(g, priority, POOL_DELTA, workers=2)
+        elif ending == "raising sink":
+            with pytest.raises(OSError, match="stream closed"):
+                enumerate_optimized(g, priority, POOL_DELTA, raising_sink, workers=2)
+        else:
+            monkeypatch.setattr(count_module, "_count_part", stuck)
+            with pytest.raises(_BenchTimeout):
+                with _alarm(0.2):
+                    count_extreme(g, priority, POOL_DELTA, workers=2)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert real_pool
+        assert_no_child_left()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from array import array
 from collections import Counter
 
 import pytest
@@ -316,11 +317,11 @@ def swap_layers(triples):
     return [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
 
 
-def part_by_part(g, priority, delta, parts, largest_paired):
-    """The instances and tallies of emitting each of parts in turn."""
+def chunk_by_chunk(g, priority, delta, chunks, largest_paired):
+    """The tallies and instances of emitting each of chunks in turn, in one process."""
     seen, acc = [], [0] * 6
-    for part in parts:
-        for layer, s, end, wedges in _end_buckets(g, priority, delta, part=part):
+    for chunk in chunks:
+        for layer, s, end, wedges in _end_buckets(g, priority, delta, starts=chunk):
             _emit_bucket(layer, s, end, wedges, delta, seen.append, acc, largest_paired)
     return acc, seen
 
@@ -341,29 +342,31 @@ def pool_graph(pool_reference):
     return *build_priority(POOL_TRIPLES), pool_reference
 
 
-class TestDegreeParts:
-    """Parts emitted one after another, in the calling process, give the serial instances."""
+class TestChunks:
+    """Chunks emitted one after another, in the calling process, in id order, give the serial instances."""
 
     @PROPERTY_SETTINGS
     @given(triples_strategy, delta_strategy, st.booleans(), st.integers(1, 4))
-    def test_parts_emit_the_serial_instances_in_part_order(self, triples, delta, swap, n):
+    def test_chunks_emit_the_serial_instances_in_chunk_order(self, triples, delta, swap, n):
         if swap:
             triples = swap_layers(triples)
         g, priority = build_priority(triples)
         forked = []
         with pytest.MonkeyPatch.context() as mp:
-            # every fork fails, so each part is walked here at its turn
+            # every fork fails, so the caller claims each chunk itself, in id order
             mp.setattr(count_module, "_EDGES_PER_PART", 1)
             mp.setattr(count_module, "_usable_cpus", lambda: 4)
             mp.setattr(os, "fork", failing_fork(forked))
-            parts = count_module._parts(g, n)
+            processes = count_module._processes(g, n)
+            # a walk in one process is one chunk, the whole walk
+            chunks = [None] if processes == 1 else count_module._chunks(g, processes)
             for engine in ENGINES:
                 serial_tallies, serial = collect(engine, g, priority, delta, workers=1)
                 tallies, seen = collect(engine, g, priority, delta, workers=n)
                 assert Counter(seen) == Counter(serial)
                 assert tallies == serial_tallies
-                assert (tallies, seen) == part_by_part(g, priority, delta, parts, LARGEST_PAIRED[engine])
-        assert len(forked) == 2 * (len(parts) - 1)
+                assert (tallies, seen) == chunk_by_chunk(g, priority, delta, chunks, LARGEST_PAIRED[engine])
+        assert len(forked) == 2 * (processes - 1)
 
 
 class TestForkRules:
@@ -424,16 +427,27 @@ class TestForkRules:
         assert forks == []
 
 
-def walk_failing_in_the_child(after, fail):
-    """_end_buckets, except that a forked child calls fail() after yielding after buckets."""
-    parent = os.getpid()
+def slowed_walk(fail_claim=None, after=0, fail=None):
+    """_end_buckets, but the caller sleeps in its first walk, and a forked child calls fail() in its fail_claim-th.
 
-    def walk(g, priority, delta, part):
-        for i, bucket in enumerate(_end_buckets(g, priority, delta, part=part)):
-            if os.getpid() != parent and i == after:
+    While the caller sleeps, the children claim every other chunk.  A child
+    fails before yielding the bucket after of the walk of its chunk with
+    index fail_claim in claim order.  walk.walked lists the starts of each
+    chunk the caller walks.
+    """
+    parent = os.getpid()
+    calls = []
+
+    def walk(g, priority, delta, starts):
+        calls.append(starts)
+        if os.getpid() == parent and len(calls) == 1:
+            time.sleep(0.3)
+        for i, bucket in enumerate(_end_buckets(g, priority, delta, starts=starts)):
+            if os.getpid() != parent and len(calls) - 1 == fail_claim and i == after:
                 fail()
             yield bucket
 
+    walk.walked = calls
     return walk
 
 
@@ -442,30 +456,50 @@ class TestForkedRuns:
 
     def test_two_processes_emit_the_oracle_instances(self, real_pool, pool_graph, monkeypatch):
         g, priority, reference = pool_graph
-        # part 1 comes back in several chunks
+        # a chunk may come back in several replies
         monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
-        parts = count_module._parts(g, 2)
-        assert sum(1 for _ in _end_buckets(g, priority, POOL_DELTA, part=parts[1])) > 3 * 2
+        chunks = count_module._chunks(g, 2)
+        assert max(sum(1 for _ in _end_buckets(g, priority, POOL_DELTA, starts=chunk)) for chunk in chunks) > 3 * 2
         expected_tallies = count_extreme(g, priority, POOL_DELTA, workers=1)
         for engine in ENGINES:
             tallies, seen = collect(engine, g, priority, POOL_DELTA, workers=2)
             assert Counter(seen) == reference
             assert tallies == expected_tallies
-            # the order is the one the same two parts take in one process
-            assert (tallies, seen) == part_by_part(g, priority, POOL_DELTA, parts, LARGEST_PAIRED[engine])
+            # the order is the one the same chunks take in one process, whichever process walked each
+            assert (tallies, seen) == chunk_by_chunk(g, priority, POOL_DELTA, chunks, LARGEST_PAIRED[engine])
         assert len(real_pool) == 2
+        assert_no_child_left()
+
+    def test_three_processes_emit_in_chunk_order(self, real_pool, pool_graph, monkeypatch):
+        g, priority, reference = pool_graph
+        # two children claim the chunks while the caller sleeps, and each chunk is read from the child whose claim names it
+        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
+        chunks = count_module._chunks(g, 3)
+        for engine in ENGINES:
+            walk = slowed_walk()
+            monkeypatch.setattr(enumeration_module, "_end_buckets", walk)
+            tallies, seen = collect(engine, g, priority, POOL_DELTA, workers=3)
+            assert Counter(seen) == reference
+            assert (tallies, seen) == chunk_by_chunk(g, priority, POOL_DELTA, chunks, LARGEST_PAIRED[engine])
+            # a loaded host may start the children so fast that they claim every chunk
+            assert len(walk.walked) <= 1
+        assert len(real_pool) == 4
         assert_no_child_left()
 
     def test_a_hub_holding_most_edges_emits_the_serial_instances(self, real_pool):
         g, priority = build_priority(HUB_TRIPLES)
+        chunks = count_module._chunks(g, 2)
+        # the hub sits alone in the first chunk
+        assert chunks[0] == (array("l", [0]), array("l"))
         for engine in ENGINES:
             serial_tallies, serial = collect(engine, g, priority, HUB_DELTA, workers=1)
             assert serial_tallies.total() > 0
             tallies, seen = collect(engine, g, priority, HUB_DELTA, workers=2)
             assert Counter(seen) == Counter(serial)
             assert tallies == serial_tallies
-            # the hub's part is emitted first, as the caller walks it
-            assert (tallies, seen) == part_by_part(g, priority, HUB_DELTA, count_module._parts(g, 2), LARGEST_PAIRED[engine])
+            # the hub's chunk is emitted first, whichever process walked it
+            assert (tallies, seen) == chunk_by_chunk(g, priority, HUB_DELTA, chunks, LARGEST_PAIRED[engine])
         assert len(real_pool) == 2
         assert_no_child_left()
 
@@ -492,31 +526,36 @@ class TestForkedRuns:
         def fail():
             raise RuntimeError("part one broke")
 
-        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in_the_child(5, fail))
+        # the child fails in its second chunk, after the one reply of two buckets it sent
+        walk = slowed_walk(1, 2, fail)
+        monkeypatch.setattr(enumeration_module, "_end_buckets", walk)
         seen = []
         with pytest.raises(ChildProcessError, match=r"^child process \d+ failed: RuntimeError: part one broke$") as exc:
             enumerate_optimized(g, priority, POOL_DELTA, seen.append, workers=2)
         assert str(real_pool[0]) in str(exc.value)
-        # part 0 whole, then the two chunks part 1 sent before it failed
-        parts = count_module._parts(g, 2)
-        buckets = list(_end_buckets(g, priority, POOL_DELTA, part=parts[0]))
-        buckets += list(_end_buckets(g, priority, POOL_DELTA, part=parts[1]))[:4]
+        # the child's first two claims are the two lowest ids the caller did not claim first, if it claimed any
+        chunks = count_module._chunks(g, 2)
+        _, second = [k for k, chunk in enumerate(chunks) if chunk not in walk.walked[:1]][:2]
+        # every chunk before the child's second in whole, in id order, then the reply the child sent of that one
+        buckets = [bucket for chunk in chunks[:second] for bucket in _end_buckets(g, priority, POOL_DELTA, starts=chunk)]
+        tail = list(_end_buckets(g, priority, POOL_DELTA, starts=chunks[second]))
+        assert len(tail) > 2
         expected = []
-        for layer, s, end, wedges in buckets:
+        for layer, s, end, wedges in buckets + tail[:2]:
             _emit_bucket(layer, s, end, wedges, POOL_DELTA, expected.append, [0] * 6, _SMALL_BUCKET)
         assert seen == expected
         assert_no_child_left()
 
     def test_a_child_ending_before_its_last_reply_is_named(self, real_pool, pool_graph, monkeypatch):
         g, priority, _ = pool_graph
-        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in_the_child(5, lambda: os._exit(3)))
+        monkeypatch.setattr(enumeration_module, "_end_buckets", slowed_walk(0, 2, lambda: os._exit(3)))
         with pytest.raises(ChildProcessError, match=r"^child process \d+ ended with status 3 before its last reply$"):
             enumerate_baseline(g, priority, POOL_DELTA, null_sink, workers=2)
         assert_no_child_left()
 
     def test_a_bench_cap_while_reading_a_child_kills_it(self, real_pool, pool_graph, monkeypatch):
         g, priority, _ = pool_graph
-        monkeypatch.setattr(enumeration_module, "_end_buckets", walk_failing_in_the_child(0, lambda: time.sleep(60)))
+        monkeypatch.setattr(enumeration_module, "_end_buckets", slowed_walk(0, 0, lambda: time.sleep(60)))
         began = time.perf_counter()
         with pytest.raises(_BenchTimeout):
             with _alarm(0.5):
