@@ -28,15 +28,7 @@ from .graph import (
     sort_adjacency_by_priority,
 )
 from .oracle import oracle_contains, oracle_count, oracle_enumerate, oracle_static_pairings
-from .stream import (
-    SlidingWindow,
-    StreamOrderError,
-    batch_update,
-    delta_count_edge,
-    run_sliding_window,
-    stream_delete,
-    stream_insert,
-)
+from .stream import SlidingWindow, StreamOrderError, batch_update, run_sliding_window
 from .cli import BenchReport, gen_random_graph, main, run_bench
 
 __version__ = "0.1.0"
@@ -60,7 +52,6 @@ __all__ = [
     "count_extreme",
     "count_optimized",
     "count_sampled",
-    "delta_count_edge",
     "enumerate_baseline",
     "enumerate_optimized",
     "gen_random_graph",
@@ -76,7 +67,5 @@ __all__ = [
     "run_sliding_window",
     "save_edge_list",
     "sort_adjacency_by_priority",
-    "stream_delete",
-    "stream_insert",
     "__version__",
 ]

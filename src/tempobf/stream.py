@@ -11,16 +11,15 @@ live stays non-negative, remove the evicted edges, then insert the chunk
 and count it on the new graph, so a butterfly that enters and leaves within
 one step is counted in neither.  A live vector without tallies counts each
 deletion instead, as the oldest edge of its butterflies on the graph before
-the step.  `stream_insert`, `stream_delete` and `delta_count_edge` take any
-stamp and count every butterfly through the edge.  Every counter expands an
-edge's 2-paths through the endpoint with fewer edges in its time range, the
-degree-priority idea of vertex-priority butterfly counting; a batch is cut
-into runs of stamps within delta of the run's first, each vertex's
-neighbour map is built once per run, and the far ends that close a 2-path
-come from a C intersection of two maps' keys.  Every step runs serially in
-the calling process: the counting is pure Python, so threads would only
-contend for the interpreter lock, and `workers` is checked but changes
-nothing.
+the step.  One per-edge counter, `_count_edge_extreme`, does all the
+counting: it expands an edge's 2-paths through the endpoint with fewer
+edges in its time range, the degree-priority idea of vertex-priority
+butterfly counting; a batch is cut into runs of stamps within delta of the
+run's first, each vertex's neighbour map is built once per run, and the far
+ends that close a 2-path come from a C intersection of two maps' keys.
+Every step runs serially in the calling process: the counting is pure
+Python, so threads would only contend for the interpreter lock, and
+`workers` is checked but changes nothing.
 """
 
 from __future__ import annotations
@@ -31,14 +30,11 @@ from itertools import islice, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .count import CountVector, classify_type
+from .count import CountVector
 from .graph import TemporalBipartiteGraph, TemporalEdge, _check_token, _stamp
 
 __all__ = [
     "StreamOrderError",
-    "delta_count_edge",
-    "stream_insert",
-    "stream_delete",
     "batch_update",
     "SlidingWindow",
     "run_sliding_window",
@@ -85,108 +81,6 @@ def _runs(batch: list[TemporalEdge], delta: int, as_max: bool) -> Iterator[tuple
         i = j
 
 
-def _expansion(
-    g: TemporalBipartiteGraph,
-    e: TemporalEdge,
-    lo: int,
-    hi: int,
-    looks: dict[tuple[bool, int], dict[int, list[Entry]]],
-    span: tuple[int, int],
-    from_upper: bool | None = None,
-) -> tuple[dict[int, list[Entry]], dict[int, list[Entry]], list, list[list[int]], bool, int]:
-    """How to expand e's 2-paths u-x-w-v whose two legs lie in [lo, hi].
-
-    The endpoint with fewer edges in [lo, hi] is walked (u on a tie) unless
-    from_upper forces the direction (true: through u), so that tests can run
-    both.  Its in-range neighbours but the other endpoint map to the row
-    entries (neighbour, t, uid) of their edges to it.  The other endpoint's
-    map comes from `_row_map` over span, a range holding [lo, hi], in looks,
-    which the window engines share across a run; per-edge callers pass a
-    fresh dict and span (lo, hi).  A shared map may hold the walked endpoint
-    and stamps outside [lo, hi], which the caller drops.  Returns the map to
-    walk (empty when there is nothing to walk), the map to look up, the
-    walked neighbours' rows and timestamp arrays, from_upper and the walked
-    endpoint's id.
-    """
-    u, v, _t, _ = e
-    ulo, uhi = _time_range(g.upper_times[u], lo, hi)
-    vlo, vhi = _time_range(g.lower_times[v], lo, hi)
-    if from_upper is None:
-        from_upper = uhi - ulo <= vhi - vlo
-    if from_upper:
-        me, other, walked = u, v, g.upper_adj[u][ulo:uhi]
-        rows, times, far_row, far_times = g.lower_adj, g.lower_times, g.lower_adj[v], g.lower_times[v]
-    else:
-        me, other, walked = v, u, g.lower_adj[v][vlo:vhi]
-        rows, times, far_row, far_times = g.upper_adj, g.upper_times, g.upper_adj[u], g.upper_times[u]
-    walk: dict[int, list[Entry]] = {}
-    for ent in walked:
-        if ent[0] != other:
-            walk.setdefault(ent[0], []).append(ent)
-    if not walk:
-        return {}, {}, rows, times, from_upper, me
-    look = _row_map(looks, (not from_upper, other), far_row, far_times, span)
-    return walk, look, rows, times, from_upper, me
-
-
-def delta_count_edge(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge) -> CountVector:
-    """Exact per-type counts of the butterflies containing edge e.
-
-    A butterfly through e = (u, v, t) is e, a 2-path u-x-w-v and the edge
-    (u, x) or (w, v) that closes it, every timestamp inside
-    [t - delta, t + delta].  The 2-paths are expanded through whichever
-    endpoint has fewer edges in that range, as the window engines do, and
-    each (closing edge, 2-path) pair is tested directly for four distinct
-    timestamps and the span bound.  The pair is two wedges off the endpoint
-    not walked, (t, closing edge) through the walked one and the 2-path's
-    own, so its type is read from that endpoint's layer.
-    """
-    if not g.has_edge(e):
-        raise ValueError(f"edge {e} is not in the graph")
-    t = e.t
-    lo, hi = t - delta, t + delta
-    walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, {}, (lo, hi))
-    acc = [0] * 6
-    for y, pivots in walk.items():
-        a, b = _time_range(times[y], lo, hi)
-        for z, ta, _uid in rows[y][a:b]:
-            starts = look.get(z)
-            if starts is None or z == skip:
-                continue
-            # the map spans [lo, hi] itself, so its stamps need no filter
-            for _z, ts, _us in starts:
-                for _y, pivot, _up in pivots:
-                    stamps = (t, pivot, ts, ta)
-                    if max(stamps) - min(stamps) <= delta and len(set(stamps)) == 4:
-                        acc[classify_type((t, pivot), (ts, ta), not from_upper)] += 1
-    return CountVector(acc)
-
-
-def stream_insert(g: TemporalBipartiteGraph, delta: int, u_token: str, v_token: str, t: int, live: CountVector) -> TemporalEdge:
-    """Insert one edge and add the butterflies it completes to live."""
-    e = g.insert_edge(u_token, v_token, t)
-    live.add_(delta_count_edge(g, delta, e))
-    return e
-
-
-def stream_delete(g: TemporalBipartiteGraph, delta: int, e: TemporalEdge, live: CountVector) -> None:
-    """Subtract the butterflies containing e from live, then remove e.
-
-    Raises ValueError, leaving graph and live untouched, if live would go
-    negative, which means it did not match the graph.
-    """
-    removed = delta_count_edge(g, delta, e)
-    _check_live(live, removed)
-    live.sub_(removed)
-    g.remove_edge(e)
-
-
-def _check_live(live: CountVector, removed: list[int]) -> None:
-    after = [c - r for c, r in zip(live, removed)]
-    if any(c < 0 for c in after):
-        raise ValueError(f"live counts would go negative: {after}; they did not match the graph")
-
-
 # --- window step ------------------------------------------------------------
 
 # Type by (e is the maximum, walked through u), the partner wedge's direction
@@ -210,26 +104,46 @@ def _count_edge_extreme(
     from_upper: bool | None = None,
     tallies: defaultdict[int, list[int]] | None = None,
 ) -> list[int]:
-    """Counts of butterflies containing e in which e.t is the strict extreme.
+    """Counts of butterflies containing e = (u, v, t) in which t is the strict extreme.
 
     As the minimum (as_max false) every other stamp lies in (t, t + delta],
     as the maximum in [t - delta, t), so the span bound holds by
-    construction.  The 2-paths come from `_expansion`, with looks and span
-    shared across a run or, when looks is None, fresh for this edge; each
-    walked neighbour y's map meets the looked-up one in a C key
-    intersection, which gives y's partner wedges.  Each of y's edges to the
-    walked endpoint, a pivot, closes a butterfly with each partner whose
-    stamps it does not equal, and whether it lies below, between or above
-    them picks the type.  With tallies, each butterfly is also added to its
-    oldest edge's tally, the pivot's when it lies below, else the partner's
-    older edge's.
+    construction.  The 2-paths u-x-w-v are expanded through the endpoint
+    with fewer edges in that range (u on a tie) unless from_upper forces
+    the direction (true: through u), so that tests can run both.  The walked
+    endpoint's in-range neighbours but the other endpoint map to its edges
+    to them; the other endpoint's map and each walked neighbour y's come
+    from `_row_map` over span, in looks, which a run shares, or, when looks
+    is None, fresh for this edge over the range itself.  A shared map may
+    hold the walked endpoint and stamps outside the range, which are
+    dropped here.  y's map meets the looked-up one in a C key intersection,
+    which gives y's partner wedges.  Each of y's edges to the walked
+    endpoint, a pivot, closes a butterfly with each partner whose stamps it
+    does not equal, and whether it lies below, between or above them picks
+    the type.  With tallies, each butterfly is also added to its oldest
+    edge's tally, the pivot's when it lies below, else the partner's older
+    edge's.
     """
-    t = e.t
+    u, v, t, _ = e
     lo, hi = (t - delta, t - 1) if as_max else (t + 1, t + delta)
     if looks is None:
         looks, span = {}, (lo, hi)
     acc = [0] * 6
-    walk, look, rows, times, from_upper, skip = _expansion(g, e, lo, hi, looks, span, from_upper)
+    ulo, uhi = _time_range(g.upper_times[u], lo, hi)
+    vlo, vhi = _time_range(g.lower_times[v], lo, hi)
+    if from_upper is None:
+        from_upper = uhi - ulo <= vhi - vlo
+    if from_upper:
+        skip, other, walked, rows, times = u, v, g.upper_adj[u][ulo:uhi], g.lower_adj, g.lower_times
+    else:
+        skip, other, walked, rows, times = v, u, g.lower_adj[v][vlo:vhi], g.upper_adj, g.upper_times
+    walk: dict[int, list[Entry]] = {}
+    for ent in walked:
+        if ent[0] != other:
+            walk.setdefault(ent[0], []).append(ent)
+    if not walk:
+        return acc
+    look = _row_map(looks, (not from_upper, other), rows[other], times[other], span)
     forward, backward = _KINDS[as_max, from_upper]
     for y, pivots in walk.items():
         # partner wedges endpoint-z-y: ts on the looked-up edge, ta on y's
@@ -345,7 +259,9 @@ def batch_update(
     else:
         lost = [tallies[e.uid] for e in deletions if e.uid in tallies]
         removed = [sum(col) for col in zip([0] * 6, *lost)]
-    _check_live(live, removed)
+    after = [c - r for c, r in zip(live, removed)]
+    if any(c < 0 for c in after):
+        raise ValueError(f"live counts would go negative: {after}; they did not match the graph")
     for e in deletions:
         g.remove_edge(e)
         if tallies is not None:

@@ -27,14 +27,11 @@ from tempobf import (
     count_extreme,
     count_optimized,
     count_sampled,
-    delta_count_edge,
     enumerate_baseline,
     enumerate_optimized,
     null_sink,
     oracle_contains,
     oracle_count,
-    stream_delete,
-    stream_insert,
 )
 from conftest import F1, PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time, random_triples
 
@@ -63,8 +60,8 @@ def _graph(built):
 MUTATIONS = {
     "insert_edge": lambda g, live: g.insert_edge("c", "z", 9),
     "remove_edge": lambda g, live: g.remove_edge(g.edges()[0]),
-    "stream_insert": lambda g, live: stream_insert(g, 3, "b", "z", 5, live),
-    "stream_delete": lambda g, live: stream_delete(g, 3, g.edges()[0], live),
+    "batch_insert": lambda g, live: batch_update(g, 3, [], [("b", "z", 5)], live),
+    "batch_delete": lambda g, live: batch_update(g, 3, g.edges()[:1], [], live),
     "batch_update": lambda g, live: batch_update(g, 3, g.edges()[:1], [("c", "x", 5), ("c", "y", 6)], live),
 }
 
@@ -343,18 +340,15 @@ class TestStreamingMutation:
         edges = g.edges()
         assert all(g.has_edge(e) for e in edges)
         for e in edges:
-            assert delta_count_edge(g, 3, e) == oracle_contains(g, 3, e) == [0, 1, 0, 0, 0, 0]
+            assert oracle_contains(g, 3, e) == [0, 1, 0, 0, 0, 0]
         e = g.insert_edge("u3", "v1", 2)
         assert g.has_edge(e)
         g.remove_edge(e)
         assert not g.has_edge(e)
         live = CountVector(oracle_count(g, 3))
-        stream_insert(g, 3, "u1", "v1", 5, live)
-        assert live == oracle_count(g, 3) == [0, 1, 0, 0, 1, 0]
-        stream_delete(g, 3, edges[1], live)
-        assert live == oracle_count(g, 3) == [0, 0, 0, 0, 1, 0]
-        batch_update(g, 3, [edges[3]], [("u3", "v2", 6)], live)
-        assert live == oracle_count(g, 3) == [0] * 6
+        # the two oldest edges leave and u1's two edges come back later, closing a butterfly of another type
+        batch_update(g, 3, [edges[1], edges[3]], [("u1", "v2", 5), ("u1", "v1", 6)], live)
+        assert live == oracle_count(g, 3) == [0, 0, 1, 0, 0, 0]
         assert_times_match_rows(g)
 
     def test_insert_remove_round_trip(self):

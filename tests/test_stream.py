@@ -1,4 +1,4 @@
-"""Per-edge and batched streaming maintenance plus the sliding-window driver."""
+"""Batched streaming maintenance, its per-edge counter and the sliding-window driver."""
 
 from __future__ import annotations
 
@@ -21,12 +21,9 @@ from tempobf import (
     count_baseline,
     count_extreme,
     count_optimized,
-    delta_count_edge,
     oracle_contains,
     oracle_count,
     run_sliding_window,
-    stream_delete,
-    stream_insert,
 )
 from tempobf.stream import _count_edge_extreme
 from conftest import F1, PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time
@@ -47,97 +44,61 @@ def exact_counts(triples, delta):
     return count_extreme(g, priority, delta)
 
 
-class TestDeltaCountEdge:
+class TestCountEdgeExtreme:
     def test_every_wing_of_the_fixture_butterfly(self):
+        # F1's butterfly is counted once from its oldest wing as the minimum and once from its newest as the maximum
         g = build_time(F1)
-        newest = g.edges()[3]
-        oldest = g.edges()[0]
-        assert delta_count_edge(g, 3, newest) == [0, 1, 0, 0, 0, 0]
-        assert delta_count_edge(g, 3, oldest) == [0, 1, 0, 0, 0, 0]
+        edges = g.edges()
+        for i, e in enumerate(edges):
+            as_min = [0, 1, 0, 0, 0, 0] if i == 0 else [0] * 6
+            as_max = [0, 1, 0, 0, 0, 0] if i == 3 else [0] * 6
+            assert _count_edge_extreme(g, 3, e, False) == as_min
+            assert _count_edge_extreme(g, 3, e, True) == as_max
 
     def test_isolated_pair_edge(self):
         g = build_time(F1 + (("u3", "v3", 2),))
-        assert delta_count_edge(g, 3, g.edges()[4]) == [0] * 6
+        lone = next(e for e in g.edges() if g.upper_tokens[e.u] == "u3")
+        assert _count_edge_extreme(g, 3, lone, False) == [0] * 6
+        assert _count_edge_extreme(g, 3, lone, True) == [0] * 6
 
-    def test_absent_edge_rejected(self):
-        g = build_time(F1)
-        with pytest.raises(ValueError, match="not in the graph"):
-            delta_count_edge(g, 3, TemporalEdge(0, 0, 1, uid=99))
+
+def _fill_edge_by_edge(triples, delta):
+    """Insert triples one per batch_update step, checking live against the oracle after each."""
+    g = TemporalBipartiteGraph()
+    live = CountVector.zeros()
+    for u, v, t in triples:
+        batch_update(g, delta, [], [(u, v, t)], live)
+        assert live == oracle_count(g, delta)
+    return g, live
+
+
+class TestSingleEdgeSteps:
+    def test_insert_walkthrough_tracks_the_oracle(self):
+        g, live = _fill_edge_by_edge(F1[:3], 3)
+        assert live == [0] * 6
+        batch_update(g, 3, [], [F1[3]], live)
+        assert live == oracle_count(g, 3) == [0, 1, 0, 0, 0, 0]
+        # an edge that closes no butterfly leaves live as it was
+        batch_update(g, 3, [], [("u3", "v3", 5)], live)
+        assert live == [0, 1, 0, 0, 0, 0]
+
+    def test_delete_walkthrough_returns_to_zero(self):
+        g, live = _fill_edge_by_edge(F1, 3)
+        while g.edge_count:
+            batch_update(g, 3, g.edges()[:1], [], live)
+            assert live == oracle_count(g, 3)
+            assert all(c >= 0 for c in live)
+        assert live == [0] * 6
 
     @PROPERTY_SETTINGS
     @given(triples_strategy, delta_strategy)
-    def test_agrees_with_membership_oracle(self, triples, delta):
-        g = build_time(triples)
-        for e in g.edges():
-            assert delta_count_edge(g, delta, e) == oracle_contains(g, delta, e)
-
-
-def _fill_fixture_edge_by_edge():
-    g = TemporalBipartiteGraph()
-    live = CountVector.zeros()
-    inserted = []
-    for i, (u, v, t) in enumerate(F1):
-        inserted.append(stream_insert(g, 3, u, v, t, live))
-        assert live == oracle_count(g, 3)
-        assert live == ([0, 1, 0, 0, 0, 0] if i == 3 else [0] * 6)
-    return g, live, inserted
-
-
-class TestSingleEdgeStream:
-    def test_insert_walkthrough_tracks_the_oracle(self):
-        _fill_fixture_edge_by_edge()
-
-    def test_delete_walkthrough_returns_to_zero(self):
-        g, live, inserted = _fill_fixture_edge_by_edge()
-        for e in inserted:
-            stream_delete(g, 3, e, live)
-            assert live == oracle_count(g, 3)
-            assert all(c >= 0 for c in live)
-        assert live == [0] * 6 and g.edge_count == 0
-
-    def test_live_below_zero_raises(self):
-        # live claims no butterflies, yet deleting a wing of F1 removes one
-        g = build_time(F1)
-        with pytest.raises(ValueError, match="negative"):
-            stream_delete(g, 3, g.edges()[0], CountVector.zeros())
-
-    def test_negative_live_leaves_state_untouched(self):
-        g = build_time(F1)
-        live = CountVector.zeros()
-        edges_before = g.edges()
-        with pytest.raises(ValueError, match="negative"):
-            stream_delete(g, 3, edges_before[0], live)
-        assert g.edge_count == 4
-        assert g.edges() == edges_before
+    def test_fill_then_drain_tracks_the_oracle(self, triples, delta):
+        g, live = _fill_edge_by_edge(sorted(triples, key=lambda e: e[2]), delta)
+        assert live == exact_counts(triples, delta)
+        while g.edge_count:
+            batch_update(g, delta, g.edges()[:1], [], live)
+            assert live == oracle_count(g, delta)
         assert live == [0] * 6
-
-    def test_uninvolved_edge_changes_nothing(self):
-        g = build_time(F1 + (("u3", "v3", 2),))
-        live = oracle_count(g, 3).copy()
-        stream_delete(g, 3, g.edges()[4], live)
-        assert live == [0, 1, 0, 0, 0, 0]
-
-    def test_delete_then_reinsert_restores(self):
-        g = build_time(F1)
-        live = CountVector([0, 1, 0, 0, 0, 0])
-        victim = g.edges()[2]
-        stream_delete(g, 3, victim, live)
-        assert live == [0] * 6
-        stream_insert(g, 3, "u2", "v1", 3, live)
-        assert live == [0, 1, 0, 0, 0, 0]
-
-    @PROPERTY_SETTINGS
-    @given(triples_strategy, delta_strategy, st.integers(0, 2**32 - 1))
-    def test_insert_then_delete_is_sign_symmetric(self, triples, delta, seed):
-        g = build_time(triples)
-        before = oracle_count(g, delta)
-        live = before.copy()
-        extra = [(f"u{i % 3}", f"v{i % 3}", 20 + i) for i in range(4)]
-        records = [stream_insert(g, delta, u, v, t, live) for u, v, t in extra]
-        random.Random(seed).shuffle(records)
-        for e in records:
-            stream_delete(g, delta, e, live)
-        assert live == before
 
 
 class TestBatchUpdate:
@@ -668,7 +629,6 @@ class TestExpansionDirections:
                 through_v = _count_edge_extreme(g, delta, e, as_max, from_upper=False)
                 assert through_u == through_v == _count_edge_extreme(g, delta, e, as_max)
                 assert through_u == extreme_by_oracle(g, delta, e, as_max)
-            assert delta_count_edge(g, delta, e) == oracle_contains(g, delta, e)
 
     @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
     @PROPERTY_SETTINGS
