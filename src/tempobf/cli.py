@@ -3,9 +3,9 @@
 Subcommands map onto the library engines one-to-one.  Counting and
 enumeration read an edge list, rank its vertices once, and run the selected
 engine; streaming replays the file as a chronological stream through a
-sliding window; bench times several engines on one loaded graph under an
-optional per-engine wall-clock cap; gen writes seed-deterministic random
-edge lists for experiments.
+sliding window; bench times several engines on one loaded graph, each in
+a forked child that the parent kills at an optional per-engine wall-clock
+cap; gen writes seed-deterministic random edge lists for experiments.
 
 Each flag's own rule is its argparse type, and each subcommand's function
 reads the parsed namespace; main checks only the rules that span flags or
@@ -21,16 +21,13 @@ import argparse
 import json
 import os
 import random
-import signal
 import sys
-import threading
-import time
-import tracemalloc
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import IO, Any, Callable, Iterator, Sequence
 
+from ._pool import _in_child
 from .count import (
     CountVector,
     count_baseline,
@@ -187,63 +184,23 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-class _BenchTimeout(Exception):
-    pass
-
-
 def _env_timeout() -> float:
     """The cap in TEMPO_BF_TIMEOUT_SECS, 0 when unset or empty; ValueError unless it keeps --timeout-secs's rule."""
     raw = os.environ.get(TIMEOUT_ENV_VAR, "")
     return _cap(raw, TIMEOUT_ENV_VAR) if raw else 0.0
 
 
-@contextmanager
-def _alarm(seconds: float) -> Iterator[None]:
-    """Raise _BenchTimeout in the protected block after the given wall time.
-
-    Alarm signals only reach the main thread; elsewhere the cap is a no-op.
-    """
-    if seconds <= 0 or threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def on_alarm(_signum, _frame):
-        raise _BenchTimeout
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _capped_run(run: Callable[[], CountVector], limit: float, traced: bool = False) -> tuple[CountVector | None, float, int]:
-    """One run under the cap: its counts (None when capped), wall seconds, and tracemalloc's peak bytes when traced, else 0."""
-    counts = None
-    if traced:
-        tracemalloc.start()
-    try:
-        start = time.perf_counter()
-        with suppress(_BenchTimeout), _alarm(limit):
-            counts = run()
-        return counts, time.perf_counter() - start, tracemalloc.get_traced_memory()[1] if traced else 0
-    finally:
-        if traced:
-            tracemalloc.stop()
-
-
 def run_bench(path: str, delta: int, algos: Sequence[str], timeout_secs: float = 0.0) -> list[BenchReport]:
     """Load and rank the edge list at path (- for stdin) once, then time each engine in algos on the same graph.
 
     Preprocessing (parse, priority) happens before any clock starts.  Each
-    engine runs twice: once untraced for its wall time and counts, then once
-    under tracemalloc for its peak bytes, since tracing slows pure-Python
-    code several times over.  The cap from timeout_secs or, when that is 0,
-    the TEMPO_BF_TIMEOUT_SECS variable applies to each run; a capped engine
-    reports timed_out with no counts, and the peak its traced run reached by
-    the cap.
+    engine runs once, in a forked child that sends back its counts, wall
+    seconds and peak RSS above its RSS at fork, the child's or its largest
+    pool child's, not a sum.  The cap from timeout_secs or, when that is 0,
+    the TEMPO_BF_TIMEOUT_SECS variable bounds the wait; a capped engine's
+    process group is killed, and it reports timed_out with no counts, the
+    cap's seconds and a peak of 0.  Without os.fork, or while another
+    thread is alive, each engine runs in this process, uncapped, peak 0.
     """
     g, priority = _load_ranked(path)
     runners: dict[str, Callable[[], CountVector]] = {
@@ -257,8 +214,7 @@ def run_bench(path: str, delta: int, algos: Sequence[str], timeout_secs: float =
     limit = timeout_secs if timeout_secs > 0 else _env_timeout()
     reports = []
     for algo in algos:
-        counts, seconds, _ = _capped_run(runners[algo], limit)
-        _, _, peak = _capped_run(runners[algo], limit, traced=True)
+        counts, seconds, peak = _in_child(runners[algo], limit)
         reports.append(BenchReport(algo, seconds, peak, counts, counts is None))
     return reports
 

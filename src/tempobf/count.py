@@ -50,46 +50,20 @@ to keep dead wedges as well, so it reads each middle's whole row; the
 others drop them on sight.  In that raw mode every bucket with two middles
 leaves the walk, two-wedge ones too, so every distinct-middle pair is
 examined.  count_sampled runs count_extreme on an edge-sampled subgraph and
-rescales, giving unbiased estimates.
-
-count_optimized, count_extreme and count_sampled count on a fork pool, and
-both enumerators walk on it.  Its n processes are the caller's workers
-(None: every usable CPU) capped at the usable CPUs and at one process per
-_EDGES_PER_PART edges.  _chunks cuts the starts of both layers, heaviest
-first, into _CHUNKS_PER_PROCESS chunks per process.  The caller writes one
-byte per chunk id into a pipe and closes its write end before it forks;
-then every process, the caller too, claims its next chunk by reading one
-byte until the pipe runs dry, so each chunk is walked once and no process
-waits on another while chunks remain.  A forked child, _Child, pipes
-pickled records back and ends in os._exit.  A counting child sends the
-tallies of its chunks in one reply.  An enumerating child sends each
-chunk's id as it claims it, then its end buckets as it walks them, and
-the caller emits the chunks in id order, so the emission order is fixed
-for a given n.  An exception in the parent, a sink's, a KeyboardInterrupt
-or a bench cap among them, kills and reaps every child and closes the
-pipes first; signals are held from each fork until its child is
-registered.  A call stays in the calling process when n is 1 (fewer than
-2 * _EDGES_PER_PART edges among the cases), when os.fork is missing, or
-when another thread is alive (a child would inherit the locks it holds).
-count_baseline stays serial.
+rescales, giving unbiased estimates.  All but count_baseline count on the
+fork pool of _pool, each process summing the chunks of starts it claims.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 import random
-import signal
-import threading
-from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
-from contextlib import suppress
-from functools import partial
-from itertools import accumulate, chain, groupby, islice
+from itertools import chain, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
+from ._pool import _END, _run_pool
 from .graph import TemporalBipartiteGraph, VertexPriority, compute_vertex_priority
 
 __all__ = [
@@ -634,234 +608,6 @@ def _end_buckets(
                 yield layer, s, end, wedges
 
 
-# --- fork pool --------------------------------------------------------------
-
-# Each process walks a share of at least this many of the graph's edges, so
-# graphs of fewer than twice as many are walked in the calling process.  A
-# fork and pipe round trip takes 1.5-2 ms from a 40 MB process, the parent
-# forks its children one after another, and a child runs its part about 10%
-# slower than the parent would, on copy-on-write faults; so two parts lost
-# on a 5,000-edge window (2.7 -> 6.8 ms) and on a sparse 15,000-edge sample
-# (16 -> 17 ms), while generated graphs of 30,000 edges and more, skewed or
-# uniform, gained 18-38% (2 CPUs; more parts were not timed).
-_EDGES_PER_PART = 15_000
-
-# The walk is cut into this many chunks per process, so the processes end
-# together on the lightest; 16, 32 and 64 timed within 1% of each other on
-# the skew input (2 CPUs).  A chunk's id is one byte in the token pipe.
-_CHUNKS_PER_PROCESS = 16
-_MAX_CHUNKS = 255
-
-# A child pickles a chunk's items this many at a time, and its parent hands
-# on one reply at a time.  On skew-narrow, whose hub buckets are large,
-# replies of 256 buckets cost the parent 0.7 MB of peak RSS over a serial
-# run and replies of 64 0.4 MB.
-_REPLY_CHUNK = 64
-
-# A child's pipe is grown to this size where the OS allows (Linux's default
-# cap), so a child walks on while its parent is busy instead of stalling on
-# a full 64 KiB pipe.  Enumerating into null_sink (2 CPUs), that took uniform
-# from 0.085 to 0.078 s and the skew input at delta 10000 from 0.389 to 0.366 s.
-_PIPE_BYTES = 1 << 20
-
-# a child's records: a chunk it claimed, items of it with more to come, its
-# last items (or a counting child's one reply), the text of its failure
-_CLAIMED, _MORE, _END, _FAILED = range(4)
-
-# held from a fork until its child is registered, so no handler can raise in between
-_HELD_SIGNALS = signal.valid_signals()
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS keeps one, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _processes(g: TemporalBipartiteGraph, workers: int | None) -> int:
-    """The processes g's walk runs on: at most workers (None: every usable CPU), one per _EDGES_PER_PART edges."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    cpus = _usable_cpus()
-    n = min(cpus if workers is None else workers, cpus, g.edge_count // _EDGES_PER_PART)
-    # a forked child holds only the forking thread, so a lock another thread held stays held
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return n
-
-
-def _chunks(g: TemporalBipartiteGraph, n: int) -> list[tuple[array, array]]:
-    """The starts of g's walk, (upper ids, lower ids), in at most c chunks for n processes, heaviest first.
-
-    A start weighs its time row's length, the degree priority ranks by.
-    The starts of both layers, heaviest first with ties in (layer, id)
-    order, are cut where their running weight reaches each multiple of
-    total / c, c being _CHUNKS_PER_PROCESS * n up to _MAX_CHUNKS, so a
-    start heavier than that sits alone.
-    """
-    weights = list(map(len, chain(g.upper_adj, g.lower_adj)))
-    order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
-    running = list(accumulate(map(weights.__getitem__, order)))
-    c = min(_CHUNKS_PER_PROCESS * n, _MAX_CHUNKS)
-    # the last chunk also takes the starts of no weight
-    ends = sorted({bisect_left(running, -(-running[-1] * k // c)) + 1 for k in range(1, c)} | {len(order)})
-    up = g.upper_count
-    cuts = [order[a:b] for a, b in zip([0] + ends, ends)]
-    return [(array("l", [s for s in ids if s < up]), array("l", [s - up for s in ids if s >= up])) for ids in cuts]
-
-
-class _Child:
-    """The records of fn(), made in a forked child process and sent back pickled through a pipe.
-
-    The child writes each record as fn makes it, so it blocks on a full
-    pipe until its parent reads.  It ends in os._exit whatever happens, so
-    it never unwinds into the caller's stack or flushes the caller's
-    buffers; an exception in fn comes back as text, after the records made
-    before it.  The child is appended to started before any signal that
-    arrived since the fork is let in, so a caller that kills every started
-    child in a finally leaves none behind.  records() yields the records as
-    they arrive and reaps the child after the last; kill() ends and reaps a
-    child still running.
-    """
-
-    __slots__ = ("pid", "_pipe")
-
-    def __init__(self, fn: Callable[[], Iterable[tuple[int, object]]], started: list[_Child]) -> None:
-        self.pid = 0
-        self._pipe = None
-        read, write = os.pipe()
-        with suppress(ImportError, AttributeError, OSError):
-            import fcntl
-
-            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
-        try:
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(read)
-                    with open(write, "wb") as out:
-                        try:
-                            for record in fn():
-                                out.write(pickle.dumps(record))
-                                out.flush()
-                        except BaseException as exc:
-                            out.write(pickle.dumps((_FAILED, f"{type(exc).__name__}: {exc}")))
-                    code = 0
-                finally:
-                    os._exit(code)
-            self.pid = pid
-            started.append(self)
-            os.close(write)
-            self._pipe = open(read, "rb")
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-    def records(self) -> Iterator[tuple[int, object]]:
-        while True:
-            try:
-                status, payload = pickle.load(self._pipe)
-            except (EOFError, pickle.UnpicklingError):
-                break
-            if status == _FAILED:
-                raise ChildProcessError(f"child process {self.pid} failed: {payload}")
-            yield status, payload
-        self._pipe.close()
-        pid, code = os.waitpid(self.pid, 0)
-        self.pid = 0
-        code = os.waitstatus_to_exitcode(code)
-        if code != 0:
-            raise ChildProcessError(f"child process {pid} ended with status {code} before its last reply")
-
-    def kill(self) -> None:
-        if self._pipe is not None:
-            self._pipe.close()
-        if self.pid:
-            with suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = 0
-
-
-def _run_pool(g: TemporalBipartiteGraph, workers: int | None, serve: Callable, gather: Callable):
-    """gather(claims, children, chunk count), serve(claims) running in each child; see the module docstring.
-
-    claims yields (id, starts) for each chunk this process claims, by one
-    byte read from the token pipe; on one process the one chunk is None,
-    the whole walk.  Whatever ends the call, every child is killed and
-    reaped and the pipe closed first.
-    """
-    n = _processes(g, workers)
-    chunks = _chunks(g, n) if n > 1 else [None]
-    tokens, write = os.pipe()
-    children: list[_Child] = []
-
-    def claims():
-        return ((k, chunks[k]) for (k,) in iter(partial(os.read, tokens, 1), b""))
-
-    try:
-        try:
-            os.write(write, bytes(range(len(chunks))))
-        finally:
-            os.close(write)
-        for _ in range(1, n):
-            # no process to spare: the others claim its share
-            with suppress(OSError):
-                _Child(lambda: serve(claims()), children)
-        return gather(claims(), children, len(chunks))
-    finally:
-        for child in children:
-            child.kill()
-        os.close(tokens)
-
-
-def _walk_in_chunk_order(g, workers: int | None, walk: Callable[[object], Iterable], take: Callable[[Iterable], None]) -> None:
-    """take(walk(starts)) for each chunk of g's walk on the fork pool, in id order; see the module docstring."""
-
-    def serve(claims):
-        for k, starts in claims:
-            yield _CLAIMED, k
-            items = iter(walk(starts))
-            while len(batch := list(islice(items, _REPLY_CHUNK))) == _REPLY_CHUNK:
-                yield _MORE, batch
-            yield _END, batch
-
-    def gather(claims, children, count):
-        # the records of children whose next record is a claim, or their end
-        idle = [child.records() for child in children]
-        owners = {}
-        held = {}
-        for k in range(count):
-            # a chunk claimed ahead of its turn is walked into a list and held
-            if not held:
-                for j, starts in islice(claims, 1):
-                    held[j] = walk(starts) if j == k else list(walk(starts))
-            if k in held:
-                take(held.pop(k))
-                continue
-            while k not in owners:
-                records = idle.pop()
-                for _, j in islice(records, 1):
-                    owners[j] = records
-            records = owners.pop(k)
-            for status, items in records:
-                take(items)
-                if status == _END:
-                    break
-            idle.append(records)
-
-    _run_pool(g, workers, serve, gather)
-
-
 def _count_part(g, priority, delta, sweep, claims: Iterable) -> tuple[list[int], list[int]]:
     """The (every, same) tallies of the end buckets the walk over each claimed (id, starts) chunk yields."""
     every = [0] * 6
@@ -876,7 +622,7 @@ def _count_part(g, priority, delta, sweep, claims: Iterable) -> tuple[list[int],
 
 
 def _count_with_sweep(g, priority, delta, sweep, workers: int | None) -> CountVector:
-    """Count on the fork pool: each process sums the chunks it claims, a child in one reply; see the module docstring."""
+    """Count on the fork pool: each process sums the chunks it claims, a child in one reply; see _pool."""
 
     def gather(claims, children, _):
         tallies = [_count_part(g, priority, delta, sweep, claims)]
@@ -895,11 +641,10 @@ def count_optimized(
     """Prune dead wedges, then sweep each end bucket with bucketed probes.
 
     The walk is cut into chunks of start vertices, heaviest first, which
-    the n processes of a fork pool claim as they go, n being workers
-    (None: every usable CPU) capped at the usable CPUs and at one process
-    per _EDGES_PER_PART edges.  It stays in this process, serial, when n is 1 (as on a graph
-    of fewer than 2 * _EDGES_PER_PART edges), when the OS has no fork, or
-    when another thread is alive.
+    the processes of the fork pool claim as they go: at most workers (None:
+    every usable CPU) and the usable CPUs, one per _EDGES_PER_PART edges.
+    It stays in this process on a graph of fewer than 2 * _EDGES_PER_PART
+    edges, without os.fork, or while another thread is alive.
     """
     return _count_with_sweep(g, priority, delta, _timestamp_counts, workers)
 

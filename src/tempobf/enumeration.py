@@ -3,13 +3,10 @@
 Both engines take their wedges from _end_buckets' delta-windowed walk, the
 one count_optimized and count_extreme take (not count_baseline's walk of
 whole middle rows), and hand every surviving pair to a sink as a concrete
-ButterflyInstance instead of bumping a counter.  They walk on counting's
-fork pool, whose processes claim chunks of start vertices as they go:
-a forked child sends back only the end buckets its chunks yield, tagged
-by chunk, as it walks them, and the calling process emits every chunk in
-id order, those it claimed among them, so the sink runs only in the
-caller.  Emission order is an engine detail, fixed for a given n but not
-across n; compare multisets.
+ButterflyInstance instead of bumping a counter.  They walk on the fork
+pool of _pool, which hands the caller every chunk's end buckets in chunk
+id order, so the sink runs only in the caller.  Emission order is an
+engine detail, fixed for a given n but not across n; compare multisets.
 
 enumerate_baseline pairs the wedges of every end bucket directly, and
 enumerate_optimized those of small buckets only, sweeping the rest with a
@@ -28,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from ._pool import _walk_in_chunk_order
 from .count import (
     _SMALL_BUCKET,
     CountVector,
@@ -35,7 +33,6 @@ from .count import (
     _end_buckets,
     _pairs,
     _sweep,
-    _walk_in_chunk_order,
     classify_type,
 )
 from .graph import TemporalBipartiteGraph, VertexPriority
@@ -103,12 +100,9 @@ def enumerate_baseline(
 ) -> CountVector:
     """Per-end wedge grouping with an exhaustive pair test, emitting instances.
 
-    The walk is cut into chunks that the n processes of a fork pool claim
-    as they go, n and the rules that keep a call in this process being
-    count_optimized's; the children send their end buckets back, and every
-    instance is emitted here, in chunk order, fixed for a given n.  When
-    sink raises, every child is killed and reaped before the exception
-    propagates.
+    workers and the fork pool's rules are count_optimized's; every instance
+    is emitted here, in chunk order.  When sink raises, every child is
+    killed and reaped before the exception propagates.
     """
     return _enumerate(g, priority, delta, sink, float("inf"), workers)
 

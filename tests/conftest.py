@@ -1,15 +1,17 @@
-"""Shared fixtures: the two hand fixtures, graph builders, random corpora, fork pool doubles."""
+"""Shared fixtures: the two hand fixtures, graph builders, random corpora, fork pool doubles, a timer that raises."""
 
 from __future__ import annotations
 
 import os
 import random
+import signal
 import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-import tempobf.count as count_module
+import tempobf._pool as pool_module
 from tempobf import TemporalBipartiteGraph, compute_vertex_priority
 
 # one 2x2 biclique whose four stamps climb 1..4; butterfly span 3
@@ -76,6 +78,26 @@ HUB_TRIPLES = hub_triples(random.Random(11))
 HUB_DELTA = 60
 
 
+class Alarm(Exception):
+    """Raised by alarm's timer."""
+
+
+@contextmanager
+def alarm(seconds: float):
+    """Raise Alarm in the main thread once seconds of wall time have passed in the block."""
+
+    def on_alarm(_signum, _frame):
+        raise Alarm
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -102,8 +124,8 @@ def forks(monkeypatch):
 @pytest.fixture
 def real_pool(monkeypatch):
     """Two processes, the caller and one forked child, on any input; yields the pids of the children forked."""
-    monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-    monkeypatch.setattr(count_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+    monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
     pids = []
     real_fork = os.fork
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import mmap
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -15,8 +18,9 @@ import pytest
 
 import tempobf
 import tempobf.cli
-from tempobf import gen_random_graph, load_edge_list, main, run_bench
-from conftest import F1, F2
+import tempobf.count as count_module
+from tempobf import compute_vertex_priority, count_extreme, gen_random_graph, load_edge_list, main, run_bench
+from conftest import F1, F2, Alarm, alarm
 
 F1_TSV = "T0\t0\nT1\t1\nT2\t0\nT3\t0\nT4\t0\nT5\t0\n"
 
@@ -291,25 +295,112 @@ class TestBench:
         counts = {tuple(r[3:]) for r in rows}
         assert len(counts) == 1
 
-    def test_seconds_come_untraced_and_peak_from_a_traced_run(self, capsys, tmp_path, monkeypatch):
+    def test_seconds_peak_and_counts_come_from_one_untraced_run_in_a_child(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "g.txt"
         triples = gen_random_graph(8, 8, 100, 200, seed=7)
         path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in triples))
-        tracing = []
+        runs = tmp_path / "runs.txt"
         engine = tempobf.cli.count_extreme
 
         def spy(*args):
-            tracing.append(tracemalloc.is_tracing())
-            return engine(*args)
+            with runs.open("a") as log:
+                log.write(f"{os.getpid()} {tracemalloc.is_tracing()}\n")
+            # fresh pages, one byte written in each, so the run's RSS rises by 16 MiB
+            with mmap.mmap(-1, 16 << 20) as ballast:
+                for at in range(0, len(ballast), mmap.PAGESIZE):
+                    ballast[at] = 1
+                return engine(*args)
 
         monkeypatch.setattr(tempobf.cli, "count_extreme", spy)
         (report,) = run_bench(str(path), 30, ("tbc++",))
-        assert tracing == [False, True]
-        assert report.seconds > 0 and report.peak_bytes > 0
+        (run,) = runs.read_text().splitlines()
+        pid, tracing = run.split()
+        assert int(pid) != os.getpid() and tracing == "False"
+        g = load_edge_list(str(path))
+        assert report.counts == count_extreme(g, compute_vertex_priority(g), 30)
+        assert report.seconds > 0 and report.peak_bytes >= 8 << 20 and not report.timed_out
         code, out, _ = run_cli(capsys, "bench", "--input", str(path), "--delta", "30", "--algos", "tbc++")
         assert code == 0
         _, seconds, peak = out.splitlines()[1].split("\t")[:3]
-        assert float(seconds) >= 0 and int(peak) > 0
+        assert float(seconds) >= 0 and int(peak) >= 8 << 20
+
+    @pytest.mark.parametrize("why", ["no fork in the os", "a second thread alive"])
+    def test_without_a_fork_each_engine_runs_here_uncapped_with_no_peak(self, tmp_path, monkeypatch, why):
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in gen_random_graph(8, 8, 100, 200, seed=7)))
+        algos = ("tbc", "tbc++", "tbe+", "oracle")
+        forked = run_bench(str(path), 30, algos)
+        assert all(r.counts is not None for r in forked)
+        engine = tempobf.cli.count_extreme
+
+        def slow(*args):
+            time.sleep(0.5)
+            return engine(*args)
+
+        monkeypatch.setattr(tempobf.cli, "count_extreme", slow)
+        # in a forked child the slowed tbc++ overruns a 0.05 s cap; in this process no cap applies
+        assert run_bench(str(path), 30, ("tbc++",), 0.05)[0].timed_out
+        if why == "no fork in the os":
+            monkeypatch.delattr(os, "fork")
+            reports = run_bench(str(path), 30, algos, 0.05)
+        else:
+            release = threading.Event()
+            other = threading.Thread(target=release.wait)
+            other.start()
+            try:
+                reports = run_bench(str(path), 30, algos, 0.05)
+            finally:
+                release.set()
+                other.join(timeout=10)
+            assert not other.is_alive()
+        assert [r.counts for r in reports] == [r.counts for r in forked]
+        assert all(r.peak_bytes == 0 and not r.timed_out for r in reports)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc to read a process's state from")
+    @pytest.mark.parametrize("stop", ["cap", "exception while waiting"])
+    def test_a_stop_ends_the_bench_child_and_its_pool_child(self, tmp_path, monkeypatch, real_pool, stop):
+        # real_pool's patches reach the bench child, which forks a pool child of its own
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in gen_random_graph(12, 12, 150, 400, skew=True, seed=3)))
+        forked = tmp_path / "forked.txt"
+        fork = os.fork
+
+        def fork_recorded_in_a_file():
+            pid = fork()
+            if pid:
+                with forked.open("a") as log:
+                    log.write(f"{pid}\n")
+            return pid
+
+        def stuck(*args):
+            time.sleep(60)
+
+        monkeypatch.setattr(os, "fork", fork_recorded_in_a_file)
+        monkeypatch.setattr(count_module, "_count_part", stuck)
+        began = time.perf_counter()
+        if stop == "cap":
+            (report,) = run_bench(str(path), 60, ("tbc++",), 1.0)
+            assert report.timed_out and report.counts is None
+        else:
+            with pytest.raises(Alarm), alarm(1.0):
+                run_bench(str(path), 60, ("tbc++",))
+        assert time.perf_counter() - began < 10
+        pids = set(map(int, forked.read_text().split()))
+        (bench_child,) = real_pool
+        assert len(pids) == 2 and bench_child in pids
+
+        def ended(pid):
+            # an orphan killed with the group may wait a while for its reaper; a zombie has ended
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rpartition(")")[2].split()[0] == "Z"
+            except FileNotFoundError:
+                return True
+
+        deadline = time.monotonic() + 5
+        while not all(map(ended, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(ended, pids))
 
     def test_timeout_marks_the_row(self, capsys, tmp_path):
         path = tmp_path / "g.txt"

@@ -36,13 +36,13 @@ from tempobf import (
     oracle_enumerate,
     oracle_static_pairings,
 )
+import tempobf._pool as pool_module
 import tempobf.count as count_module
 import tempobf.enumeration as enumeration_module
-from tempobf.cli import _alarm, _BenchTimeout
+from tempobf._pool import _chunks
 from tempobf.count import (
     _SMALL_BUCKET,
     _count_bucket,
-    _chunks,
     _count_part,
     _end_buckets,
     _pairs,
@@ -58,6 +58,8 @@ from conftest import (
     HUB_DELTA,
     HUB_TRIPLES,
     PROPERTY_SETTINGS,
+    Alarm,
+    alarm,
     assert_no_child_left,
     build_plain,
     build_priority,
@@ -1023,9 +1025,9 @@ class TestChunks:
         assert _chunks(build_time(triples), n) == chunks
         if g.edge_count >= n:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(count_module, "_EDGES_PER_PART", 1)
-                mp.setattr(count_module, "_usable_cpus", lambda: n)
-                assert count_module._processes(g, None) == n
+                mp.setattr(pool_module, "_EDGES_PER_PART", 1)
+                mp.setattr(pool_module, "_usable_cpus", lambda: n)
+                assert pool_module._processes(g, None) == n
 
 
 def no_chunks(g, n):
@@ -1037,26 +1039,26 @@ class TestForkRules:
 
     def test_one_worker_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(count_module, "_chunks", no_chunks)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(pool_module, "_chunks", no_chunks)
         assert serial_counts(g, priority, POOL_DELTA) == expected
         assert count_sampled(g, priority, POOL_DELTA, 1.0, workers=1) == expected[1]
         assert forks == []
 
     def test_one_usable_cpu_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 1)
         assert count_extreme(g, priority, POOL_DELTA) == expected[1]
         assert count_optimized(g, priority, POOL_DELTA, workers=8) == expected[0]
         assert forks == []
 
     def test_input_below_the_size_rule_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(count_module, "_chunks", no_chunks)
-        assert g.edge_count < 2 * count_module._EDGES_PER_PART
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(pool_module, "_chunks", no_chunks)
+        assert g.edge_count < 2 * pool_module._EDGES_PER_PART
         assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
         assert count_optimized(g, priority, POOL_DELTA) == expected[0]
         assert forks == []
@@ -1069,23 +1071,23 @@ class TestForkRules:
             reads.append(1)
             return 4
 
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-        monkeypatch.setattr(count_module, "_usable_cpus", usable_cpus)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", usable_cpus)
         assert count_extreme(g, priority, POOL_DELTA) == expected[1]
         assert len(reads) == 1
 
     def test_no_fork_in_the_os_counts_here(self, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(os, "fork")
         assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
         assert count_optimized(g, priority, POOL_DELTA, workers=4) == expected[0]
 
     def test_a_second_thread_alive_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
@@ -1103,8 +1105,8 @@ class TestForkRules:
         # 150 edges: one process per per_part edges, at most the 4 usable CPUs
         g, priority, expected = pool_graph
         assert g.edge_count == 150
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", per_part)
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", per_part)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
         assert count_extreme(g, priority, POOL_DELTA) == expected[1]
         assert len(forks) == parts - 1
         assert count_optimized(g, priority, POOL_DELTA, workers=10**7) == expected[0]
@@ -1114,10 +1116,10 @@ class TestForkRules:
     def test_ten_million_workers_fork_once_per_spare_cpu(self, forks, pool_graph, monkeypatch, cpus):
         # a part whose fork fails is counted in the calling process
         g, priority, expected = pool_graph
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
         if cpus is not None:
-            monkeypatch.setattr(count_module, "_usable_cpus", lambda: cpus)
-        usable = count_module._usable_cpus()
+            monkeypatch.setattr(pool_module, "_usable_cpus", lambda: cpus)
+        usable = pool_module._usable_cpus()
         assert count_extreme(g, priority, POOL_DELTA, workers=10**7) == expected[1]
         assert len(forks) == usable - 1
         assert count_sampled(g, priority, POOL_DELTA, 1.0, workers=10**7) == expected[1]
@@ -1179,7 +1181,7 @@ class TestForkedRuns:
         assert serial[count_optimized] == expected[0] and serial[enumerate_optimized][0] == expected[1]
         chunks = _chunks(g, 2)
         # several of the chunks the child walks come back in more than one reply
-        monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
+        monkeypatch.setattr(pool_module, "_REPLY_CHUNK", 2)
         assert sum(len(list(_end_buckets(g, priority, POOL_DELTA, starts=chunk))) > 2 for chunk in chunks) > 3
         parent = os.getpid()
         walk = count_module._end_buckets
@@ -1225,13 +1227,13 @@ class TestForkedRuns:
         def fork_then_alarm():
             pid = recording_fork()
             if pid:
-                # the bench cap fires before the parent has filed its child
+                # a timer fires before the parent has filed its child
                 os.kill(os.getpid(), signal.SIGALRM)
             return pid
 
         monkeypatch.setattr(os, "fork", fork_then_alarm)
-        with pytest.raises(_BenchTimeout):
-            with _alarm(60):
+        with pytest.raises(Alarm):
+            with alarm(60):
                 count_extreme(g, priority, POOL_DELTA, workers=2)
         (pid,) = real_pool
         with pytest.raises(ProcessLookupError):
@@ -1249,8 +1251,8 @@ class TestForkedRuns:
 
         monkeypatch.setattr(count_module, "_count_part", stuck)
         began = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt if stop == "interrupt" else _BenchTimeout):
-            with _alarm(0.2):
+        with pytest.raises(KeyboardInterrupt if stop == "interrupt" else Alarm):
+            with alarm(0.2):
                 count_extreme(g, priority, POOL_DELTA, workers=2)
         assert time.perf_counter() - began < 10
         (pid,) = real_pool
@@ -1289,8 +1291,8 @@ class TestForkedRuns:
                 enumerate_optimized(g, priority, POOL_DELTA, raising_sink, workers=2)
         else:
             monkeypatch.setattr(count_module, "_count_part", stuck)
-            with pytest.raises(_BenchTimeout):
-                with _alarm(0.2):
+            with pytest.raises(Alarm):
+                with alarm(0.2):
                     count_extreme(g, priority, POOL_DELTA, workers=2)
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert real_pool

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-import tempobf.count as count_module
+import tempobf._pool as pool_module
 import tempobf.enumeration as enumeration_module
 from tempobf import (
     ButterflyInstance,
@@ -23,7 +23,6 @@ from tempobf import (
     null_sink,
     oracle_enumerate,
 )
-from tempobf.cli import _alarm, _BenchTimeout
 from tempobf.count import _SMALL_BUCKET, _end_buckets
 from tempobf.enumeration import _emit_bucket, _emitting_visit
 from conftest import (
@@ -32,6 +31,8 @@ from conftest import (
     HUB_DELTA,
     HUB_TRIPLES,
     PROPERTY_SETTINGS,
+    Alarm,
+    alarm,
     assert_no_child_left,
     build_plain,
     build_priority,
@@ -354,12 +355,12 @@ class TestChunks:
         forked = []
         with pytest.MonkeyPatch.context() as mp:
             # every fork fails, so the caller claims each chunk itself, in id order
-            mp.setattr(count_module, "_EDGES_PER_PART", 1)
-            mp.setattr(count_module, "_usable_cpus", lambda: 4)
+            mp.setattr(pool_module, "_EDGES_PER_PART", 1)
+            mp.setattr(pool_module, "_usable_cpus", lambda: 4)
             mp.setattr(os, "fork", failing_fork(forked))
-            processes = count_module._processes(g, n)
+            processes = pool_module._processes(g, n)
             # a walk in one process is one chunk, the whole walk
-            chunks = [None] if processes == 1 else count_module._chunks(g, processes)
+            chunks = [None] if processes == 1 else pool_module._chunks(g, processes)
             for engine in ENGINES:
                 serial_tallies, serial = collect(engine, g, priority, delta, workers=1)
                 tallies, seen = collect(engine, g, priority, delta, workers=n)
@@ -374,16 +375,16 @@ class TestForkRules:
 
     def test_one_worker_walks_here(self, forks, pool_graph, monkeypatch):
         g, priority, reference = pool_graph
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
         for engine in ENGINES:
             assert Counter(collect(engine, g, priority, POOL_DELTA, workers=1)[1]) == reference
         assert forks == []
 
     def test_input_below_the_size_rule_walks_here(self, forks, pool_graph, monkeypatch):
         g, priority, reference = pool_graph
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
-        assert g.edge_count < 2 * count_module._EDGES_PER_PART
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
+        assert g.edge_count < 2 * pool_module._EDGES_PER_PART
         for engine in ENGINES:
             assert Counter(collect(engine, g, priority, POOL_DELTA, workers=4)[1]) == reference
             assert Counter(collect(engine, g, priority, POOL_DELTA)[1]) == reference
@@ -391,8 +392,8 @@ class TestForkRules:
 
     def test_a_second_thread_alive_walks_here(self, forks, pool_graph, monkeypatch):
         g, priority, reference = pool_graph
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
@@ -409,10 +410,10 @@ class TestForkRules:
     def test_ten_million_workers_fork_once_per_spare_cpu(self, forks, pool_graph, monkeypatch, cpus):
         # a part whose fork fails is walked in the calling process
         g, priority, reference = pool_graph
-        monkeypatch.setattr(count_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
         if cpus is not None:
-            monkeypatch.setattr(count_module, "_usable_cpus", lambda: cpus)
-        usable = count_module._usable_cpus()
+            monkeypatch.setattr(pool_module, "_usable_cpus", lambda: cpus)
+        usable = pool_module._usable_cpus()
         assert Counter(collect(enumerate_baseline, g, priority, POOL_DELTA, workers=10**7)[1]) == reference
         assert len(forks) == usable - 1
         assert Counter(collect(enumerate_optimized, g, priority, POOL_DELTA, workers=10**7)[1]) == reference
@@ -457,8 +458,8 @@ class TestForkedRuns:
     def test_two_processes_emit_the_oracle_instances(self, real_pool, pool_graph, monkeypatch):
         g, priority, reference = pool_graph
         # a chunk may come back in several replies
-        monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
-        chunks = count_module._chunks(g, 2)
+        monkeypatch.setattr(pool_module, "_REPLY_CHUNK", 2)
+        chunks = pool_module._chunks(g, 2)
         assert max(sum(1 for _ in _end_buckets(g, priority, POOL_DELTA, starts=chunk)) for chunk in chunks) > 3 * 2
         expected_tallies = count_extreme(g, priority, POOL_DELTA, workers=1)
         for engine in ENGINES:
@@ -473,9 +474,9 @@ class TestForkedRuns:
     def test_three_processes_emit_in_chunk_order(self, real_pool, pool_graph, monkeypatch):
         g, priority, reference = pool_graph
         # two children claim the chunks while the caller sleeps, and each chunk is read from the child whose claim names it
-        monkeypatch.setattr(count_module, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
-        chunks = count_module._chunks(g, 3)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(pool_module, "_REPLY_CHUNK", 2)
+        chunks = pool_module._chunks(g, 3)
         for engine in ENGINES:
             walk = slowed_walk()
             monkeypatch.setattr(enumeration_module, "_end_buckets", walk)
@@ -489,7 +490,7 @@ class TestForkedRuns:
 
     def test_a_hub_holding_most_edges_emits_the_serial_instances(self, real_pool):
         g, priority = build_priority(HUB_TRIPLES)
-        chunks = count_module._chunks(g, 2)
+        chunks = pool_module._chunks(g, 2)
         # the hub sits alone in the first chunk
         assert chunks[0] == (array("l", [0]), array("l"))
         for engine in ENGINES:
@@ -521,7 +522,7 @@ class TestForkedRuns:
 
     def test_a_child_failing_mid_stream_is_named(self, real_pool, pool_graph, monkeypatch):
         g, priority, _ = pool_graph
-        monkeypatch.setattr(count_module, "_REPLY_CHUNK", 2)
+        monkeypatch.setattr(pool_module, "_REPLY_CHUNK", 2)
 
         def fail():
             raise RuntimeError("part one broke")
@@ -534,7 +535,7 @@ class TestForkedRuns:
             enumerate_optimized(g, priority, POOL_DELTA, seen.append, workers=2)
         assert str(real_pool[0]) in str(exc.value)
         # the child's first two claims are the two lowest ids the caller did not claim first, if it claimed any
-        chunks = count_module._chunks(g, 2)
+        chunks = pool_module._chunks(g, 2)
         _, second = [k for k, chunk in enumerate(chunks) if chunk not in walk.walked[:1]][:2]
         # every chunk before the child's second in whole, in id order, then the reply the child sent of that one
         buckets = [bucket for chunk in chunks[:second] for bucket in _end_buckets(g, priority, POOL_DELTA, starts=chunk)]
@@ -557,8 +558,8 @@ class TestForkedRuns:
         g, priority, _ = pool_graph
         monkeypatch.setattr(enumeration_module, "_end_buckets", slowed_walk(0, 0, lambda: time.sleep(60)))
         began = time.perf_counter()
-        with pytest.raises(_BenchTimeout):
-            with _alarm(0.5):
+        with pytest.raises(Alarm):
+            with alarm(0.5):
                 enumerate_optimized(g, priority, POOL_DELTA, null_sink, workers=2)
         assert time.perf_counter() - began < 10
         (pid,) = real_pool
