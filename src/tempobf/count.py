@@ -687,7 +687,8 @@ def count_sampled(
     if sample_p == 1:
         return CountVector(float(c) for c in count_extreme(g, priority, delta, workers))
     rng = random.Random(seed)
-    uids = sorted(map(itemgetter(2), chain.from_iterable(g.upper_adj)))
+    # with no uid ever freed, the uids are exactly 0..edge_count - 1 and need no sort
+    uids = range(g.edge_count) if g.edge_count == g._next_uid else sorted(map(itemgetter(2), chain.from_iterable(g.upper_adj)))
     sub = g._subgraph({uid for uid in uids if rng.random() < sample_p})
     sub_priority = compute_vertex_priority(sub)
     exact = count_extreme(sub, sub_priority, delta, workers)

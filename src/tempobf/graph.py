@@ -146,30 +146,36 @@ class TemporalBipartiteGraph:
 
     def insert_edge(self, u_token: str, v_token: str, t: int | str) -> TemporalEdge:
         """Add one edge after any equal stamps in its time rows; t is an int or a string holding one."""
-        t = _stamp(t)
-        u = self._intern(str(u_token), self._upper_ids, self.upper_tokens, self.upper_adj, self.upper_times)
-        v = self._intern(str(v_token), self._lower_ids, self.lower_tokens, self.lower_adj, self.lower_times)
+        if type(t) is not int:
+            t = _stamp(t)
+        u = self._upper_ids.get(u_token) if type(u_token) is str else None
+        if u is None:
+            u = self._intern(str(u_token), self._upper_ids, self.upper_tokens, self.upper_adj, self.upper_times)
+        v = self._lower_ids.get(v_token) if type(v_token) is str else None
+        if v is None:
+            v = self._intern(str(v_token), self._lower_ids, self.lower_tokens, self.lower_adj, self.lower_times)
         uid = self._next_uid
         self._next_uid = uid + 1
-        _insert_entry(self.upper_adj[u], self.upper_times[u], (v, t, uid))
-        _insert_entry(self.lower_adj[v], self.lower_times[v], (u, t, uid))
+        row, times = self.upper_adj[u], self.upper_times[u]
+        i = bisect_right(times, t)
+        row.insert(i, (v, t, uid))
+        times.insert(i, t)
+        row, times = self.lower_adj[v], self.lower_times[v]
+        i = bisect_right(times, t)
+        row.insert(i, (u, t, uid))
+        times.insert(i, t)
         self.edge_count += 1
-        return TemporalEdge(u, v, t, uid)
+        return tuple.__new__(TemporalEdge, (u, v, t, uid))
 
     def remove_edge(self, e: TemporalEdge) -> None:
         """Delete e from both its rows, or raise KeyError and delete nothing."""
-        found = []
-        for adj, times, vid, nbr in (
-            (self.upper_adj, self.upper_times, e.u, e.v),
-            (self.lower_adj, self.lower_times, e.v, e.u),
-        ):
-            i = _find_entry(adj[vid], times[vid], nbr, e.t, e.uid) if 0 <= vid < len(adj) else None
-            if i is None:
-                raise KeyError(f"edge {e} not present")
-            found.append((adj[vid], times[vid], i))
-        for row, times, i in found:
-            del row[i]
-            del times[i]
+        u, v, t, uid = e
+        up, lo = self.upper_adj, self.lower_adj
+        i = _find_entry(up[u], self.upper_times[u], v, t, uid) if 0 <= u < len(up) else None
+        j = _find_entry(lo[v], self.lower_times[v], u, t, uid) if i is not None and 0 <= v < len(lo) else None
+        if j is None:
+            raise KeyError(f"edge {e} not present")
+        del up[u][i], self.upper_times[u][i], lo[v][j], self.lower_times[v][j]
         self.edge_count -= 1
 
     def has_edge(self, e: TemporalEdge) -> bool:
@@ -205,12 +211,6 @@ def _stamp_rows(adj: list[list[tuple[int, int, int]]]) -> list[list[int]]:
     """The stamp array of each time row."""
     by_t = itemgetter(1)
     return [list(map(by_t, row)) for row in adj]
-
-
-def _insert_entry(row: list[tuple[int, int, int]], times: list[int], entry: tuple[int, int, int]) -> None:
-    i = bisect_right(times, entry[1])
-    row.insert(i, entry)
-    times.insert(i, entry[1])
 
 
 def _find_entry(row: list[tuple[int, int, int]], stamps: list[int], nbr: int, t: int, uid: int) -> int | None:

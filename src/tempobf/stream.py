@@ -15,8 +15,9 @@ the step.  One per-edge counter, `_count_edge_extreme`, does all the
 counting: it expands an edge's 2-paths through the endpoint with fewer
 edges in its time range, the degree-priority idea of vertex-priority
 butterfly counting; a batch is cut into runs of stamps within delta of the
-run's first, each vertex's neighbour map is built once per run, and the far
-ends that close a 2-path come from a C intersection of two maps' keys.
+run's first, each vertex's neighbour map is built once per run, in C, with
+a neighbour's one edge entry bare and several in a time-ordered list, and
+the far ends that close a 2-path come from a C intersection of two maps' keys.
 Every step runs serially in the calling process: the counting is pure
 Python, so threads would only contend for the interpreter lock, and
 `workers` is checked but changes nothing.
@@ -54,14 +55,26 @@ def _time_range(times: list[int], lo: int, hi: int) -> tuple[int, int]:
     return bisect_left(times, lo), bisect_right(times, hi)
 
 
-def _row_map(looks: dict, key: tuple[bool, int], row: list[Entry], times: list[int], span: tuple[int, int]) -> dict[int, list[Entry]]:
-    """Vertex key = (is upper, id)'s neighbour -> (neighbour, t, uid) entries over span, built in looks on first use."""
+def _row_map(looks: dict, key: tuple[bool, int], row: list[Entry], times: list[int], span: tuple[int, int]) -> dict[int, Entry | list[Entry]]:
+    """Vertex key = (is upper, id)'s neighbour -> its (neighbour, t, uid) entry over span, built in looks on first use.
+
+    The map is built in C.  A neighbour with one edge in span maps to that bare
+    graph entry; only when some neighbour has several does a second pass turn
+    each such neighbour's value into a time-ordered list of its entries.
+    """
     m = looks.get(key)
     if m is None:
-        m = looks[key] = {}
         a, b = _time_range(times, *span)
-        for ent in row[a:b]:
-            m.setdefault(ent[0], []).append(ent)
+        part = row[a:b]
+        # a repeated neighbour's value is its last entry, so its earlier ones start its list
+        m = looks[key] = dict(zip(map(itemgetter(0), part), part))
+        if len(m) < len(part):
+            for ent in part:
+                cur = m[ent[0]]
+                if type(cur) is list:
+                    cur.append(ent)
+                elif cur is not ent:
+                    m[ent[0]] = [ent]
     return m
 
 
@@ -99,7 +112,7 @@ def _count_edge_extreme(
     delta: int,
     e: TemporalEdge,
     as_max: bool,
-    looks: dict[tuple[bool, int], dict[int, list[Entry]]] | None = None,
+    looks: dict[tuple[bool, int], dict[int, Entry | list[Entry]]] | None = None,
     span: tuple[int, int] | None = None,
     from_upper: bool | None = None,
     tallies: defaultdict[int, list[int]] | None = None,
@@ -117,12 +130,13 @@ def _count_edge_extreme(
     is None, fresh for this edge over the range itself.  A shared map may
     hold the walked endpoint and stamps outside the range, which are
     dropped here.  y's map meets the looked-up one in a C key intersection,
-    which gives y's partner wedges.  Each of y's edges to the walked
-    endpoint, a pivot, closes a butterfly with each partner whose stamps it
-    does not equal, and whether it lies below, between or above them picks
-    the type.  With tallies, each butterfly is also added to its oldest
-    edge's tally, the pivot's when it lies below, else the partner's older
-    edge's.
+    which gives y's partner wedges; a map's value is a bare entry or a list
+    of them.  Each of y's edges to the walked endpoint, a pivot, closes a
+    butterfly with each partner whose stamps it does not equal, and whether
+    it lies below, between or above them picks the type; one pivot against
+    bare entries on both sides takes a straight path with no inner loop.
+    With tallies, each butterfly is also added to its oldest edge's tally,
+    the pivot's when it lies below, else the partner's older edge's.
     """
     u, v, t, _ = e
     lo, hi = (t - delta, t - 1) if as_max else (t + 1, t + delta)
@@ -150,11 +164,34 @@ def _count_edge_extreme(
         ymap = _row_map(looks, (not from_upper, y), rows[y], times[y], span)
         common = look.keys() & ymap.keys()
         common.discard(skip)
+        single = pivots[0] if len(pivots) == 1 else None
         for z in common:
-            for _z, ta, ua in ymap[z]:
+            ya, za = ymap[z], look[z]
+            if single is not None and type(ya) is tuple and type(za) is tuple:
+                # one pivot, one partner: the loops below with nothing to loop over
+                ta, ts, p = ya[1], za[1], single[1]
+                if lo <= ts < ta <= hi:
+                    a, b, kinds, older = ts, ta, forward, za[2]
+                elif lo <= ta < ts <= hi:
+                    a, b, kinds, older = ta, ts, backward, ya[2]
+                else:
+                    continue
+                if p < a:
+                    k, oldest = kinds[0], single[2]
+                elif p > b:
+                    k, oldest = kinds[2], older
+                elif p != a and p != b:
+                    k, oldest = kinds[1], older
+                else:
+                    continue
+                acc[k] += 1
+                if tallies is not None:
+                    tallies[oldest][k] += 1
+                continue
+            for _z, ta, ua in (ya,) if type(ya) is tuple else ya:
                 if ta < lo or ta > hi:
                     continue
-                for _y, ts, us in look[z]:
+                for _y, ts, us in (za,) if type(za) is tuple else za:
                     if lo <= ts < ta:
                         a, b, kinds, older = ts, ta, forward, us
                     elif ta < ts <= hi:

@@ -925,6 +925,20 @@ class TestSampledSubgraph:
         estimate = count_sampled(g, priority, delta, sample_p, seed)
         assert estimate.counts == sampled_by_rebuild(g, delta, sample_p, seed).counts
 
+    @pytest.mark.parametrize("reinsert", [False, True], ids=["as built", "one edge re-inserted"])
+    def test_graphs_with_and_without_a_freed_uid_match_a_rebuild(self, reinsert):
+        # as built, the uids are 0..edge_count - 1 and need no sort; a re-inserted edge leaves a gap and moves to the end
+        g = build_time(HUB_TRIPLES)
+        if reinsert:
+            e = g.edges()[7]
+            g.remove_edge(e)
+            g.insert_edge(g.upper_tokens[e.u], g.lower_tokens[e.v], e.t)
+        assert (g.edge_count == g._next_uid) is not reinsert
+        for seed in range(5):
+            estimate = count_sampled(g, compute_vertex_priority(g), HUB_DELTA, 0.6, seed)
+            assert estimate.counts == sampled_by_rebuild(g, HUB_DELTA, 0.6, seed).counts
+            assert estimate.total() > 0
+
     def test_parent_graph_untouched(self):
         g, priority = build_priority(F2)
         rows = ([row[:] for row in g.upper_adj], [row[:] for row in g.lower_adj], g.edge_count, g._next_uid)

@@ -184,6 +184,18 @@ class TestGraphModel:
         with pytest.raises(ValueError, match="token"):
             g.insert_edge("a", "", 1)
 
+    def test_insert_edge_reads_tokens_as_strings_and_stamps_as_ints(self):
+        g = TemporalBipartiteGraph()
+        first = g.insert_edge("5", "x", 1)
+        # int 5 names the interned "5", and the stamp string "7" is read as 7
+        again = g.insert_edge(5, "x", "7")
+        assert again == TemporalEdge(first.u, first.v, 7, 1) and type(again) is TemporalEdge
+        assert (again.u, again.v, again.t, again.uid) == (0, 0, 7, 1)
+        assert (g.upper_tokens, g.lower_tokens, g.upper_times) == (["5"], ["x"], [[1, 7]])
+        with pytest.raises(ValueError, match="token"):
+            g.insert_edge("5", "x y", 8)
+        assert (g.lower_tokens, g.edge_count) == (["x"], 2)
+
     @staticmethod
     def _state(g):
         return (
@@ -389,6 +401,17 @@ class TestStreamingMutation:
         assert (g.upper_adj, g.lower_adj) == rows
         assert g.edge_count == 2
         assert_times_match_rows(g)
+
+    def test_remove_with_its_lower_entry_missing_changes_no_row(self):
+        # the upper entry of uid 1 is there, but the lower row holds it under another uid
+        g = build_time([("a", "x", 1), ("a", "x", 1)])
+        e = g.edges()[1]
+        g.lower_adj[e.v][1] = (e.u, e.t, 9)
+        rows = [[r[:] for r in rows] for rows in (g.upper_adj, g.upper_times, g.lower_adj, g.lower_times)]
+        with pytest.raises(KeyError):
+            g.remove_edge(e)
+        assert [g.upper_adj, g.upper_times, g.lower_adj, g.lower_times] == rows
+        assert g.edge_count == 2
 
     @pytest.mark.parametrize("build", [build_time, build_plain])
     def test_has_edge_checks_both_endpoints(self, build):

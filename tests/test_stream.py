@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 from bisect import bisect_right
@@ -25,7 +26,8 @@ from tempobf import (
     oracle_count,
     run_sliding_window,
 )
-from tempobf.stream import _count_edge_extreme
+import tempobf.stream as stream_module
+from tempobf.stream import _count_edge_extreme, _row_map
 from conftest import F1, PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time
 
 triples_strategy = st.lists(
@@ -594,6 +596,19 @@ class TestSlidingWindow:
                 assert live == expected
 
 
+class TestRowMap:
+    def test_single_edges_map_bare_and_parallel_edges_to_a_time_ordered_list(self):
+        g = build_time([("a", "x", 1), ("a", "y", 2), ("a", "x", 3), ("a", "z", 4), ("a", "x", 4), ("a", "x", 5), ("a", "y", 9)])
+        row, times = g.upper_adj[0], g.upper_times[0]
+        looks: dict = {}
+        m = _row_map(looks, (True, 0), row, times, (2, 5))
+        # x at 1 and y at 9 lie outside the span
+        assert m == {1: row[1], 0: [row[2], row[4], row[5]], 2: row[3]}
+        assert m[1] is row[1] and m[2] is row[3]
+        assert looks == {(True, 0): m}
+        assert _row_map(looks, (True, 0), row, times, (0, 9)) is m
+
+
 def hub_triples(hub_upper: bool):
     """Chronological edges whose few hub vertices sit in one layer."""
     hub = st.integers(0, 1)
@@ -717,3 +732,20 @@ class TestTallies:
                 assert win.live == exact_counts(triples[max(0, taken - window):taken], delta)
                 butterflies += win.live.total()
         assert butterflies > 5000 and evicted_with_tally > 300
+
+    def test_pair_loop_reads_bare_entries_and_lists_with_one_and_several_pivots(self, monkeypatch):
+        # each map read records whose map it is, what it holds, and whether the walked neighbour has several pivots
+        seen = set()
+
+        class Spy(dict):
+            def __getitem__(self, z):
+                value = dict.__getitem__(self, z)
+                caller = sys._getframe(1).f_locals
+                side = "partner" if self is caller["ymap"] else "looked-up"
+                seen.add((side, type(value).__name__, len(caller["pivots"]) > 1))
+                return value
+
+        monkeypatch.setattr(stream_module, "_row_map", lambda *args: Spy(_row_map(*args)))
+        for triples, delta, window, stride, _workers in self.CORPUS:
+            run_sliding_window(triples, delta, window, stride, engine="stbc+")
+        assert seen == {(side, kind, several) for side in ("partner", "looked-up") for kind in ("tuple", "list") for several in (False, True)}
