@@ -43,15 +43,17 @@ that do not rank below the start.  Wedges thus run only toward strictly
 lower-priority middle and end vertices, so each butterfly is seen exactly
 once, from its max-priority corner; any injective ranking does, so a
 priority computed before the graph last changed still counts exactly, as
-long as it ranks every vertex.  Only ends with two or more wedges leave
-the walk: a bucket of three or more when it holds two middles, a bucket of
-two only when its one pair is a butterfly.  count_baseline asks the walk
-to keep dead wedges as well, so it reads each middle's whole row; the
-others drop them on sight.  In that raw mode every bucket with two middles
-leaves the walk, two-wedge ones too, so every distinct-middle pair is
-examined.  count_sampled runs count_extreme on an edge-sampled subgraph and
-rescales, giving unbiased estimates.  All but count_baseline count on the
-fork pool of _pool, each process summing the chunks of starts it claims.
+long as it ranks every vertex.  A walk of the whole graph reads whole
+rows, with no bisect, when all its stamps fit in one delta span; a chunk
+of starts always bisects.  Only ends with two or more wedges leave the
+walk: a bucket of three or more when it holds two middles, a bucket of two
+only when its one pair is a butterfly.  count_baseline asks the walk to
+keep dead wedges as well, so it reads each middle's whole row; the others
+drop them on sight.  In that raw mode every bucket with two middles leaves
+the walk, two-wedge ones too, so every distinct-middle pair is examined.
+count_sampled runs count_extreme on an edge-sampled subgraph and rescales,
+giving unbiased estimates.  All but count_baseline count on the fork pool
+of _pool, each process summing the chunks of starts it claims.
 """
 
 from __future__ import annotations
@@ -556,9 +558,15 @@ def _end_buckets(
 
     starts, a pair of upper and lower start ids such as a chunk of
     _chunks, walks only those starts, in that order, so the chunks of one
-    cut yield every bucket once; None walks every start in id order.
+    cut yield every bucket once; None walks every start in id order, and
+    reads whole rows, with no bisect, when all of g's stamps fit in one
+    delta span.  A chunk always bisects, so no chunk pays that check.
     """
     _check_priority(g, priority)
+    # every edge sits in an upper row, so these rows give the graph's span
+    rows = [r for r in g.upper_times if r] if starts is None and not raw else ()
+    fits = bool(rows) and all(r[-1] - r[0] <= delta for r in rows)
+    whole = raw or (fits and max(map(itemgetter(-1), rows)) - min(map(itemgetter(0), rows)) <= delta)
     for layer, start_rows, mid_rows, mid_stamps, sprio, mprio in (
         (0, g.upper_adj, g.lower_adj, g.lower_times, priority.upper, priority.lower),
         (1, g.lower_adj, g.upper_adj, g.upper_times, priority.lower, priority.upper),
@@ -572,7 +580,7 @@ def _end_buckets(
             for v, t1, _ in row:
                 if mprio[v] >= ps:
                     continue
-                if raw:
+                if whole:
                     entries = mid_rows[v]
                 else:
                     stamps = mid_stamps[v]
@@ -586,6 +594,8 @@ def _end_buckets(
                             ends[w].append((t1, t2, v))
                         else:
                             ends[w] = [firsts[w], (t1, t2, v)]
+            if not ends:
+                continue
             for end, wedges in ends.items():
                 if len(wedges) > 2:
                     m = wedges[0][2]

@@ -857,6 +857,86 @@ class TestEngines:
         assert all(narrow[i] <= wide[i] for i in range(6))
 
 
+def span_of(g):
+    """The graph's time span: its last stamp less its first."""
+    stamps = [t for row in g.upper_times for t in row]
+    return max(stamps) - min(stamps)
+
+
+def spy_on_bisect_left(monkeypatch):
+    """The argument tuples of every call the count module makes to bisect_left from now on."""
+    calls = []
+    real = count_module.bisect_left
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(count_module, "bisect_left", spy)
+    return calls
+
+
+class TestWholeRowWalk:
+    """A graph whose span fits inside delta is walked on whole middle rows, with the same answers."""
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.lists(st.tuples(st.integers(0, 4).map("u{}".format), st.integers(0, 4).map("v{}".format), st.integers(0, 40)), min_size=4, max_size=28),
+        st.booleans(),
+        st.sampled_from((0, 1)),
+    )
+    def test_engines_agree_with_oracle_at_the_span_and_below(self, triples, swap, below):
+        if swap:
+            triples = [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
+        g, priority = build_priority(triples)
+        delta = span_of(g) - below
+        assume(delta >= 0)
+        oracle: list = []
+        expected = oracle_enumerate(build_plain(triples), delta, oracle.append)
+        for got in all_engine_counts(triples, delta):
+            assert got == expected
+        assert count_sampled(g, priority, delta, 1.0) == expected
+        for engine in (enumerate_baseline, enumerate_optimized):
+            emitted: list = []
+            assert engine(g, priority, delta, emitted.append) == expected
+            assert Counter(emitted) == Counter(oracle)
+
+    def test_the_whole_walk_bisects_only_below_the_span(self, monkeypatch):
+        g, priority = build_priority(HUB_TRIPLES)
+        span = span_of(g)
+        calls = spy_on_bisect_left(monkeypatch)
+        wide = list(_end_buckets(g, priority, span))
+        assert wide and not calls
+        narrow = list(_end_buckets(g, priority, span - 1))
+        assert narrow and calls
+
+    def test_rows_that_each_fit_inside_delta_are_still_windowed(self, monkeypatch):
+        # s's row spans 5..50 and e's 60..105, each inside delta 60, but the
+        # graph spans 100: read whole, v0's row would give s a wedge 5 -> 105
+        # whose pair with 50 -> 60 passes the two-wedge test's cross spans
+        triples = [("s", "v0", 5), ("s", "v1", 50), ("e", "v0", 105), ("e", "v1", 60), ("s", "x0", 20), ("s", "x1", 30)]
+        g, priority = build_priority(triples)
+        assert span_of(g) == 100
+        for delta, total in ((60, 0), (100, 1)):
+            assert oracle_count(build_plain(triples), delta).total() == total
+            for got in all_engine_counts(triples, delta):
+                assert got.total() == total
+        calls = spy_on_bisect_left(monkeypatch)
+        assert list(_end_buckets(g, priority, 60)) == []
+        assert calls
+
+    def test_a_chunked_walk_bisects_at_the_span(self, monkeypatch):
+        g, priority = build_priority(HUB_TRIPLES)
+        span = span_of(g)
+        # the chunk of the top-ranked start, all of whose neighbors rank below it
+        top = max(range(g.upper_count), key=priority.upper.__getitem__)
+        assert priority.upper[top] > max(priority.lower)
+        (chunk,) = [chunk for chunk in _chunks(g, 2) if top in chunk[0]]
+        calls = spy_on_bisect_left(monkeypatch)
+        walked = list(_end_buckets(g, priority, span, starts=chunk))
+        assert walked and calls
+
+
 class TestSampling:
     def test_degenerate_probability_is_exact(self):
         g, p = build_priority(F1)
