@@ -7,8 +7,6 @@ for validation and a command-line front end.
 
 from .count import (
     CountVector,
-    TimestampIndex,
-    TwinOrderedIndex,
     classify_type,
     count_baseline,
     count_extreme,
@@ -42,8 +40,6 @@ __all__ = [
     "StreamOrderError",
     "TemporalBipartiteGraph",
     "TemporalEdge",
-    "TimestampIndex",
-    "TwinOrderedIndex",
     "VertexPriority",
     "batch_update",
     "classify_type",

@@ -15,21 +15,21 @@ Three engines share one answer:
   bucket as count_baseline does: most hold too few wedges to repay
   indexes.  A larger bucket is split into forward and backward wedges and
   swept once in wedge priority (start timestamp descending, arrival
-  ascending), keeping candidate wedges in per-start-timestamp buckets of
-  arrival lists.  The sweep counts every pair of the end bucket; the same
-  sweep over each middle's own wedges counts the same-middle pairs, which
-  come from parallel edges and are never butterflies, and is subtracted.
-  This replaces the paper's mergesort-style recursion over per-middle
-  subsets, which re-indexed and re-probed every wedge at each of its log k
-  merge levels.
+  ascending), in one fused loop, _timestamp_counts, that keeps candidate
+  wedges in per-start-timestamp buckets of arrival lists.  The sweep
+  counts every pair of the end bucket; the same sweep over each middle's
+  own wedges counts the same-middle pairs, which come from parallel edges
+  and are never butterflies, and is subtracted.  This replaces the paper's
+  mergesort-style recursion over per-middle subsets, which re-indexed and
+  re-probed every wedge at each of its log k merge levels.
 - count_extreme is the same with the sweep's buckets replaced by twin
-  sorted lists, so each probe is four C bisects instead of a walk over
-  every live start timestamp.  The lists are stored negated, so the
-  sweep's inserts land at their tail.  It runs the sweep fused, in
-  _twin_counts: the lists hold plain ints, the bisects are inlined and
-  the tallies stay in locals until the bucket ends.  enumerate_optimized
-  sweeps with the same lists as a TwinOrderedIndex and takes each match
-  from the wedge its entry carries.
+  sorted lists of plain ints, so each probe is four C bisects instead of a
+  walk over every live start timestamp.  The lists are stored negated, so
+  the sweep's inserts land at their tail.  Its fused loop, _twin_counts,
+  inlines the bisects and keeps the tallies in locals until the bucket
+  ends.  enumerate_optimized sweeps in the same rounds, keeping one sorted
+  list of entries per direction, and takes each match from the wedge its
+  entry carries.
 
 Small buckets are paired in one loop, _pairs, behind every engine; it
 reads each pair's type inline, as classify_type defines it.
@@ -59,7 +59,7 @@ of _pool, each process summing the chunks of starts it claims.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain, groupby
 from operator import itemgetter
@@ -71,8 +71,6 @@ from .graph import TemporalBipartiteGraph, VertexPriority, compute_vertex_priori
 __all__ = [
     "CountVector",
     "classify_type",
-    "TimestampIndex",
-    "TwinOrderedIndex",
     "count_baseline",
     "count_optimized",
     "count_extreme",
@@ -170,119 +168,39 @@ def classify_type(w1: tuple[int, int], w2: tuple[int, int], start_in_upper: bool
     return shape if start_in_upper else shape ^ 1
 
 
-# --- wedge bookkeeping ------------------------------------------------------
+# --- end-bucket sweeps -------------------------------------------------------
 #
 # Normalized wedges are (t_s, t_a, middle) with t_s < t_a <= t_s + delta; a
 # backward wedge stores its two timestamps swapped and is tracked in the
 # backward list instead.  Wedge priority sorts by t_s descending, then t_a
 # ascending; sweeps keep their lists in plain ascending tuple order and
 # consume them from the end, which visits start timestamps in that order.
+#
+# Every sweep (_timestamp_counts, _twin_counts and enumeration's
+# _emit_swept) runs in rounds of equal start timestamp, largest first.  A
+# round first expires live wedges whose arrival exceeds round start + delta
+# (they can never again share a span with anything left), then probes the
+# round's wedges, each against its own direction's live wedges and the
+# other direction's, and only then makes them live; wedges sharing a start
+# timestamp therefore never pair with each other.  Everything a probe sees
+# lies fully inside [round start, round start + delta], so no span check is
+# needed at match time.  Against the probing wedge's arrival, the pivot, a
+# live wedge starting after the pivot is non-overlap, one arriving after it
+# but starting before it intersecting, one arriving before it covered; a
+# stamp at the pivot is shared, never a butterfly.
 
 
-class TimestampIndex:
-    """Wedges bucketed by start timestamp, arrivals kept ascending per bucket.
+def _timestamp_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: int) -> None:
+    """Add every pair of a bucket's normalized wedges to acc: the sweep's rounds over start buckets.
 
-    Probing walks every live bucket: a bucket starting after the probe's
-    arrival matches whole as non-overlap, a bucket starting before it is
-    split around the arrival by binary search into covering and intersecting
-    parts.  Expiry also walks every bucket, popping arrivals above the bound.
+    Each direction keeps its live wedges in a dict from start timestamp to
+    that start's arrivals, ascending.  A probe walks every live start: one
+    after the pivot matches whole, one before it is split around the pivot
+    by two bisects.  The tallies stay in six locals until the bucket ends.
     """
-
-    __slots__ = ("_buckets",)
-
-    def __init__(self) -> None:
-        self._buckets: dict[int, list[int]] = {}
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._buckets.values())
-
-    def insert(self, wedge: tuple) -> None:
-        # callers insert in wedge-priority order, so appends keep arrivals ascending
-        self._buckets.setdefault(wedge[0], []).append(wedge[1])
-
-    def delete_above(self, bound: int) -> None:
-        dead = []
-        for ts, arrivals in self._buckets.items():
-            while arrivals and arrivals[-1] > bound:
-                arrivals.pop()
-            if not arrivals:
-                dead.append(ts)
-        for ts in dead:
-            del self._buckets[ts]
-
-    def query_counts(self, pivot: int, acc: list[int], offsets: tuple[int, int, int]) -> None:
-        o_non, o_int, o_cov = offsets
-        for ts, arrivals in self._buckets.items():
-            if ts > pivot:
-                acc[o_non] += len(arrivals)
-            elif ts < pivot:
-                acc[o_int] += len(arrivals) - bisect_right(arrivals, pivot)
-                acc[o_cov] += bisect_left(arrivals, pivot)
-            # ts == pivot: a shared timestamp, never a butterfly
-
-
-class TwinOrderedIndex:
-    """Twin sorted lists over the indexed wedges, both stored negated.
-
-    One side orders (-arrival, -start, wedge) entries, the wedge being the
-    inserted tuple itself, the other holds the negated start timestamps
-    alone.  The two stay element-for-element synchronized: expiry cuts the
-    arrival side's head in one slice and deletes each matching start.  The
-    sweep inserts start timestamps in descending order, so negated, inserts
-    land at or near the tail of both lists and move little memory.
-    enumerate_optimized probes it for the entries on either side of an
-    arrival; count_extreme keeps the same lists as plain ints inside
-    _twin_counts.
-    """
-
-    __slots__ = ("_arrivals", "_starts")
-
-    def __init__(self) -> None:
-        self._arrivals: list[tuple[int, int, tuple]] = []
-        self._starts: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._arrivals)
-
-    def insert(self, wedge: tuple) -> None:
-        neg_ts = -wedge[0]
-        insort(self._arrivals, (-wedge[1], neg_ts, wedge))
-        insort(self._starts, neg_ts)
-
-    def delete_above(self, bound: int) -> None:
-        arrivals = self._arrivals
-        if arrivals and arrivals[0][0] < -bound:
-            k = bisect_left(arrivals, (-bound,))
-            starts = self._starts
-            for _, neg_ts, _ in arrivals[:k]:
-                del starts[bisect_left(starts, neg_ts)]
-            del arrivals[:k]
-
-    def around(self, pivot: int) -> tuple[list, list]:
-        """The entries arriving after the pivot and those arriving before it, arrivals descending."""
-        arrivals = self._arrivals
-        neg = -pivot
-        later = bisect_left(arrivals, (neg,))
-        return arrivals[:later], arrivals[bisect_left(arrivals, (neg + 1,), later):]
-
-
-# --- end-bucket sweep --------------------------------------------------------
-
-
-def _sweep(fwd: list, bwd: list, delta: int, fwd_idx, bwd_idx, visit) -> None:
-    """Probe every wedge against every indexed wedge of a larger start time.
-
-    Both lists are sorted ascending and consumed from the end in rounds of
-    equal start timestamp, largest first.  A round first expires index
-    entries whose arrival exceeds round start + delta (they can never again
-    share a span with anything left), then probes the round's wedges, each
-    against its own direction's index and the other one, and only then
-    inserts them, arrivals ascending; wedges sharing a start timestamp
-    therefore never pair with each other.  Everything a probe sees lies
-    fully inside [round start, round start + delta], so no span check is
-    needed at match time.  visit(wedge, same_idx, other_idx) does the
-    probing.
-    """
+    f_live: dict[int, list[int]] = {}
+    b_live: dict[int, list[int]] = {}
+    s_non = s_int = s_cov = d_non = d_int = d_cov = 0
     i, j = len(fwd), len(bwd)
     while i or j:
         if j == 0 or (i and fwd[i - 1][0] >= bwd[j - 1][0]):
@@ -290,52 +208,59 @@ def _sweep(fwd: list, bwd: list, delta: int, fwd_idx, bwd_idx, visit) -> None:
         else:
             ts = bwd[j - 1][0]
         bound = ts + delta
-        fwd_idx.delete_above(bound)
-        bwd_idx.delete_above(bound)
+        for live in (f_live, b_live):
+            dead = []
+            # a live start's list is never empty, so its last arrival says whether any expire
+            for start, arrivals in live.items():
+                if arrivals[-1] > bound:
+                    while arrivals and arrivals[-1] > bound:
+                        arrivals.pop()
+                    if not arrivals:
+                        dead.append(start)
+            for start in dead:
+                del live[start]
         a, b = i, j
         while a and fwd[a - 1][0] == ts:
             a -= 1
         while b and bwd[b - 1][0] == ts:
             b -= 1
-        for k in range(a, i):
-            visit(fwd[k], fwd_idx, bwd_idx)
-        for k in range(b, j):
-            visit(bwd[k], bwd_idx, fwd_idx)
-        for k in range(a, i):
-            fwd_idx.insert(fwd[k])
-        for k in range(b, j):
-            bwd_idx.insert(bwd[k])
+        for wedges, lo, hi, same, other in ((fwd, a, i, f_live, b_live), (bwd, b, j, b_live, f_live)):
+            for k in range(lo, hi):
+                pivot = wedges[k][1]
+                for start, arrivals in same.items():
+                    if start > pivot:
+                        s_non += len(arrivals)
+                    elif start < pivot:
+                        s_int += len(arrivals) - bisect_right(arrivals, pivot)
+                        s_cov += bisect_left(arrivals, pivot)
+                for start, arrivals in other.items():
+                    if start > pivot:
+                        d_non += len(arrivals)
+                    elif start < pivot:
+                        d_int += len(arrivals) - bisect_right(arrivals, pivot)
+                        d_cov += bisect_left(arrivals, pivot)
+        # a round's start is new, and its wedges come arrivals ascending
+        if a < i:
+            f_live[ts] = [w[1] for w in fwd[a:i]]
+        if b < j:
+            b_live[ts] = [w[1] for w in bwd[b:j]]
         i, j = a, b
-
-
-def _counting_visit(acc: list[int], layer: int):
-    off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
-    off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
-
-    def visit(wedge, same_idx, diff_idx):
-        pivot = wedge[1]
-        same_idx.query_counts(pivot, acc, off_same)
-        diff_idx.query_counts(pivot, acc, off_diff)
-
-    return visit
-
-
-def _timestamp_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: int) -> None:
-    """Add every pair of a bucket's normalized wedges to acc: _sweep over a TimestampIndex per direction."""
-    _sweep(fwd, bwd, delta, TimestampIndex(), TimestampIndex(), _counting_visit(acc, layer))
+    acc[layer] += s_non
+    acc[1 ^ layer] += s_int
+    acc[2 ^ layer] += s_cov
+    acc[3 ^ layer] += d_non
+    acc[4 ^ layer] += d_int
+    acc[5 ^ layer] += d_cov
 
 
 def _twin_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: int) -> None:
-    """Add every pair of a bucket's normalized wedges to acc: _sweep's rounds, fused.
+    """Add every pair of a bucket's normalized wedges to acc: the sweep's rounds over twin sorted lists.
 
-    Each direction keeps its live wedges as TwinOrderedIndex does, but in
-    three plain int lists: the negated arrivals ascending, beside each the
-    negated start it came with (for expiry), and the negated starts
-    ascending.  A probe ranks the probing wedge's arrival, the pivot, by
-    four bisects: a live wedge starting after the pivot is non-overlap, one
-    arriving after it but starting before it intersecting, one arriving
-    before it covered; a stamp at the pivot is shared, never a butterfly.
-    The tallies stay in six locals until the bucket ends.
+    Each direction keeps its live wedges in three plain int lists: the
+    negated arrivals ascending, beside each the negated start it came with
+    (for expiry), and the negated starts ascending.  A probe ranks the
+    pivot by four bisects, so it costs the same however many starts are
+    live.  The tallies stay in six locals until the bucket ends.
     """
     f_arr: list[int] = []
     f_with: list[int] = []
@@ -631,7 +556,7 @@ def _count_part(g, priority, delta, sweep, claims: Iterable) -> tuple[list[int],
     return every, same
 
 
-def _count_with_sweep(g, priority, delta, sweep, workers: int | None) -> CountVector:
+def _count_on_pool(g, priority, delta, sweep, workers: int | None) -> CountVector:
     """Count on the fork pool: each process sums the chunks it claims, a child in one reply; see _pool."""
 
     def gather(claims, children, _):
@@ -656,7 +581,7 @@ def count_optimized(
     It stays in this process on a graph of fewer than 2 * _EDGES_PER_PART
     edges, without os.fork, or while another thread is alive.
     """
-    return _count_with_sweep(g, priority, delta, _timestamp_counts, workers)
+    return _count_on_pool(g, priority, delta, _timestamp_counts, workers)
 
 
 def count_extreme(
@@ -670,7 +595,7 @@ def count_extreme(
     workers, the chunks and the rules that keep a call in this process
     are count_optimized's.
     """
-    return _count_with_sweep(g, priority, delta, _twin_counts, workers)
+    return _count_on_pool(g, priority, delta, _twin_counts, workers)
 
 
 def count_sampled(

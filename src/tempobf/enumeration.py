@@ -9,12 +9,12 @@ id order, so the sink runs only in the caller.  Emission order is an
 engine detail, fixed for a given n but not across n; compare multisets.
 
 enumerate_baseline pairs the wedges of every end bucket directly, and
-enumerate_optimized those of small buckets only, sweeping the rest with a
-TwinOrderedIndex per direction, the twin sorted lists count_extreme sweeps
-as plain ints: a probe takes the entries arriving on either side of its
-arrival from two bisects, the match types from the side and each entry's
-start, and builds each instance in the slice loop from the wedge the entry
-carries.
+enumerate_optimized those of small buckets only, sweeping the rest in
+count's rounds with one fused loop, _emit_swept, over a sorted list of
+entries per direction: a probe takes the entries arriving on either side
+of its arrival from two bisects, the match types from the side and each
+entry's start, and builds each instance in the slice loop from the wedge
+the entry carries.
 
 An end bucket's start and end vertices, sorted, are the corner pair of
 their layer.  Wedges keep their two timestamps ordered by that pair, so a
@@ -23,18 +23,11 @@ pair of wedges becomes an instance by one comparison of their middles.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, NamedTuple
 
 from ._pool import _walk_in_chunk_order
-from .count import (
-    _SMALL_BUCKET,
-    CountVector,
-    TwinOrderedIndex,
-    _end_buckets,
-    _pairs,
-    _sweep,
-    classify_type,
-)
+from .count import _SMALL_BUCKET, CountVector, _end_buckets, _pairs, classify_type
 from .graph import TemporalBipartiteGraph, VertexPriority
 
 __all__ = ["ButterflyInstance", "enumerate_baseline", "enumerate_optimized", "null_sink"]
@@ -107,79 +100,6 @@ def enumerate_baseline(
     return _enumerate(g, priority, delta, sink, float("inf"), workers)
 
 
-def _emitting_visit(layer: int, fixed: tuple[int, int], sink: Sink, acc: list[int]):
-    """_sweep's visit over (t_s, t_a, middle, c0, c1) wedges in TwinOrderedIndexes.
-
-    Indexed wedges start after the probing one, so an entry arriving before
-    its arrival (the pivot) is covered, and one arriving after it is
-    non-overlap if it starts after the pivot, intersecting if before; a
-    stamp at the pivot is shared, never a butterfly.  Each distinct-middle
-    match goes to sink in canonical corner order, the tallies to acc once
-    per probe.
-    """
-    off_same = (0 ^ layer, 1 ^ layer, 2 ^ layer)
-    off_diff = (3 ^ layer, 4 ^ layer, 5 ^ layer)
-
-    def probe(idx, offsets, pivot, mid, c0, c1):
-        o_non, o_int, o_cov = offsets
-        later, earlier = idx.around(pivot)
-        n_cov = len(earlier)
-        n_non = n_int = 0
-        # the layers lay an instance out differently; test the layer once per probe
-        if layer == 0:
-            for _, _, (_, _, omid, o0, o1) in earlier:
-                if mid < omid:
-                    sink(_new(ButterflyInstance, (o_cov, fixed, (mid, omid), (c0, c1, o0, o1))))
-                elif omid < mid:
-                    sink(_new(ButterflyInstance, (o_cov, fixed, (omid, mid), (o0, o1, c0, c1))))
-                else:
-                    n_cov -= 1
-            for _, _, (ts, _, omid, o0, o1) in later:
-                if omid == mid or ts == pivot:
-                    continue
-                if ts > pivot:
-                    t = o_non
-                    n_non += 1
-                else:
-                    t = o_int
-                    n_int += 1
-                if mid < omid:
-                    sink(_new(ButterflyInstance, (t, fixed, (mid, omid), (c0, c1, o0, o1))))
-                else:
-                    sink(_new(ButterflyInstance, (t, fixed, (omid, mid), (o0, o1, c0, c1))))
-        else:
-            for _, _, (_, _, omid, o0, o1) in earlier:
-                if mid < omid:
-                    sink(_new(ButterflyInstance, (o_cov, (mid, omid), fixed, (c0, o0, c1, o1))))
-                elif omid < mid:
-                    sink(_new(ButterflyInstance, (o_cov, (omid, mid), fixed, (o0, c0, o1, c1))))
-                else:
-                    n_cov -= 1
-            for _, _, (ts, _, omid, o0, o1) in later:
-                if omid == mid or ts == pivot:
-                    continue
-                if ts > pivot:
-                    t = o_non
-                    n_non += 1
-                else:
-                    t = o_int
-                    n_int += 1
-                if mid < omid:
-                    sink(_new(ButterflyInstance, (t, (mid, omid), fixed, (c0, o0, c1, o1))))
-                else:
-                    sink(_new(ButterflyInstance, (t, (omid, mid), fixed, (o0, c0, o1, c1))))
-        acc[o_non] += n_non
-        acc[o_int] += n_int
-        acc[o_cov] += n_cov
-
-    def visit(wedge, same_idx, diff_idx):
-        _, pivot, mid, c0, c1 = wedge
-        probe(same_idx, off_same, pivot, mid, c0, c1)
-        probe(diff_idx, off_diff, pivot, mid, c0, c1)
-
-    return visit
-
-
 def enumerate_optimized(
     g: TemporalBipartiteGraph,
     priority: VertexPriority,
@@ -233,7 +153,105 @@ def _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired) -> Non
                 sink(_new(ButterflyInstance, (type_index, (mid, omid), fixed, (c0, o0, c1, o1))))
             acc[type_index] += 1
         return
-    # the sweep takes them normalized, (t_s, t_a, middle, c0, c1)
+    _emit_swept(wedges, delta, layer, fixed, sink, acc)
+
+
+def _emit_swept(wedges, delta, layer, fixed, sink, acc) -> None:
+    """Emit every distinct-middle pair of one end bucket's corner-order wedges by count's sweep.
+
+    The sweep's rounds run over normalized (t_s, t_a, middle, c0, c1)
+    wedges.  Each direction keeps its live wedges in one ascending list of
+    (-arrival, -start, wedge) entries.  A probe takes the entries arriving
+    after its arrival, the pivot, and those arriving before it from two
+    bisects, arrivals descending.  The earlier ones are covered; a later one
+    is non-overlap if it starts after the pivot, intersecting if before.
+    Each distinct-middle match goes to sink in canonical corner order, the
+    tallies to acc once per probe.
+    """
     fwd = sorted((c0, c1, mid, c0, c1) for c0, c1, mid in wedges if c0 < c1)
     bwd = sorted((c1, c0, mid, c0, c1) for c0, c1, mid in wedges if c1 < c0)
-    _sweep(fwd, bwd, delta, TwinOrderedIndex(), TwinOrderedIndex(), _emitting_visit(layer, fixed, sink, acc))
+    same = (layer, 1 ^ layer, 2 ^ layer)
+    mixed = (3 ^ layer, 4 ^ layer, 5 ^ layer)
+    f_live: list[tuple[int, int, tuple]] = []
+    b_live: list[tuple[int, int, tuple]] = []
+    # each wedge probes its own direction's live entries, then the other's
+    f_probes = ((f_live, same), (b_live, mixed))
+    b_probes = ((b_live, same), (f_live, mixed))
+    i, j = len(fwd), len(bwd)
+    while i or j:
+        if j == 0 or (i and fwd[i - 1][0] >= bwd[j - 1][0]):
+            ts = fwd[i - 1][0]
+        else:
+            ts = bwd[j - 1][0]
+        # negated, the arrivals beyond ts + delta sit at the head
+        cut = -ts - delta
+        if f_live and f_live[0][0] < cut:
+            del f_live[:bisect_left(f_live, (cut,))]
+        if b_live and b_live[0][0] < cut:
+            del b_live[:bisect_left(b_live, (cut,))]
+        a, b = i, j
+        while a and fwd[a - 1][0] == ts:
+            a -= 1
+        while b and bwd[b - 1][0] == ts:
+            b -= 1
+        for side, lo, hi, probes in ((fwd, a, i, f_probes), (bwd, b, j, b_probes)):
+            for k in range(lo, hi):
+                _, pivot, mid, c0, c1 = side[k]
+                neg = -pivot
+                for live, (o_non, o_int, o_cov) in probes:
+                    later = bisect_left(live, (neg,))
+                    earlier = live[bisect_left(live, (neg + 1,), later):]
+                    n_cov = len(earlier)
+                    n_non = n_int = 0
+                    # the layers lay an instance out differently; test the layer once per probe
+                    if layer == 0:
+                        for _, _, (_, _, omid, o0, o1) in earlier:
+                            if mid < omid:
+                                sink(_new(ButterflyInstance, (o_cov, fixed, (mid, omid), (c0, c1, o0, o1))))
+                            elif omid < mid:
+                                sink(_new(ButterflyInstance, (o_cov, fixed, (omid, mid), (o0, o1, c0, c1))))
+                            else:
+                                n_cov -= 1
+                        for _, _, (start, _, omid, o0, o1) in live[:later]:
+                            if omid == mid or start == pivot:
+                                continue
+                            if start > pivot:
+                                t = o_non
+                                n_non += 1
+                            else:
+                                t = o_int
+                                n_int += 1
+                            if mid < omid:
+                                sink(_new(ButterflyInstance, (t, fixed, (mid, omid), (c0, c1, o0, o1))))
+                            else:
+                                sink(_new(ButterflyInstance, (t, fixed, (omid, mid), (o0, o1, c0, c1))))
+                    else:
+                        for _, _, (_, _, omid, o0, o1) in earlier:
+                            if mid < omid:
+                                sink(_new(ButterflyInstance, (o_cov, (mid, omid), fixed, (c0, o0, c1, o1))))
+                            elif omid < mid:
+                                sink(_new(ButterflyInstance, (o_cov, (omid, mid), fixed, (o0, c0, o1, c1))))
+                            else:
+                                n_cov -= 1
+                        for _, _, (start, _, omid, o0, o1) in live[:later]:
+                            if omid == mid or start == pivot:
+                                continue
+                            if start > pivot:
+                                t = o_non
+                                n_non += 1
+                            else:
+                                t = o_int
+                                n_int += 1
+                            if mid < omid:
+                                sink(_new(ButterflyInstance, (t, (mid, omid), fixed, (c0, o0, c1, o1))))
+                            else:
+                                sink(_new(ButterflyInstance, (t, (omid, mid), fixed, (o0, c0, o1, c1))))
+                    acc[o_non] += n_non
+                    acc[o_int] += n_int
+                    acc[o_cov] += n_cov
+        neg_ts = -ts
+        for k in range(a, i):
+            insort(f_live, (-fwd[k][1], neg_ts, fwd[k]))
+        for k in range(b, j):
+            insort(b_live, (-bwd[k][1], neg_ts, bwd[k]))
+        i, j = a, b

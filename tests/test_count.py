@@ -1,4 +1,4 @@
-"""Type classifier, indexes, combination skeleton, and the counting engines."""
+"""Type classifier, sweep kernels, combination skeleton, and the counting engines."""
 
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from hypothesis import assume, example, given, strategies as st
 import tempobf
 from tempobf import (
     CountVector,
-    TimestampIndex,
-    TwinOrderedIndex,
     classify_type,
     compute_vertex_priority,
     count_baseline,
@@ -47,11 +45,10 @@ from tempobf.count import (
     _end_buckets,
     _pairs,
     _split,
-    _sweep,
     _timestamp_counts,
     _twin_counts,
 )
-from tempobf.enumeration import _emitting_visit
+from tempobf.enumeration import _emit_swept
 from conftest import (
     F1,
     F2,
@@ -187,132 +184,103 @@ def naive_probe(live, pivot):
     return [non, inter, cover]
 
 
-class TestIndexes:
-    def test_probe_whole_bucket_above_pivot(self):
-        idx = TimestampIndex()
-        idx.insert((10, 12))
+def kernel_vector(raws, delta, layer):
+    """One bucket's vector from _timestamp_counts, _twin_counts and the fused emitter, each checked against _pairs.
+
+    raws are (t1, t2, middle) wedges, each through its own middle and
+    spanning at most delta, as the walk builds them; the emitter reads them
+    as corner-order stamps, and must emit one instance per pair it tallies.
+    """
+    expected = [0] * 6
+    for type_index, _, _ in _pairs(raws, delta, layer):
+        expected[type_index] += 1
+    for kernel in (_timestamp_counts, _twin_counts):
         acc = [0] * 6
-        idx.query_counts(7, acc, (0, 1, 2))
-        assert acc == [1, 0, 0, 0, 0, 0]
+        kernel(*_split(raws), delta, acc, layer)
+        assert acc == expected, kernel.__name__
+    seen, acc = [], [0] * 6
+    _emit_swept(raws, delta, layer, (0, 1), seen.append, acc)
+    assert acc == expected
+    assert len(seen) == sum(acc)
+    return expected
+
+
+class TestSweepKernels:
+    """The three fused sweeps over one bucket: the probing wedge (1, 7) has the smallest start, so its round comes last."""
+
+    def test_probe_whole_bucket_above_pivot(self):
+        assert kernel_vector([(10, 12, 0), (1, 7, 1)], 20, 0) == [1, 0, 0, 0, 0, 0]
 
     def test_probe_splits_bucket_below_pivot(self):
-        idx = TimestampIndex()
-        idx.insert((3, 5))
-        idx.insert((3, 9))
-        acc = [0] * 6
-        idx.query_counts(7, acc, (0, 1, 2))
-        assert acc == [0, 1, 1, 0, 0, 0]
+        # (3, 5) and (3, 9) share a start, so only the probe pairs them: covered and intersecting
+        assert kernel_vector([(3, 5, 0), (3, 9, 1), (1, 7, 2)], 10, 0) == [0, 1, 1, 0, 0, 0]
 
     def test_probe_with_lower_layer_offsets(self):
-        # offsets for the mixed-direction slot when the start is in the lower layer
-        idx = TimestampIndex()
-        idx.insert((3, 5))
-        acc = [0] * 6
-        idx.query_counts(7, acc, (3 ^ 1, 4 ^ 1, 5 ^ 1))
-        assert acc == [0, 0, 0, 0, 1, 0]
+        # the backward (5, 3) is covered by the forward probe: a mixed covering, xor 1 for a lower start
+        assert kernel_vector([(5, 3, 0), (1, 7, 1)], 10, 1) == [0, 0, 0, 0, 1, 0]
 
     def test_pivot_equal_start_contributes_nothing(self):
-        idx = TimestampIndex()
-        idx.insert((7, 9))
-        acc = [0] * 6
-        idx.query_counts(7, acc, (0, 1, 2))
-        assert acc == [0] * 6
+        assert kernel_vector([(7, 9, 0), (1, 7, 1)], 10, 0) == [0] * 6
         # (3, 7) arrives at the stamp (7, 9) starts at: a shared stamp, in either direction
-        for fwd, bwd in (([(3, 7, 0), (7, 9, 1)], []), ([(3, 7, 0)], [(7, 9, 1)])):
-            acc = [0] * 6
-            _twin_counts(fwd, bwd, 10, acc, 0)
-            assert acc == [0] * 6
+        assert kernel_vector([(3, 7, 0), (7, 9, 1)], 10, 0) == [0] * 6
+        assert kernel_vector([(3, 7, 0), (9, 7, 1)], 10, 0) == [0] * 6
 
-    def test_twin_rank_arithmetic(self):
+    def test_rank_arithmetic(self):
         # the last probe, (1, 7), sees (8, 9) start after it, (2, 12) arrive
         # after it and (3, 5) arrive before it; the other three pairs are two
         # coverings of (2, 12) and the non-overlap of (3, 5) and (8, 9)
         for layer, expected in ((0, [2, 1, 3, 0, 0, 0]), (1, [1, 2, 0, 3, 0, 0])):
-            acc = [0] * 6
-            _twin_counts([(1, 7, 0), (2, 12, 1), (3, 5, 2), (8, 9, 3)], [], 12, acc, layer)
-            assert acc == expected
+            assert kernel_vector([(1, 7, 0), (2, 12, 1), (3, 5, 2), (8, 9, 3)], 12, layer) == expected
 
-    def test_twin_delete_pops_both_sides(self):
-        idx = TwinOrderedIndex()
-        idx.insert((2, 5))
-        idx.insert((3, 9))
-        idx.delete_above(6)
-        assert len(idx) == 1
-        assert len(idx._arrivals) == len(idx._starts) == 1
-        assert idx.around(4) == ([(-5, -2, (2, 5))], [])
+    def test_expiry_drops_wedges_arriving_beyond_the_round_bound(self):
+        # at delta 5 the round of start 2 expires (3, 8), so (1, 4) meets only (2, 5): intersecting
+        assert kernel_vector([(2, 5, 0), (3, 8, 1), (1, 4, 2)], 5, 0) == [0, 1, 0, 0, 0, 0]
 
-    def test_timestamp_delete_drops_empty_buckets(self):
-        idx = TimestampIndex()
-        idx.insert((2, 5))
-        idx.insert((3, 9))
-        idx.delete_above(6)
-        assert len(idx) == 1
-        acc = [0] * 6
-        idx.query_counts(4, acc, (0, 1, 2))
-        assert acc == [0, 1, 0, 0, 0, 0]
+    def test_expiry_reaches_the_other_direction(self):
+        # the backward (8, 3) expires as (3, 8) did above, before the forward (2, 5) probes it as a mixed pair
+        assert kernel_vector([(2, 5, 0), (8, 3, 1), (1, 4, 2)], 5, 0) == [0, 1, 0, 0, 0, 0]
+        # at delta 7 it stays live, and both forward wedges intersect it
+        assert kernel_vector([(2, 5, 0), (8, 3, 1), (1, 4, 2)], 7, 0) == [0, 1, 0, 0, 2, 0]
 
     @PROPERTY_SETTINGS
     @given(st.lists(wedge_strategy, max_size=200), st.integers(0, 40))
-    def test_indexes_agree_with_naive_recount(self, wedges, delta):
+    def test_kernels_agree_with_naive_recount(self, wedges, delta):
         """Engine-shaped rounds: expire, probe, insert, descending start times.
 
         Up to 200 wedges over 31 start and 38 arrival stamps, so rounds
-        insert, expire and probe among many equal starts and arrivals.  The
-        TimestampIndex is probed for counts, the TwinOrderedIndex for the
-        entries on either side of the pivot, and _twin_counts, which runs
-        the same rounds, must total every probe's counts.
+        insert, expire and probe among many equal starts and arrivals.  Both
+        counting kernels, which run the same rounds, must total every
+        probe's counts.
         """
-        flat = TimestampIndex()
-        twin = TwinOrderedIndex()
         inserted: list[tuple[int, int]] = []
         total = [0, 0, 0]
         for bound, round_wedges in engine_rounds(wedges, delta):
-            flat.delete_above(bound)
-            twin.delete_above(bound)
             inserted = [w for w in inserted if w[1] <= bound]
             for wedge in round_wedges:
-                pivot = wedge[1]
-                expected = naive_probe(inserted, pivot)
-                total = [a + b for a, b in zip(total, expected)]
-                acc = [0] * 6
-                flat.query_counts(pivot, acc, (0, 1, 2))
-                assert acc[:3] == expected and acc[3:] == [0, 0, 0]
-                later, earlier = twin.around(pivot)
-                starts = [w[0] for _, _, w in later]
-                assert [sum(s > pivot for s in starts), sum(s < pivot for s in starts), len(earlier)] == expected
-            for wedge in round_wedges:
-                flat.insert(wedge)
-                twin.insert(wedge)
+                total = [a + b for a, b in zip(total, naive_probe(inserted, wedge[1]))]
             inserted.extend(round_wedges)
-            assert len(flat) == len(twin) == len(inserted)
-            assert len(twin._arrivals) == len(twin._starts) == len(inserted)
-        acc = [0] * 6
-        _twin_counts(sorted((ts, ta, mid) for mid, (ts, ta) in enumerate(wedges)), [], delta, acc, 0)
-        assert acc == total + [0, 0, 0]
+        fwd = sorted((ts, ta, mid) for mid, (ts, ta) in enumerate(wedges))
+        for kernel in (_timestamp_counts, _twin_counts):
+            acc = [0] * 6
+            kernel(fwd, [], delta, acc, 0)
+            assert acc == total + [0, 0, 0], kernel.__name__
 
     @PROPERTY_SETTINGS
     @given(st.lists(st.tuples(wedge_strategy, st.booleans()), max_size=200), st.integers(0, 40), st.sampled_from((0, 1)))
-    def test_emitting_probe_tallies_match_twin_counts(self, drawn, delta, layer):
-        """enumerate_optimized's sweep and count_extreme's over one bucket, every wedge its own middle.
+    def test_emitter_tallies_match_counting_kernels(self, drawn, delta, layer):
+        """enumerate_optimized's sweep and both counting sweeps over one bucket, every wedge its own middle.
 
-        With no same-middle entry to skip, each entry the emitting probe
-        emits is a pair the fused counting sweep counts, in both directions
-        and under the layer's types.
+        With no same-middle entry to skip, each instance the emitter emits
+        is a pair the counting sweeps count, in both directions and under
+        the layer's types.
         """
-        # corner-order stamps; a backward wedge runs hi to lo
-        corner = [(lo, hi) if up else (hi, lo) for (lo, hi), up in drawn]
-        fwd = sorted((c0, c1, mid, c0, c1) for mid, (c0, c1) in enumerate(corner) if c0 < c1)
-        bwd = sorted((c1, c0, mid, c0, c1) for mid, (c0, c1) in enumerate(corner) if c1 < c0)
-        seen, emitted, counted = [], [0] * 6, [0] * 6
-        visit = _emitting_visit(layer, (0, 1), seen.append, emitted)
-        _sweep(fwd, bwd, delta, TwinOrderedIndex(), TwinOrderedIndex(), visit)
-        _twin_counts([w[:3] for w in fwd], [w[:3] for w in bwd], delta, counted, layer)
-        assert emitted == counted
-        assert len(seen) == sum(emitted)
+        # a backward wedge runs hi to lo; the walk keeps only spans within delta
+        raws = [(lo, hi, m) if up else (hi, lo, m) for m, ((lo, hi), up) in enumerate(drawn) if hi - lo <= delta]
+        kernel_vector(raws, delta, layer)
 
 
 def engine_rounds(wedges, delta):
-    """Yield (expiry bound, round) as _sweep takes them: start times descending, arrivals ascending."""
+    """Yield (expiry bound, round) as the sweeps take them: start times descending, arrivals ascending."""
     wedges = sorted(wedges, key=lambda w: (-w[0], w[1]))
     for ts, group in groupby(wedges, key=lambda w: w[0]):
         yield ts + delta, list(group)
@@ -347,7 +315,7 @@ def legs_groups(legs, delta):
 
 
 def count_flat(wedges, delta, upper, sweep=_timestamp_counts, min_run=2):
-    """Distinct-middle butterflies of one flat bucket, as _count_with_sweep tallies them."""
+    """Distinct-middle butterflies of one flat bucket, as _count_on_pool tallies them."""
     every = [0] * 6
     same = [0] * 6
     _count_bucket(wedges, delta, 0 if upper else 1, sweep, every, same, min_run)

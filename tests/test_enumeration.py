@@ -15,7 +15,6 @@ import tempobf._pool as pool_module
 import tempobf.enumeration as enumeration_module
 from tempobf import (
     ButterflyInstance,
-    TwinOrderedIndex,
     count_extreme,
     enumerate_baseline,
     enumerate_optimized,
@@ -24,7 +23,7 @@ from tempobf import (
     oracle_enumerate,
 )
 from tempobf.count import _SMALL_BUCKET, _end_buckets
-from tempobf.enumeration import _emit_bucket, _emitting_visit
+from tempobf.enumeration import _emit_bucket, _emit_swept
 from conftest import (
     F1,
     F2,
@@ -137,25 +136,30 @@ def _oracle_instances(triples, delta):
     return seen
 
 
-def emitting_probe(layer=0, fixed=(0, 1)):
-    """A probe of one twin index by the wedge through middle 100 with stamps (1, pivot).
+def emitting_probe(indexed, pivot, layer=0, fixed=(0, 1), delta=100):
+    """The fused emitter's (instances, tallies) for the probe through middle 100 with corner stamps (1, pivot).
 
-    Returns (index, probe, instances, tallies); probe(pivot) visits that
-    wedge against the index, with an empty index on the other side.
+    indexed holds corner-order (c0, c1, middle) wedges that start after 1,
+    so the probe's round comes last: its instances are the tail beyond a run
+    without it, its tallies the difference from that run's.
     """
-    idx, seen, acc = TwinOrderedIndex(), [], [0] * 6
-    visit = _emitting_visit(layer, fixed, seen.append, acc)
-    return idx, lambda pivot: visit((1, pivot, 100, 1, pivot), idx, TwinOrderedIndex()), seen, acc
+
+    def run(wedges):
+        seen, acc = [], [0] * 6
+        _emit_swept(wedges, delta, layer, fixed, seen.append, acc)
+        return seen, acc
+
+    before, before_acc = run(indexed)
+    seen, acc = run(indexed + [(1, pivot, 100)])
+    assert seen[: len(before)] == before
+    return seen[len(before) :], [a - b for a, b in zip(acc, before_acc)]
 
 
 class TestEmittingProbe:
-    # indexed wedges are (t_s, t_a, middle, c0, c1); each slice comes arrivals descending
+    # each slice comes arrivals descending
 
     def test_bounded_scans_split_a_bucket(self):
-        idx, probe, seen, acc = emitting_probe()
-        for wedge in ((3, 5, 101, 3, 5), (3, 9, 102, 3, 9), (3, 12, 103, 3, 12)):
-            idx.insert(wedge)
-        probe(7)
+        seen, acc = emitting_probe([(3, 5, 101), (3, 9, 102), (3, 12, 103)], 7)
         # the slice arriving before the pivot, then the one after it
         assert seen == [
             (2, (0, 1), (100, 101), (1, 7, 3, 5)),
@@ -165,11 +169,8 @@ class TestEmittingProbe:
         assert acc == [0, 2, 1, 0, 0, 0]
 
     def test_stamps_at_the_pivot_are_skipped(self):
-        idx, probe, seen, acc = emitting_probe()
         # arrives at the pivot; starts at the pivot; covered; intersecting
-        for wedge in ((3, 7, 101, 3, 7), (7, 9, 102, 7, 9), (2, 5, 103, 2, 5), (4, 8, 104, 4, 8)):
-            idx.insert(wedge)
-        probe(7)
+        seen, acc = emitting_probe([(3, 7, 101), (7, 9, 102), (2, 5, 103), (4, 8, 104)], 7)
         assert seen == [
             (2, (0, 1), (100, 103), (1, 7, 2, 5)),
             (1, (0, 1), (100, 104), (1, 7, 4, 8)),
@@ -177,49 +178,36 @@ class TestEmittingProbe:
         assert acc == [0, 1, 1, 0, 0, 0]
 
     def test_bucket_above_pivot_reports_whole(self):
-        idx, probe, seen, acc = emitting_probe()
-        # a backward wedge carries its corner-order stamps (t_a, t_s)
-        idx.insert((10, 12, 7, 12, 10))
-        probe(7)
+        # a backward wedge carries its corner-order stamps, (12, 10), and pairs with a forward one as mixed
+        seen, acc = emitting_probe([(12, 10, 7)], 7)
         # middle 7 comes first
-        assert seen == [(0, (0, 1), (7, 100), (12, 10, 1, 7))]
-        assert acc == [1, 0, 0, 0, 0, 0]
+        assert seen == [(3, (0, 1), (7, 100), (12, 10, 1, 7))]
+        assert acc == [0, 0, 0, 1, 0, 0]
 
     def test_empty_index_reports_nothing(self):
-        _, probe, seen, acc = emitting_probe()
-        probe(7)
-        assert seen == []
-        assert acc == [0] * 6
+        assert emitting_probe([], 7) == ([], [0] * 6)
 
-    def test_expiry_matches_counting_index(self):
-        idx, probe, seen, acc = emitting_probe()
-        idx.insert((2, 5, 1, 2, 5))
-        idx.insert((3, 9, 2, 3, 9))
-        idx.delete_above(6)
-        probe(4)
+    def test_expiry_drops_wedges_arriving_beyond_the_round_bound(self):
+        # at delta 5 the round of start 2 expires (3, 8)
+        seen, acc = emitting_probe([(2, 5, 1), (3, 8, 2)], 4, delta=5)
         assert seen == [(1, (0, 1), (1, 100), (2, 5, 1, 4))]
         assert acc == [0, 1, 0, 0, 0, 0]
 
     def test_same_middle_entries_are_skipped(self):
-        idx, probe, seen, acc = emitting_probe(layer=1)
-        idx.insert((10, 12, 100, 10, 12))
-        idx.insert((10, 13, 101, 10, 13))
-        probe(7)
+        seen, acc = emitting_probe([(10, 12, 100), (10, 13, 101)], 7, layer=1)
         # a lower start interleaves the stamps, (a0, b0, a1, b1), and xors the type by 1
         assert seen == [(1, (100, 101), (0, 1), (1, 10, 7, 13))]
         assert acc == [0, 1, 0, 0, 0, 0]
 
     def test_lower_layer_covered_slice(self):
-        idx, probe, seen, acc = emitting_probe(layer=1, fixed=(4, 5))
-        # covered, one middle on either side of the probe's, and a same-middle one
-        for wedge in ((2, 5, 103, 5, 2), (3, 6, 99, 3, 6), (4, 6, 100, 4, 6)):
-            idx.insert(wedge)
-        probe(7)
+        # covered: a same-middle one, one middle below the probe's, then a backward one above it
+        seen, acc = emitting_probe([(5, 2, 103), (3, 6, 99), (4, 6, 100)], 7, layer=1, fixed=(4, 5))
+        # the probe's own direction first, then the other: a same-direction and a mixed covering, each xor 1
         assert seen == [
             (3, (99, 100), (4, 5), (3, 1, 6, 7)),
-            (3, (100, 103), (4, 5), (1, 5, 7, 2)),
+            (4, (100, 103), (4, 5), (1, 5, 7, 2)),
         ]
-        assert acc == [0, 0, 0, 2, 0, 0]
+        assert acc == [0, 0, 0, 1, 1, 0]
 
 
 @st.composite
