@@ -2,14 +2,14 @@
 
 count_optimized, count_extreme and count_sampled count on the pool, and both
 enumerators walk on it, on the n processes _processes allows, in the chunks
-of starts _chunks cuts.  The caller writes one byte per chunk id into a pipe
-and closes its write end before it forks; then every process, the caller
-too, claims its next chunk by reading one byte until the pipe runs dry, so
-each chunk is walked once and no process waits on another while chunks
-remain.  A counting child sends the tallies of its chunks in one reply; an
-enumerating child sends each chunk's id as it claims it, then its end
-buckets as it walks them, and the caller emits the chunks in id order, so
-the emission order is fixed for a given n.  An exception in the parent, a
+of starts _chunks cuts from the graph alone.  The caller writes one byte
+per chunk id into a pipe and closes its write end before it forks; then
+every process, the caller too, claims its next chunk by reading one byte
+until the pipe runs dry, so each chunk is walked once and no process waits
+on another while chunks remain.  A counting child sends the tallies of its
+chunks in one reply; an enumerating child sends each chunk's id as it
+claims it, then its end buckets as it walks them, and the caller emits the
+chunks in id order, the same at every n.  An exception in the parent, a
 sink's or a KeyboardInterrupt among them, kills and reaps every child and
 closes the pipes first.  _in_child runs one function, as tempobf bench runs
 each engine, in a _Child leading its own process group, so that killing the
@@ -44,11 +44,10 @@ from .graph import TemporalBipartiteGraph
 # uniform, gained 18-38% (2 CPUs; more parts were not timed).
 _EDGES_PER_PART = 15_000
 
-# The walk is cut into this many chunks per process, so the processes end
-# together on the lightest; 16, 32 and 64 timed within 1% of each other on
-# the skew input (2 CPUs).  A chunk's id is one byte in the token pipe.
-_CHUNKS_PER_PROCESS = 16
-_MAX_CHUNKS = 255
+# A graph the pool may fork for is walked in this many chunks at every n, so
+# the processes end together on the lightest: 32, 64 and 255 timed within
+# noise at 2 processes (2 CPUs).  A chunk's id is one byte in the token pipe.
+_CHUNKS = 64
 
 # A child pickles a chunk's items this many at a time, and its parent hands
 # on one reply at a time.  On skew-narrow, whose hub buckets are large,
@@ -92,21 +91,23 @@ def _processes(g: TemporalBipartiteGraph, workers: int | None) -> int:
     return n if n > 1 and _can_fork() else 1
 
 
-def _chunks(g: TemporalBipartiteGraph, n: int) -> list[tuple[array, array]]:
-    """The starts of g's walk, (upper ids, lower ids), in at most c chunks for n processes, heaviest first.
+def _chunks(g: TemporalBipartiteGraph) -> list[tuple[array, array] | None]:
+    """The starts of g's walk, (upper ids, lower ids), in at most _CHUNKS chunks, heaviest first.
 
     A start weighs its time row's length, the degree priority ranks by.
     The starts of both layers, heaviest first with ties in (layer, id)
     order, are cut where their running weight reaches each multiple of
-    total / c, c being _CHUNKS_PER_PROCESS * n up to _MAX_CHUNKS, so a
-    start heavier than that sits alone.
+    total / _CHUNKS, so a start heavier than that sits alone.  A graph the
+    pool never forks for is one chunk, None: every start in id order, as 64
+    took serial counts of 5,000-edge stream windows 7-12% longer.
     """
+    if g.edge_count < 2 * _EDGES_PER_PART:
+        return [None]
     weights = list(map(len, chain(g.upper_adj, g.lower_adj)))
     order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
     running = list(accumulate(map(weights.__getitem__, order)))
-    c = min(_CHUNKS_PER_PROCESS * n, _MAX_CHUNKS)
     # the last chunk also takes the starts of no weight
-    ends = sorted({bisect_left(running, -(-running[-1] * k // c)) + 1 for k in range(1, c)} | {len(order)})
+    ends = sorted({bisect_left(running, -(-running[-1] * k // _CHUNKS)) + 1 for k in range(1, _CHUNKS)} | {len(order)})
     up = g.upper_count
     cuts = [order[a:b] for a, b in zip([0] + ends, ends)]
     return [(array("l", [s for s in ids if s < up]), array("l", [s - up for s in ids if s >= up])) for ids in cuts]
@@ -202,13 +203,12 @@ class _Child:
 def _run_pool(g: TemporalBipartiteGraph, workers: int | None, serve: Callable, gather: Callable):
     """gather(claims, children, chunk count), serve(claims) running in each child; see the module docstring.
 
-    claims yields (id, starts) for each chunk this process claims, by one
-    byte read from the token pipe; on one process the one chunk is None,
-    the whole walk.  Whatever ends the call, every child is killed and
-    reaped and the pipe closed first.
+    claims yields (id, starts) for each chunk of _chunks(g) this process
+    claims, by one byte read from the token pipe.  Whatever ends the call,
+    every child is killed and reaped and the pipe closed first.
     """
     n = _processes(g, workers)
-    chunks = _chunks(g, n) if n > 1 else [None]
+    chunks = _chunks(g)
     tokens, write = os.pipe()
     children: list[_Child] = []
 

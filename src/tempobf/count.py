@@ -43,17 +43,17 @@ that do not rank below the start.  Wedges thus run only toward strictly
 lower-priority middle and end vertices, so each butterfly is seen exactly
 once, from its max-priority corner; any injective ranking does, so a
 priority computed before the graph last changed still counts exactly, as
-long as it ranks every vertex.  A walk of the whole graph reads whole
-rows, with no bisect, when all its stamps fit in one delta span; a chunk
-of starts always bisects.  Only ends with two or more wedges leave the
-walk: a bucket of three or more when it holds two middles, a bucket of two
-only when its one pair is a butterfly.  count_baseline asks the walk to
-keep dead wedges as well, so it reads each middle's whole row; the others
-drop them on sight.  In that raw mode every bucket with two middles leaves
-the walk, two-wedge ones too, so every distinct-middle pair is examined.
-count_sampled runs count_extreme on an edge-sampled subgraph and rescales,
-giving unbiased estimates.  All but count_baseline count on the fork pool
-of _pool, each process summing the chunks of starts it claims.
+long as it ranks every vertex.  The walk reads whole rows, unbisected, when
+all the graph's stamps fit in one delta span, as each engine call checks
+once.  Only ends with two or more wedges leave the walk: a bucket of three
+or more when it holds two middles, a bucket of two only when its one pair
+is a butterfly.  count_baseline asks the walk to keep dead wedges as well,
+so it reads each middle's whole row; the others drop them on sight.  In
+that raw mode every bucket with two middles leaves the walk, two-wedge
+ones too, so every distinct-middle pair is examined.  count_sampled runs
+count_extreme on an edge-sampled subgraph and rescales, giving unbiased
+estimates.  All but count_baseline count on the fork pool of _pool, each
+process summing the chunks of starts it claims.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from functools import partial
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -417,12 +418,16 @@ def _count_bucket(wedges, delta, layer, sweep, acc, same, min_run) -> None:
 # --- engines ----------------------------------------------------------------
 
 
-def _check_priority(g: TemporalBipartiteGraph, priority: VertexPriority) -> None:
+def _check_walk(g: TemporalBipartiteGraph, priority: VertexPriority, delta: int) -> bool:
+    """Refuse a priority that misses a vertex of g, before any fork; else whether all g's stamps fit one delta span."""
     if len(priority.upper) < g.upper_count or len(priority.lower) < g.lower_count:
         raise ValueError(
             f"priority ranks {len(priority.upper)} upper and {len(priority.lower)} lower vertices,"
             f" but the graph has {g.upper_count} and {g.lower_count}; compute it from this graph"
         )
+    # every edge sits in an upper row, so these rows give the graph's span
+    rows = [r for r in g.upper_times if r]
+    return bool(rows) and max(map(itemgetter(-1), rows)) - min(map(itemgetter(0), rows)) <= delta
 
 
 def count_baseline(
@@ -439,6 +444,7 @@ def count_baseline(
     inspected, which equals the number of static 2x2 biclique edge choices
     because each is examined from exactly one start vertex.
     """
+    _check_walk(g, priority, delta)
     acc = [0] * 6
     pairs_examined = 0
     for layer, _s, _end, wedges in _end_buckets(g, priority, delta, raw=True):
@@ -460,6 +466,7 @@ def _end_buckets(
     delta: int,
     raw: bool = False,
     starts: tuple[Sequence[int], Sequence[int]] | None = None,
+    whole: bool = False,
 ):
     """Yield (layer bit, start, end, wedges) for the end buckets that can hold a butterfly.
 
@@ -476,22 +483,14 @@ def _end_buckets(
     two is yielded only when its one pair is a butterfly: different
     middles, four distinct stamps and a span of at most delta.
 
-    When raw is set, the middle's whole row is walked and only the priority
-    skip applies, and every bucket with two middles is yielded, two-wedge
-    ones too.  Parallel edges to the start scatter one middle's wedges
-    through a bucket, so its wedges are not grouped by middle.
-
-    starts, a pair of upper and lower start ids such as a chunk of
-    _chunks, walks only those starts, in that order, so the chunks of one
-    cut yield every bucket once; None walks every start in id order, and
-    reads whole rows, with no bisect, when all of g's stamps fit in one
-    delta span.  A chunk always bisects, so no chunk pays that check.
+    whole, as _check_walk decides, reads each middle's whole row, with no
+    bisect.  raw sets whole too, keeps only the priority skip, and yields
+    every bucket with two middles, two-wedge ones too.  Parallel edges to
+    the start scatter one middle's wedges through a bucket, so its wedges
+    are not grouped by middle.  starts, a chunk of _chunks, walks only its
+    upper and lower start ids, in order; None walks every start in id order.
     """
-    _check_priority(g, priority)
-    # every edge sits in an upper row, so these rows give the graph's span
-    rows = [r for r in g.upper_times if r] if starts is None and not raw else ()
-    fits = bool(rows) and all(r[-1] - r[0] <= delta for r in rows)
-    whole = raw or (fits and max(map(itemgetter(-1), rows)) - min(map(itemgetter(0), rows)) <= delta)
+    whole = whole or raw
     for layer, start_rows, mid_rows, mid_stamps, sprio, mprio in (
         (0, g.upper_adj, g.lower_adj, g.lower_times, priority.upper, priority.lower),
         (1, g.lower_adj, g.upper_adj, g.upper_times, priority.lower, priority.upper),
@@ -543,28 +542,27 @@ def _end_buckets(
                 yield layer, s, end, wedges
 
 
-def _count_part(g, priority, delta, sweep, claims: Iterable) -> tuple[list[int], list[int]]:
+def _count_part(g, priority, delta, whole, sweep, claims: Iterable) -> tuple[list[int], list[int]]:
     """The (every, same) tallies of the end buckets the walk over each claimed (id, starts) chunk yields."""
-    every = [0] * 6
-    same = [0] * 6
+    every, same = [0] * 6, [0] * 6
     # a same-middle pair takes two edges on each leg with four distinct
     # timestamps inside one delta span, so its middle holds all four
     # wedges those edges cross into
     for _, starts in claims:
-        for layer, _s, _end, wedges in _end_buckets(g, priority, delta, starts=starts):
+        for layer, _s, _end, wedges in _end_buckets(g, priority, delta, starts=starts, whole=whole):
             _count_bucket(wedges, delta, layer, sweep, every, same, min_run=4)
     return every, same
 
 
 def _count_on_pool(g, priority, delta, sweep, workers: int | None) -> CountVector:
     """Count on the fork pool: each process sums the chunks it claims, a child in one reply; see _pool."""
+    part = partial(_count_part, g, priority, delta, _check_walk(g, priority, delta), sweep)
 
     def gather(claims, children, _):
-        tallies = [_count_part(g, priority, delta, sweep, claims)]
-        tallies += [reply for child in children for _, reply in child.records()]
+        tallies = [part(claims)] + [reply for child in children for _, reply in child.records()]
         return CountVector(sum(every[i] - same[i] for every, same in tallies) for i in range(6))
 
-    return _run_pool(g, workers, lambda claims: [(_END, _count_part(g, priority, delta, sweep, claims))], gather)
+    return _run_pool(g, workers, lambda claims: [(_END, part(claims))], gather)
 
 
 def count_optimized(
@@ -575,11 +573,12 @@ def count_optimized(
 ) -> CountVector:
     """Prune dead wedges, then sweep each end bucket with bucketed probes.
 
-    The walk is cut into chunks of start vertices, heaviest first, which
-    the processes of the fork pool claim as they go: at most workers (None:
-    every usable CPU) and the usable CPUs, one per _EDGES_PER_PART edges.
-    It stays in this process on a graph of fewer than 2 * _EDGES_PER_PART
-    edges, without os.fork, or while another thread is alive.
+    The walk is cut into _chunks' chunks of start vertices, the same at any
+    workers, which the processes of the fork pool claim as they go: at most
+    workers (None: every usable CPU) and the usable CPUs, one per
+    _EDGES_PER_PART edges.  It stays in this process on a graph of fewer
+    than 2 * _EDGES_PER_PART edges, without os.fork, or while another
+    thread is alive.
     """
     return _count_on_pool(g, priority, delta, _timestamp_counts, workers)
 
@@ -618,7 +617,7 @@ def count_sampled(
     """
     if not 0 < sample_p <= 1:
         raise ValueError(f"sample_p must be in (0, 1], got {sample_p}")
-    _check_priority(g, priority)
+    _check_walk(g, priority, delta)
     if sample_p == 1:
         return CountVector(float(c) for c in count_extreme(g, priority, delta, workers))
     rng = random.Random(seed)

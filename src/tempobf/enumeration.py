@@ -6,7 +6,7 @@ whole middle rows), and hand every surviving pair to a sink as a concrete
 ButterflyInstance instead of bumping a counter.  They walk on the fork
 pool of _pool, which hands the caller every chunk's end buckets in chunk
 id order, so the sink runs only in the caller.  Emission order is an
-engine detail, fixed for a given n but not across n; compare multisets.
+engine detail that depends on the graph alone, the same at any workers.
 
 enumerate_baseline pairs the wedges of every end bucket directly, and
 enumerate_optimized those of small buckets only, sweeping the rest in
@@ -27,7 +27,7 @@ from bisect import bisect_left, insort
 from typing import Callable, NamedTuple
 
 from ._pool import _walk_in_chunk_order
-from .count import _SMALL_BUCKET, CountVector, _end_buckets, _pairs, classify_type
+from .count import _SMALL_BUCKET, CountVector, _check_walk, _end_buckets, _pairs, classify_type
 from .graph import TemporalBipartiteGraph, VertexPriority
 
 __all__ = ["ButterflyInstance", "enumerate_baseline", "enumerate_optimized", "null_sink"]
@@ -121,13 +121,14 @@ def _enumerate(g, priority, delta, sink, largest_paired, workers) -> CountVector
 
     A bucket of at most largest_paired wedges is paired, the rest swept.
     """
+    whole = _check_walk(g, priority, delta)
     acc = [0] * 6
 
     def emit(buckets) -> None:
         for layer, s, end, wedges in buckets:
             _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired)
 
-    _walk_in_chunk_order(g, workers, lambda starts: _end_buckets(g, priority, delta, starts=starts), emit)
+    _walk_in_chunk_order(g, workers, lambda starts: _end_buckets(g, priority, delta, starts=starts, whole=whole), emit)
     return CountVector(acc)
 
 

@@ -213,6 +213,21 @@ class TestEnumerate:
         # the unlimited run, the limited one and its tallies each fork once
         assert len(real_pool) == 3
 
+    def test_limit_at_one_worker_prints_a_prefix_of_a_two_worker_run(self, capsys, tmp_path, real_pool):
+        # the graph is cut into the same chunks at every --workers, so the lines come in one order
+        path = tmp_path / "pool.txt"
+        path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in gen_random_graph(12, 12, 150, 400, skew=True, seed=3)))
+        argv = ("enumerate", "--input", str(path), "--delta", "60")
+        _, two, _ = run_cli(capsys, *argv, "--workers", "2")
+        lines = two.splitlines()
+        assert len(lines) > 5 + 6
+        code, one, _ = run_cli(capsys, *argv, "--workers", "1", "--limit", "5")
+        assert code == 0
+        assert one.splitlines() == lines[:5] + lines[-6:]
+        assert run_cli(capsys, *argv, "--workers", "1")[1] == two
+        # only the two-worker run forks
+        assert len(real_pool) == 1
+
     def test_negative_limit_is_a_usage_error(self, capsys, f1_file):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--input", f1_file, "--delta", "3", "--limit", "-1"])

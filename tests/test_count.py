@@ -40,6 +40,7 @@ import tempobf.enumeration as enumeration_module
 from tempobf._pool import _chunks
 from tempobf.count import (
     _SMALL_BUCKET,
+    _check_walk,
     _count_bucket,
     _count_part,
     _end_buckets,
@@ -872,11 +873,14 @@ class TestWholeRowWalk:
     def test_the_whole_walk_bisects_only_below_the_span(self, monkeypatch):
         g, priority = build_priority(HUB_TRIPLES)
         span = span_of(g)
+        assert _check_walk(g, priority, span) and not _check_walk(g, priority, span - 1)
         calls = spy_on_bisect_left(monkeypatch)
-        wide = list(_end_buckets(g, priority, span))
+        wide = list(_end_buckets(g, priority, span, whole=True))
         assert wide and not calls
         narrow = list(_end_buckets(g, priority, span - 1))
         assert narrow and calls
+        # whole rows hold no wedge the windows drop once the span fits
+        assert wide == list(_end_buckets(g, priority, span))
 
     def test_rows_that_each_fit_inside_delta_are_still_windowed(self, monkeypatch):
         # s's row spans 5..50 and e's 60..105, each inside delta 60, but the
@@ -889,20 +893,46 @@ class TestWholeRowWalk:
             assert oracle_count(build_plain(triples), delta).total() == total
             for got in all_engine_counts(triples, delta):
                 assert got.total() == total
+        assert not _check_walk(g, priority, 60)
         calls = spy_on_bisect_left(monkeypatch)
         assert list(_end_buckets(g, priority, 60)) == []
         assert calls
 
-    def test_a_chunked_walk_bisects_at_the_span(self, monkeypatch):
+    def test_a_chunked_walk_bisects_only_below_the_span(self, monkeypatch):
         g, priority = build_priority(HUB_TRIPLES)
         span = span_of(g)
-        # the chunk of the top-ranked start, all of whose neighbors rank below it
-        top = max(range(g.upper_count), key=priority.upper.__getitem__)
-        assert priority.upper[top] > max(priority.lower)
-        (chunk,) = [chunk for chunk in _chunks(g, 2) if top in chunk[0]]
-        calls = spy_on_bisect_left(monkeypatch)
-        walked = list(_end_buckets(g, priority, span, starts=chunk))
-        assert walked and calls
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        chunks = _chunks(g)
+        assert len(chunks) > 10
+        for delta, bisects in ((span, False), (span - 1, True)):
+            whole = _check_walk(g, priority, delta)
+            calls = spy_on_bisect_left(monkeypatch)
+            walked = [bucket for chunk in chunks for bucket in _end_buckets(g, priority, delta, starts=chunk, whole=whole)]
+            assert walked and bool(calls) == bisects
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_walk_of_a_call_takes_its_one_whole_row_rule(self, forks, monkeypatch, workers):
+        # the caller walks every chunk here, as each fork fails; a forked child walks with the rule its parent decided
+        g, priority = build_priority(HUB_TRIPLES)
+        span = span_of(g)
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
+        walk = count_module._end_buckets
+        rules = []
+
+        def recording_walk(g, priority, delta, raw=False, starts=None, whole=False):
+            rules.append((starts, whole))
+            return walk(g, priority, delta, raw, starts, whole)
+
+        monkeypatch.setattr(count_module, "_end_buckets", recording_walk)
+        monkeypatch.setattr(enumeration_module, "_end_buckets", recording_walk)
+        for delta in (span, span - 1):
+            for run in (count_extreme, count_optimized, partial(enumerate_optimized, sink=null_sink)):
+                rules.clear()
+                assert run(g, priority, delta, workers=workers).total() > 0
+                assert [starts for starts, _ in rules] == _chunks(g)
+                assert {whole for _, whole in rules} == {delta == span}
+        assert len(forks) == 6 * (workers - 1)
 
 
 class TestSampling:
@@ -1041,36 +1071,53 @@ class TestChunks:
         if swap:
             triples = [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
         g, priority = build_priority(triples)
-        whole = Counter((layer, s, end) for layer, s, end, _ in _end_buckets(g, priority, delta))
+        whole = _check_walk(g, priority, delta)
+        buckets = Counter((layer, s, end) for layer, s, end, _ in _end_buckets(g, priority, delta))
         expected = serial_counts(g, priority, delta)
-        for n in range(1, 6):
-            chunks = _chunks(g, n)
-            walked = Counter(
-                (layer, s, end) for chunk in chunks for layer, s, end, _ in _end_buckets(g, priority, delta, starts=chunk)
-            )
-            assert walked == whole
-            for sweep, serial in zip((_timestamp_counts, _twin_counts), expected):
-                every, same = _count_part(g, priority, delta, sweep, enumerate(chunks))
-                assert [a - b for a, b in zip(every, same)] == serial
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool_module, "_EDGES_PER_PART", 1)
+            chunks = _chunks(g)
+        walked = Counter(
+            (layer, s, end)
+            for chunk in chunks
+            for layer, s, end, _ in _end_buckets(g, priority, delta, starts=chunk, whole=whole)
+        )
+        assert walked == buckets
+        for sweep, serial in zip((_timestamp_counts, _twin_counts), expected):
+            every, same = _count_part(g, priority, delta, whole, sweep, enumerate(chunks))
+            assert [a - b for a, b in zip(every, same)] == serial
 
     @PROPERTY_SETTINGS
-    @given(triples_strategy, st.booleans(), st.integers(2, 17))
-    @example(POOL_TRIPLES, False, 2)
-    @example(POOL_TRIPLES, True, 3)
-    @example(HUB_TRIPLES, False, 2)
-    def test_each_start_sits_in_one_chunk_heaviest_first(self, triples, swap, n):
-        assume(triples)
+    @given(triples_strategy, st.booleans())
+    @example(POOL_TRIPLES, False)
+    @example(POOL_TRIPLES, True)
+    @example(HUB_TRIPLES, False)
+    @example([], False)
+    @example([("u0", "v0", 1)], False)
+    def test_each_start_sits_in_one_chunk_heaviest_first(self, triples, swap):
         if swap:
             triples = [(v.replace("v", "u"), u.replace("u", "v"), t) for u, v, t in triples]
         g, priority = build_priority(triples)
-        chunks = _chunks(g, n)
+        # below the size rule the pool never forks, and the walk is one chunk: every start in id order
+        assert g.edge_count < 2 * pool_module._EDGES_PER_PART
+        assert _chunks(g) == [None]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool_module, "_EDGES_PER_PART", 1)
+            chunks = _chunks(g)
+            # the plan is the graph's alone: the same for any number of usable CPUs
+            for cpus in (1, 2, 4):
+                mp.setattr(pool_module, "_usable_cpus", lambda: cpus)
+                assert _chunks(g) == chunks
+                assert pool_module._processes(g, None) == max(1, min(cpus, g.edge_count))
+        if g.edge_count < 2:
+            assert chunks == [None]
+            return
         weights = weights_of(g)
         # every start of both layers, in exactly one chunk
         walked = [start for chunk in chunks for start in chunk_starts(chunk)]
         assert sorted(walked) == sorted(weights)
-        cut = min(16 * n, 255)
-        assert 0 < len(chunks) <= cut
-        share = sum(weights.values()) / cut
+        assert 0 < len(chunks) <= pool_module._CHUNKS == 64
+        share = sum(weights.values()) / 64
         order = [sorted(chunk_starts(chunk), key=lambda start: (-weights[start], start)) for chunk in chunks]
         # heaviest first, ties in (layer, id) order, across and within chunks
         assert sum(order, []) == sorted(weights, key=lambda start: (-weights[start], start))
@@ -1084,16 +1131,18 @@ class TestChunks:
             assert weights[starts[0]] <= share or len(starts) == 1
             assert load <= share + weights[starts[-1]]
         # read from the graph alone: a graph grown edge by edge is cut alike
-        assert _chunks(build_time(triples), n) == chunks
-        if g.edge_count >= n:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(pool_module, "_EDGES_PER_PART", 1)
-                mp.setattr(pool_module, "_usable_cpus", lambda: n)
-                assert pool_module._processes(g, None) == n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool_module, "_EDGES_PER_PART", 1)
+            assert _chunks(build_time(triples)) == chunks
 
-
-def no_chunks(g, n):
-    raise AssertionError(f"a walk in one process cut into chunks for {n} processes")
+    def test_a_graph_of_many_light_starts_is_cut_in_64_chunks(self, monkeypatch):
+        g = build_plain([(f"u{k}", f"v{k}", k) for k in range(100)])
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 50)
+        chunks = _chunks(g)
+        assert len(chunks) == 64
+        assert sorted(start for chunk in chunks for start in chunk_starts(chunk)) == sorted(weights_of(g))
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 51)
+        assert _chunks(g) == [None]
 
 
 class TestForkRules:
@@ -1103,7 +1152,6 @@ class TestForkRules:
         g, priority, expected = pool_graph
         monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
         monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(pool_module, "_chunks", no_chunks)
         assert serial_counts(g, priority, POOL_DELTA) == expected
         assert count_sampled(g, priority, POOL_DELTA, 1.0, workers=1) == expected[1]
         assert forks == []
@@ -1119,8 +1167,8 @@ class TestForkRules:
     def test_input_below_the_size_rule_counts_here(self, forks, pool_graph, monkeypatch):
         g, priority, expected = pool_graph
         monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(pool_module, "_chunks", no_chunks)
         assert g.edge_count < 2 * pool_module._EDGES_PER_PART
+        assert _chunks(g) == [None]
         assert count_extreme(g, priority, POOL_DELTA, workers=4) == expected[1]
         assert count_optimized(g, priority, POOL_DELTA) == expected[0]
         assert forks == []
@@ -1189,6 +1237,18 @@ class TestForkRules:
         assert count_optimized(g, priority, POOL_DELTA, workers=10**7) == expected[0]
         assert len(forks) == 3 * (usable - 1)
 
+    def test_a_stale_priority_is_refused_before_any_fork(self, forks, pool_graph, monkeypatch):
+        g, _, _ = pool_graph
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
+        # ranked from the graph's first 20 edges, it misses vertices the rest reach
+        stale = compute_vertex_priority(build_plain(POOL_TRIPLES[:20]))
+        assert len(stale.upper) < g.upper_count or len(stale.lower) < g.lower_count
+        for run in (count_optimized, count_extreme, partial(count_sampled, sample_p=0.5)):
+            with pytest.raises(ValueError, match="^priority ranks"):
+                run(g, stale, POOL_DELTA, workers=2)
+        assert forks == []
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_non_positive_workers_rejected(self, forks, pool_graph, workers):
         g, priority, _ = pool_graph
@@ -1218,7 +1278,7 @@ class TestForkedRuns:
         # the hub, upper 0, is the heaviest start and holds more than half the edges
         assert max(weights.values()) == weights[0, 0] > g.edge_count / 2
         # so it is the first chunk, alone, and the other chunks share out the rest
-        chunks = _chunks(g, 2)
+        chunks = _chunks(g)
         assert chunk_starts(chunks[0]) == [(0, 0)]
         assert len(chunks) > 10
         assert count_optimized(g, priority, HUB_DELTA, workers=2) == expected[0]
@@ -1241,7 +1301,7 @@ class TestForkedRuns:
         }
         serial = {engine: run(1) for engine, run in runs.items()}
         assert serial[count_optimized] == expected[0] and serial[enumerate_optimized][0] == expected[1]
-        chunks = _chunks(g, 2)
+        chunks = _chunks(g)
         # several of the chunks the child walks come back in more than one reply
         monkeypatch.setattr(pool_module, "_REPLY_CHUNK", 2)
         assert sum(len(list(_end_buckets(g, priority, POOL_DELTA, starts=chunk))) > 2 for chunk in chunks) > 3
@@ -1249,12 +1309,12 @@ class TestForkedRuns:
         walk = count_module._end_buckets
         walked = []
 
-        def slow_first_claim(g, priority, delta, raw=False, starts=None):
+        def slow_first_claim(g, priority, delta, raw=False, starts=None, whole=False):
             if os.getpid() == parent:
                 walked.append(starts)
                 if len(walked) == 1:
                     time.sleep(0.3)
-            return walk(g, priority, delta, raw, starts)
+            return walk(g, priority, delta, raw, starts, whole)
 
         monkeypatch.setattr(count_module, "_end_buckets", slow_first_claim)
         monkeypatch.setattr(enumeration_module, "_end_buckets", slow_first_claim)
@@ -1272,10 +1332,10 @@ class TestForkedRuns:
         count_part = count_module._count_part
         parent = os.getpid()
 
-        def failing(g, priority, delta, sweep, claims):
+        def failing(g, priority, delta, whole, sweep, claims):
             if os.getpid() != parent:
                 raise RuntimeError("part one broke")
-            return count_part(g, priority, delta, sweep, claims)
+            return count_part(g, priority, delta, whole, sweep, claims)
 
         monkeypatch.setattr(count_module, "_count_part", failing)
         with pytest.raises(ChildProcessError, match=r"^child process \d+ failed: RuntimeError: part one broke$") as exc:
@@ -1306,7 +1366,7 @@ class TestForkedRuns:
         g, priority, _ = pool_graph
         parent = os.getpid()
 
-        def stuck(g, priority, delta, sweep, claims):
+        def stuck(g, priority, delta, whole, sweep, claims):
             if os.getpid() == parent and stop == "interrupt":
                 raise KeyboardInterrupt
             time.sleep(60)
@@ -1329,12 +1389,12 @@ class TestForkedRuns:
         parent = os.getpid()
         count_part = count_module._count_part
 
-        def failing(g, priority, delta, sweep, claims):
+        def failing(g, priority, delta, whole, sweep, claims):
             if os.getpid() != parent:
                 raise RuntimeError("part one broke")
-            return count_part(g, priority, delta, sweep, claims)
+            return count_part(g, priority, delta, whole, sweep, claims)
 
-        def stuck(g, priority, delta, sweep, claims):
+        def stuck(g, priority, delta, whole, sweep, claims):
             time.sleep(60)
 
         def raising_sink(inst):

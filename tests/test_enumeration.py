@@ -15,6 +15,7 @@ import tempobf._pool as pool_module
 import tempobf.enumeration as enumeration_module
 from tempobf import (
     ButterflyInstance,
+    compute_vertex_priority,
     count_extreme,
     enumerate_baseline,
     enumerate_optimized,
@@ -22,7 +23,7 @@ from tempobf import (
     null_sink,
     oracle_enumerate,
 )
-from tempobf.count import _SMALL_BUCKET, _end_buckets
+from tempobf.count import _SMALL_BUCKET, _check_walk, _end_buckets
 from tempobf.enumeration import _emit_bucket, _emit_swept
 from conftest import (
     F1,
@@ -309,8 +310,9 @@ def swap_layers(triples):
 def chunk_by_chunk(g, priority, delta, chunks, largest_paired):
     """The tallies and instances of emitting each of chunks in turn, in one process."""
     seen, acc = [], [0] * 6
+    whole = _check_walk(g, priority, delta)
     for chunk in chunks:
-        for layer, s, end, wedges in _end_buckets(g, priority, delta, starts=chunk):
+        for layer, s, end, wedges in _end_buckets(g, priority, delta, starts=chunk, whole=whole):
             _emit_bucket(layer, s, end, wedges, delta, seen.append, acc, largest_paired)
     return acc, seen
 
@@ -347,12 +349,12 @@ class TestChunks:
             mp.setattr(pool_module, "_usable_cpus", lambda: 4)
             mp.setattr(os, "fork", failing_fork(forked))
             processes = pool_module._processes(g, n)
-            # a walk in one process is one chunk, the whole walk
-            chunks = [None] if processes == 1 else pool_module._chunks(g, processes)
+            # one plan at every n: one process walks the chunks many would
+            chunks = pool_module._chunks(g)
             for engine in ENGINES:
                 serial_tallies, serial = collect(engine, g, priority, delta, workers=1)
                 tallies, seen = collect(engine, g, priority, delta, workers=n)
-                assert Counter(seen) == Counter(serial)
+                assert seen == serial
                 assert tallies == serial_tallies
                 assert (tallies, seen) == chunk_by_chunk(g, priority, delta, chunks, LARGEST_PAIRED[engine])
         assert len(forked) == 2 * (processes - 1)
@@ -407,6 +409,18 @@ class TestForkRules:
         assert Counter(collect(enumerate_optimized, g, priority, POOL_DELTA, workers=10**7)[1]) == reference
         assert len(forks) == 2 * (usable - 1)
 
+    def test_a_stale_priority_is_refused_before_any_fork(self, forks, pool_graph, monkeypatch):
+        g, _, _ = pool_graph
+        monkeypatch.setattr(pool_module, "_EDGES_PER_PART", 1)
+        monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 2)
+        # ranked from the graph's first 20 edges, it misses vertices the rest reach
+        stale = compute_vertex_priority(build_plain(POOL_TRIPLES[:20]))
+        assert len(stale.upper) < g.upper_count or len(stale.lower) < g.lower_count
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="^priority ranks"):
+                engine(g, stale, POOL_DELTA, null_sink, workers=2)
+        assert forks == []
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_non_positive_workers_rejected(self, forks, pool_graph, workers):
         g, priority, _ = pool_graph
@@ -427,11 +441,11 @@ def slowed_walk(fail_claim=None, after=0, fail=None):
     parent = os.getpid()
     calls = []
 
-    def walk(g, priority, delta, starts):
+    def walk(g, priority, delta, starts, whole):
         calls.append(starts)
         if os.getpid() == parent and len(calls) == 1:
             time.sleep(0.3)
-        for i, bucket in enumerate(_end_buckets(g, priority, delta, starts=starts)):
+        for i, bucket in enumerate(_end_buckets(g, priority, delta, starts=starts, whole=whole)):
             if os.getpid() != parent and len(calls) - 1 == fail_claim and i == after:
                 fail()
             yield bucket
@@ -447,13 +461,16 @@ class TestForkedRuns:
         g, priority, reference = pool_graph
         # a chunk may come back in several replies
         monkeypatch.setattr(pool_module, "_REPLY_CHUNK", 2)
-        chunks = pool_module._chunks(g, 2)
+        chunks = pool_module._chunks(g)
         assert max(sum(1 for _ in _end_buckets(g, priority, POOL_DELTA, starts=chunk)) for chunk in chunks) > 3 * 2
         expected_tallies = count_extreme(g, priority, POOL_DELTA, workers=1)
         for engine in ENGINES:
+            serial = collect(engine, g, priority, POOL_DELTA, workers=1)
             tallies, seen = collect(engine, g, priority, POOL_DELTA, workers=2)
             assert Counter(seen) == reference
             assert tallies == expected_tallies
+            # the exact list one process emits, instance for instance
+            assert (tallies, seen) == serial
             # the order is the one the same chunks take in one process, whichever process walked each
             assert (tallies, seen) == chunk_by_chunk(g, priority, POOL_DELTA, chunks, LARGEST_PAIRED[engine])
         assert len(real_pool) == 2
@@ -464,12 +481,15 @@ class TestForkedRuns:
         # two children claim the chunks while the caller sleeps, and each chunk is read from the child whose claim names it
         monkeypatch.setattr(pool_module, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(pool_module, "_REPLY_CHUNK", 2)
-        chunks = pool_module._chunks(g, 3)
+        chunks = pool_module._chunks(g)
+        serial = {engine: collect(engine, g, priority, POOL_DELTA, workers=1) for engine in ENGINES}
         for engine in ENGINES:
             walk = slowed_walk()
             monkeypatch.setattr(enumeration_module, "_end_buckets", walk)
             tallies, seen = collect(engine, g, priority, POOL_DELTA, workers=3)
             assert Counter(seen) == reference
+            # the exact list one process emits, instance for instance
+            assert (tallies, seen) == serial[engine]
             assert (tallies, seen) == chunk_by_chunk(g, priority, POOL_DELTA, chunks, LARGEST_PAIRED[engine])
             # a loaded host may start the children so fast that they claim every chunk
             assert len(walk.walked) <= 1
@@ -478,14 +498,14 @@ class TestForkedRuns:
 
     def test_a_hub_holding_most_edges_emits_the_serial_instances(self, real_pool):
         g, priority = build_priority(HUB_TRIPLES)
-        chunks = pool_module._chunks(g, 2)
+        chunks = pool_module._chunks(g)
         # the hub sits alone in the first chunk
         assert chunks[0] == (array("l", [0]), array("l"))
         for engine in ENGINES:
             serial_tallies, serial = collect(engine, g, priority, HUB_DELTA, workers=1)
             assert serial_tallies.total() > 0
             tallies, seen = collect(engine, g, priority, HUB_DELTA, workers=2)
-            assert Counter(seen) == Counter(serial)
+            assert seen == serial
             assert tallies == serial_tallies
             # the hub's chunk is emitted first, whichever process walked it
             assert (tallies, seen) == chunk_by_chunk(g, priority, HUB_DELTA, chunks, LARGEST_PAIRED[engine])
@@ -523,7 +543,7 @@ class TestForkedRuns:
             enumerate_optimized(g, priority, POOL_DELTA, seen.append, workers=2)
         assert str(real_pool[0]) in str(exc.value)
         # the child's first two claims are the two lowest ids the caller did not claim first, if it claimed any
-        chunks = pool_module._chunks(g, 2)
+        chunks = pool_module._chunks(g)
         _, second = [k for k, chunk in enumerate(chunks) if chunk not in walk.walked[:1]][:2]
         # every chunk before the child's second in whole, in id order, then the reply the child sent of that one
         buckets = [bucket for chunk in chunks[:second] for bucket in _end_buckets(g, priority, POOL_DELTA, starts=chunk)]
