@@ -30,6 +30,7 @@ from typing import IO, Any, Callable, Iterator, Sequence
 from ._pool import _in_child
 from .count import (
     CountVector,
+    _scalable,
     count_baseline,
     count_extreme,
     count_optimized,
@@ -298,7 +299,7 @@ def _rule(convert: Callable[[str], Any], ok: Callable[[Any], bool], rule: str) -
 
 _non_negative = _rule(int, lambda n: n >= 0, "non-negative")
 _positive = _rule(int, lambda n: n >= 1, "positive")
-_probability = _rule(float, lambda p: 0 < p <= 1, "in (0, 1]")
+_probability = _rule(float, _scalable, "in (0, 1] with p ** -4 finite")
 
 
 class _RuleError(argparse.ArgumentTypeError, ValueError):

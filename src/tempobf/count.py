@@ -50,10 +50,10 @@ or more when it holds two middles, a bucket of two only when its one pair
 is a butterfly.  count_baseline asks the walk to keep dead wedges as well,
 so it reads each middle's whole row; the others drop them on sight.  In
 that raw mode every bucket with two middles leaves the walk, two-wedge
-ones too, so every distinct-middle pair is examined.  count_sampled runs
-count_extreme on an edge-sampled subgraph and rescales, giving unbiased
-estimates.  All but count_baseline count on the fork pool of _pool, each
-process summing the chunks of starts it claims.
+ones too, so every distinct-middle pair is examined.  count_sampled
+counts an edge sample with count_extreme, under the caller's priority,
+and rescales, giving unbiased estimates.  All but count_baseline count
+on the fork pool of _pool, each process summing the chunks it claims.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from ._pool import _END, _run_pool
-from .graph import TemporalBipartiteGraph, VertexPriority, compute_vertex_priority
+from ._pool import _END, _processes, _run_pool
+from .graph import TemporalBipartiteGraph, VertexPriority
 
 __all__ = [
     "CountVector",
@@ -597,6 +597,14 @@ def count_extreme(
     return _count_on_pool(g, priority, delta, _twin_counts, workers)
 
 
+def _scalable(sample_p: float) -> bool:
+    """Whether sample_p is in (0, 1] and sample_p ** -4, the estimates' scale, is a finite float."""
+    try:
+        return 0 < sample_p <= 1 and sample_p ** -4 > 0
+    except OverflowError:
+        return False
+
+
 def count_sampled(
     g: TemporalBipartiteGraph,
     priority: VertexPriority,
@@ -607,23 +615,24 @@ def count_sampled(
 ) -> CountVector:
     """Unbiased estimates from an edge sample kept with probability sample_p.
 
-    Each edge is retained independently (seeded PRNG, one draw per edge in
-    uid order, which is ingestion order).  The retained edges are filtered
-    from g's time rows onto g's vertex ids and counted exactly by
-    count_extreme with workers, so a sample of fewer than 2 * _EDGES_PER_PART
-    edges is counted in this process; every component is scaled by
-    sample_p to the power -4, since a butterfly survives iff its four
-    edges all do.
+    One seeded draw per edge in uid order, which is ingestion order, fills
+    a keep-mask by uid.  g._subgraph filters g's time rows by it onto g's
+    ids, and count_extreme counts them exactly with workers under the
+    caller's priority, which ranks every vertex of the sample too; under
+    2 * _EDGES_PER_PART kept edges it counts in this process.  Each count
+    is scaled by sample_p ** -4, as a butterfly survives iff its four edges
+    do; a sample_p whose scale overflows, or workers < 1, is refused first.
     """
-    if not 0 < sample_p <= 1:
-        raise ValueError(f"sample_p must be in (0, 1], got {sample_p}")
+    if not _scalable(sample_p):
+        raise ValueError(f"sample_p must be in (0, 1] with sample_p ** -4 finite, got {sample_p}")
+    _processes(g, workers)  # refuses a non-positive workers before any draw
     _check_walk(g, priority, delta)
     if sample_p == 1:
         return CountVector(float(c) for c in count_extreme(g, priority, delta, workers))
     rng = random.Random(seed)
     # with no uid ever freed, the uids are exactly 0..edge_count - 1 and need no sort
     uids = range(g.edge_count) if g.edge_count == g._next_uid else sorted(map(itemgetter(2), chain.from_iterable(g.upper_adj)))
-    sub = g._subgraph({uid for uid in uids if rng.random() < sample_p})
-    sub_priority = compute_vertex_priority(sub)
-    exact = count_extreme(sub, sub_priority, delta, workers)
-    return exact.scaled(sample_p ** -4)
+    keep = bytearray(g._next_uid)
+    for uid in uids:
+        keep[uid] = rng.random() < sample_p
+    return count_extreme(g._subgraph(keep), priority, delta, workers).scaled(sample_p ** -4)

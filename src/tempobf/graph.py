@@ -124,13 +124,13 @@ class TemporalBipartiteGraph:
         g.edge_count = g._next_uid = sum(map(len, up))
         return g
 
-    def _subgraph(self, uids: set[int]) -> "TemporalBipartiteGraph":
-        """The edges with a uid in uids, filtered from the sorted time rows onto the same vertex ids."""
+    def _subgraph(self, keep: bytearray) -> "TemporalBipartiteGraph":
+        """The edges whose uid is set in keep, a bytearray by uid, filtered in one pass from the time rows onto the same vertex ids."""
         sub = TemporalBipartiteGraph()
         sub.upper_tokens, sub.lower_tokens = self.upper_tokens[:], self.lower_tokens[:]
         sub._upper_ids, sub._lower_ids = dict(self._upper_ids), dict(self._lower_ids)
-        sub.upper_adj = [[e for e in row if e[2] in uids] for row in self.upper_adj]
-        sub.lower_adj = [[e for e in row if e[2] in uids] for row in self.lower_adj]
+        sub.upper_adj = [[e for e in row if keep[e[2]]] for row in self.upper_adj]
+        sub.lower_adj = [[e for e in row if keep[e[2]]] for row in self.lower_adj]
         # rows filtered from time rows are time rows already
         sub.upper_times, sub.lower_times = _stamp_rows(sub.upper_adj), _stamp_rows(sub.lower_adj)
         sub.edge_count, sub._next_uid = sum(map(len, sub.upper_adj)), self._next_uid

@@ -82,6 +82,18 @@ class TestCount:
         values = [line.split("\t")[1] for line in out.splitlines()]
         assert values == ["0", "16", "0", "0", "0", "0"]
 
+    def test_a_probability_whose_scale_overflows_is_a_usage_error(self, capsys, f1_file):
+        # 1e-80 ** -4 overflows a float; 1e-77 ** -4 does not
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--input", f1_file, "--delta", "3", "--sample-p", "1e-80"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tempobf count ")
+        assert "tempobf count: error: argument --sample-p: must be in (0, 1] with p ** -4 finite, got 1e-80" in err
+        assert "Traceback" not in err
+        code, out, _ = run_cli(capsys, "count", "--input", f1_file, "--delta", "3", "--sample-p", "1e-77", "--seed", "1")
+        assert code == 0 and out == "".join(f"T{i}\t0\n" for i in range(6))
+
     def test_output_file(self, capsys, f1_file, tmp_path):
         target = tmp_path / "counts.tsv"
         code, out, _ = run_cli(

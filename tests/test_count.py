@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, strategies as st
 import tempobf
 from tempobf import (
     CountVector,
+    TemporalBipartiteGraph,
     classify_type,
     compute_vertex_priority,
     count_baseline,
@@ -966,12 +967,36 @@ class TestSampling:
         with pytest.raises(ValueError, match="sample_p"):
             count_sampled(g, p, 3, bad)
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1e-80, 8.5e-78])
+    def test_probability_whose_scale_overflows_rejected_before_any_draw(self, tiny, monkeypatch):
+        # tiny ** -4 overflows a float, so no estimate could be scaled from the sample
+        g, p = build_priority(F1)
+        draws = []
+        monkeypatch.setattr(count_module.random, "Random", lambda seed: draws.append(seed))
+        with pytest.raises(ValueError, match=rf"^sample_p must be in \(0, 1\] with sample_p \*\* -4 finite, got {tiny}$"):
+            count_sampled(g, p, 3, tiny)
+        assert draws == []
+
+    def test_smallest_probabilities_whose_scale_is_finite_still_estimate(self):
+        g, p = build_priority(F1)
+        for small in (8.7e-78, 1e-60):
+            assert count_sampled(g, p, 3, small, seed=1) == [0.0] * 6
+
     @PROPERTY_SETTINGS
     @given(st.integers(0, 2**32 - 1))
     def test_estimates_are_integer_multiples_of_the_scale(self, seed):
         g, p = build_priority(F2)
         estimate = count_sampled(g, p, 10, 0.5, seed=seed)
         assert all(c % 16 == 0 and c >= 0 for c in estimate)
+
+
+def drawn_mask(g, sample_p, seed):
+    """count_sampled's keep-mask: one draw per edge, in uid order, set where the edge is kept."""
+    rng = random.Random(seed)
+    keep = bytearray(g._next_uid)
+    for e in g.edges():
+        keep[e.uid] = rng.random() < sample_p
+    return keep
 
 
 def sampled_by_rebuild(g, delta, sample_p, seed):
@@ -991,6 +1016,31 @@ def gapped_graph_strategy(draw):
     for u, v, t in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 30)), max_size=8)):
         g.insert_edge(f"u{u}", f"v{v}", t)
     return g, compute_vertex_priority(g)
+
+
+@st.composite
+def masked_graph_strategy(draw):
+    """A graph with parallel edges and stamps shared by several uids, in either layer order, maybe with a freed
+    and re-inserted uid, and a keep-mask over its uids."""
+    triples = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4)), min_size=1, max_size=40))
+    if draw(st.booleans(), label="layers swapped"):
+        triples = [(v, u, t) for u, v, t in triples]
+    g = build_plain([(f"u{u}", f"v{v}", t) for u, v, t in triples])
+    if draw(st.booleans(), label="re-inserted"):
+        # the freed uid leaves a gap; the copy takes a new uid after every equal stamp
+        e = draw(st.sampled_from(g.edges()))
+        g.remove_edge(e)
+        g.insert_edge(g.upper_tokens[e.u], g.lower_tokens[e.v], e.t)
+    return g, bytearray(draw(st.lists(st.booleans(), min_size=g._next_uid, max_size=g._next_uid)))
+
+
+def filtered_time_rows(g, keep):
+    """g's time rows rebuilt from its edges with keep set: each row's kept entries in (t, uid) order."""
+    kept = [e for e in g.edges() if keep[e.uid]]
+    by_time = lambda entry: (entry[1], entry[2])
+    upper = [sorted(((e.v, e.t, e.uid) for e in kept if e.u == u), key=by_time) for u in range(g.upper_count)]
+    lower = [sorted(((e.u, e.t, e.uid) for e in kept if e.v == v), key=by_time) for v in range(g.lower_count)]
+    return upper, lower, len(kept)
 
 
 class TestSampledSubgraph:
@@ -1023,14 +1073,55 @@ class TestSampledSubgraph:
         count_sampled(g, priority, 10, 0.5, seed=1)
         assert rows == ([row[:] for row in g.upper_adj], [row[:] for row in g.lower_adj], g.edge_count, g._next_uid)
 
-    def test_sample_subgraph_keeps_ids_and_time_rows(self):
-        g, _ = build_priority(F2)
-        sub = g._subgraph({0, 4})
+    @PROPERTY_SETTINGS
+    @given(masked_graph_strategy())
+    @example((build_plain(F2), bytearray([1, 0, 0, 0, 1])))
+    def test_the_sample_is_the_time_rows_filtered_by_the_mask(self, built):
+        g, keep = built
+        sub = g._subgraph(keep)
+        upper, lower, kept = filtered_time_rows(g, keep)
+        assert (sub.upper_adj, sub.lower_adj) == (upper, lower)
+        stamps = lambda rows: [[t for _, t, _ in row] for row in rows]
+        assert (sub.upper_times, sub.lower_times) == (stamps(upper), stamps(lower))
+        assert (sub.edge_count, sub._next_uid) == (kept, g._next_uid)
         assert (sub.upper_tokens, sub.lower_tokens) == (g.upper_tokens, g.lower_tokens)
-        assert sub.upper_adj == [[(0, 1, 0), (0, 5, 4)], []]
-        assert sub.lower_adj == [[(0, 1, 0), (0, 5, 4)], []]
-        assert (sub.upper_times, sub.lower_times) == ([[1, 5], []], [[1, 5], []])
-        assert (sub.edge_count, sub._next_uid) == (2, 5)
+
+
+class TestSampleRanking:
+    """count_sampled counts its sample under the caller's ranking; any injective ranking of every vertex gives the same estimate."""
+
+    @staticmethod
+    def own_ranking_estimate(g, delta, sample_p, seed):
+        sub = g._subgraph(drawn_mask(g, sample_p, seed))
+        return count_extreme(sub, compute_vertex_priority(sub), delta).scaled(sample_p**-4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_hub_estimate_equals_the_sample_counted_under_its_own_ranking(self, seed):
+        g, priority = build_priority(HUB_TRIPLES)
+        estimate = count_sampled(g, priority, HUB_DELTA, 0.6, seed)
+        assert estimate.total() > 0
+        assert estimate.counts == self.own_ranking_estimate(g, HUB_DELTA, 0.6, seed).counts
+
+    @PROPERTY_SETTINGS
+    @given(gapped_graph_strategy(), delta_strategy, st.floats(0.05, 0.95), st.integers(0, 4))
+    def test_estimate_equals_the_sample_counted_under_its_own_ranking(self, built, delta, sample_p, seed):
+        g, priority = built
+        estimate = count_sampled(g, priority, delta, sample_p, seed)
+        assert estimate.counts == self.own_ranking_estimate(g, delta, sample_p, seed).counts
+
+    def test_a_ranking_from_before_a_removal_gives_the_same_estimate(self):
+        def without(i):
+            g = build_plain(HUB_TRIPLES)
+            g.remove_edge(g.edges()[i])
+            return g, compute_vertex_priority(g)
+
+        before = compute_vertex_priority(build_plain(HUB_TRIPLES))
+        # the first edge whose removal moves some rank
+        g, after = next(without(i) for i in range(len(HUB_TRIPLES)) if without(i)[1] != before)
+        for seed in range(5):
+            estimate = count_sampled(g, before, HUB_DELTA, 0.6, seed)
+            assert estimate.total() > 0
+            assert estimate.counts == count_sampled(g, after, HUB_DELTA, 0.6, seed).counts
 
 
 # -- the fork pool -------------------------------------------------------------
@@ -1250,13 +1341,17 @@ class TestForkRules:
         assert forks == []
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_non_positive_workers_rejected(self, forks, pool_graph, workers):
+    def test_non_positive_workers_rejected(self, forks, pool_graph, workers, monkeypatch):
         g, priority, _ = pool_graph
         for run in (count_optimized, count_extreme):
             with pytest.raises(ValueError, match="workers must be positive"):
                 run(g, priority, POOL_DELTA, workers)
+        samples = []
+        subgraph = TemporalBipartiteGraph._subgraph
+        monkeypatch.setattr(TemporalBipartiteGraph, "_subgraph", lambda g, keep: samples.append(keep) or subgraph(g, keep))
         with pytest.raises(ValueError, match="workers must be positive"):
             count_sampled(g, priority, POOL_DELTA, 0.5, workers=workers)
+        assert samples == []
         assert forks == []
 
 
