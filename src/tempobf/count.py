@@ -13,23 +13,24 @@ Three engines share one answer:
 - count_baseline groups wedges per end vertex and tests every pair.
 - count_optimized prunes dead wedges and tests each pair of a small end
   bucket as count_baseline does: most hold too few wedges to repay
-  indexes.  A larger bucket is split into forward and backward wedges and
-  swept once in wedge priority (start timestamp descending, arrival
-  ascending), in one fused loop, _timestamp_counts, that keeps candidate
-  wedges in per-start-timestamp buckets of arrival lists.  The sweep
-  counts every pair of the end bucket; the same sweep over each middle's
-  own wedges counts the same-middle pairs, which come from parallel edges
-  and are never butterflies, and is subtracted.  This replaces the paper's
-  mergesort-style recursion over per-middle subsets, which re-indexed and
-  re-probed every wedge at each of its log k merge levels.
+  indexes.  A larger bucket becomes one start-sorted list of wedges with a
+  direction flag and is swept once in wedge priority (start timestamp
+  descending, arrival ascending), in one fused loop, _timestamp_counts,
+  that keeps candidate wedges in per-start-timestamp buckets of arrival
+  lists.  The sweep counts every pair of the end bucket; the same sweep
+  over each middle's own wedges counts the same-middle pairs, which come
+  from parallel edges and are never butterflies, and is subtracted.  This
+  replaces the paper's mergesort-style recursion over per-middle subsets,
+  which re-indexed and re-probed every wedge at each of its log k merge
+  levels.
 - count_extreme is the same with the sweep's buckets replaced by twin
   sorted lists of plain ints, so each probe is four C bisects instead of a
   walk over every live start timestamp.  The lists are stored negated, so
   the sweep's inserts land at their tail.  Its fused loop, _twin_counts,
   inlines the bisects and keeps the tallies in locals until the bucket
-  ends.  enumerate_optimized sweeps in the same rounds, keeping one sorted
-  list of entries per direction, and takes each match from the wedge its
-  entry carries.
+  ends.  enumerate_optimized sweeps the same list in the same rounds,
+  keeping one sorted list of entries per direction, and takes each match
+  from the wedge its entry carries.
 
 Small buckets are paired in one loop, _pairs, behind every engine; it
 reads each pair's type inline, as classify_type defines it.
@@ -171,27 +172,28 @@ def classify_type(w1: tuple[int, int], w2: tuple[int, int], start_in_upper: bool
 
 # --- end-bucket sweeps -------------------------------------------------------
 #
-# Normalized wedges are (t_s, t_a, middle) with t_s < t_a <= t_s + delta; a
-# backward wedge stores its two timestamps swapped and is tracked in the
-# backward list instead.  Wedge priority sorts by t_s descending, then t_a
-# ascending; sweeps keep their lists in plain ascending tuple order and
-# consume them from the end, which visits start timestamps in that order.
+# Normalized wedges are (t_s, backward, t_a) with t_s < t_a <= t_s + delta;
+# a backward wedge stores its two timestamps swapped and sets the flag.  One
+# list holds a bucket's wedges of both directions, sorted ascending; wedge
+# priority sorts by t_s descending, then t_a ascending, and sweeps consume
+# the list from the end, which visits start timestamps in that order.
 #
 # Every sweep (_timestamp_counts, _twin_counts and enumeration's
 # _emit_swept) runs in rounds of equal start timestamp, largest first.  A
 # round first expires live wedges whose arrival exceeds round start + delta
 # (they can never again share a span with anything left), then probes the
 # round's wedges, each against its own direction's live wedges and the
-# other direction's, and only then makes them live; wedges sharing a start
-# timestamp therefore never pair with each other.  Everything a probe sees
-# lies fully inside [round start, round start + delta], so no span check is
-# needed at match time.  Against the probing wedge's arrival, the pivot, a
-# live wedge starting after the pivot is non-overlap, one arriving after it
-# but starting before it intersecting, one arriving before it covered; a
-# stamp at the pivot is shared, never a butterfly.
+# other direction's, picked by its flag, and only then makes them live;
+# wedges sharing a start timestamp therefore never pair with each other.
+# Everything a probe sees lies fully inside [round start, round start +
+# delta], so no span check is needed at match time.  Against the probing
+# wedge's arrival, the pivot, a live wedge starting after the pivot is
+# non-overlap, one arriving after it but starting before it intersecting,
+# one arriving before it covered; a stamp at the pivot is shared, never a
+# butterfly.
 
 
-def _timestamp_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: int) -> None:
+def _timestamp_counts(wedges: list, delta: int, acc: list[int], layer: int) -> None:
     """Add every pair of a bucket's normalized wedges to acc: the sweep's rounds over start buckets.
 
     Each direction keeps its live wedges in a dict from start timestamp to
@@ -199,17 +201,15 @@ def _timestamp_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: i
     after the pivot matches whole, one before it is split around the pivot
     by two bisects.  The tallies stay in six locals until the bucket ends.
     """
-    f_live: dict[int, list[int]] = {}
-    b_live: dict[int, list[int]] = {}
+    lives: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+    # a wedge's (same, other) live wedges, by its backward flag
+    sides = (lives, lives[::-1])
     s_non = s_int = s_cov = d_non = d_int = d_cov = 0
-    i, j = len(fwd), len(bwd)
-    while i or j:
-        if j == 0 or (i and fwd[i - 1][0] >= bwd[j - 1][0]):
-            ts = fwd[i - 1][0]
-        else:
-            ts = bwd[j - 1][0]
+    i = len(wedges)
+    while i:
+        ts = wedges[i - 1][0]
         bound = ts + delta
-        for live in (f_live, b_live):
+        for live in lives:
             dead = []
             # a live start's list is never empty, so its last arrival says whether any expire
             for start, arrivals in live.items():
@@ -220,32 +220,27 @@ def _timestamp_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: i
                         dead.append(start)
             for start in dead:
                 del live[start]
-        a, b = i, j
-        while a and fwd[a - 1][0] == ts:
+        a = i - 1
+        while a and wedges[a - 1][0] == ts:
             a -= 1
-        while b and bwd[b - 1][0] == ts:
-            b -= 1
-        for wedges, lo, hi, same, other in ((fwd, a, i, f_live, b_live), (bwd, b, j, b_live, f_live)):
-            for k in range(lo, hi):
-                pivot = wedges[k][1]
-                for start, arrivals in same.items():
-                    if start > pivot:
-                        s_non += len(arrivals)
-                    elif start < pivot:
-                        s_int += len(arrivals) - bisect_right(arrivals, pivot)
-                        s_cov += bisect_left(arrivals, pivot)
-                for start, arrivals in other.items():
-                    if start > pivot:
-                        d_non += len(arrivals)
-                    elif start < pivot:
-                        d_int += len(arrivals) - bisect_right(arrivals, pivot)
-                        d_cov += bisect_left(arrivals, pivot)
-        # a round's start is new, and its wedges come arrivals ascending
-        if a < i:
-            f_live[ts] = [w[1] for w in fwd[a:i]]
-        if b < j:
-            b_live[ts] = [w[1] for w in bwd[b:j]]
-        i, j = a, b
+        for _, backward, pivot in wedges[a:i]:
+            same, other = sides[backward]
+            for start, arrivals in same.items():
+                if start > pivot:
+                    s_non += len(arrivals)
+                elif start < pivot:
+                    s_int += len(arrivals) - bisect_right(arrivals, pivot)
+                    s_cov += bisect_left(arrivals, pivot)
+            for start, arrivals in other.items():
+                if start > pivot:
+                    d_non += len(arrivals)
+                elif start < pivot:
+                    d_int += len(arrivals) - bisect_right(arrivals, pivot)
+                    d_cov += bisect_left(arrivals, pivot)
+        # a round's start is new, and each direction's wedges come arrivals ascending
+        for _, backward, arrival in wedges[a:i]:
+            lives[backward].setdefault(ts, []).append(arrival)
+        i = a
     acc[layer] += s_non
     acc[1 ^ layer] += s_int
     acc[2 ^ layer] += s_cov
@@ -254,7 +249,7 @@ def _timestamp_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: i
     acc[5 ^ layer] += d_cov
 
 
-def _twin_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: int) -> None:
+def _twin_counts(wedges: list, delta: int, acc: list[int], layer: int) -> None:
     """Add every pair of a bucket's normalized wedges to acc: the sweep's rounds over twin sorted lists.
 
     Each direction keeps its live wedges in three plain int lists: the
@@ -263,77 +258,44 @@ def _twin_counts(fwd: list, bwd: list, delta: int, acc: list[int], layer: int) -
     pivot by four bisects, so it costs the same however many starts are
     live.  The tallies stay in six locals until the bucket ends.
     """
-    f_arr: list[int] = []
-    f_with: list[int] = []
-    f_starts: list[int] = []
-    b_arr: list[int] = []
-    b_with: list[int] = []
-    b_starts: list[int] = []
+    lives: tuple[tuple[list[int], list[int], list[int]], ...] = (([], [], []), ([], [], []))
+    # a wedge's (same, other) live wedges, by its backward flag
+    sides = (lives, lives[::-1])
     s_non = s_int = s_cov = d_non = d_int = d_cov = 0
-    i, j = len(fwd), len(bwd)
-    while i or j:
-        if j == 0 or (i and fwd[i - 1][0] >= bwd[j - 1][0]):
-            ts = fwd[i - 1][0]
-        else:
-            ts = bwd[j - 1][0]
+    i = len(wedges)
+    while i:
+        ts = wedges[i - 1][0]
         neg_ts = -ts
         # negated, the arrivals beyond ts + delta sit at the head
         cut = neg_ts - delta
-        if f_arr and f_arr[0] < cut:
-            k = bisect_left(f_arr, cut)
-            for neg_s in f_with[:k]:
-                del f_starts[bisect_left(f_starts, neg_s)]
-            del f_arr[:k], f_with[:k]
-        if b_arr and b_arr[0] < cut:
-            k = bisect_left(b_arr, cut)
-            for neg_s in b_with[:k]:
-                del b_starts[bisect_left(b_starts, neg_s)]
-            del b_arr[:k], b_with[:k]
-        a, b = i, j
-        while a and fwd[a - 1][0] == ts:
+        for arr, with_start, starts in lives:
+            if arr and arr[0] < cut:
+                k = bisect_left(arr, cut)
+                for neg_s in with_start[:k]:
+                    del starts[bisect_left(starts, neg_s)]
+                del arr[:k], with_start[:k]
+        a = i - 1
+        while a and wedges[a - 1][0] == ts:
             a -= 1
-        while b and bwd[b - 1][0] == ts:
-            b -= 1
-        nf, nb = len(f_arr), len(b_arr)
-        # most rounds hold one wedge, so a direction with none skips its loops
-        if a < i:
-            for k in range(a, i):
-                neg = -fwd[k][1]
-                later = bisect_left(f_arr, neg)
-                s_non += bisect_left(f_starts, neg)
-                s_int += later - bisect_right(f_starts, neg)
-                s_cov += nf - bisect_right(f_arr, neg, later)
-                later = bisect_left(b_arr, neg)
-                d_non += bisect_left(b_starts, neg)
-                d_int += later - bisect_right(b_starts, neg)
-                d_cov += nb - bisect_right(b_arr, neg, later)
-        if b < j:
-            for k in range(b, j):
-                neg = -bwd[k][1]
-                later = bisect_left(b_arr, neg)
-                s_non += bisect_left(b_starts, neg)
-                s_int += later - bisect_right(b_starts, neg)
-                s_cov += nb - bisect_right(b_arr, neg, later)
-                later = bisect_left(f_arr, neg)
-                d_non += bisect_left(f_starts, neg)
-                d_int += later - bisect_right(f_starts, neg)
-                d_cov += nf - bisect_right(f_arr, neg, later)
+        for _, backward, arrival in wedges[a:i]:
+            (s_arr, _, s_starts), (o_arr, _, o_starts) = sides[backward]
+            neg = -arrival
+            later = bisect_left(s_arr, neg)
+            s_non += bisect_left(s_starts, neg)
+            s_int += later - bisect_right(s_starts, neg)
+            s_cov += len(s_arr) - bisect_right(s_arr, neg, later)
+            later = bisect_left(o_arr, neg)
+            d_non += bisect_left(o_starts, neg)
+            d_int += later - bisect_right(o_starts, neg)
+            d_cov += len(o_arr) - bisect_right(o_arr, neg, later)
         # starts fall round by round, so negated they land at the tail
-        if a < i:
-            for k in range(a, i):
-                neg = -fwd[k][1]
-                p = bisect_right(f_arr, neg)
-                f_arr.insert(p, neg)
-                f_with.insert(p, neg_ts)
-                f_starts.append(neg_ts)
-        if b < j:
-            for k in range(b, j):
-                neg = -bwd[k][1]
-                p = bisect_right(b_arr, neg)
-                b_arr.insert(p, neg)
-                b_with.insert(p, neg_ts)
-                b_starts.append(neg_ts)
-        i, j = a, b
+        for _, backward, arrival in wedges[a:i]:
+            arr, with_start, starts = lives[backward]
+            p = bisect_right(arr, -arrival)
+            arr.insert(p, -arrival)
+            with_start.insert(p, neg_ts)
+            starts.append(neg_ts)
+        i = a
     acc[layer] += s_non
     acc[1 ^ layer] += s_int
     acc[2 ^ layer] += s_cov
@@ -387,32 +349,31 @@ def _pairs(wedges: list, delta: int, layer: int) -> Iterator[tuple[int, tuple, t
                 yield kinds[1], w1, w2
 
 
-def _split(wedges: list) -> tuple[list, list]:
-    """A bucket's (forward, backward) normalized wedges, each list sorted ascending."""
-    fwd = sorted(w for w in wedges if w[0] < w[1])
-    bwd = sorted((t2, t1, m) for t1, t2, m in wedges if t2 < t1)
-    return fwd, bwd
+def _normalized(wedges: list) -> list:
+    """A bucket's normalized (t_s, backward, t_a) wedges, sorted ascending; equal-stamp wedges are dropped."""
+    return sorted([(t1, 0, t2) if t1 < t2 else (t2, 1, t1) for t1, t2, _ in wedges if t1 != t2])
 
 
 def _count_bucket(wedges, delta, layer, sweep, acc, same, min_run) -> None:
     """Tally one end bucket's butterflies as acc less same.
 
-    A small bucket's go straight into acc.  A large bucket is swept whole
-    into acc by sweep(fwd, bwd, delta, acc, layer), then sorted by middle,
-    and each middle's run of min_run or more wedges is swept into same;
-    shorter runs are known to hold no countable pair.
+    A small bucket's go straight into acc.  A large bucket's one
+    start-sorted list, from _normalized, is swept whole into acc by
+    sweep(list, delta, acc, layer); the bucket is then sorted by middle,
+    and each middle's run of min_run or more wedges is normalized and swept
+    into same; shorter runs are known to hold no countable pair.
     """
     if len(wedges) <= _SMALL_BUCKET:
         for type_index, _, _ in _pairs(wedges, delta, layer):
             acc[type_index] += 1
         return
-    sweep(*_split(wedges), delta, acc, layer)
+    sweep(_normalized(wedges), delta, acc, layer)
     # parallel edges to the start scatter a middle's wedges through the bucket
     wedges.sort(key=itemgetter(2))
     for _, run in groupby(wedges, itemgetter(2)):
         run = list(run)
         if len(run) >= min_run:
-            sweep(*_split(run), delta, same, layer)
+            sweep(_normalized(run), delta, same, layer)
 
 
 # --- engines ----------------------------------------------------------------

@@ -10,11 +10,12 @@ engine detail that depends on the graph alone, the same at any workers.
 
 enumerate_baseline pairs the wedges of every end bucket directly, and
 enumerate_optimized those of small buckets only, sweeping the rest in
-count's rounds with one fused loop, _emit_swept, over a sorted list of
-entries per direction: a probe takes the entries arriving on either side
-of its arrival from two bisects, the match types from the side and each
-entry's start, and builds each instance in the slice loop from the wedge
-the entry carries.
+count's rounds with one fused loop, _emit_swept, over one start-sorted
+list of the bucket's wedges with a direction flag.  It keeps a sorted list
+of live entries per direction: a probe takes the entries arriving on
+either side of its arrival from two bisects, the match types from the
+side and each entry's start, and builds each instance in the slice loop
+from the wedge the entry carries.
 
 An end bucket's start and end vertices, sorted, are the corner pair of
 their layer.  Wedges keep their two timestamps ordered by that pair, so a
@@ -160,99 +161,93 @@ def _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired) -> Non
 def _emit_swept(wedges, delta, layer, fixed, sink, acc) -> None:
     """Emit every distinct-middle pair of one end bucket's corner-order wedges by count's sweep.
 
-    The sweep's rounds run over normalized (t_s, t_a, middle, c0, c1)
-    wedges.  Each direction keeps its live wedges in one ascending list of
-    (-arrival, -start, wedge) entries.  A probe takes the entries arriving
-    after its arrival, the pivot, and those arriving before it from two
-    bisects, arrivals descending.  The earlier ones are covered; a later one
-    is non-overlap if it starts after the pivot, intersecting if before.
-    Each distinct-middle match goes to sink in canonical corner order, the
-    tallies to acc once per probe.
+    The sweep's rounds run over one ascending list of normalized (t_s,
+    backward, t_a, middle, c0, c1) wedges, so each round probes its forward
+    wedges first, each direction arrivals ascending.  Each direction keeps
+    its live wedges in one ascending list of (-arrival, -start, wedge)
+    entries, and a wedge's flag picks which it probes as its own.  A probe
+    takes the entries arriving after its arrival, the pivot, and those
+    arriving before it from two bisects, arrivals descending.  The earlier
+    ones are covered; a later one is non-overlap if it starts after the
+    pivot, intersecting if before.  Each distinct-middle match goes to sink
+    in canonical corner order, the tallies to acc once per probe.
     """
-    fwd = sorted((c0, c1, mid, c0, c1) for c0, c1, mid in wedges if c0 < c1)
-    bwd = sorted((c1, c0, mid, c0, c1) for c0, c1, mid in wedges if c1 < c0)
+    wedges = sorted(
+        [(c0, 0, c1, mid, c0, c1) if c0 < c1 else (c1, 1, c0, mid, c0, c1) for c0, c1, mid in wedges if c0 != c1]
+    )
     same = (layer, 1 ^ layer, 2 ^ layer)
     mixed = (3 ^ layer, 4 ^ layer, 5 ^ layer)
     f_live: list[tuple[int, int, tuple]] = []
     b_live: list[tuple[int, int, tuple]] = []
-    # each wedge probes its own direction's live entries, then the other's
-    f_probes = ((f_live, same), (b_live, mixed))
-    b_probes = ((b_live, same), (f_live, mixed))
-    i, j = len(fwd), len(bwd)
-    while i or j:
-        if j == 0 or (i and fwd[i - 1][0] >= bwd[j - 1][0]):
-            ts = fwd[i - 1][0]
-        else:
-            ts = bwd[j - 1][0]
+    lives = (f_live, b_live)
+    # each wedge probes its own direction's live entries, then the other's, by its backward flag
+    probes = (((f_live, same), (b_live, mixed)), ((b_live, same), (f_live, mixed)))
+    i = len(wedges)
+    while i:
+        ts = wedges[i - 1][0]
         # negated, the arrivals beyond ts + delta sit at the head
         cut = -ts - delta
-        if f_live and f_live[0][0] < cut:
-            del f_live[:bisect_left(f_live, (cut,))]
-        if b_live and b_live[0][0] < cut:
-            del b_live[:bisect_left(b_live, (cut,))]
-        a, b = i, j
-        while a and fwd[a - 1][0] == ts:
+        for live in lives:
+            if live and live[0][0] < cut:
+                del live[:bisect_left(live, (cut,))]
+        a = i - 1
+        while a and wedges[a - 1][0] == ts:
             a -= 1
-        while b and bwd[b - 1][0] == ts:
-            b -= 1
-        for side, lo, hi, probes in ((fwd, a, i, f_probes), (bwd, b, j, b_probes)):
-            for k in range(lo, hi):
-                _, pivot, mid, c0, c1 = side[k]
-                neg = -pivot
-                for live, (o_non, o_int, o_cov) in probes:
-                    later = bisect_left(live, (neg,))
-                    earlier = live[bisect_left(live, (neg + 1,), later):]
-                    n_cov = len(earlier)
-                    n_non = n_int = 0
-                    # the layers lay an instance out differently; test the layer once per probe
-                    if layer == 0:
-                        for _, _, (_, _, omid, o0, o1) in earlier:
-                            if mid < omid:
-                                sink(_new(ButterflyInstance, (o_cov, fixed, (mid, omid), (c0, c1, o0, o1))))
-                            elif omid < mid:
-                                sink(_new(ButterflyInstance, (o_cov, fixed, (omid, mid), (o0, o1, c0, c1))))
-                            else:
-                                n_cov -= 1
-                        for _, _, (start, _, omid, o0, o1) in live[:later]:
-                            if omid == mid or start == pivot:
-                                continue
-                            if start > pivot:
-                                t = o_non
-                                n_non += 1
-                            else:
-                                t = o_int
-                                n_int += 1
-                            if mid < omid:
-                                sink(_new(ButterflyInstance, (t, fixed, (mid, omid), (c0, c1, o0, o1))))
-                            else:
-                                sink(_new(ButterflyInstance, (t, fixed, (omid, mid), (o0, o1, c0, c1))))
-                    else:
-                        for _, _, (_, _, omid, o0, o1) in earlier:
-                            if mid < omid:
-                                sink(_new(ButterflyInstance, (o_cov, (mid, omid), fixed, (c0, o0, c1, o1))))
-                            elif omid < mid:
-                                sink(_new(ButterflyInstance, (o_cov, (omid, mid), fixed, (o0, c0, o1, c1))))
-                            else:
-                                n_cov -= 1
-                        for _, _, (start, _, omid, o0, o1) in live[:later]:
-                            if omid == mid or start == pivot:
-                                continue
-                            if start > pivot:
-                                t = o_non
-                                n_non += 1
-                            else:
-                                t = o_int
-                                n_int += 1
-                            if mid < omid:
-                                sink(_new(ButterflyInstance, (t, (mid, omid), fixed, (c0, o0, c1, o1))))
-                            else:
-                                sink(_new(ButterflyInstance, (t, (omid, mid), fixed, (o0, c0, o1, c1))))
-                    acc[o_non] += n_non
-                    acc[o_int] += n_int
-                    acc[o_cov] += n_cov
+        # forward wedges first, each direction arrivals ascending
+        for _, backward, pivot, mid, c0, c1 in wedges[a:i]:
+            neg = -pivot
+            for live, (o_non, o_int, o_cov) in probes[backward]:
+                later = bisect_left(live, (neg,))
+                earlier = live[bisect_left(live, (neg + 1,), later):]
+                n_cov = len(earlier)
+                n_non = n_int = 0
+                # the layers lay an instance out differently; test the layer once per probe
+                if layer == 0:
+                    for _, _, (_, _, _, omid, o0, o1) in earlier:
+                        if mid < omid:
+                            sink(_new(ButterflyInstance, (o_cov, fixed, (mid, omid), (c0, c1, o0, o1))))
+                        elif omid < mid:
+                            sink(_new(ButterflyInstance, (o_cov, fixed, (omid, mid), (o0, o1, c0, c1))))
+                        else:
+                            n_cov -= 1
+                    for _, _, (start, _, _, omid, o0, o1) in live[:later]:
+                        if omid == mid or start == pivot:
+                            continue
+                        if start > pivot:
+                            t = o_non
+                            n_non += 1
+                        else:
+                            t = o_int
+                            n_int += 1
+                        if mid < omid:
+                            sink(_new(ButterflyInstance, (t, fixed, (mid, omid), (c0, c1, o0, o1))))
+                        else:
+                            sink(_new(ButterflyInstance, (t, fixed, (omid, mid), (o0, o1, c0, c1))))
+                else:
+                    for _, _, (_, _, _, omid, o0, o1) in earlier:
+                        if mid < omid:
+                            sink(_new(ButterflyInstance, (o_cov, (mid, omid), fixed, (c0, o0, c1, o1))))
+                        elif omid < mid:
+                            sink(_new(ButterflyInstance, (o_cov, (omid, mid), fixed, (o0, c0, o1, c1))))
+                        else:
+                            n_cov -= 1
+                    for _, _, (start, _, _, omid, o0, o1) in live[:later]:
+                        if omid == mid or start == pivot:
+                            continue
+                        if start > pivot:
+                            t = o_non
+                            n_non += 1
+                        else:
+                            t = o_int
+                            n_int += 1
+                        if mid < omid:
+                            sink(_new(ButterflyInstance, (t, (mid, omid), fixed, (c0, o0, c1, o1))))
+                        else:
+                            sink(_new(ButterflyInstance, (t, (omid, mid), fixed, (o0, c0, o1, c1))))
+                acc[o_non] += n_non
+                acc[o_int] += n_int
+                acc[o_cov] += n_cov
         neg_ts = -ts
-        for k in range(a, i):
-            insort(f_live, (-fwd[k][1], neg_ts, fwd[k]))
-        for k in range(b, j):
-            insort(b_live, (-bwd[k][1], neg_ts, bwd[k]))
-        i, j = a, b
+        for wedge in wedges[a:i]:
+            insort(lives[wedge[1]], (-wedge[2], neg_ts, wedge))
+        i = a

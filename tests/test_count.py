@@ -45,8 +45,8 @@ from tempobf.count import (
     _count_bucket,
     _count_part,
     _end_buckets,
+    _normalized,
     _pairs,
-    _split,
     _timestamp_counts,
     _twin_counts,
 )
@@ -198,7 +198,7 @@ def kernel_vector(raws, delta, layer):
         expected[type_index] += 1
     for kernel in (_timestamp_counts, _twin_counts):
         acc = [0] * 6
-        kernel(*_split(raws), delta, acc, layer)
+        kernel(_normalized(raws), delta, acc, layer)
         assert acc == expected, kernel.__name__
     seen, acc = [], [0] * 6
     _emit_swept(raws, delta, layer, (0, 1), seen.append, acc)
@@ -220,6 +220,12 @@ class TestSweepKernels:
     def test_probe_with_lower_layer_offsets(self):
         # the backward (5, 3) is covered by the forward probe: a mixed covering, xor 1 for a lower start
         assert kernel_vector([(5, 3, 0), (1, 7, 1)], 10, 1) == [0, 0, 0, 0, 1, 0]
+
+    def test_one_round_holds_both_directions(self):
+        # the forward (3, 5) and the backward (9, 3) share start 3, so neither pairs with the other;
+        # the probe (1, 7) covers (3, 5) and intersects (9, 3)
+        assert kernel_vector([(3, 5, 0), (9, 3, 1), (1, 7, 2)], 10, 0) == [0, 0, 1, 0, 1, 0]
+        assert kernel_vector([(3, 5, 0), (9, 3, 1), (1, 7, 2)], 10, 1) == [0, 0, 0, 1, 0, 1]
 
     def test_pivot_equal_start_contributes_nothing(self):
         assert kernel_vector([(7, 9, 0), (1, 7, 1)], 10, 0) == [0] * 6
@@ -261,10 +267,10 @@ class TestSweepKernels:
             for wedge in round_wedges:
                 total = [a + b for a, b in zip(total, naive_probe(inserted, wedge[1]))]
             inserted.extend(round_wedges)
-        fwd = sorted((ts, ta, mid) for mid, (ts, ta) in enumerate(wedges))
+        fwd = sorted((ts, 0, ta) for ts, ta in wedges)
         for kernel in (_timestamp_counts, _twin_counts):
             acc = [0] * 6
-            kernel(fwd, [], delta, acc, 0)
+            kernel(fwd, delta, acc, 0)
             assert acc == total + [0, 0, 0], kernel.__name__
 
     @PROPERTY_SETTINGS
@@ -379,7 +385,7 @@ class TestTwinCounts:
     def test_crowded_buckets_match_naive_pairing(self, drawn, layer):
         delta, raws = drawn
         acc = [0] * 6
-        _twin_counts(*_split(raws), delta, acc, layer)
+        _twin_counts(_normalized(raws), delta, acc, layer)
         assert acc == naive_combine(own_middles(raws), delta, layer == 0)
 
     @PROPERTY_SETTINGS
@@ -388,7 +394,7 @@ class TestTwinCounts:
         # each wedge the walk would build, here through its own middle so every pair counts
         raws = [(a, b, m) for m, (a, b, _) in enumerate(flat_bucket(legs_groups(legs, delta)))]
         acc = [0] * 6
-        _twin_counts(*_split(raws), delta, acc, layer)
+        _twin_counts(_normalized(raws), delta, acc, layer)
         assert acc == naive_combine(own_middles(raws), delta, layer == 0)
 
 

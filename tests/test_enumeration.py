@@ -296,6 +296,73 @@ class TestCanonicalOrder:
                 inst.check(g, 10)
 
 
+# start u0 and end u1 share 18 wedges through v0..v4, more than _SMALL_BUCKET,
+# so their one end bucket is swept; two pendant edges make u0 the top rank
+ORDER_LEGS = {
+    "v0": ([10, 16], [13, 14]),
+    "v1": ([14, 19], [10, 16]),
+    "v2": ([10, 13], [14, 19]),
+    "v3": ([11, 14], [10, 17]),
+    "v4": ([12, 17], [13, 14]),
+}
+ORDER_TRIPLES = [
+    (u, v, t) for v, legs in ORDER_LEGS.items() for u, stamps in zip(("u0", "u1"), legs) for t in stamps
+] + [("u0", "z0", 1), ("u0", "z1", 2)]
+ORDER_DELTA = 8
+# enumerate_optimized's instances of ORDER_TRIPLES, in the order it emits them
+ORDER_INSTANCES = [
+    (4, (0, 1), (1, 3), (19, 16, 14, 17)), (1, (0, 1), (1, 4), (19, 16, 17, 14)),
+    (3, (0, 1), (1, 2), (19, 16, 13, 14)), (2, (0, 1), (2, 3), (13, 19, 14, 17)),
+    (2, (0, 1), (1, 2), (14, 16, 13, 19)), (5, (0, 1), (2, 4), (13, 19, 17, 14)),
+    (5, (0, 1), (0, 2), (16, 14, 13, 19)), (1, (0, 1), (0, 4), (16, 13, 17, 14)),
+    (4, (0, 1), (0, 3), (16, 13, 14, 17)), (2, (0, 1), (0, 4), (16, 14, 17, 13)),
+    (1, (0, 1), (1, 4), (19, 16, 17, 13)), (5, (0, 1), (1, 4), (14, 16, 17, 13)),
+    (0, (0, 1), (3, 4), (14, 17, 12, 13)), (0, (0, 1), (1, 4), (14, 16, 12, 13)),
+    (3, (0, 1), (1, 4), (19, 16, 12, 13)), (3, (0, 1), (0, 4), (16, 14, 12, 13)),
+    (1, (0, 1), (2, 4), (13, 19, 12, 14)), (3, (0, 1), (1, 4), (19, 16, 12, 14)),
+    (4, (0, 1), (0, 4), (16, 13, 12, 14)), (2, (0, 1), (1, 3), (14, 16, 11, 17)),
+    (2, (0, 1), (2, 3), (13, 14, 11, 17)), (2, (0, 1), (3, 4), (11, 17, 12, 14)),
+    (2, (0, 1), (3, 4), (11, 17, 12, 13)), (1, (0, 1), (2, 3), (13, 19, 11, 17)),
+    (5, (0, 1), (0, 3), (16, 14, 11, 17)), (5, (0, 1), (0, 3), (16, 13, 11, 17)),
+    (4, (0, 1), (1, 3), (19, 16, 11, 17)), (0, (0, 1), (0, 3), (10, 13, 14, 17)),
+    (1, (0, 1), (0, 3), (10, 13, 11, 17)), (0, (0, 1), (0, 1), (10, 13, 14, 16)),
+    (1, (0, 1), (0, 4), (10, 13, 12, 14)), (3, (0, 1), (0, 4), (10, 13, 17, 14)),
+    (2, (0, 1), (0, 4), (10, 14, 12, 13)), (1, (0, 1), (0, 3), (10, 14, 11, 17)),
+    (4, (0, 1), (0, 4), (10, 14, 17, 13)), (2, (0, 1), (2, 4), (10, 14, 12, 13)),
+    (1, (0, 1), (2, 3), (10, 14, 11, 17)), (4, (0, 1), (2, 4), (10, 14, 17, 13)),
+    (4, (0, 1), (0, 2), (16, 13, 10, 14)), (0, (0, 1), (3, 4), (11, 10, 17, 14)),
+    (0, (0, 1), (3, 4), (11, 10, 17, 13)), (0, (0, 1), (0, 3), (16, 14, 11, 10)),
+    (0, (0, 1), (0, 3), (16, 13, 11, 10)), (3, (0, 1), (1, 3), (14, 16, 11, 10)),
+    (3, (0, 1), (2, 3), (13, 14, 11, 10)), (3, (0, 1), (3, 4), (11, 10, 12, 14)),
+    (3, (0, 1), (3, 4), (11, 10, 12, 13)), (1, (0, 1), (1, 4), (14, 10, 17, 13)),
+    (1, (0, 1), (0, 1), (16, 13, 14, 10)), (5, (0, 1), (1, 4), (14, 10, 12, 13)),
+    (4, (0, 1), (1, 3), (14, 10, 11, 17)), (1, (0, 1), (3, 4), (14, 10, 17, 13)),
+    (1, (0, 1), (0, 3), (16, 13, 14, 10)), (5, (0, 1), (3, 4), (14, 10, 12, 13)),
+]
+
+
+class TestEmissionOrder:
+    """The order enumerate_optimized emits one swept bucket's instances in, pinned."""
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["upper-start", "lower-start"])
+    def test_swept_bucket_emits_in_a_fixed_order(self, swapped):
+        triples = [(v, u, t) for u, v, t in ORDER_TRIPLES] if swapped else ORDER_TRIPLES
+        g, priority = build_priority(triples)
+        # the bucket is as described: as (start, arrival) pairs, a forward and a
+        # backward wedge share a start and tie on their arrival
+        ((layer, _, _, wedges),) = _end_buckets(g, priority, ORDER_DELTA)
+        assert layer == swapped and len(wedges) > _SMALL_BUCKET
+        forward = {(t1, t2) for t1, t2, _ in wedges if t1 < t2}
+        backward = {(t2, t1) for t1, t2, _ in wedges if t2 < t1}
+        assert forward & backward
+        expected = ORDER_INSTANCES
+        if swapped:
+            # a lower start swaps each instance's corner pairs and middle two stamps, and xors its type by 1
+            expected = [(k ^ 1, low, up, (s0, s2, s1, s3)) for k, up, low, (s0, s1, s2, s3) in expected]
+        _, seen = collect(enumerate_optimized, g, priority, ORDER_DELTA, workers=1)
+        assert seen == expected
+
+
 # -- the fork pool -------------------------------------------------------------
 
 # a skewed graph whose buckets run both ways, from starts in both layers
