@@ -32,8 +32,9 @@ Three engines share one answer:
   keeping one sorted list of entries per direction, and takes each match
   from the wedge its entry carries.
 
-Small buckets are paired in one loop, _pairs, behind every engine; it
-reads each pair's type inline, as classify_type defines it.
+Small buckets are paired in one loop, _pairs, behind every engine and the
+stream module's window steps; it reads each pair's type inline, as
+classify_type defines it.
 
 All engines take their wedges from one walk, _end_buckets, over the time
 rows every graph keeps.  It reads each start vertex's row and skips
@@ -308,18 +309,21 @@ def _twin_counts(wedges: list, delta: int, acc: list[int], layer: int) -> None:
 _SMALL_BUCKET = 16
 
 
-def _pairs(wedges: list, delta: int, layer: int) -> Iterator[tuple[int, tuple, tuple]]:
+def _pairs(wedges: list, delta: int, layer: int, heads: int | None = None) -> Iterator[tuple[int, tuple, tuple]]:
     """Yield (type, wedge, later wedge) for every butterfly among one bucket's wedges.
 
-    The type is classify_type's, read inline from the two wedges' ordered
-    stamps: non-overlap, intersecting or covering, plus 3 when the wedges
-    run in opposite directions, xor the layer bit.  Wedges may be raw or in
-    corner order: flipping both wedges of a pair leaves its type unchanged.
+    With heads set, only pairs whose first wedge is one of the first heads
+    wedges are tried: heads=1 pairs one wedge against a list, as the
+    stream's window steps do.  The type is classify_type's, read inline
+    from the two wedges' ordered stamps: non-overlap, intersecting or
+    covering, plus 3 when the wedges run in opposite directions, xor the
+    layer bit.  Wedges may be raw or in corner order: flipping both wedges
+    of a pair leaves its type unchanged.
     """
     same = (layer, 1 ^ layer, 2 ^ layer)
     mixed = (3 ^ layer, 4 ^ layer, 5 ^ layer)
     n = len(wedges)
-    for i in range(n - 1):
+    for i in range(n - 1 if heads is None else heads):
         w1 = wedges[i]
         a1, b1, m1 = w1
         # the types against a forward and a backward second wedge

@@ -1,12 +1,10 @@
-"""Batched streaming maintenance, its per-edge counter and the sliding-window driver."""
+"""Batched streaming maintenance, its per-wedge window state and the sliding-window driver."""
 
 from __future__ import annotations
 
 import random
-import sys
 import threading
 import time
-from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,12 +20,12 @@ from tempobf import (
     count_baseline,
     count_extreme,
     count_optimized,
-    oracle_contains,
     oracle_count,
     run_sliding_window,
 )
 import tempobf.stream as stream_module
-from tempobf.stream import _count_edge_extreme, _row_map
+from tempobf.count import _pairs
+from tempobf.stream import _Live, _Swept, _Wedges
 from conftest import F1, PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time
 
 triples_strategy = st.lists(
@@ -46,22 +44,20 @@ def exact_counts(triples, delta):
     return count_extreme(g, priority, delta)
 
 
-class TestCountEdgeExtreme:
-    def test_every_wing_of_the_fixture_butterfly(self):
-        # F1's butterfly is counted once from its oldest wing as the minimum and once from its newest as the maximum
-        g = build_time(F1)
-        edges = g.edges()
-        for i, e in enumerate(edges):
-            as_min = [0, 1, 0, 0, 0, 0] if i == 0 else [0] * 6
-            as_max = [0, 1, 0, 0, 0, 0] if i == 3 else [0] * 6
-            assert _count_edge_extreme(g, 3, e, False) == as_min
-            assert _count_edge_extreme(g, 3, e, True) == as_max
+def wedge_state(live):
+    """A window live vector's kept wedges, copied: ranking, higher-ranked neighbour counts, older-edge uids and each bucket's sorted wedges."""
+    st = live.wedges
+    buckets = {
+        key: sorted([b] if type(b) is tuple else b if type(b) is list else [w for ws in b.mids.values() for w in ws])
+        for key, b in st.buckets.items()
+    }
+    return [r[:] for r in st.ranks], st.low, [a[:] for a in st.above], set(st.olds), buckets
 
-    def test_isolated_pair_edge(self):
-        g = build_time(F1 + (("u3", "v3", 2),))
-        lone = next(e for e in g.edges() if g.upper_tokens[e.u] == "u3")
-        assert _count_edge_extreme(g, 3, lone, False) == [0] * 6
-        assert _count_edge_extreme(g, 3, lone, True) == [0] * 6
+
+def rebuilt_state(win):
+    """The wedge_state a fresh build of the window's graph gives under the window's own frozen ranking."""
+    st = win.live.wedges
+    return wedge_state(_Live(_Wedges(win.graph, win.delta, [r[:] for r in st.ranks], st.low)))
 
 
 def _fill_edge_by_edge(triples, delta):
@@ -258,30 +254,60 @@ class TestBatchUpdate:
         assert g.edges() == edges_before
         assert live == [0] * 6
         assert_times_match_rows(g)
-        # a window's live vector: the butterfly sits in its oldest edge's tally, live is zeroed beside it
+        # a window's live vector: ranked by first appearance, the butterfly is one pair of
+        # kept wedges from u1 beside a lone wedge from v1; live is zeroed beside them
         win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1), 1)
-        tallies = {uid: c[:] for uid, c in win.live.tallies.items()}
-        assert tallies == {edges_before[0].uid: [0, 1, 0, 0, 0, 0]}
+        kept = wedge_state(win.live)
+        assert sorted(len(ws) for ws in kept[4].values()) == [1, 2]
         win.live[1] = 0
         with pytest.raises(ValueError, match="negative"):
             batch_update(win.graph, 3, list(win.buffer)[:2], insertions, win.live)
         assert win.graph.edges() == edges_before
         assert win.live == [0] * 6
-        assert win.live.tallies == tallies
+        assert wedge_state(win.live) == kept
         assert_times_match_rows(win.graph)
+        # the wedges dropped before the raise are back, so the window counts on exactly
+        win.live[1] = 1
+        win.advance_batch([("u3", "v3", 5)])
+        assert win.live == [0] * 6 and wedge_state(win.live) == rebuilt_state(win)
 
-    @pytest.mark.parametrize("tallied", [True, False], ids=["window-live", "plain-live"])
-    def test_butterfly_in_and_out_within_one_step_is_counted_in_neither(self, tallied):
+    @pytest.mark.parametrize("windowed", [True, False], ids=["window-live", "plain-live"])
+    def test_butterfly_in_and_out_within_one_step_is_counted_in_neither(self, windowed):
         # a window of 3 never holds all four of F1's wings: the step that inserts
         # the last two evicts the first, so the butterfly is neither added nor removed
         win = SlidingWindow(3, window=3)
         win.advance_batch(list(F1[:2]), 1)
-        live = win.live if tallied else CountVector.zeros()
+        live = win.live if windowed else CountVector.zeros()
         stats: dict = {}
         batch_update(win.graph, 3, [win.buffer[0]], list(F1[2:]), live, stats=stats)
         assert stats["added"] == stats["removed"] == live == [0] * 6
-        assert getattr(live, "tallies", {}) == {}
+
+    def test_plain_and_window_live_give_the_same_stats(self):
+        # one step on two identical windows, one through its kept wedges and one through a throwaway build
+        rng = random.Random(7)
+        triples = sorted(((f"u{rng.randrange(4)}", f"v{rng.randrange(4)}", rng.randint(0, 60)) for _ in range(70)), key=lambda e: e[2])
+        outcomes = []
+        for windowed in (True, False):
+            win = SlidingWindow(25, window=40)
+            for i in range(0, 60, 10):
+                win.advance_batch(triples[i:i + 10])
+            live = win.live if windowed else win.live.copy()
+            stats: dict = {}
+            batch_update(win.graph, 25, list(win.buffer)[:10], triples[60:], live, stats=stats)
+            outcomes.append((stats["removed"], stats["added"], live.copy()))
+        assert outcomes[0] == outcomes[1]
+        removed, added, live = outcomes[0]
+        assert removed.total() > 0 and added.total() > 0
+        assert live == exact_counts(triples[30:], 25)
+
+    def test_window_wedges_kept_for_one_delta_only(self):
+        win = SlidingWindow(3, window=4)
+        win.advance_batch(list(F1), 1)
+        before = wedge_state(win.live)
+        with pytest.raises(ValueError, match="kept for delta 3, not 4"):
+            batch_update(win.graph, 4, [], [("u3", "v3", 5)], win.live)
+        assert wedge_state(win.live) == before and win.graph.edge_count == 4
 
     def test_string_insertion_stamp_read_as_int_before_the_suffix_check(self):
         g = build_time([("a", "x", 10)])
@@ -347,8 +373,8 @@ class TestBatchUpdate:
 
 
 def window_state(win):
-    """A window's buffer, graph edges, live counts and tallies, copied."""
-    return list(win.buffer), win.graph.edges(), win.live.copy(), {uid: row[:] for uid, row in win.live.tallies.items()}
+    """A window's buffer, graph edges, live counts and kept wedges, copied."""
+    return list(win.buffer), win.graph.edges(), win.live.copy(), wedge_state(win.live)
 
 
 class TestSlidingWindow:
@@ -435,7 +461,7 @@ class TestSlidingWindow:
         win.advance_batch(list(F1))
         assert win.live == [0, 1, 0, 0, 0, 0]
         oldest = win.buffer[0]
-        assert win.live.tallies == {oldest.uid: [0, 1, 0, 0, 0, 0]}
+        kept = wedge_state(win.live)
         win.live[1] = 0
         edges_before = win.graph.edges()
         with pytest.raises(ValueError, match="negative"):
@@ -443,7 +469,7 @@ class TestSlidingWindow:
         assert win.buffer[0] == oldest and len(win.buffer) == 4
         assert win.graph.edges() == edges_before
         assert win.live == [0] * 6
-        assert win.live.tallies == {oldest.uid: [0, 1, 0, 0, 0, 0]}
+        assert wedge_state(win.live) == kept
 
     @pytest.mark.parametrize(
         "bad",
@@ -454,7 +480,7 @@ class TestSlidingWindow:
         # the chunk's second edge is bad; the step reads the whole chunk before evicting
         win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1), 1)
-        assert win.live == [0, 1, 0, 0, 0, 0] and win.live.tallies
+        assert win.live == [0, 1, 0, 0, 0, 0] and wedge_state(win.live)[4]
         before = window_state(win)
         chunk = [("u1", "v3", 5), bad]
         with pytest.raises(ValueError, match="token|timestamp"):
@@ -466,7 +492,7 @@ class TestSlidingWindow:
         win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1[:filled]))
         before = window_state(win)
-        assert bool(before[3]) == (filled == 4)
+        assert bool(before[3][4]) == (filled == 4)
         chunk = [("u3", f"v{t}", t) for t in range(5, 10)]
         with pytest.raises(ValueError, match="chunk of 5 edges does not fit a window of 4"):
             win.advance_batch(chunk)
@@ -499,10 +525,12 @@ class TestSlidingWindow:
         assert [e.t for e in win.buffer] == [11, 12, 13, 14]
         assert win.graph.edge_count == 4 and win.bounds() == (11, 14)
         assert win.live == [0, 1, 0, 0, 0, 0]
-        assert win.live.tallies == {win.buffer[0].uid: [0, 1, 0, 0, 0, 0]}
+        # none of F1's wedges is left
+        assert wedge_state(win.live) == rebuilt_state(win)
+        assert all(w[0] > 10 for ws in wedge_state(win.live)[4].values() for w in ws)
 
     def test_single_edge_eviction_counts_a_plain_live_on_the_graph(self):
-        # a live vector without tallies: the evicted edge's butterflies are counted on the graph, then checked
+        # a live vector without kept wedges: a throwaway build counts the evicted edge's butterflies on the graph, then live is checked
         win = SlidingWindow(3, window=4)
         win.advance_batch(list(F1))
         win.live = CountVector([0, 1, 0, 0, 0, 0])
@@ -596,19 +624,6 @@ class TestSlidingWindow:
                 assert live == expected
 
 
-class TestRowMap:
-    def test_single_edges_map_bare_and_parallel_edges_to_a_time_ordered_list(self):
-        g = build_time([("a", "x", 1), ("a", "y", 2), ("a", "x", 3), ("a", "z", 4), ("a", "x", 4), ("a", "x", 5), ("a", "y", 9)])
-        row, times = g.upper_adj[0], g.upper_times[0]
-        looks: dict = {}
-        m = _row_map(looks, (True, 0), row, times, (2, 5))
-        # x at 1 and y at 9 lie outside the span
-        assert m == {1: row[1], 0: [row[2], row[4], row[5]], 2: row[3]}
-        assert m[1] is row[1] and m[2] is row[3]
-        assert looks == {(True, 0): m}
-        assert _row_map(looks, (True, 0), row, times, (0, 9)) is m
-
-
 def hub_triples(hub_upper: bool):
     """Chronological edges whose few hub vertices sit in one layer."""
     hub = st.integers(0, 1)
@@ -618,54 +633,8 @@ def hub_triples(hub_upper: bool):
     return st.lists(edge, max_size=24).map(lambda ts: sorted(ts, key=lambda e: e[2]))
 
 
-def extreme_by_oracle(g, delta, e, as_max):
-    """Butterflies through e with e.t the strict extreme, by exhaustive search."""
-    keep = [
-        (g.upper_tokens[f.u], g.lower_tokens[f.v], f.t)
-        for f in g.edges()
-        if (f.t < e.t if as_max else f.t > e.t)
-    ]
-    sub = build_plain([(g.upper_tokens[e.u], g.lower_tokens[e.v], e.t)] + keep)
-    return oracle_contains(sub, delta, sub.edges()[0])
-
-
-class TestExpansionDirections:
-    """Both ways of expanding an edge's 2-paths give the same counts."""
-
-    @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
-    @PROPERTY_SETTINGS
-    @given(data=st.data(), delta=st.integers(0, 30))
-    def test_directions_agree_per_edge(self, hub_upper, data, delta):
-        triples = data.draw(hub_triples(hub_upper))
-        g = build_time(triples)
-        for e in g.edges():
-            for as_max in (False, True):
-                through_u = _count_edge_extreme(g, delta, e, as_max, from_upper=True)
-                through_v = _count_edge_extreme(g, delta, e, as_max, from_upper=False)
-                assert through_u == through_v == _count_edge_extreme(g, delta, e, as_max)
-                assert through_u == extreme_by_oracle(g, delta, e, as_max)
-
-    @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
-    @PROPERTY_SETTINGS
-    @given(data=st.data(), delta=st.integers(0, 30), first_upper=st.booleans())
-    def test_run_maps_serve_both_directions(self, hub_upper, data, delta, first_upper):
-        # runs cut as batch_update cuts them, one looks dict per run, and the run's
-        # edges walking alternate directions: a map built for a looked-up endpoint
-        # is read again as a walked neighbour's, and the other way round
-        triples = data.draw(hub_triples(hub_upper))
-        g = build_time(triples)
-        edges = g.edges()
-        stamps = [e.t for e in edges]
-        for as_max in (False, True):
-            i = 0
-            while i < len(edges):
-                j = bisect_right(stamps, stamps[i] + delta, i)
-                span = (stamps[i] - delta, stamps[j - 1] - 1) if as_max else (stamps[i] + 1, stamps[j - 1] + delta)
-                looks: dict = {}
-                for k, e in enumerate(edges[i:j]):
-                    got = _count_edge_extreme(g, delta, e, as_max, looks, span, from_upper=(k % 2 == 0) == first_upper)
-                    assert got == extreme_by_oracle(g, delta, e, as_max)
-                i = j
+class TestHubLayers:
+    """Hubs in either layer: the wedges run through the other layer's rows."""
 
     @pytest.mark.parametrize("hub_upper", [True, False], ids=["upper-hubs", "lower-hubs"])
     @PROPERTY_SETTINGS
@@ -681,12 +650,12 @@ class TestExpansionDirections:
                 assert live == exact_counts(triples[max(0, taken - window):taken], delta)
 
 
-def tally_corpus(n: int, seed: int):
+def stream_corpus(n: int, seed: int):
     """n tiny chronological streams with their (delta, window, stride, workers).
 
     Few vertices per layer give parallel edges, few stamps give ties, the
     hub layer is swapped in every other stream, and chunks often span more
-    than delta, so a step's insertions split into several runs.
+    than delta.
     """
     rng = random.Random(seed)
     for i in range(n):
@@ -700,12 +669,12 @@ def tally_corpus(n: int, seed: int):
         yield triples, rng.randint(0, 20), window, rng.randint(1, window), rng.randint(1, 3)
 
 
-class TestTallies:
-    """Each window butterfly sits in exactly one tally, its oldest live edge's, after every window step."""
+class TestWedgeState:
+    """After every window step the kept wedges are exactly those a fresh build under the same ranking gives."""
 
-    CORPUS = list(tally_corpus(1000, seed=16))
+    CORPUS = list(stream_corpus(1000, seed=16))
 
-    def test_tally_corpus_covers_ties_parallels_swaps_and_split_steps(self):
+    def test_corpus_covers_ties_parallels_swaps_and_split_steps(self):
         ties = parallels = swapped = split = 0
         for triples, delta, _window, stride, _workers in self.CORPUS:
             stamps = [t for *_, t in triples]
@@ -715,37 +684,134 @@ class TestTallies:
             split += any(stamps[min(i + stride, len(stamps)) - 1] - stamps[i] > delta for i in range(0, len(stamps), stride))
         assert min(ties, parallels, swapped, split) >= 200
 
-    def test_tallies_sum_to_live_after_every_step(self):
-        butterflies = evicted_with_tally = 0
+    @pytest.mark.parametrize("small", [16, 1], ids=["lists-to-16", "views-from-2"])
+    def test_wedges_match_a_rebuild_after_every_step(self, small, monkeypatch):
+        # at threshold 1 every bucket of two or more wedges is probed through its sorted views
+        monkeypatch.setattr(stream_module, "_SMALL_BUCKET", small)
+        butterflies = swept = evicted_with_wedges = 0
         for triples, delta, window, stride, workers in self.CORPUS:
             win = SlidingWindow(delta, window)
             for i in range(0, len(triples), stride):
                 chunk = triples[i:i + stride]
                 leaving = {e.uid for e in list(win.buffer)[:max(0, len(win.buffer) + len(chunk) - window)]}
-                evicted_with_tally += bool(leaving & win.live.tallies.keys())
+                evicted_with_wedges += bool(leaving & win.live.wedges.olds)
                 win.advance_batch(chunk, workers)
-                tallies = win.live.tallies
-                assert [sum(col) for col in zip([0] * 6, *tallies.values())] == win.live.counts
-                assert len(tallies) <= len(win.buffer)
-                assert tallies.keys() <= {e.uid for e in win.buffer}
+                assert wedge_state(win.live) == rebuilt_state(win)
+                assert win.live.wedges.olds <= {e.uid for e in win.buffer}
+                swept += any(isinstance(b, _Swept) for b in win.live.wedges.buckets.values())
                 taken = i + len(chunk)
                 assert win.live == exact_counts(triples[max(0, taken - window):taken], delta)
                 butterflies += win.live.total()
-        assert butterflies > 5000 and evicted_with_tally > 300
+        assert butterflies > 5000 and evicted_with_wedges > 300
+        assert swept > (1000 if small == 1 else 0)
 
-    def test_pair_loop_reads_bare_entries_and_lists_with_one_and_several_pivots(self, monkeypatch):
-        # each map read records whose map it is, what it holds, and whether the walked neighbour has several pivots
-        seen = set()
 
-        class Spy(dict):
-            def __getitem__(self, z):
-                value = dict.__getitem__(self, z)
-                caller = sys._getframe(1).f_locals
-                side = "partner" if self is caller["ymap"] else "looked-up"
-                seen.add((side, type(value).__name__, len(caller["pivots"]) > 1))
-                return value
+@st.composite
+def windowed_streams(draw):
+    """A chronological stream on 3-10 vertices a layer with stamps 0-200, and its window, stride and delta."""
+    nu, nl = draw(st.integers(3, 10)), draw(st.integers(3, 10))
+    edges = draw(st.lists(st.tuples(st.integers(0, nu - 1), st.integers(0, nl - 1), st.integers(0, 200)), max_size=60))
+    triples = sorted(((f"u{a}", f"v{b}", t) for a, b, t in edges), key=lambda e: e[2])
+    window = draw(st.integers(1, 40))
+    return triples, window, draw(st.integers(1, window)), draw(st.integers(0, 200))
 
-        monkeypatch.setattr(stream_module, "_row_map", lambda *args: Spy(_row_map(*args)))
-        for triples, delta, window, stride, _workers in self.CORPUS:
-            run_sliding_window(triples, delta, window, stride, engine="stbc+")
-        assert seen == {(side, kind, several) for side in ("partner", "looked-up") for kind in ("tuple", "list") for several in (False, True)}
+
+class TestPerWedgeStep:
+    @pytest.mark.parametrize("small", [None, 1], ids=["default-threshold", "threshold-1"])
+    @PROPERTY_SETTINGS
+    @given(case=windowed_streams())
+    def test_every_emission_matches_a_recount(self, small, case):
+        # at threshold 1 the sorted views and their equal-stamp corrections count every bucket of two or more wedges
+        triples, window, stride, delta = case
+        with pytest.MonkeyPatch.context() as mp:
+            if small is not None:
+                mp.setattr(stream_module, "_SMALL_BUCKET", small)
+            emissions = []
+            run_sliding_window(triples, delta, window, stride, sink=lambda *a: emissions.append(a))
+        assert len(emissions) == -(-len(triples) // stride)
+        for step, _, _, live in emissions:
+            taken = min(len(triples), (step + 1) * stride)
+            assert live == exact_counts(triples[max(0, taken - window):taken], delta)
+
+    def test_a_late_hub_triggers_a_rebuild_that_ranks_it_above_an_early_leaf(self):
+        # leaf u0 comes first and stays in every window; hub h arrives later and
+        # closes butterflies with u0 and u1.  Ranks go by first appearance, so h
+        # ranks below u0 and, as a middle under every lower vertex, keeps a wedge
+        # for most pairs of its edges.  Once the kept wedges outnumber the window,
+        # they are rebuilt under the window's degrees, and h, with the most edges,
+        # ranks highest from then on, before the window has filled.
+        triples = [("u0", "v0", 0), ("u0", "v1", 1)]
+        triples += [("u1", f"v{i % 2}", 2 + i) for i in range(4)]
+        triples += [("h", f"v{i % 4}", 10 + i) for i in range(16)]
+        triples += [("u1", "v2", 30), ("u1", "v3", 31)]
+        delta, window, stride = 40, 20, 4
+        win = SlidingWindow(delta, window)
+        steps = []
+        for i in range(0, len(triples), stride):
+            before = win.live.wedges
+            win.advance_batch(triples[i:i + stride])
+            taken = i + len(triples[i:i + stride])
+            assert win.live == exact_counts(triples[max(0, taken - window):taken], delta)
+            assert wedge_state(win.live) == rebuilt_state(win)
+            state = win.live.wedges
+            rebuilt = state is not before
+            if rebuilt:
+                assert win.cap == max(window, 2 * state.n)
+            assert state.n <= win.cap
+            ru = state.ranks[0]
+            ids = win.graph._upper_ids
+            steps.append((len(win.buffer) == window, rebuilt, ru[ids["h"]] > ru[ids["u0"]] if "h" in ids else None))
+        # the early leaf outranks the hub until the rebuild that h's wedges set off; the hub is on top from then on
+        assert steps == [(False, False, None), (False, False, False), (False, True, True), (False, False, True)] + [(True, False, True)] * 2
+        assert win.live.total() > 0
+
+
+class TestSweptViews:
+    """A large bucket's sorted views count what the pair test counts, however stamps tie."""
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @PROPERTY_SETTINGS
+    @given(
+        wedges=st.lists(st.tuples(st.integers(0, 12), st.integers(1, 6), st.booleans(), st.integers(0, 3)), min_size=2, max_size=40),
+        evict_bias=st.integers(0, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_probes_match_pair_tests(self, layer, wedges, evict_bias, seed):
+        # wedges arrive in arrival order and leave oldest start first, each probe
+        # checked against count._pairs of it and the bucket's other wedges
+        delta = 6
+        made = sorted(((a + off, a, m) if backward else (a, a + off, m) for a, off, backward, m in wedges), key=lambda w: max(w[:2]))
+        bucket = _Swept(made[:1], delta + 1)
+        present = made[:1]
+        rng = random.Random(seed)
+        todo = made[1:]
+        oldest = None
+        while todo or present:
+            if todo and (not present or rng.randrange(4) >= evict_bias):
+                w = todo.pop(0)
+                if oldest is not None and min(w[:2]) < oldest:
+                    continue
+                got, want = [0] * 6, [0] * 6
+                bucket.inserted(w, max(w[:2]), delta, layer, got)
+                for k, _, _ in _pairs([w, *present], delta, layer, 1):
+                    want[k] += 1
+                present.append(w)
+            else:
+                w = min(present, key=lambda x: min(x[:2]))
+                oldest = min(w[:2])
+                got, want = [0] * 6, [0] * 6
+                bucket.evicted(w, delta, layer, got)
+                present.remove(w)
+                for k, _, _ in _pairs([w, *present], delta, layer, 1):
+                    want[k] += 1
+            assert got == want
+            assert bucket.n == len(present) and sorted(w for ws in bucket.mids.values() for w in ws) == sorted(present)
+
+    def test_delta_zero_keeps_no_wedge(self):
+        emissions = []
+        win = SlidingWindow(0, window=6)
+        for i in range(0, 12, 3):
+            win.advance_batch([(f"u{t % 2}", f"v{t % 3}", t // 2) for t in range(i, i + 3)])
+            emissions.append(win.live.copy())
+            assert win.live.wedges.buckets == {} and win.live.wedges.olds == set()
+        assert emissions == [[0] * 6] * 4
