@@ -8,11 +8,11 @@ a forked child that the parent kills at an optional per-engine wall-clock
 cap; gen writes seed-deterministic random edge lists for experiments.
 
 Each flag's own rule is its argparse type, and each subcommand's function
-reads the parsed namespace; main checks only the rules that span flags or
-the environment, and refuses an --output that names the --input file,
-reporting each through the chosen subcommand's parser, as it does an
-unrecognized argument.  The exit status is 0 on success, 2 on a usage
-error, and 1 on a runtime error, reported on stderr after `tempobf: `.
+reads the parsed namespace; main checks only the rules that span flags,
+and refuses an --output that names the --input file, reporting each
+through the chosen subcommand's parser, as it does an unrecognized
+argument.  The exit status is 0 on success, 2 on a usage error, and 1 on
+a runtime error, reported on stderr after `tempobf: `.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import os
 import random
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate
@@ -57,8 +58,6 @@ __all__ = [
     "cmd_gen",
     "main",
 ]
-
-TIMEOUT_ENV_VAR = "TEMPO_BF_TIMEOUT_SECS"
 
 COUNT_ALGOS = ("tbc", "tbc+", "tbc++", "oracle")
 ENUM_ALGOS = ("tbe", "tbe+", "oracle")
@@ -185,24 +184,21 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return 0
 
 
-def _env_timeout() -> float:
-    """The cap in TEMPO_BF_TIMEOUT_SECS, 0 when unset or empty; ValueError unless it keeps --timeout-secs's rule."""
-    raw = os.environ.get(TIMEOUT_ENV_VAR, "")
-    return _cap(raw, TIMEOUT_ENV_VAR) if raw else 0.0
-
-
 def run_bench(path: str, delta: int, algos: Sequence[str], timeout_secs: float = 0.0) -> list[BenchReport]:
     """Load and rank the edge list at path (- for stdin) once, then time each engine in algos on the same graph.
 
     Preprocessing (parse, priority) happens before any clock starts.  Each
     engine runs once, in a forked child that sends back its counts, wall
     seconds and peak RSS above its RSS at fork, the child's or its largest
-    pool child's, not a sum.  The cap from timeout_secs or, when that is 0,
-    the TEMPO_BF_TIMEOUT_SECS variable bounds the wait; a capped engine's
-    process group is killed, and it reports timed_out with no counts, the
-    cap's seconds and a peak of 0.  Without os.fork, or while another
-    thread is alive, each engine runs in this process, uncapped, peak 0.
+    pool child's, not a sum.  timeout_secs caps each engine's wait (0: no
+    cap); a capped engine's process group is killed, and it reports
+    timed_out with no counts, the cap's seconds and a peak of 0.  A cap
+    breaking _cap_ok's rule is refused with a ValueError before the graph
+    is read.  Without os.fork, or while another thread is alive, each
+    engine runs in this process, uncapped, peak 0.
     """
+    if not _cap_ok(timeout_secs):
+        raise ValueError(f"timeout_secs must be {_CAP_RULE}, got {timeout_secs}")
     g, priority = _load_ranked(path)
     runners: dict[str, Callable[[], CountVector]] = {
         "tbc": lambda: count_baseline(g, priority, delta),
@@ -212,10 +208,9 @@ def run_bench(path: str, delta: int, algos: Sequence[str], timeout_secs: float =
         "tbe+": lambda: enumerate_optimized(g, priority, delta, null_sink),
         "oracle": lambda: oracle_count(g, delta),
     }
-    limit = timeout_secs if timeout_secs > 0 else _env_timeout()
     reports = []
     for algo in algos:
-        counts, seconds, peak = _in_child(runners[algo], limit)
+        counts, seconds, peak = _in_child(runners[algo], timeout_secs)
         reports.append(BenchReport(algo, seconds, peak, counts, counts is None))
     return reports
 
@@ -302,19 +297,13 @@ _positive = _rule(int, lambda n: n >= 1, "positive")
 _probability = _rule(float, _scalable, "in (0, 1] with p ** -4 finite")
 
 
-class _RuleError(argparse.ArgumentTypeError, ValueError):
-    """A value breaking a flag's rule: argparse reports it as a usage error, library callers see a ValueError."""
+def _cap_ok(secs: float) -> bool:
+    """The rule of a per-engine cap in seconds: 0, for none, up to the longest wait select accepts."""
+    return 0 <= secs <= threading.TIMEOUT_MAX
 
 
-def _cap(text: str, name: str = "--timeout-secs") -> float:
-    """A per-engine cap in seconds, finite and non-negative; name is the flag or variable it came from."""
-    try:
-        secs = float(text)
-    except ValueError:
-        secs = float("nan")
-    if not 0 <= secs < float("inf"):
-        raise _RuleError(f"{name} must be non-negative and finite, got {text!r}")
-    return secs
+_CAP_RULE = f"from 0 (no cap) to {threading.TIMEOUT_MAX:.0f} seconds"
+_cap = _rule(float, _cap_ok, _CAP_RULE)
 
 
 def _engines(text: str) -> tuple[str, ...]:
@@ -384,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = add_command("bench", cmd_bench, "time engines on one graph")
     p_bench.add_argument("--algos", type=_engines, default="tbc,tbc+,tbc++", help="comma-separated engine list")
-    p_bench.add_argument("--timeout-secs", type=_cap, default=0.0, help=f"per-engine cap (0 = {TIMEOUT_ENV_VAR} or none)")
+    p_bench.add_argument("--timeout-secs", type=_cap, default=0.0, help="per-engine cap in seconds (0 = none)")
 
     p_gen = add_command("gen", cmd_gen, "write a seed-deterministic random edge list", reads_edges=False)
     p_gen.add_argument("--upper", type=_positive, required=True, help="upper-layer vertex count")
@@ -409,11 +398,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.stride = max(1, round(DEFAULT_STRIDE_RATIO * args.window))
         if args.stride > args.window:
             error(f"--stride ({args.stride}) must not exceed --window ({args.window})")
-    if args.command == "bench" and args.timeout_secs == 0:
-        try:
-            _env_timeout()
-        except ValueError as exc:
-            error(str(exc))
     if "input" in args and _same_file(args.input, args.output):
         error(f"--output names the --input file {args.input!r}; refusing to overwrite it")
 

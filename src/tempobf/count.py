@@ -586,14 +586,14 @@ def count_sampled(
     caller's priority, which ranks every vertex of the sample too; under
     2 * _EDGES_PER_PART kept edges it counts in this process.  Each count
     is scaled by sample_p ** -4, as a butterfly survives iff its four edges
-    do; a sample_p whose scale overflows, or workers < 1, is refused first.
+    do; at sample_p 1 every draw keeps its edge, so the estimates are the
+    exact counts.  A sample_p whose scale overflows, or workers < 1, is
+    refused first.
     """
     if not _scalable(sample_p):
         raise ValueError(f"sample_p must be in (0, 1] with sample_p ** -4 finite, got {sample_p}")
     _processes(g, workers)  # refuses a non-positive workers before any draw
     _check_walk(g, priority, delta)
-    if sample_p == 1:
-        return CountVector(float(c) for c in count_extreme(g, priority, delta, workers))
     rng = random.Random(seed)
     # with no uid ever freed, the uids are exactly 0..edge_count - 1 and need no sort
     uids = range(g.edge_count) if g.edge_count == g._next_uid else sorted(map(itemgetter(2), chain.from_iterable(g.upper_adj)))

@@ -442,19 +442,12 @@ class TestBench:
         assert code == 0
         assert out.splitlines()[1].split("\t")[3:] == ["timeout"] * 6
 
-    def test_timeout_env_var_fallback(self, tmp_path, monkeypatch):
-        path = tmp_path / "g.txt"
-        triples = gen_random_graph(10, 10, 3000, 50, seed=3)
-        path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in triples))
-        monkeypatch.setenv("TEMPO_BF_TIMEOUT_SECS", "0.05")
-        (report,) = run_bench(str(path), 50, ("oracle",))
-        assert report.timed_out
-
     @pytest.mark.parametrize(
         "argv",
         [
             ("bench", "--input", "x", "--delta", "3", "--algos", ""),
             ("bench", "--input", "x", "--delta", "3", "--algos", "tbc,warp"),
+            ("bench", "--input", "x", "--delta", "3", "--timeout-secs", "abc"),
         ],
     )
     def test_usage_errors_exit_two(self, capsys, argv):
@@ -463,24 +456,46 @@ class TestBench:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("secs", ["-5", "nan", "inf"])
-    def test_bad_timeout_rejected(self, capsys, monkeypatch, secs):
-        # a negative cap must not fall back to the environment variable
-        monkeypatch.setenv("TEMPO_BF_TIMEOUT_SECS", "0.05")
+    @pytest.mark.parametrize("secs", ["-5", "nan", "inf", "1e300"])
+    def test_bad_timeout_rejected(self, capsys, secs):
+        # 1e300 is finite, but longer than any wait select takes
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--input", "x", "--delta", "3", "--timeout-secs", secs])
         assert exc.value.code == 2
-        assert "--timeout-secs must be non-negative and finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("secs", ["-5", "nan", "inf", "abc"])
-    def test_bad_timeout_env_var_rejected(self, capsys, monkeypatch, secs):
-        monkeypatch.setenv("TEMPO_BF_TIMEOUT_SECS", secs)
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--input", "x", "--delta", "3"])
-        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: tempobf bench ")
-        assert "TEMPO_BF_TIMEOUT_SECS must be non-negative and finite" in err
+        rule = f"from 0 (no cap) to {threading.TIMEOUT_MAX:.0f} seconds"
+        assert f"tempobf bench: error: argument --timeout-secs: must be {rule}, got {secs}\n" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("secs", [-1, float("nan"), float("inf"), 1e300, threading.TIMEOUT_MAX])
+    def test_run_bench_checks_the_cap_before_reading_or_forking(self, tmp_path, monkeypatch, secs):
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in gen_random_graph(8, 8, 100, 200, seed=7)))
+        loads, forks = [], []
+        load, fork = tempobf.cli.load_edge_list, os.fork
+
+        def load_recorded(*args):
+            loads.append(args)
+            return load(*args)
+
+        def fork_recorded():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(tempobf.cli, "load_edge_list", load_recorded)
+        monkeypatch.setattr(os, "fork", fork_recorded)
+        if secs == threading.TIMEOUT_MAX:
+            # the rule's own maximum still caps a child that replies at once
+            (report,) = run_bench(str(path), 30, ("tbc",), secs)
+            assert len(loads) == 1 and len(forks) == 1
+            assert not report.timed_out and report.counts == run_bench(str(path), 30, ("tbc",))[0].counts
+        else:
+            with pytest.raises(ValueError, match=r"^timeout_secs must be from 0 \(no cap\) to \d+ seconds, got "):
+                run_bench(str(path), 30, ("tbc",), secs)
+            assert loads == [] and forks == []
 
 
 class TestSharedFlags:
