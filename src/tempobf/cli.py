@@ -193,12 +193,15 @@ def run_bench(path: str, delta: int, algos: Sequence[str], timeout_secs: float =
     pool child's, not a sum.  timeout_secs caps each engine's wait (0: no
     cap); a capped engine's process group is killed, and it reports
     timed_out with no counts, the cap's seconds and a peak of 0.  A cap
-    breaking _cap_ok's rule is refused with a ValueError before the graph
-    is read.  Without os.fork, or while another thread is alive, each
-    engine runs in this process, uncapped, peak 0.
+    breaking _cap_ok's rule, or a name outside BENCH_ALGOS, raises
+    ValueError before the graph is read.  Without os.fork, or while another
+    thread is alive, each engine runs in this process, uncapped, peak 0.
     """
     if not _cap_ok(timeout_secs):
         raise ValueError(f"timeout_secs must be {_CAP_RULE}, got {timeout_secs}")
+    for algo in algos:
+        if algo not in BENCH_ALGOS:
+            raise ValueError(f"unknown engine {algo!r}; choose from {', '.join(BENCH_ALGOS)}")
     g, priority = _load_ranked(path)
     runners: dict[str, Callable[[], CountVector]] = {
         "tbc": lambda: count_baseline(g, priority, delta),

@@ -32,9 +32,9 @@ Three engines share one answer:
   keeping one sorted list of entries per direction, and takes each match
   from the wedge its entry carries.
 
-Small buckets are paired in one loop, _pairs, behind every engine and the
-stream module's window steps; it reads each pair's type inline, as
-classify_type defines it.
+Small buckets are paired by one kernel, _pair_tally, behind every engine
+and the stream's window steps: it tests a wedge against a list, reading
+each pair's type inline as classify_type defines it, and tallies in place.
 
 All engines take their wedges from one walk, _end_buckets, over the time
 rows every graph keeps.  It reads each start vertex's row and skips
@@ -307,50 +307,47 @@ def _twin_counts(wedges: list, delta: int, acc: list[int], layer: int) -> None:
 
 # the largest end bucket that is paired directly instead of swept
 _SMALL_BUCKET = 16
+# per layer bit, the (same-direction, mixed-direction) type indexes of non-overlap, intersecting and covering
+_PAIR_TYPES = tuple(((layer, 1 ^ layer, 2 ^ layer), (3 ^ layer, 4 ^ layer, 5 ^ layer)) for layer in (0, 1))
 
 
-def _pairs(wedges: list, delta: int, layer: int, heads: int | None = None) -> Iterator[tuple[int, tuple, tuple]]:
-    """Yield (type, wedge, later wedge) for every butterfly among one bucket's wedges.
+def _pair_tally(w1: tuple, others: list, delta: int, layer: int, acc: list[int], sign: int = 1, out: list | None = None) -> None:
+    """Add sign to acc[type] for each butterfly w1 makes with a wedge of others, and append (type, w1, w2) to out if given.
 
-    With heads set, only pairs whose first wedge is one of the first heads
-    wedges are tried: heads=1 pairs one wedge against a list, as the
-    stream's window steps do.  The type is classify_type's, read inline
-    from the two wedges' ordered stamps: non-overlap, intersecting or
-    covering, plus 3 when the wedges run in opposite directions, xor the
-    layer bit.  Wedges may be raw or in corner order: flipping both wedges
-    of a pair leaves its type unchanged.
+    The type is classify_type's, read inline from the two wedges' ordered
+    stamps: non-overlap, intersecting or covering, plus 3 when the wedges
+    run in opposite directions, xor the layer bit.  Wedges may be raw or
+    in corner order: flipping both wedges of a pair leaves its type
+    unchanged.
     """
-    same = (layer, 1 ^ layer, 2 ^ layer)
-    mixed = (3 ^ layer, 4 ^ layer, 5 ^ layer)
-    n = len(wedges)
-    for i in range(n - 1 if heads is None else heads):
-        w1 = wedges[i]
-        a1, b1, m1 = w1
-        # the types against a forward and a backward second wedge
-        if a1 < b1:
-            lo1, hi1, fwd_kinds, bwd_kinds = a1, b1, same, mixed
-        elif b1 < a1:
-            lo1, hi1, fwd_kinds, bwd_kinds = b1, a1, mixed, same
-        else:
+    a1, b1, m1 = w1
+    # the types against a forward and a backward second wedge
+    if a1 < b1:
+        lo1, hi1, (fwd_kinds, bwd_kinds) = a1, b1, _PAIR_TYPES[layer]
+    elif b1 < a1:
+        lo1, hi1, (bwd_kinds, fwd_kinds) = b1, a1, _PAIR_TYPES[layer]
+    else:
+        return
+    for w2 in others:
+        a2, b2, m2 = w2
+        if m1 == m2 or a2 == b2 or a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
             continue
-        for j in range(i + 1, n):
-            w2 = wedges[j]
-            a2, b2, m2 = w2
-            if m1 == m2 or a2 == b2 or a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-                continue
-            if a2 < b2:
-                lo2, hi2, kinds = a2, b2, fwd_kinds
-            else:
-                lo2, hi2, kinds = b2, a2, bwd_kinds
-            if (hi1 if hi1 > hi2 else hi2) - (lo1 if lo1 < lo2 else lo2) > delta:
-                continue
-            if hi1 < lo2 or hi2 < lo1:
-                yield kinds[0], w1, w2
-            # with distinct stamps, one interval covers the other iff it has both the lower and the higher end
-            elif (lo1 < lo2) == (hi2 < hi1):
-                yield kinds[2], w1, w2
-            else:
-                yield kinds[1], w1, w2
+        if a2 < b2:
+            lo2, hi2, kinds = a2, b2, fwd_kinds
+        else:
+            lo2, hi2, kinds = b2, a2, bwd_kinds
+        if (hi1 if hi1 > hi2 else hi2) - (lo1 if lo1 < lo2 else lo2) > delta:
+            continue
+        if hi1 < lo2 or hi2 < lo1:
+            k = kinds[0]
+        # with distinct stamps, one interval covers the other iff it has both the lower and the higher end
+        elif (lo1 < lo2) == (hi2 < hi1):
+            k = kinds[2]
+        else:
+            k = kinds[1]
+        acc[k] += sign
+        if out is not None:
+            out.append((k, w1, w2))
 
 
 def _normalized(wedges: list) -> list:
@@ -368,8 +365,8 @@ def _count_bucket(wedges, delta, layer, sweep, acc, same, min_run) -> None:
     into same; shorter runs are known to hold no countable pair.
     """
     if len(wedges) <= _SMALL_BUCKET:
-        for type_index, _, _ in _pairs(wedges, delta, layer):
-            acc[type_index] += 1
+        for i in range(len(wedges) - 1):
+            _pair_tally(wedges[i], wedges[i + 1:], delta, layer, acc)
         return
     sweep(_normalized(wedges), delta, acc, layer)
     # parallel edges to the start scatter a middle's wedges through the bucket
@@ -418,8 +415,8 @@ def count_baseline(
             n = len(wedges)
             pairs_examined += n * (n - 1) // 2
             pairs_examined -= sum(c * (c - 1) // 2 for c in Counter(map(itemgetter(2), wedges)).values())
-        for type_index, _, _ in _pairs(wedges, delta, layer):
-            acc[type_index] += 1
+        for i in range(len(wedges) - 1):
+            _pair_tally(wedges[i], wedges[i + 1:], delta, layer, acc)
     if stats is not None:
         stats["pairs_examined"] = pairs_examined
     return CountVector(acc)

@@ -28,7 +28,7 @@ from bisect import bisect_left, insort
 from typing import Callable, NamedTuple
 
 from ._pool import _walk_in_chunk_order
-from .count import _SMALL_BUCKET, CountVector, _check_walk, _end_buckets, _pairs, classify_type
+from .count import _SMALL_BUCKET, CountVector, _check_walk, _end_buckets, _pair_tally, classify_type
 from .graph import TemporalBipartiteGraph, VertexPriority
 
 __all__ = ["ButterflyInstance", "enumerate_baseline", "enumerate_optimized", "null_sink"]
@@ -146,14 +146,17 @@ def _emit_bucket(layer, s, end, wedges, delta, sink, acc, largest_paired) -> Non
     else:
         fixed = (s, end)
     if len(wedges) <= largest_paired:
-        for type_index, (c0, c1, mid), (o0, o1, omid) in _pairs(wedges, delta, layer):
-            if omid < mid:
-                mid, c0, c1, omid, o0, o1 = omid, o0, o1, mid, c0, c1
-            if in_upper:
-                sink(_new(ButterflyInstance, (type_index, fixed, (mid, omid), (c0, c1, o0, o1))))
-            else:
-                sink(_new(ButterflyInstance, (type_index, (mid, omid), fixed, (c0, o0, c1, o1))))
-            acc[type_index] += 1
+        for i in range(len(wedges) - 1):
+            # the kernel tallies wedge i's pairs in acc and lists them in out, to emit in order
+            out = []
+            _pair_tally(wedges[i], wedges[i + 1:], delta, layer, acc, 1, out)
+            for type_index, (c0, c1, mid), (o0, o1, omid) in out:
+                if omid < mid:
+                    mid, c0, c1, omid, o0, o1 = omid, o0, o1, mid, c0, c1
+                if in_upper:
+                    sink(_new(ButterflyInstance, (type_index, fixed, (mid, omid), (c0, c1, o0, o1))))
+                else:
+                    sink(_new(ButterflyInstance, (type_index, (mid, omid), fixed, (c0, o0, c1, o1))))
         return
     _emit_swept(wedges, delta, layer, fixed, sink, acc)
 

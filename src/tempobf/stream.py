@@ -69,7 +69,7 @@ from itertools import islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .count import _SMALL_BUCKET, CountVector, _pairs
+from .count import _SMALL_BUCKET, CountVector, _pair_tally
 from .graph import TemporalBipartiteGraph, TemporalEdge, _check_token, _stamp, compute_vertex_priority
 
 __all__ = [
@@ -90,10 +90,10 @@ class StreamOrderError(ValueError):
 #
 # A wedge is (t1, t2, middle): t1 the stamp of its edge to the start, t2 of
 # its edge to the end.  It runs forward when t1 < t2; its start is the lower
-# stamp and its arrival the higher.  A bucket's key packs (start, end, layer
-# bit of the start) for vertex ids below 2**32.  A type index is the pair's
-# shape, 0 non-overlap, 1 intersecting, 2 covering, plus 3 when the wedges
-# run in opposite directions, xor the layer bit, as count._pairs reads it.
+# stamp and its arrival the higher.  A bucket key packs (start, end, layer
+# bit of the start) for ids below 2**32.  count._pair_tally tallies a wedge
+# against a list in place by type index: shape 0 non-overlap, 1 intersecting,
+# 2 covering, plus 3 for opposite directions, xor the layer bit.
 
 
 class _Swept:
@@ -162,8 +162,7 @@ class _Swept:
         same = self.mids.get(mid)
         if same:
             # a wedge with no middle meets every same-middle partner
-            for k, _, _ in _pairs([(t1, t2, None), *same], delta, layer, 1):
-                acc[k] -= 1
+            _pair_tally((t1, t2, None), same, delta, layer, acc, -1)
             same.append(w)
         else:
             self.mids[mid] = [w]
@@ -205,8 +204,7 @@ class _Swept:
         same = self.mids[mid]
         if len(same) > 1:
             same.remove(w)
-            for k, _, _ in _pairs([(t1, t2, None), *same], delta, layer, 1):
-                acc[k] -= 1
+            _pair_tally((t1, t2, None), same, delta, layer, acc, -1)
         else:
             del self.mids[mid]
         view = self.views[t1 > t2]
@@ -336,8 +334,7 @@ class _Wedges:
                     del buckets[key]
                 elif type(bucket) is list:
                     bucket.remove(w)
-                    for k, _, _ in _pairs([w, *bucket], delta, key & 1, 1):
-                        acc[k] += 1
+                    _pair_tally(w, bucket, delta, key & 1, acc)
                     if len(bucket) == 1:
                         buckets[key] = bucket[0]
                 else:
@@ -377,8 +374,7 @@ class _Wedges:
                 if type(bucket) is tuple:
                     bucket = buckets[key] = [bucket]
                 if type(bucket) is list:
-                    for k, _, _ in _pairs([w, *bucket], delta, key & 1, 1):
-                        acc[k] += 1
+                    _pair_tally(w, bucket, delta, key & 1, acc)
                     bucket.append(w)
                     if len(bucket) > small:
                         buckets[key] = _Swept(bucket, m)

@@ -468,8 +468,9 @@ class TestBench:
         assert f"tempobf bench: error: argument --timeout-secs: must be {rule}, got {secs}\n" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("secs", [-1, float("nan"), float("inf"), 1e300, threading.TIMEOUT_MAX])
-    def test_run_bench_checks_the_cap_before_reading_or_forking(self, tmp_path, monkeypatch, secs):
+    @pytest.fixture
+    def recorded(self, tmp_path, monkeypatch):
+        """A small graph's path, with lists that record each load_edge_list call and each os.fork child."""
         path = tmp_path / "g.txt"
         path.write_text("".join(f"{u} {v} {t}\n" for u, v, t in gen_random_graph(8, 8, 100, 200, seed=7)))
         loads, forks = [], []
@@ -487,6 +488,11 @@ class TestBench:
 
         monkeypatch.setattr(tempobf.cli, "load_edge_list", load_recorded)
         monkeypatch.setattr(os, "fork", fork_recorded)
+        return path, loads, forks
+
+    @pytest.mark.parametrize("secs", [-1, float("nan"), float("inf"), 1e300, threading.TIMEOUT_MAX])
+    def test_run_bench_checks_the_cap_before_reading_or_forking(self, recorded, secs):
+        path, loads, forks = recorded
         if secs == threading.TIMEOUT_MAX:
             # the rule's own maximum still caps a child that replies at once
             (report,) = run_bench(str(path), 30, ("tbc",), secs)
@@ -496,6 +502,15 @@ class TestBench:
             with pytest.raises(ValueError, match=r"^timeout_secs must be from 0 \(no cap\) to \d+ seconds, got "):
                 run_bench(str(path), 30, ("tbc",), secs)
             assert loads == [] and forks == []
+
+    def test_run_bench_checks_every_engine_name_before_reading_or_forking(self, recorded):
+        # an unknown name after a known one refuses the whole list, so tbc never runs
+        path, loads, forks = recorded
+        choices = ", ".join(tempobf.cli.BENCH_ALGOS)
+        with pytest.raises(ValueError) as exc:
+            run_bench(str(path), 100, ("tbc", "warp"))
+        assert str(exc.value) == f"unknown engine 'warp'; choose from {choices}"
+        assert loads == [] and forks == []
 
 
 class TestSharedFlags:

@@ -46,7 +46,7 @@ from tempobf.count import (
     _count_part,
     _end_buckets,
     _normalized,
-    _pairs,
+    _pair_tally,
     _timestamp_counts,
     _twin_counts,
 )
@@ -187,15 +187,15 @@ def naive_probe(live, pivot):
 
 
 def kernel_vector(raws, delta, layer):
-    """One bucket's vector from _timestamp_counts, _twin_counts and the fused emitter, each checked against _pairs.
+    """One bucket's vector from _timestamp_counts, _twin_counts and the fused emitter, each checked against _pair_tally.
 
     raws are (t1, t2, middle) wedges, each through its own middle and
     spanning at most delta, as the walk builds them; the emitter reads them
     as corner-order stamps, and must emit one instance per pair it tallies.
     """
     expected = [0] * 6
-    for type_index, _, _ in _pairs(raws, delta, layer):
-        expected[type_index] += 1
+    for i in range(len(raws) - 1):
+        _pair_tally(raws[i], raws[i + 1:], delta, layer, expected)
     for kernel in (_timestamp_counts, _twin_counts):
         acc = [0] * 6
         kernel(_normalized(raws), delta, acc, layer)
@@ -417,7 +417,17 @@ class TestPairs:
             if m1 == m2 or len(set(stamps)) != 4 or max(stamps) - min(stamps) > delta:
                 continue
             expected.append((classify_type((a1, b1), (a2, b2), layer == 0), wedges[i], wedges[j]))
-        assert list(_pairs(wedges, delta, layer)) == expected
+        tally = [0] * 6
+        for k, _, _ in expected:
+            tally[k] += 1
+        # each wedge against every later one, as the small-bucket callers run it
+        out, acc, negated = [], [0] * 6, [0] * 6
+        for i in range(len(wedges)):
+            _pair_tally(wedges[i], wedges[i + 1:], delta, layer, acc, 1, out)
+            _pair_tally(wedges[i], wedges[i + 1:], delta, layer, negated, -1)
+        assert out == expected
+        assert acc == tally
+        assert negated == [-c for c in tally]
 
 
 class TestCombine:

@@ -340,9 +340,36 @@ ORDER_INSTANCES = [
     (1, (0, 1), (0, 3), (16, 13, 14, 10)), (5, (0, 1), (3, 4), (14, 10, 12, 13)),
 ]
 
+# start u0 and end u1 share 7 wedges through v0..v3, at most _SMALL_BUCKET,
+# so their one end bucket is paired directly: u0's two edges to v0 and to v3
+# and u1's two to v1 are parallel, and stamps 11 and 12 each stamp two edges
+SMALL_LEGS = {
+    "v0": ([10, 15], [12]),
+    "v1": ([11], [14, 17]),
+    "v2": ([13], [11]),
+    "v3": ([16, 18], [12]),
+}
+SMALL_TRIPLES = [
+    (u, v, t) for v, legs in SMALL_LEGS.items() for u, stamps in zip(("u0", "u1"), legs) for t in stamps
+] + [("u0", "z0", 1), ("u0", "z1", 2)]
+# enumerate_optimized's instances of SMALL_TRIPLES, in the order it emits them
+SMALL_INSTANCES = [
+    (1, (0, 1), (0, 1), (10, 12, 11, 14)), (1, (0, 1), (0, 1), (10, 12, 11, 17)),
+    (4, (0, 1), (0, 2), (10, 12, 13, 11)), (4, (0, 1), (0, 1), (15, 12, 11, 14)),
+    (4, (0, 1), (1, 3), (11, 14, 16, 12)), (4, (0, 1), (1, 3), (11, 14, 18, 12)),
+    (5, (0, 1), (0, 1), (15, 12, 11, 17)), (5, (0, 1), (1, 3), (11, 17, 16, 12)),
+    (4, (0, 1), (1, 3), (11, 17, 18, 12)), (1, (0, 1), (0, 2), (15, 12, 13, 11)),
+    (1, (0, 1), (2, 3), (13, 11, 16, 12)), (1, (0, 1), (2, 3), (13, 11, 18, 12)),
+]
+
+
+def lower_start(instances):
+    """The instances of the layer-swapped graph: corner pairs and middle two stamps swapped, each type xor 1."""
+    return [(k ^ 1, low, up, (s0, s2, s1, s3)) for k, up, low, (s0, s1, s2, s3) in instances]
+
 
 class TestEmissionOrder:
-    """The order enumerate_optimized emits one swept bucket's instances in, pinned."""
+    """The order enumerate_optimized emits one end bucket's instances in, pinned for a swept and a paired bucket."""
 
     @pytest.mark.parametrize("swapped", [False, True], ids=["upper-start", "lower-start"])
     def test_swept_bucket_emits_in_a_fixed_order(self, swapped):
@@ -355,10 +382,21 @@ class TestEmissionOrder:
         forward = {(t1, t2) for t1, t2, _ in wedges if t1 < t2}
         backward = {(t2, t1) for t1, t2, _ in wedges if t2 < t1}
         assert forward & backward
-        expected = ORDER_INSTANCES
-        if swapped:
-            # a lower start swaps each instance's corner pairs and middle two stamps, and xors its type by 1
-            expected = [(k ^ 1, low, up, (s0, s2, s1, s3)) for k, up, low, (s0, s1, s2, s3) in expected]
+        expected = lower_start(ORDER_INSTANCES) if swapped else ORDER_INSTANCES
+        _, seen = collect(enumerate_optimized, g, priority, ORDER_DELTA, workers=1)
+        assert seen == expected
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["upper-start", "lower-start"])
+    def test_small_bucket_emits_in_a_fixed_order(self, swapped):
+        triples = [(v, u, t) for u, v, t in SMALL_TRIPLES] if swapped else SMALL_TRIPLES
+        g, priority = build_priority(triples)
+        # the bucket is as described: both directions, parallel edges and shared stamps
+        ((layer, _, _, wedges),) = _end_buckets(g, priority, ORDER_DELTA)
+        assert layer == swapped and 3 <= len(wedges) <= _SMALL_BUCKET
+        assert {t1 < t2 for t1, t2, _ in wedges} == {True, False}
+        assert len({mid for _, _, mid in wedges}) < len(wedges)
+        assert len({t2 for _, t2, _ in wedges}) < len({(t2, mid) for _, t2, mid in wedges})
+        expected = lower_start(SMALL_INSTANCES) if swapped else SMALL_INSTANCES
         _, seen = collect(enumerate_optimized, g, priority, ORDER_DELTA, workers=1)
         assert seen == expected
 

@@ -24,7 +24,7 @@ from tempobf import (
     run_sliding_window,
 )
 import tempobf.stream as stream_module
-from tempobf.count import _pairs
+from tempobf.count import _pair_tally
 from tempobf.stream import _Live, _Swept, _Wedges
 from conftest import F1, PROPERTY_SETTINGS, assert_times_match_rows, build_plain, build_priority, build_time
 
@@ -778,7 +778,7 @@ class TestSweptViews:
     )
     def test_probes_match_pair_tests(self, layer, wedges, evict_bias, seed):
         # wedges arrive in arrival order and leave oldest start first, each probe
-        # checked against count._pairs of it and the bucket's other wedges
+        # checked against count._pair_tally of it and the bucket's other wedges
         delta = 6
         made = sorted(((a + off, a, m) if backward else (a, a + off, m) for a, off, backward, m in wedges), key=lambda w: max(w[:2]))
         bucket = _Swept(made[:1], delta + 1)
@@ -793,8 +793,7 @@ class TestSweptViews:
                     continue
                 got, want = [0] * 6, [0] * 6
                 bucket.inserted(w, max(w[:2]), delta, layer, got)
-                for k, _, _ in _pairs([w, *present], delta, layer, 1):
-                    want[k] += 1
+                _pair_tally(w, present, delta, layer, want)
                 present.append(w)
             else:
                 w = min(present, key=lambda x: min(x[:2]))
@@ -802,8 +801,7 @@ class TestSweptViews:
                 got, want = [0] * 6, [0] * 6
                 bucket.evicted(w, delta, layer, got)
                 present.remove(w)
-                for k, _, _ in _pairs([w, *present], delta, layer, 1):
-                    want[k] += 1
+                _pair_tally(w, present, delta, layer, want)
             assert got == want
             assert bucket.n == len(present) and sorted(w for ws in bucket.mids.values() for w in ws) == sorted(present)
 
